@@ -93,22 +93,32 @@ class ReferenceTable:
     def __len__(self) -> int:
         return len(self.relation)
 
-    def insert(self, tid: int, values: Sequence[str | None]) -> None:
-        """Insert one reference tuple."""
+    def _row(self, tid: int, values: Sequence[str | None]) -> tuple[object, ...]:
         if len(values) != self.num_columns:
             raise ValueError(
                 f"expected {self.num_columns} values, got {len(values)}"
             )
-        self.relation.insert((tid,) + tuple(values))
+        return (tid,) + tuple(values)
+
+    def insert(self, tid: int, values: Sequence[str | None]) -> None:
+        """Insert one reference tuple."""
+        self.relation.insert(self._row(tid, values))
         self._version_box[0] += 1
 
     def load(self, rows: Iterable[tuple[int, Sequence[str | None]]]) -> int:
-        """Bulk load ``(tid, values)`` pairs; returns the count."""
-        count = 0
-        for tid, values in rows:
-            self.insert(tid, values)
-            count += 1
-        return count
+        """Bulk load ``(tid, values)`` pairs; returns the count.
+
+        Rows stream into the heap and the tid index is built from their
+        sorted keys in one pass (:meth:`Relation.insert_many`); a duplicate
+        tid still raises ``DuplicateKeyError`` before its row is written.
+        """
+        stored_before = len(self.relation)
+        try:
+            return self.relation.insert_many(
+                self._row(tid, values) for tid, values in rows
+            )
+        finally:
+            self._version_box[0] += len(self.relation) - stored_before
 
     def fetch(self, tid: int) -> tuple[str | None, ...]:
         """Fetch the attribute values of tuple ``tid`` via the tid index."""

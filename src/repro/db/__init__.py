@@ -15,10 +15,9 @@ provides exactly those primitives in pure Python:
 - :mod:`repro.db.exsort`: external merge sort (run generation + k-way merge),
   the workhorse behind the paper's ETI-query (``ORDER BY QGram, Coordinate,
   Column, Tid``).
-- :mod:`repro.db.query`: minimal iterator-style relational operators
-  (sequential scan, sort, group-aggregate, index lookup).
 - :mod:`repro.db.relation` / :mod:`repro.db.database`: schema-carrying
-  relations and a tiny catalog, the "data warehouse" of the paper.
+  relations (row-at-a-time and sorted bulk writes) and a tiny catalog, the
+  "data warehouse" of the paper.
 """
 
 from repro.db.btree import BPlusTree

@@ -1,7 +1,7 @@
 """The database facade: a catalog of relations over one buffer pool.
 
 Plays the role of the operational data warehouse in the paper: the reference
-relation, the pre-ETI, and the ETI all live here as standard relations.
+relation and the ETI live here as standard relations.
 
 Durability: :meth:`Database.on_disk` opens with a write-ahead log by
 default.  Mutations grouped under :meth:`Database.transaction` are

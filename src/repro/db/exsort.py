@@ -1,9 +1,9 @@
 """External merge sort.
 
-The paper builds the ETI by materializing a pre-ETI relation and running
-"select QGram, Coordinate, Column, Tid from pre-ETI order by QGram,
-Coordinate, Column, Tid" — a sort whose input is usually larger than main
-memory.  This module implements the textbook two-phase algorithm the
+The paper builds the ETI by running "select QGram, Coordinate, Column, Tid
+from pre-ETI order by QGram, Coordinate, Column, Tid" — a sort whose input
+is usually larger than main memory (the ETI builder streams the pre-ETI
+rows straight in).  This module implements the textbook two-phase algorithm the
 database system would use: bounded-memory *run generation* followed by a
 k-way *merge* driven by a heap.
 
@@ -19,7 +19,7 @@ import os
 import pickle
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Generator, Iterable, Iterator
 
 DEFAULT_MEMORY_LIMIT = 100_000
 
@@ -68,7 +68,7 @@ def external_sort(
     memory_limit: int = DEFAULT_MEMORY_LIMIT,
     tmp_dir: str | None = None,
     stats: SortStats | None = None,
-) -> Iterator[Any]:
+) -> Generator[Any, None, None]:
     """Yield ``rows`` in ascending ``key`` order using bounded memory.
 
     ``memory_limit`` is the maximum number of rows held in memory at once.

@@ -8,7 +8,8 @@ relation with its clustered index on ``[QGram, Coordinate, Column]``.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Any, Collection, Iterable, Iterator, Sequence
 
 from repro.db.btree import BPlusTree
 from repro.db.errors import DuplicateKeyError, RecordNotFoundError, RelationError
@@ -30,6 +31,30 @@ class _IndexSpec:
         if len(self.positions) == 1:
             return row[self.positions[0]]
         return tuple(row[p] for p in self.positions)
+
+    def check_unique(
+        self, key: Any, relation_name: str, pending: Collection[Any] = ()
+    ) -> None:
+        """Raise if a unique index already holds ``key`` (or ``pending`` does)."""
+        if self.unique and (key in pending or key in self.tree):
+            raise DuplicateKeyError(
+                f"duplicate key {key!r} for index {self.name!r} on {relation_name!r}"
+            )
+
+    def extend(self, items: list[tuple[Any, RecordId]]) -> None:
+        """Add ``(key, rid)`` entries: sorted, then one bulk load.
+
+        An empty tree is replaced by a bottom-up :meth:`BPlusTree.bulk_load`
+        (which re-checks order and uniqueness); a tree that already holds
+        entries takes the new ones key by key.  The sort is stable, so
+        duplicate keys keep the order their rows were stored in.
+        """
+        items.sort(key=itemgetter(0))
+        if len(self.tree):
+            for key, rid in items:
+                self.tree.insert(key, rid)
+        else:
+            self.tree = BPlusTree.bulk_load(items, unique=self.unique)
 
 
 class Relation:
@@ -55,14 +80,22 @@ class Relation:
     def create_index(
         self, index_name: str, columns: Sequence[str], unique: bool = False
     ) -> None:
-        """Create a B+-tree index on ``columns``, indexing existing rows."""
+        """Create a B+-tree index on ``columns``, indexing existing rows.
+
+        Only the columns up to the last key column are decoded (an ETI key
+        never pays for its tid-list), and the tree is bulk-loaded from the
+        sorted keys — also how a reopened snapshot rebuilds its indexes.
+        """
         if index_name in self._indexes:
             raise RelationError(f"index {index_name!r} already exists on {self.name}")
         positions = tuple(self.schema.position(c) for c in columns)
         spec = _IndexSpec(index_name, positions, unique)
+        leading = max(positions) + 1
+        decode = self.schema.decode
+        spec.extend(
+            [(spec.key_of(decode(record, leading)), rid) for rid, record in self.heap.scan()]
+        )
         self._indexes[index_name] = spec
-        for rid, row in self._scan_decoded():
-            spec.tree.insert(spec.key_of(row), rid)
 
     def index_names(self) -> tuple[str, ...]:
         """Names of the relation's indexes."""
@@ -86,24 +119,47 @@ class Relation:
         Unique constraints are checked before anything is written, so a
         rejected insert leaves no orphan heap row behind.
         """
-        validated = self.schema.validate(row)
-        for spec in self._indexes.values():
-            if spec.unique and spec.key_of(validated) in spec.tree:
-                raise DuplicateKeyError(
-                    f"duplicate key {spec.key_of(validated)!r} for index "
-                    f"{spec.name!r} on {self.name!r}"
-                )
-        rid = self.heap.insert(self.schema.encode(validated))
-        for spec in self._indexes.values():
-            spec.tree.insert(spec.key_of(validated), rid)
+        record = self.schema.encode(row)  # validates
+        specs = self._indexes.values()
+        keys = [spec.key_of(row) for spec in specs]
+        for spec, key in zip(specs, keys):
+            spec.check_unique(key, self.name)
+        rid = self.heap.insert(record)
+        for spec, key in zip(specs, keys):
+            spec.tree.insert(key, rid)
         return rid
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
-        """Bulk insert; returns the number of rows stored."""
+        """Bulk insert; returns the number of rows stored.
+
+        Rows are appended to the heap as they stream in, each checked
+        against the schema and the unique indexes first like
+        :meth:`insert`; their index entries are collected and folded into
+        the trees once, sorted, when the stream ends.  If a row is
+        rejected (or the stream itself raises) the rows stored before it
+        stay stored and indexed, the rejected one leaves nothing behind.
+        """
+        specs = tuple(self._indexes.values())
+        pending: list[list[tuple[Any, RecordId]]] = [[] for _ in specs]
+        batch_keys: list[set[Any]] = [set() for _ in specs]
+        encode = self.schema.encode
+        store = self.heap.insert
         count = 0
-        for row in rows:
-            self.insert(row)
-            count += 1
+        try:
+            for row in rows:
+                record = encode(row)  # validates
+                keys = [spec.key_of(row) for spec in specs]
+                for spec, key, seen in zip(specs, keys, batch_keys):
+                    spec.check_unique(key, self.name, seen)
+                    if spec.unique:
+                        seen.add(key)
+                rid = store(record)
+                for items, key in zip(pending, keys):
+                    items.append((key, rid))
+                count += 1
+        finally:
+            for spec, items in zip(specs, pending):
+                spec.extend(items)
         return count
 
     def fetch(self, rid: RecordId) -> Row:
@@ -124,20 +180,17 @@ class Relation:
         old slot), with all indexes kept consistent.  Callers holding the
         old rid must switch to the returned one.
         """
-        validated = self.schema.validate(row)
+        record = self.schema.encode(row)  # validates
         old_row = self.fetch(rid)
         for spec in self._indexes.values():
-            new_key = spec.key_of(validated)
-            if spec.unique and new_key != spec.key_of(old_row) and new_key in spec.tree:
-                raise DuplicateKeyError(
-                    f"duplicate key {new_key!r} for index {spec.name!r} "
-                    f"on {self.name!r}"
-                )
+            new_key = spec.key_of(row)
+            if new_key != spec.key_of(old_row):
+                spec.check_unique(new_key, self.name)
         self.heap.delete(rid)
-        new_rid = self.heap.insert(self.schema.encode(validated))
+        new_rid = self.heap.insert(record)
         for spec in self._indexes.values():
             spec.tree.delete(spec.key_of(old_row), rid)
-            spec.tree.insert(spec.key_of(validated), new_rid)
+            spec.tree.insert(spec.key_of(row), new_rid)
         return new_rid
 
     def find_rid(self, index_name: str, key: Any) -> RecordId:

@@ -20,13 +20,19 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.db.errors import SchemaError
 
 Row = tuple
 
 _NULL_MARKER = 0xFFFFFFFF
+_NULL_BYTES = b"\xff\xff\xff\xff\x0f"  # varint(_NULL_MARKER)
+_DOUBLE = struct.Struct("<d")
+
+_Checker = Callable[[Any], None]
+_Encoder = Callable[[Any, bytearray], None]
+_Decoder = Callable[[bytes, int], tuple[Any, int]]
 
 
 class ColumnType(enum.Enum):
@@ -51,12 +57,24 @@ class Column:
     nullable: bool = False
 
 
+def _derived() -> Any:
+    """A field ``Schema.__init__`` computes: no argument, not part of equality."""
+    return field(init=False, repr=False, compare=False, hash=False)
+
+
 @dataclass(frozen=True)
 class Schema:
-    """An ordered list of columns; validates and encodes rows."""
+    """An ordered list of columns; validates and encodes rows.
+
+    The per-column checkers, encoders and decoders are picked once, at
+    construction, so the row loop never dispatches on a column type.
+    """
 
     columns: tuple[Column, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
+    _index: dict[str, int] = _derived()
+    _checkers: tuple[_Checker, ...] = _derived()
+    _encoders: tuple[_Encoder, ...] = _derived()
+    _decoders: tuple[_Decoder, ...] = _derived()
 
     def __init__(self, columns: Iterable[Column]) -> None:
         object.__setattr__(self, "columns", tuple(columns))
@@ -65,6 +83,13 @@ class Schema:
             raise SchemaError(f"duplicate column names in {names}")
         object.__setattr__(
             self, "_index", {c.name: i for i, c in enumerate(self.columns)}
+        )
+        object.__setattr__(self, "_checkers", tuple(_checker(c) for c in self.columns))
+        object.__setattr__(
+            self, "_encoders", tuple(_ENCODERS[c.type] for c in self.columns)
+        )
+        object.__setattr__(
+            self, "_decoders", tuple(_DECODERS[c.type] for c in self.columns)
         )
 
     def __len__(self) -> int:
@@ -87,76 +112,111 @@ class Schema:
             raise SchemaError(
                 f"row has {len(row)} values, schema has {len(self.columns)} columns"
             )
-        for value, column in zip(row, self.columns):
-            if value is None:
-                if not column.nullable:
-                    raise SchemaError(f"column {column.name!r} is not nullable")
-                continue
-            if column.type is ColumnType.STR and not isinstance(value, str):
-                raise SchemaError(f"column {column.name!r} expects str, got {value!r}")
-            if column.type is ColumnType.INT and not isinstance(value, int):
-                raise SchemaError(f"column {column.name!r} expects int, got {value!r}")
-            if column.type is ColumnType.FLOAT and not isinstance(value, (int, float)):
-                raise SchemaError(
-                    f"column {column.name!r} expects float, got {value!r}"
-                )
-            if column.type is ColumnType.INT_LIST:
-                if not isinstance(value, (list, tuple)) or not all(
-                    isinstance(v, int) and v >= 0 for v in value
-                ):
-                    raise SchemaError(
-                        f"column {column.name!r} expects a list of non-negative "
-                        f"ints, got {value!r}"
-                    )
+        for value, check in zip(row, self._checkers):
+            check(value)
         return tuple(row)
 
     def encode(self, row: Sequence[Any]) -> bytes:
-        """Serialize a validated row to bytes."""
-        row = self.validate(row)
-        parts: list[bytes] = []
-        for value, column in zip(row, self.columns):
-            parts.append(_encode_value(value, column.type))
-        return b"".join(parts)
+        """Validate ``row`` and serialize it to bytes."""
+        out = bytearray()
+        for value, encoder in zip(self.validate(row), self._encoders):
+            if value is None:
+                out += _NULL_BYTES
+            else:
+                encoder(value, out)
+        return bytes(out)
 
-    def decode(self, data: bytes) -> Row:
-        """Deserialize bytes produced by :meth:`encode` back to a row."""
+    def decode(self, data: bytes, leading: int | None = None) -> Row:
+        """Deserialize bytes produced by :meth:`encode` back to a row.
+
+        With ``leading`` given, only that many leading columns are decoded
+        — exactly the prefix of the full decode.  Index builds read keys
+        this way without paying for the tid-list behind them; the rest of
+        the record is not parsed, so trailing bytes go unchecked.
+        """
+        decoders = self._decoders if leading is None else self._decoders[:leading]
         values: list[Any] = []
         offset = 0
-        for column in self.columns:
-            value, offset = _decode_value(data, offset, column.type)
-            values.append(value)
-        if offset != len(data):
+        try:
+            for decoder in decoders:
+                value, offset = decoder(data, offset)
+                values.append(value)
+        except IndexError:
+            raise SchemaError("truncated varint") from None
+        if leading is None and offset != len(data):
             raise SchemaError(
                 f"trailing bytes while decoding row ({len(data) - offset} left)"
             )
         return tuple(values)
 
 
-def _encode_varint(value: int) -> bytes:
-    """Unsigned LEB128 varint."""
+# ----------------------------------------------------------------------
+# Per-column checkers (picked once per schema)
+# ----------------------------------------------------------------------
+
+
+_ACCEPTED: dict[ColumnType, tuple[type, ...]] = {
+    ColumnType.STR: (str,),
+    ColumnType.INT: (int,),
+    ColumnType.FLOAT: (int, float),
+    ColumnType.INT_LIST: (list, tuple),
+}
+
+_EXPECTS = {
+    ColumnType.STR: "str",
+    ColumnType.INT: "int",
+    ColumnType.FLOAT: "float",
+    ColumnType.INT_LIST: "a list of non-negative ints",
+}
+
+
+def _checker(column: Column) -> _Checker:
+    """The function validating one value of ``column``."""
+    name, nullable = column.name, column.nullable
+    accepted = _ACCEPTED[column.type]
+    expects = _EXPECTS[column.type]
+    elements = column.type is ColumnType.INT_LIST
+
+    def check(value: Any) -> None:
+        if value is None:
+            if not nullable:
+                raise SchemaError(f"column {name!r} is not nullable")
+        elif not isinstance(value, accepted) or (
+            elements and not all(isinstance(v, int) and v >= 0 for v in value)
+        ):
+            raise SchemaError(f"column {name!r} expects {expects}, got {value!r}")
+
+    return check
+
+
+# ----------------------------------------------------------------------
+# Varints
+# ----------------------------------------------------------------------
+
+
+def _append_varint(out: bytearray, value: int) -> None:
+    """Append ``value`` as an unsigned LEB128 varint."""
     if value < 0:
         raise SchemaError("varint encodes non-negative integers only")
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
+    while value >= 0x80:
+        out.append((value & 0x7F) | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+    out.append(value)
 
 
 def _decode_varint(data: bytes, offset: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
+    """``(value, next offset)``; running off the end raises IndexError."""
+    byte = data[offset]
+    offset += 1
+    if byte < 0x80:
+        return byte, offset
+    result = byte & 0x7F
+    shift = 7
     while True:
-        if offset >= len(data):
-            raise SchemaError("truncated varint")
         byte = data[offset]
         offset += 1
         result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
+        if byte < 0x80:
             return result, offset
         shift += 7
 
@@ -169,47 +229,108 @@ def _unzigzag(value: int) -> int:
     return (value >> 1) ^ -(value & 1)
 
 
-def _encode_value(value: Any, ctype: ColumnType) -> bytes:
-    if value is None:
-        # A length prefix of _NULL_MARKER flags NULL for every type.
-        return _encode_varint(_NULL_MARKER)
-    if ctype is ColumnType.STR:
-        raw = value.encode("utf-8")
-        return _encode_varint(len(raw)) + raw
-    if ctype is ColumnType.INT:
-        return _encode_varint(0) + _encode_varint(_zigzag(value))
-    if ctype is ColumnType.FLOAT:
-        return _encode_varint(0) + struct.pack("<d", float(value))
-    if ctype is ColumnType.INT_LIST:
-        if len(value) >= _NULL_MARKER:
-            raise SchemaError("int list too long to encode")
-        parts = [_encode_varint(len(value))]
-        parts.extend(_encode_varint(v) for v in value)
-        return b"".join(parts)
-    raise SchemaError(f"unknown column type {ctype}")
+# ----------------------------------------------------------------------
+# Per-type encoders: append one validated, non-NULL value to the buffer.
+# Every value starts with a varint prefix; _NULL_MARKER there flags NULL.
+# ----------------------------------------------------------------------
 
 
-def _decode_value(data: bytes, offset: int, ctype: ColumnType) -> tuple[Any, int]:
+def _encode_str(value: str, out: bytearray) -> None:
+    raw = value.encode("utf-8")
+    _append_varint(out, len(raw))
+    out += raw
+
+
+def _encode_int(value: int, out: bytearray) -> None:
+    out.append(0)
+    _append_varint(out, _zigzag(value))
+
+
+def _encode_float(value: float, out: bytearray) -> None:
+    out.append(0)
+    out += _DOUBLE.pack(float(value))
+
+
+def _encode_int_list(value: Sequence[int], out: bytearray) -> None:
+    if len(value) >= _NULL_MARKER:
+        raise SchemaError("int list too long to encode")
+    _append_varint(out, len(value))
+    append = out.append
+    for v in value:
+        while v >= 0x80:
+            append((v & 0x7F) | 0x80)
+            v >>= 7
+        append(v)
+
+
+# ----------------------------------------------------------------------
+# Per-type decoders: ``(value, next offset)`` from ``data`` at ``offset``.
+# ----------------------------------------------------------------------
+
+
+def _decode_str(data: bytes, offset: int) -> tuple[str | None, int]:
+    length, offset = _decode_varint(data, offset)
+    if length == _NULL_MARKER:
+        return None, offset
+    end = offset + length
+    if end > len(data):
+        raise SchemaError("truncated string value")
+    return data[offset:end].decode("utf-8"), end
+
+
+def _decode_int(data: bytes, offset: int) -> tuple[int | None, int]:
     prefix, offset = _decode_varint(data, offset)
     if prefix == _NULL_MARKER:
         return None, offset
-    if ctype is ColumnType.STR:
-        end = offset + prefix
-        if end > len(data):
-            raise SchemaError("truncated string value")
-        return data[offset:end].decode("utf-8"), end
-    if ctype is ColumnType.INT:
-        raw, offset = _decode_varint(data, offset)
-        return _unzigzag(raw), offset
-    if ctype is ColumnType.FLOAT:
-        end = offset + 8
-        if end > len(data):
-            raise SchemaError("truncated float value")
-        return struct.unpack("<d", data[offset:end])[0], end
-    if ctype is ColumnType.INT_LIST:
-        values = []
-        for _ in range(prefix):
-            v, offset = _decode_varint(data, offset)
-            values.append(v)
-        return values, offset
-    raise SchemaError(f"unknown column type {ctype}")
+    raw, offset = _decode_varint(data, offset)
+    return _unzigzag(raw), offset
+
+
+def _decode_float(data: bytes, offset: int) -> tuple[float | None, int]:
+    prefix, offset = _decode_varint(data, offset)
+    if prefix == _NULL_MARKER:
+        return None, offset
+    end = offset + 8
+    if end > len(data):
+        raise SchemaError("truncated float value")
+    return _DOUBLE.unpack_from(data, offset)[0], end
+
+
+def _decode_int_list(data: bytes, offset: int) -> tuple[list[int] | None, int]:
+    count, offset = _decode_varint(data, offset)
+    if count == _NULL_MARKER:
+        return None, offset
+    values: list[int] = []
+    append = values.append
+    for _ in range(count):
+        byte = data[offset]
+        offset += 1
+        if byte >= 0x80:
+            # Multi-byte varint, same loop as _decode_varint.
+            result = byte & 0x7F
+            shift = 7
+            while True:
+                byte = data[offset]
+                offset += 1
+                result |= (byte & 0x7F) << shift
+                if byte < 0x80:
+                    break
+                shift += 7
+            byte = result
+        append(byte)
+    return values, offset
+
+
+_ENCODERS: dict[ColumnType, _Encoder] = {
+    ColumnType.STR: _encode_str,
+    ColumnType.INT: _encode_int,
+    ColumnType.FLOAT: _encode_float,
+    ColumnType.INT_LIST: _encode_int_list,
+}
+
+_DECODERS: dict[ColumnType, _Decoder] = {
+    ColumnType.STR: _decode_str,
+    ColumnType.INT: _decode_int,
+    ColumnType.FLOAT: _decode_float,
+    ColumnType.INT_LIST: _decode_int_list,
+}

@@ -1,4 +1,4 @@
-"""Relation schemas for the ETI and the pre-ETI (§4.2)."""
+"""Relation schema of the ETI (§4.2)."""
 
 from __future__ import annotations
 
@@ -9,16 +9,6 @@ ETI_KEY = ("qgram", "coordinate", "column")
 
 # Name of the ETI's clustered index on [QGram, Coordinate, Column].
 ETI_INDEX = "eti_key_idx"
-
-
-def pre_eti_columns() -> list[Column]:
-    """Schema of the temporary pre-ETI relation: [QGram, Coordinate, Column, Tid]."""
-    return [
-        Column("qgram", ColumnType.STR),
-        Column("coordinate", ColumnType.INT),
-        Column("column", ColumnType.INT),
-        Column("tid", ColumnType.INT),
-    ]
 
 
 def eti_columns() -> list[Column]:

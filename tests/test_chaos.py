@@ -201,24 +201,37 @@ class TestDeadline:
     def test_osc_returns_within_twice_the_deadline(self):
         """Latency-injected storage: the budget degrades instead of stalling.
 
-        The capacity-1 pool forces every page access physical, and this
-        particular query does ~13 physical reads — enough granularity that
-        the per-read latency is small next to the deadline, which is what
-        the 2x bound assumes (the overshoot is one index entry plus one
-        candidate verification, a handful of reads).
+        The capacity-1 pool forces every page access physical.  Latency and
+        deadline are derived from the query's own measured read count, not
+        from a page layout: each read sleeps up to ``latency`` (half that
+        on average), so the unbudgeted query stalls for about
+        ``reads * latency / 2`` — two deadlines — while one read stays
+        small next to the deadline, which is what the 2x bound assumes
+        (the overshoot is one index entry plus one candidate verification,
+        a handful of reads).
         """
         (db, injector, pool, reference, weights, config, eti, batch) = (
             build_faulted_world(num_reference=800, num_inputs=6, pool_capacity=1)
         )
-        query = batch[4]
         try:
-            deadline = 0.15
+            unbudgeted = uncached_matcher(reference, weights, config, eti)
+
+            def physical_reads(values):
+                pool.drop_cache()
+                before = pool.stats.physical_reads
+                unbudgeted.match(values, k=1, strategy="osc")
+                return pool.stats.physical_reads - before
+
+            query = max(batch, key=physical_reads)
+            reads = physical_reads(query)
+            assert reads >= 12, f"only {reads} reads: too coarse for a 2x bound"
+            latency = 0.02
+            deadline = reads * latency / 4
+            slow = FaultConfig(latency_rate=1.0, latency_seconds=latency)
+
             policy = ResiliencePolicy(budget=QueryBudget(deadline=deadline))
             matcher = uncached_matcher(reference, weights, config, eti, policy)
-            injector.arm(
-                seed=1,
-                config=FaultConfig(latency_rate=1.0, latency_seconds=0.025),
-            )
+            injector.arm(seed=1, config=slow)
             try:
                 pool.drop_cache()
                 started = time.perf_counter()
@@ -231,8 +244,7 @@ class TestDeadline:
             assert elapsed <= 2 * deadline, f"took {elapsed:.3f}s"
             # Without the budget the same query stalls well past the
             # deadline on this storage (sanity check on the setup).
-            unbudgeted = uncached_matcher(reference, weights, config, eti)
-            injector.arm(seed=1)
+            injector.arm(seed=1, config=slow)
             try:
                 pool.drop_cache()
                 started = time.perf_counter()

@@ -140,6 +140,99 @@ class TestIndexes:
         assert stats["height"] >= 1
 
 
+class TestBulkPaths:
+    """insert_many / create_index build their trees by one sorted bulk load."""
+
+    def indexed(self, db, name="r"):
+        rel = db.create_relation(
+            name,
+            [
+                Column("k", ColumnType.INT),
+                Column("v", ColumnType.STR),
+                Column("tids", ColumnType.INT_LIST, nullable=True),
+            ],
+        )
+        rel.create_index("by_k", ["k"], unique=True)
+        rel.create_index("by_v", ["v"])
+        return rel
+
+    def test_insert_many_equals_row_by_row(self, db):
+        rows = [(k, f"v{k % 7}", [k, k + 1]) for k in (5, 3, 9, 1, 7, 2, 8)]
+        bulk, single = self.indexed(db, "bulk"), self.indexed(db, "single")
+        assert bulk.insert_many(rows) == len(rows)
+        for row in rows:
+            single.insert(row)
+        assert list(bulk.scan_with_rids()) == list(single.scan_with_rids())
+        for index in ("by_k", "by_v"):
+            assert list(bulk.index_range(index)) == list(single.index_range(index))
+            assert bulk.index_stats(index)["entries"] == len(rows)
+        # Duplicate keys of the non-unique index keep storage order.
+        assert [row[0] for row in bulk.index_lookup("by_v", "v1")] == [1, 8]
+
+    def test_insert_many_into_a_populated_relation(self, db):
+        rel = self.indexed(db)
+        rel.insert_many([(1, "a", None), (3, "c", None)])
+        rel.insert_many([(2, "b", None), (0, "z", None)])
+        assert [key for key, _ in rel.index_range("by_k")] == [0, 1, 2, 3]
+        with pytest.raises(DuplicateKeyError):
+            rel.insert_many([(4, "d", None), (3, "again", None)])
+        # The row before the duplicate is stored and indexed, the
+        # duplicate left nothing behind.
+        assert len(rel) == 5 == len(list(rel.scan()))
+        assert rel.index_get("by_k", 4) == (4, "d", None)
+        assert rel.index_get("by_k", 3) == (3, "c", None)
+
+    def test_duplicate_within_one_batch_is_not_written(self, db):
+        rel = self.indexed(db)
+        with pytest.raises(DuplicateKeyError):
+            rel.insert_many([(1, "a", None), (2, "b", None), (1, "dup", None)])
+        assert list(rel.scan()) == [(1, "a", None), (2, "b", None)]
+        assert [key for key, _ in rel.index_range("by_k")] == [1, 2]
+
+    def test_schema_violation_mid_stream_keeps_earlier_rows_indexed(self, db):
+        rel = self.indexed(db)
+        with pytest.raises(SchemaError):
+            rel.insert_many([(1, "a", None), ("bad", "b", None)])
+        assert rel.index_get("by_k", 1) == (1, "a", None)
+        assert len(rel) == 1
+
+    def test_create_index_decodes_only_the_key_columns(self, db, monkeypatch):
+        rel = self.indexed(db, "wide")
+        rel.insert_many([(k, f"v{k}", list(range(50))) for k in range(20)])
+        asked = []
+        decode = type(rel.schema).decode
+
+        def spying(schema, data, leading=None):
+            asked.append(leading)
+            return decode(schema, data, leading)
+
+        monkeypatch.setattr(type(rel.schema), "decode", spying)
+        rel.create_index("again", ["k"], unique=True)
+        assert asked == [1] * 20
+        assert rel.index_get("again", 7)[0] == 7
+
+    def test_failed_create_index_is_not_registered(self, db):
+        rel = self.indexed(db)
+        rel.insert_many([(1, "same", None), (2, "same", None)])
+        with pytest.raises(DuplicateKeyError):
+            rel.create_index("unique_v", ["v"], unique=True)
+        assert "unique_v" not in rel.index_names()
+
+    def test_one_validation_per_stored_row(self, db, monkeypatch):
+        rel = self.indexed(db)
+        calls = []
+        validate = type(rel.schema).validate
+
+        def counting(schema, row):
+            calls.append(row)
+            return validate(schema, row)
+
+        monkeypatch.setattr(type(rel.schema), "validate", counting)
+        rel.insert((1, "a", None))
+        rel.insert_many([(2, "b", None), (3, "c", None)])
+        assert len(calls) == 3
+
+
 class TestDatabase:
     def test_create_and_get(self, db):
         db.create_relation("r", [Column("v", ColumnType.INT)])

@@ -135,3 +135,136 @@ class TestCodec:
     def test_round_trip_property(self, row):
         schema = make_schema()
         assert schema.decode(schema.encode(row)) == row
+
+
+def wide_schema():
+    return Schema(
+        [
+            Column("tid", ColumnType.INT, nullable=True),
+            Column("name", ColumnType.STR, nullable=True),
+            Column("score", ColumnType.FLOAT, nullable=True),
+            Column("tids", ColumnType.INT_LIST, nullable=True),
+        ]
+    )
+
+
+# Hex captured from the codec as of commit 492d2c5 (before it was compiled
+# per column): stored snapshots, WAL images and the fuzz corpora hold these
+# bytes, so the encoding may never drift.
+GOLDEN = [
+    ((0, "", 0.0, []), "00000000000000000000000000"),
+    ((None, None, None, None), "ffffffff0f" * 4),
+    (
+        (-1, "boeing company", -1.5,
+         [0, 1, 127, 128, 129, 16383, 16384, 2**32 - 1, 2**40]),
+        "00010e626f65696e6720636f6d70616e7900000000000000f8bf"
+        "0900017f80018101ff7f808001ffffffff0f808080808020",
+    ),
+    (
+        (2**40, "zürich — 北京", 0.806, [300]),
+        "00808080808040127ac3bc7269636820e2809420e58c97e4baac"
+        "00986e1283c0cae93f01ac02",
+    ),
+    ((-(2**40), "a" * 200, 2, (5, 4, 3)),
+     "00ffffffffff3fc801" + "61" * 200 + "00000000000000004003050403"),
+    ((63, "x", 1e300, [127]), "007e0178009c7500883ce4377e017f"),
+    ((64, "y", -0.0, [128]), "0080010179000000000000000080018001"),
+    ((True, "z", True, [True]), "0002017a00000000000000f03f0101"),
+]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("row,expected", GOLDEN)
+    def test_encoding_is_frozen(self, row, expected):
+        schema = wide_schema()
+        assert schema.encode(row).hex() == expected
+        decoded = schema.decode(bytes.fromhex(expected))
+        assert decoded == tuple(list(v) if isinstance(v, tuple) else v for v in row)
+
+    def test_long_int_list(self):
+        import hashlib
+
+        tids = list(range(0, 5000 * 37, 37))
+        data = wide_schema().encode((7, "big", 1.0, tids))
+        assert len(data) == 14570
+        assert hashlib.sha256(data).hexdigest() == (
+            "a599f724f2b3cc8b97c179893cb6f632ecade47ba140fe6755726fa47d0fda36"
+        )
+        assert wide_schema().decode(data)[3] == tids
+
+    def test_every_truncation_is_a_schema_error(self):
+        schema = wide_schema()
+        data = schema.encode((-(2**40), "zürich", 0.5, [1, 200, 70000]))
+        for cut in range(len(data)):
+            with pytest.raises((SchemaError, UnicodeDecodeError)):
+                schema.decode(data[:cut])
+
+    def test_truncated_int_list_rejected(self):
+        schema = Schema([Column("l", ColumnType.INT_LIST)])
+        data = schema.encode(([1, 2, 300],))
+        with pytest.raises(SchemaError, match="truncated"):
+            schema.decode(data[:-1])
+
+    def test_non_canonical_varint_still_decodes(self):
+        # A padded varint (0x80 0x00 == 0) never comes out of encode, but
+        # the decoder has always accepted it.
+        schema = Schema([Column("s", ColumnType.STR)])
+        assert schema.decode(b"\x81\x00a") == ("a",)
+
+
+class TestLeadingDecode:
+    def test_prefix_of_full_decode(self):
+        schema = wide_schema()
+        rows = [row for row, _ in GOLDEN]
+        for row in rows:
+            data = schema.encode(row)
+            full = schema.decode(data)
+            for leading in range(len(schema) + 1):
+                assert schema.decode(data, leading) == full[:leading]
+
+    def test_rest_of_record_is_not_parsed(self):
+        schema = Schema(
+            [Column("k", ColumnType.STR), Column("l", ColumnType.INT_LIST)]
+        )
+        data = schema.encode(("key", [1, 2, 3]))
+        assert schema.decode(data[:-2] + b"\xff\xff", 1) == ("key",)
+
+    def test_truncated_key_rejected(self):
+        schema = Schema(
+            [Column("k", ColumnType.STR), Column("l", ColumnType.INT_LIST)]
+        )
+        with pytest.raises(SchemaError):
+            schema.decode(schema.encode(("key", []))[:2], 1)
+
+    @given(
+        st.tuples(
+            st.one_of(st.none(), st.integers(-(2**62), 2**62)),
+            st.one_of(st.none(), st.text(max_size=20)),
+            st.one_of(st.none(), st.floats(allow_nan=False)),
+            st.one_of(st.none(), st.lists(st.integers(0, 2**40), max_size=10)),
+        ),
+        st.integers(0, 4),
+    )
+    def test_prefix_property(self, row, leading):
+        schema = wide_schema()
+        data = schema.encode(row)
+        assert schema.decode(data, leading) == schema.decode(data)[:leading]
+
+
+class TestValidationIsPartOfEncode:
+    def test_encode_rejects_what_validate_rejects(self):
+        schema = make_schema()
+        for bad in (
+            (1, "x", 2.0),
+            (None, "x", 2.0, []),
+            ("1", "x", 2.0, []),
+            (1, 5, 2.0, []),
+            (1, "x", "2.0", []),
+            (1, "x", 2.0, [-1]),
+            (1, "x", 2.0, [1.5]),
+            (1, "x", 2.0, "nope"),
+        ):
+            with pytest.raises(SchemaError):
+                schema.validate(bad)
+            with pytest.raises(SchemaError):
+                schema.encode(bad)

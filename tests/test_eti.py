@@ -1,13 +1,32 @@
 """ETI construction and lookup (§4.2, §5.1)."""
 
+import inspect
+import os
+import tempfile
+
 import pytest
 
 from repro.core.config import MatchConfig, SignatureScheme
 from repro.core.minhash import MinHasher
+from repro.core.reference import ReferenceTable
 from repro.core.tokens import TupleTokens
-from repro.eti.builder import EtiBuilder, build_eti
-from repro.eti.schema import ETI_INDEX
+from repro.data.generator import CUSTOMER_COLUMNS, generate_customers
+from repro.db.btree import BPlusTree
+from repro.db.database import Database
+from repro.db.errors import DatabaseError, PageFullError, RecordNotFoundError, RelationError
+from repro.db.page import MAX_RECORD_SIZE
+from repro.db.types import Schema
+from repro.eti.builder import EtiBuilder, TidListTooLargeError, build_eti
+from repro.obs.tracing import Tracer
+from repro.eti.schema import ETI_INDEX, eti_columns
 from repro.eti.signature import TOKEN_COORDINATE, SignatureEntry, signature_entries
+
+
+@pytest.fixture()
+def sort_tmp(tmp_path, monkeypatch):
+    """Sort runs spill into a private directory the test can list."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    return str(tmp_path)
 
 
 class TestSignatureEntries:
@@ -137,14 +156,88 @@ class TestEtiBuild:
         for row in null_rows:
             assert row[3] > 2  # frequency preserved even when list is NULL
 
-    def test_pre_eti_dropped_by_default(self, org_db, org_reference, paper_config):
-        build_eti(org_db, org_reference, paper_config)
-        assert "eti_pre" not in org_db
+    def test_build_leaves_only_reference_and_eti(
+        self, org_db, org_reference, paper_config, sort_tmp
+    ):
+        builder = EtiBuilder(org_db, paper_config, sort_memory_limit=4)
+        _, stats = builder.build(org_reference)
+        assert stats.sort.runs >= 3  # the runs really were spilled
+        assert org_db.relation_names() == ("orgs", "eti")
+        assert os.listdir(sort_tmp) == []
 
-    def test_pre_eti_kept_on_request(self, org_db, org_reference, paper_config):
-        builder = EtiBuilder(org_db, paper_config)
-        builder.build(org_reference, eti_name="eti2", keep_pre_eti=True)
-        assert "eti2_pre" in org_db
+    def test_build_that_raises_mid_scan_leaves_nothing_behind(
+        self, org_db, org_reference, paper_config, sort_tmp, monkeypatch
+    ):
+        scan = org_reference.scan
+
+        def broken_scan():
+            for count, pair in enumerate(scan()):
+                if count == 2:
+                    raise RuntimeError("reference went away")
+                yield pair
+
+        monkeypatch.setattr(org_reference, "scan", broken_scan)
+        builder = EtiBuilder(org_db, paper_config, sort_memory_limit=4)
+        with pytest.raises(RuntimeError, match="went away"):
+            builder.build(org_reference)
+        assert org_db.relation_names() == ("orgs",)
+        assert os.listdir(sort_tmp) == []
+        monkeypatch.undo()
+        eti, _ = build_eti(org_db, org_reference, paper_config)  # retry works
+        assert len(eti) > 0
+
+    def test_build_that_raises_mid_merge_leaves_nothing_behind(
+        self, org_db, org_reference, paper_config, sort_tmp, monkeypatch
+    ):
+        from repro.db.heap import HeapFile
+
+        insert = HeapFile.insert
+        stored = []
+
+        def failing_insert(heap, record):
+            if len(stored) == 5:
+                raise RecordNotFoundError("storage gave out")
+            stored.append(record)
+            return insert(heap, record)
+
+        builder = EtiBuilder(org_db, paper_config, sort_memory_limit=4)
+        monkeypatch.setattr(HeapFile, "insert", failing_insert)
+        with pytest.raises(RecordNotFoundError, match="gave out"):
+            builder.build(org_reference)
+        assert org_db.relation_names() == ("orgs",)
+        assert os.listdir(sort_tmp) == []  # the unmerged runs are gone too
+
+    def test_existing_relation_survives_a_name_clash(
+        self, org_db, org_reference, paper_config
+    ):
+        eti, _ = build_eti(org_db, org_reference, paper_config)
+        with pytest.raises(RelationError):
+            build_eti(org_db, org_reference, paper_config)
+        assert org_db.relation("eti") is eti.relation
+
+    def test_no_pre_eti_knobs(self):
+        import repro.eti
+
+        assert not [name for name in dir(repro.eti) if name.startswith("pre_eti")]
+        assert list(inspect.signature(EtiBuilder.build).parameters) == [
+            "self",
+            "reference",
+            "eti_name",
+        ]
+
+    def test_build_phases_show_in_a_trace(self, org_db, org_reference, paper_config):
+        tracer = Tracer()
+        with tracer.trace("build") as root:
+            _, stats = build_eti(org_db, org_reference, paper_config)
+        runs, write = root.children
+        assert (runs.name, write.name) == ("eti.builder.runs", "eti.builder.write")
+        assert runs.annotations["pre_eti_rows"] == stats.pre_eti_rows
+        assert write.annotations["eti_rows"] == stats.eti_rows
+        assert runs.end_s <= write.start_s
+        assert stats.runs_seconds > 0 and stats.write_seconds > 0
+        assert stats.runs_seconds + stats.write_seconds == pytest.approx(
+            stats.elapsed_seconds
+        )
 
     def test_qt_scheme_indexes_whole_tokens(self, org_db, org_reference):
         config = MatchConfig(
@@ -165,8 +258,6 @@ class TestEtiBuild:
     def test_tid_lists_deduplicated(self, org_db):
         """A tuple whose same-column tokens share an indexed gram appears
         once in that gram's tid-list."""
-        from repro.core.reference import ReferenceTable
-
         reference = ReferenceTable(org_db, "sharing", ["name"])
         # Tokens 'abcd' and 'abcde' both contribute 4-gram 'abcd' at
         # coordinate 1 under the FULL scheme.
@@ -185,6 +276,139 @@ class TestEtiBuild:
         spilled, stats = builder.build(org_reference, eti_name="eti_b")
         assert stats.sort.runs > 1
         assert list(baseline.relation.scan()) == list(spilled.relation.scan())
+
+
+def eti_oracle(reference, hasher, config):
+    """The ETI as a dict built straight from signature_entries (no sort)."""
+    postings: dict[tuple[str, int, int], set[int]] = {}
+    for tid, values in reference.scan():
+        tokens = TupleTokens.from_values(values)
+        for column in range(tokens.num_columns):
+            for token in tokens.column_tokens(column):
+                for entry in signature_entries(token, hasher, config):
+                    key = (entry.gram, entry.coordinate, column)
+                    postings.setdefault(key, set()).add(tid)
+    rows = []
+    for key in sorted(postings):
+        tids = sorted(postings[key])
+        stored = tids if len(tids) <= config.stop_qgram_threshold else None
+        rows.append((*key, len(tids), stored))
+    return rows
+
+
+class TestBuildEquivalence:
+    @pytest.mark.parametrize("seed", [3, 11, 2003])
+    @pytest.mark.parametrize(
+        "scheme", [SignatureScheme.QGRAMS, SignatureScheme.QGRAMS_PLUS_TOKEN]
+    )
+    def test_spilled_build_equals_one_run_equals_oracle(self, seed, scheme, sort_tmp):
+        config = MatchConfig(
+            q=3, signature_size=2, scheme=scheme, stop_qgram_threshold=6
+        )
+        hasher = MinHasher(config.q, config.signature_size, config.seed)
+        db = Database.in_memory()
+        reference = ReferenceTable(db, "reference", list(CUSTOMER_COLUMNS))
+        reference.load(
+            (c.tid, c.values) for c in generate_customers(150, seed=seed, unique=True)
+        )
+        one_run, one_stats = build_eti(db, reference, config, hasher, eti_name="one")
+        spilled, stats = build_eti(
+            db, reference, config, hasher, eti_name="spilled", sort_memory_limit=700
+        )
+        assert one_stats.sort.runs == 1 and stats.sort.runs >= 3
+        assert stats.sort.spilled_rows > 0 and os.listdir(sort_tmp) == []
+
+        def stored_bytes(eti):
+            return [record for _, record in eti.relation.heap.scan()]
+
+        def index_keys(eti):
+            return [key for key, _ in eti.relation.index_range(ETI_INDEX)]
+
+        assert stored_bytes(spilled) == stored_bytes(one_run)
+        assert index_keys(spilled) == index_keys(one_run)
+        oracle = eti_oracle(reference, hasher, config)
+        assert list(spilled.relation.scan()) == oracle
+        assert index_keys(spilled) == [row[:3] for row in oracle]
+        assert any(row[4] is None for row in oracle)  # stop q-grams covered
+        for field in ("pre_eti_rows", "eti_rows", "tid_entries", "stop_qgrams"):
+            assert getattr(stats, field) == getattr(one_stats, field)
+        assert stats.eti_rows == len(oracle)
+        assert stats.tid_entries == sum(len(r[4]) for r in oracle if r[4] is not None)
+        db.close()
+
+    def test_bulk_loaded_index_equals_insert_built(self, org_eti):
+        relation = org_eti.relation
+        spec_tree = relation._indexes[ETI_INDEX].tree
+        inserted = BPlusTree(unique=True)
+        for rid, row in relation.scan_with_rids():
+            inserted.insert(row[:3], rid)
+        spec_tree.check_invariants()
+        inserted.check_invariants()
+        assert list(spec_tree.items()) == list(inserted.items())
+        keys = list(inserted.keys())
+        for key in keys:
+            assert spec_tree.search(key) == inserted.search(key)
+        assert spec_tree.search(("zzz", 9, 9)) == []
+        lo, hi = keys[len(keys) // 4], keys[3 * len(keys) // 4]
+        assert list(spec_tree.range(lo, hi)) == list(inserted.range(lo, hi))
+
+
+class TestPageWall:
+    """A tid-list that cannot fit one page fails typed, early and clean."""
+
+    def shared_token_reference(self, db):
+        # Every tuple holds 'alpha'; the first 4 150 also hold 'beta'.
+        # Tids from 1 000 up take two bytes each, so both tid-lists
+        # (8 400 and 8 300 bytes) exceed an 8 KiB page; 'alpha' sorts
+        # first and is the one the write trips on.
+        reference = ReferenceTable(db, "reference", ["name"])
+        reference.load(
+            (tid, (f"alpha {'beta ' if tid < 5150 else ''}u{tid}",))
+            for tid in range(1000, 5200)
+        )
+        return reference
+
+    def tokens_only(self, threshold):
+        return MatchConfig(
+            q=3,
+            signature_size=0,
+            scheme=SignatureScheme.QGRAMS_PLUS_TOKEN,
+            stop_qgram_threshold=threshold,
+        )
+
+    def test_typed_error_names_the_way_out(self, sort_tmp):
+        db = Database.in_memory()
+        reference = self.shared_token_reference(db)
+        builder = EtiBuilder(db, self.tokens_only(10_000), sort_memory_limit=3000)
+        with pytest.raises(TidListTooLargeError) as raised:
+            builder.build(reference)
+        error = raised.value
+        assert isinstance(error, PageFullError) and isinstance(error, DatabaseError)
+        assert error.key == ("alpha", 0, 0)
+        assert error.frequency == 4200
+        assert error.encoded_bytes > MAX_RECORD_SIZE
+        assert error.encoded_bytes == len(
+            Schema(eti_columns()).encode(("alpha", 0, 0, 4200, list(range(1000, 5200))))
+        )
+        # 'beta' (4 150 tids, found further down the stream) is too large
+        # as well, so 4 199 would not have built either.
+        assert error.largest_buildable_threshold == 4149
+        for text in ("'alpha'", "4200", str(MAX_RECORD_SIZE), "4149"):
+            assert text in str(error)
+
+        # Nothing half-built stays behind ...
+        assert db.relation_names() == ("reference",)
+        assert os.listdir(sort_tmp) == []
+        # ... so the same database takes the retry the error suggests,
+        with pytest.raises(TidListTooLargeError):
+            build_eti(db, reference, self.tokens_only(4150))
+        eti, stats = build_eti(db, reference, self.tokens_only(4149))
+        assert db.relation_names() == ("reference", "eti")
+        assert stats.stop_qgrams == 2
+        assert eti.lookup("alpha", 0, 0).tid_list is None
+        assert eti.lookup("beta", 0, 0).frequency == 4150
+        assert eti.lookup("u1077", 0, 0).tid_list == (1077,)
+        db.close()
 
 
 class TestEtiIndex:

@@ -65,6 +65,31 @@ class TestMutation:
         with pytest.raises(DuplicateKeyError):
             table.insert(1, ("dup", "x"))
 
+    def test_load_rejects_a_duplicate_tid_before_writing_it(self, table):
+        before = list(table.scan())
+        version = table.version
+        with pytest.raises(DuplicateKeyError):
+            table.load([(7, ("new seven", "x")), (1, ("dup", "x")), (8, ("late", "x"))])
+        # Row 7 came before the duplicate and is stored and indexed; the
+        # duplicate and everything after it left nothing in heap or index.
+        assert list(table.scan()) == before + [(7, ("new seven", "x"))]
+        assert table.fetch(7) == ("new seven", "x")
+        assert table.fetch(1) == before[0][1]
+        assert 8 not in table
+        assert table.version == version + 1
+
+    def test_load_rejects_a_duplicate_inside_the_batch(self):
+        db = Database.in_memory()
+        table = ReferenceTable(db, "fresh", ["name"])
+        with pytest.raises(DuplicateKeyError):
+            table.load([(1, ("a",)), (1, ("again",))])
+        assert list(table.scan()) == [(1, ("a",))]
+
+    def test_load_wrong_arity_rejected(self, table):
+        with pytest.raises(ValueError):
+            table.load([(9, ("only-one-value",))])
+        assert 9 not in table
+
     def test_wrong_arity_rejected(self, table):
         with pytest.raises(ValueError):
             table.insert(9, ("only-one-value",))
