@@ -18,8 +18,7 @@ between distinct tuples:
 
 Every mode runs the same batch and must produce bit-identical matches
 (asserted).  Results — throughput, speedups, and cache hit-rate counters —
-are printed and written to ``BENCH_batch.json`` at the repository root
-(and mirrored under ``benchmarks/results/``).
+are printed and written to ``benchmarks/results/BENCH_batch.json``.
 
 Scale is environment-tunable::
 
@@ -55,11 +54,7 @@ DISTINCT_INPUTS = int(os.environ.get("REPRO_BENCH_BATCH_DISTINCT", "75"))
 REPEATS = int(os.environ.get("REPRO_BENCH_BATCH_REPEATS", "4"))
 SEED = 2003
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATHS = (
-    REPO_ROOT / "BENCH_batch.json",
-    Path(__file__).resolve().parent / "results" / "BENCH_batch.json",
-)
+RESULT_PATH = Path(__file__).resolve().parent / "results" / "BENCH_batch.json"
 
 
 def build_world():
@@ -184,9 +179,8 @@ def main() -> int:
         },
         "modes": modes,
     }
-    for path in RESULT_PATHS:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2) + "\n")
+    RESULT_PATH.parent.mkdir(parents=True, exist_ok=True)
+    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     print(f"batch of {len(batch)} queries ({DISTINCT_INPUTS} distinct), "
           f"reference {REFERENCE_SIZE}")

@@ -19,10 +19,10 @@ Three measurements back the verification fast path (see
    pool pays fork + IPC overhead with no parallelism to buy back, so its
    numbers are honest but unflattering there.
 
-Results go to ``BENCH_kernels.json`` at the repository root (mirrored
-under ``benchmarks/results/``).  ``--smoke`` runs a scaled-down version
-for CI: it exits nonzero if any parity check fails or the Myers kernel
-fails to at least match the classic DP on tokens of ≥ 8 characters.
+Results go to ``benchmarks/results/BENCH_kernels.json``.  ``--smoke`` runs
+a scaled-down version for CI and writes nothing: it exits nonzero if any
+parity check fails or the Myers kernel fails to at least match the classic
+DP on tokens of ≥ 8 characters.
 
 Run directly: ``PYTHONPATH=src python benchmarks/bench_kernels.py``.
 """
@@ -56,11 +56,7 @@ from repro.db.database import Database
 from repro.eti.builder import build_eti
 
 SEED = 2003
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATHS = (
-    REPO_ROOT / "BENCH_kernels.json",
-    Path(__file__).resolve().parent / "results" / "BENCH_kernels.json",
-)
+RESULT_PATH = Path(__file__).resolve().parent / "results" / "BENCH_kernels.json"
 
 # (bucket label, min length, max length) for the kernel micro-benchmark.
 LENGTH_BUCKETS = (
@@ -220,7 +216,12 @@ def bench_budgeted(reference, weights, config, eti, queries, repeats):
 
 
 def bench_executors(reference, weights, config, eti, queries, repeats):
-    """Thread vs process pools at jobs 1/2/4, bit-identical outputs."""
+    """Thread vs process pools at jobs 1/2/4, bit-identical outputs.
+
+    A row with more jobs than CPUs would measure oversubscription, not
+    scaling, so it is recorded as skipped instead of as a number.
+    """
+    cpus = os.cpu_count() or 1
     sequential = FuzzyMatcher(reference, weights, config, eti)
     baseline = [
         [(m.tid, m.similarity) for m in result.matches]
@@ -229,6 +230,11 @@ def bench_executors(reference, weights, config, eti, queries, repeats):
     scaling = []
     for executor in ("thread", "process"):
         for jobs in (1, 2, 4):
+            if jobs > cpus:
+                scaling.append(
+                    {"executor": executor, "jobs": jobs, "skipped": "cpus < jobs"}
+                )
+                continue
             engine = BatchMatcher(
                 reference, weights, config, eti, jobs=jobs,
                 executor=executor if jobs > 1 else "thread",
@@ -288,9 +294,8 @@ def main(argv):
         "executor_scaling": scaling,
     }
     if not smoke:
-        for path in RESULT_PATHS:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(payload, indent=2) + "\n")
+        RESULT_PATH.parent.mkdir(parents=True, exist_ok=True)
+        RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     for bucket in kernels["buckets"]:
         print(
@@ -306,10 +311,12 @@ def main(argv):
         f"identical top-K"
     )
     for mode in scaling:
-        print(
-            f"  {mode['executor']:>7} jobs={mode['jobs']}: "
-            f"{mode['queries_per_second']:7.1f} q/s"
+        outcome = (
+            f"skipped ({mode['skipped']})"
+            if "skipped" in mode
+            else f"{mode['queries_per_second']:7.1f} q/s"
         )
+        print(f"  {mode['executor']:>7} jobs={mode['jobs']}: {outcome}")
 
     failed = False
     if ge8 < 1.0:

@@ -16,8 +16,7 @@ Both modes must produce bit-identical matches (asserted).  The acceptance
 bar: guarded overhead under 5% of baseline throughput.  Each mode is timed
 best-of-``REPRO_BENCH_RESILIENCE_ROUNDS`` to damp scheduler noise.
 
-Results go to ``BENCH_resilience.json`` at the repository root (mirrored
-under ``benchmarks/results/``).
+Results go to ``benchmarks/results/BENCH_resilience.json``.
 
 Scale is environment-tunable::
 
@@ -59,11 +58,7 @@ SEED = 2003
 POOL_CAPACITY = 512
 OVERHEAD_BUDGET_PCT = 5.0
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATHS = (
-    REPO_ROOT / "BENCH_resilience.json",
-    Path(__file__).resolve().parent / "results" / "BENCH_resilience.json",
-)
+RESULT_PATH = Path(__file__).resolve().parent / "results" / "BENCH_resilience.json"
 
 
 def build_world(verify_checksums: bool):
@@ -171,9 +166,8 @@ def main() -> int:
         "overhead_pct": overhead_pct,
         "overhead_budget_pct": OVERHEAD_BUDGET_PCT,
     }
-    for path in RESULT_PATHS:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2) + "\n")
+    RESULT_PATH.parent.mkdir(parents=True, exist_ok=True)
+    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     for mode in modes:
         print(

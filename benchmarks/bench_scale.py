@@ -7,7 +7,7 @@ query cost grows with the candidate set, so the speedup factor climbs.
 """
 
 from benchmarks.conftest import record
-from repro.core.config import MatchConfig, SignatureScheme
+from repro.core.config import SignatureScheme
 from repro.eval.figures import FigureResult
 from repro.eval.harness import Workbench
 

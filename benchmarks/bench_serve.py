@@ -85,11 +85,7 @@ WIRE_ALLOWANCE_S = 0.002
 #: bare 5% relative gate would be under scheduler jitter.
 METRICS_ALLOWANCE_S = 0.00015
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATHS = (
-    REPO_ROOT / "BENCH_serve.json",
-    Path(__file__).resolve().parent / "results" / "BENCH_serve.json",
-)
+RESULT_PATH = Path(__file__).resolve().parent / "results" / "BENCH_serve.json"
 
 
 def build_world(reference_size, distinct_inputs):
@@ -475,9 +471,8 @@ def main(argv=None) -> int:
         "metrics_overhead": metrics_comparison,
         "stats_probe": stats_probe,
     }
-    for path in RESULT_PATHS:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2) + "\n")
+    RESULT_PATH.parent.mkdir(parents=True, exist_ok=True)
+    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     print(
         f"direct: {direct['throughput_rps']:.0f} q/s, "

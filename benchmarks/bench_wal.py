@@ -22,8 +22,7 @@ noise.  Two latency figures ride along:
 - ``recovery_seconds``: time for :func:`load_database` to replay a live
   committed tail after an unclean shutdown.
 
-Results go to ``BENCH_wal.json`` at the repository root (mirrored under
-``benchmarks/results/``).
+Results go to ``benchmarks/results/BENCH_wal.json``.
 
 Scale is environment-tunable::
 
@@ -65,11 +64,7 @@ SEED = 2003
 POOL_CAPACITY = 512
 THROUGHPUT_GAP_BUDGET_PCT = 10.0
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATHS = (
-    REPO_ROOT / "BENCH_wal.json",
-    Path(__file__).resolve().parent / "results" / "BENCH_wal.json",
-)
+RESULT_PATH = Path(__file__).resolve().parent / "results" / "BENCH_wal.json"
 
 CONFIG = MatchConfig(q=4, signature_size=2, use_osc=True)
 
@@ -222,9 +217,8 @@ def main() -> int:
         "throughput_gap_budget_pct": THROUGHPUT_GAP_BUDGET_PCT,
         "latencies": latencies,
     }
-    for path in RESULT_PATHS:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2) + "\n")
+    RESULT_PATH.parent.mkdir(parents=True, exist_ok=True)
+    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     for mode in modes:
         print(

@@ -14,6 +14,7 @@ from repro.core.fms_apx import fms_apx
 from repro.core.strings import edit_distance, qgram_set, tuple_edit_similarity
 from repro.core.weights import build_frequency_cache
 from repro.eti.builder import build_eti
+from repro.obs.tracing import Tracer, render_span
 
 config = MatchConfig(q=3, signature_size=2)
 
@@ -117,10 +118,9 @@ for strategy in ("basic", "osc"):
     )
 
 banner("§4.3.2: the OSC machinery, traced live")
-traced = matcher.match(
-    ("Beoing Company", "Seattle", "WA", "98004"), strategy="osc", trace=True
-)
-for line in traced.trace:
+with Tracer().trace("explain") as root:
+    matcher.match(("Beoing Company", "Seattle", "WA", "98004"), strategy="osc")
+for line in render_span(root):
     print(f"  {line}")
 
 banner("§5.3: the token transposition extension rescues I4 = [Company Beoing, ...]")

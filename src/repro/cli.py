@@ -6,7 +6,7 @@ Twelve subcommands covering the full workflow:
 - ``repro corrupt``   — sample reference tuples and inject Table 4 errors;
 - ``repro match``     — build the ETI and fuzzy-match an input CSV
   (``--db`` persists the warehouse and reuses it on later runs);
-- ``repro explain``   — trace one query's lookups and OSC decisions;
+- ``repro explain``   — one query's span tree: per-stage time and counters;
 - ``repro dedup``     — flag fuzzy duplicates inside a reference CSV;
 - ``repro evaluate``  — run the paper's experiment suite and print tables;
 - ``repro fsck``      — check a persisted warehouse for corruption;
@@ -52,6 +52,7 @@ from repro.eti.index import EtiIndex
 from repro.eval.harness import Workbench
 from repro.eval import figures as figure_drivers
 from repro.eval.metrics import accuracy
+from repro.obs.tracing import Tracer, render_span
 
 
 def _cell(value: str | None) -> str:
@@ -334,7 +335,7 @@ def cmd_dedup(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    """``repro explain``: trace one fuzzy match query, step by step."""
+    """``repro explain``: run one query under a tracer, print its span tree."""
     config = MatchConfig(
         q=args.q,
         signature_size=args.signature_size,
@@ -347,9 +348,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
             f"{len(values)} values given, reference has "
             f"{matcher.reference.num_columns} columns"
         )
-    result = matcher.match(values, strategy=args.strategy, trace=True)
-    for line in result.trace or ():
-        print(line)
+    with Tracer().trace("explain") as root:
+        result = matcher.match(values, strategy=args.strategy)
+    print("\n".join(render_span(root)))
     print()
     if result.best is None:
         print("no match")
@@ -757,7 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
     ded.add_argument("--out", type=argparse.FileType("w"), default=sys.stdout)
     ded.set_defaults(func=cmd_dedup)
 
-    exp = sub.add_parser("explain", help="trace one fuzzy match query step by step")
+    exp = sub.add_parser("explain", help="one query's span tree: per-stage time and counters")
     exp.add_argument("--reference", required=True)
     exp.add_argument("--q", type=int, default=4)
     exp.add_argument("--signature-size", type=int, default=2)

@@ -31,7 +31,7 @@ Results are always returned in input order and are bit-identical to the
 sequential per-tuple :meth:`FuzzyMatcher.match` path: every query is
 deterministic and independent, so execution order cannot change answers
 — and the process pool ships back the same :class:`MatchResult` objects
-(matches, per-query stats, trace) the thread pool produces in place.
+(matches, per-query stats) the thread pool produces in place.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from repro.core.matcher import (
     FuzzyMatcher,
     MatchResult,
     failed_result,
+    group_duplicates,
     replicate_result,
 )
 from repro.core.minhash import MinHasher
@@ -145,11 +146,11 @@ def _process_worker_init(spec: WorkerSpec | None) -> None:
 
 
 def _process_run_query(
-    task: tuple[Sequence[str | None], int | None, float | None, str | None, bool],
+    task: tuple[Sequence[str | None], int | None, float | None, str | None],
 ) -> MatchResult:
     """Run one query in a worker process and marshal the result back.
 
-    The returned :class:`MatchResult` (matches, stats, trace) pickles
+    The returned :class:`MatchResult` (matches, stats) pickles
     back to the parent whole, so process-mode reports and per-query
     statistics look exactly like thread-mode ones.  ``fail_fast`` is
     honoured worker-side the same way the thread path does it: the error
@@ -159,11 +160,10 @@ def _process_run_query(
     matcher = _PROCESS_MATCHER
     if matcher is None:
         raise RuntimeError("worker process used before initialization")
-    values, k, min_similarity, strategy, trace = task
+    values, k, min_similarity, strategy = task
     try:
         return matcher.match(
-            values, k=k, min_similarity=min_similarity, strategy=strategy,
-            trace=trace,
+            values, k=k, min_similarity=min_similarity, strategy=strategy
         )
     except DatabaseError as exc:
         if _PROCESS_FAIL_FAST:
@@ -501,7 +501,6 @@ class BatchMatcher:
         k: int | None = None,
         min_similarity: float | None = None,
         strategy: str | None = None,
-        trace: bool = False,
     ) -> list[MatchResult]:
         """Match a batch of input tuples; results in input order.
 
@@ -523,22 +522,13 @@ class BatchMatcher:
                 k=k,
                 min_similarity=min_similarity,
                 strategy=strategy,
-                trace=trace,
                 fail_fast=self.fail_fast,
             )
             unique = sum(1 for r in results if not r.stats.deduplicated)
             self._finish_report(len(batch), unique, started, results)
             return results
 
-        groups: dict[tuple, list[int]] = {}
-        keys: list[tuple | None] = []
-        for index, values in enumerate(batch):
-            try:
-                key = tuple(values)
-                groups.setdefault(key, []).append(index)
-            except TypeError:
-                key = None
-            keys.append(key)
+        groups, keys = group_duplicates(batch)
         unique_inputs = [
             batch[indices[0]] for indices in groups.values()
         ] + [batch[i] for i, key in enumerate(keys) if key is None]
@@ -554,8 +544,7 @@ class BatchMatcher:
                 # any worker forked during this batch builds from it.
                 _FORK_PARENT = self
             tasks = [
-                (values, k, min_similarity, strategy, trace)
-                for values in unique_inputs
+                (values, k, min_similarity, strategy) for values in unique_inputs
             ]
             chunksize = max(1, len(tasks) // (self.jobs * 4))
             unique_results = list(
@@ -572,7 +561,6 @@ class BatchMatcher:
                         k=k,
                         min_similarity=min_similarity,
                         strategy=strategy,
-                        trace=trace,
                     )
                 except DatabaseError as exc:
                     if self.fail_fast:

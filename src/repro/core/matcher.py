@@ -32,7 +32,12 @@ from repro.core.candidates import ScoreTable
 from repro.core.config import MatchConfig
 from repro.core.fms import fms, fms_budgeted, input_tuple_weight
 from repro.core.minhash import MinHasher
-from repro.core.osc import fetching_test, similarity_upper_bound, stopping_test
+from repro.core.osc import (
+    fetching_test,
+    similarity_upper_bound,
+    stopping_bound,
+    stopping_test,
+)
 from repro.core.reference import ReferenceTable
 from repro.core.resilience import (
     BudgetMeter,
@@ -116,8 +121,6 @@ class MatchResult:
 
     matches: list[Match] = field(default_factory=list)
     stats: MatchStats = field(default_factory=MatchStats)
-    trace: list[str] | None = None
-    """Human-readable event log of the query, when requested."""
     error: str | None = None
     """The failure message when this query errored under per-item fault
     isolation (``fail_fast=False``); ``None`` on success."""
@@ -136,10 +139,24 @@ class MatchResult:
 
 
 @dataclass(frozen=True)
-class _TokenInfo:
-    token: str
-    column: int
-    weight: float
+class QuerySignature:
+    """The signature stage's output: all probe and verify need of the input."""
+
+    tokens: TupleTokens
+    weight: float  # w(u), the column-weighted total token weight
+    entries: list[tuple[float, int, str, int]]  # (weight, coordinate, gram, column)
+    entry_weight: float  # w(Q_p), the summed weight of the entries
+    floor: float  # w(u)·c − w(u)·(1 − 1/q): what a candidate must score (Fig. 3 step 11)
+
+
+@dataclass
+class ProbeOutcome:
+    """The probe stage's output: the scores, or an OSC-certified answer."""
+
+    score_table: ScoreTable
+    lookups: int = 0
+    matches: list[Match] | None = None  # the top K, once a stopping test certified them
+    budget_reason: str | None = None  # why the lookups stopped early, if the budget ran out
 
 
 def reference_version(reference: object) -> int | None:
@@ -158,10 +175,29 @@ def replicate_result(result: MatchResult) -> MatchResult:
     return MatchResult(
         matches=list(result.matches),
         stats=replace(result.stats, deduplicated=True),
-        trace=list(result.trace) if result.trace is not None else None,
         error=result.error,
         error_type=result.error_type,
     )
+
+
+def group_duplicates(
+    batch: Sequence[Sequence[str | None]],
+) -> tuple[dict[tuple, list[int]], list[tuple | None]]:
+    """Group a batch's identical tuples so each is matched once.
+
+    Returns each distinct tuple's batch positions, and each position's
+    group key (``None`` for unhashable values: matched standalone).
+    """
+    groups: dict[tuple, list[int]] = {}
+    keys: list[tuple | None] = []
+    for index, values in enumerate(batch):
+        try:
+            key = tuple(values)
+            groups.setdefault(key, []).append(index)
+        except TypeError:
+            key = None
+        keys.append(key)
+    return groups, keys
 
 
 def failed_result(exc: DatabaseError, strategy: str = "") -> MatchResult:
@@ -273,16 +309,15 @@ class FuzzyMatcher:
         k: int | None = None,
         min_similarity: float | None = None,
         strategy: str | None = None,
-        trace: bool = False,
         budget: QueryBudget | None = None,
     ) -> MatchResult:
         """Find the K fuzzy matches of one input tuple.
 
         ``strategy`` is ``"naive"``, ``"basic"``, or ``"osc"``; the default
         follows ``config.use_osc``.  ``k`` and ``min_similarity`` default to
-        the config's values.  With ``trace=True`` the result carries a
-        human-readable event log of every lookup and decision (indexed
-        strategies only) — useful for debugging and teaching.
+        the config's values.  To see what a query did, run it under a
+        :class:`~repro.obs.tracing.Tracer` root and print
+        :func:`~repro.obs.tracing.render_span` of it.
 
         ``budget`` (defaulting to the resilience policy's budget, when one
         is configured) bounds this query's wall clock and physical page
@@ -340,8 +375,7 @@ class FuzzyMatcher:
                 try:
                     if indexed:
                         result = self._match_indexed(
-                            values, k, c, use_osc=(attempt == "osc"),
-                            trace=trace, meter=meter,
+                            values, k, c, use_osc=(attempt == "osc"), meter=meter
                         )
                     else:
                         result = self._match_naive(values, k, c, meter=meter)
@@ -447,7 +481,6 @@ class FuzzyMatcher:
         k: int | None = None,
         min_similarity: float | None = None,
         strategy: str | None = None,
-        trace: bool = False,
         fail_fast: bool = True,
     ) -> list[MatchResult]:
         """Match a batch of input tuples; results in input order.
@@ -466,16 +499,7 @@ class FuzzyMatcher:
         (bad arity, unknown strategy) always raise.
         """
         batch = list(batch)
-        groups: dict[tuple, list[int]] = {}
-        keys: list[tuple | None] = []
-        for index, values in enumerate(batch):
-            try:
-                key = tuple(values)
-                groups.setdefault(key, []).append(index)
-            except TypeError:
-                key = None  # unhashable values: match it standalone
-            keys.append(key)
-
+        groups, keys = group_duplicates(batch)
         self._warm_batch(groups, strategy)
 
         results: list[MatchResult | None] = [None] * len(batch)
@@ -491,7 +515,6 @@ class FuzzyMatcher:
                     k=k,
                     min_similarity=min_similarity,
                     strategy=strategy,
-                    trace=trace,
                 )
             except DatabaseError as exc:
                 if fail_fast:
@@ -623,7 +646,7 @@ class FuzzyMatcher:
         return result
 
     # ------------------------------------------------------------------
-    # Indexed strategies (basic + OSC)
+    # Indexed strategies (basic + OSC): signature → probe → verify
     # ------------------------------------------------------------------
 
     def _match_indexed(
@@ -632,72 +655,98 @@ class FuzzyMatcher:
         k: int,
         c: float,
         use_osc: bool,
-        trace: bool = False,
         meter: BudgetMeter | None = None,
     ) -> MatchResult:
+        """Figures 3–4 as three stages handing plain data to the next.
+
+        Thresholding sits between probe and verify: the score table's
+        tids at or above the retention floor, best first, are the
+        candidates — cut to the top K when the budget ran out mid-probe,
+        so a degraded answer costs a bounded amount of extra work.
+        """
         result = MatchResult()
         stats = result.stats
+        query = self._stage_signature(values, c, use_osc)
+        if query is None:
+            return result  # all token weights are zero: nothing can match
+        fms_cache: dict[int, tuple[float, tuple, bool]] = {}
+        probe = self._stage_probe(query, k, c, use_osc, meter, fms_cache, stats)
+        if probe.matches is not None:
+            result.matches = probe.matches
+        else:
+            candidates = probe.score_table.candidates(query.floor)
+            if probe.budget_reason is not None:
+                stats.degraded = True
+                stats.degraded_reason = probe.budget_reason
+                candidates = candidates[: max(k, 1)]
+                meter = None  # spent: verification must not poll it again
+            result.matches = self._stage_verify(query, candidates, k, c, meter, fms_cache, stats)
+        stats.eti_lookups = probe.lookups
+        stats.tids_processed = probe.score_table.stats.tids_processed
+        stats.tids_admitted = probe.score_table.stats.tids_admitted
+        return result
+
+    def _stage_signature(
+        self, values: Sequence[str | None], c: float, use_osc: bool
+    ) -> QuerySignature | None:
+        """Stage 1: tokenize, weigh, and expand into signature entries.
+
+        Returns ``None`` when every token weighs zero (no reference tuple
+        can score).  With ``use_osc`` the entries come back in decreasing
+        weight order, ties in original (token) order for determinism.
+        """
         config = self.config
-        eti = self.eti
-        log = None
-        if trace:
-            result.trace = []
-            log = result.trace.append
-        input_tokens = TupleTokens.from_values(values)
-        column_weights = config.normalized_column_weights(input_tokens.num_columns)
-
-        build_ctx = trace_span("matcher.signature_build")
-        with build_ctx:
-            token_infos = [
-                _TokenInfo(
-                    token,
-                    column,
-                    self._weights.weight(token, column) * column_weights[column],
-                )
-                for token, column in input_tokens.all_tokens()
+        tokens = TupleTokens.from_values(values)
+        column_weights = config.normalized_column_weights(tokens.num_columns)
+        with trace_span("matcher.signature_build") as span:
+            weighted = [
+                (token, column, self._weights.weight(token, column) * column_weights[column])
+                for token, column in tokens.all_tokens()
             ]
-            input_weight = sum(info.weight for info in token_infos)
-            if log:
-                for info in token_infos:
-                    log(
-                        f"token {info.token!r} (col {info.column}) "
-                        f"w={info.weight:.3f}"
-                    )
-                log(
-                    f"w(u) = {input_weight:.3f}, "
-                    f"threshold = {c * input_weight:.3f}"
-                )
+            input_weight = sum(weight for _, _, weight in weighted)
+            if span is not None:
+                span.annotate(tokens=len(weighted), input_weight=input_weight)
             if input_weight <= 0.0:
-                if log:
-                    log("all token weights are zero: no match possible")
-                return result
-
-            # Expand tokens into weighted signature entries.
-            entries: list[tuple[float, int, int, str, int]] = []
-            # (qgram_weight, token_index, coordinate, gram, column)
-            for token_index, info in enumerate(token_infos):
+                return None
+            entries = [
+                (weight * entry.weight_fraction, entry.coordinate, entry.gram, column)
+                for token, column, weight in weighted
                 for entry in signature_entries_cached(
-                    info.token, self.hasher, config, self.caches.signatures
-                ):
-                    entries.append(
-                        (
-                            info.weight * entry.weight_fraction,
-                            token_index,
-                            entry.coordinate,
-                            entry.gram,
-                            info.column,
-                        )
-                    )
+                    token, self.hasher, config, self.caches.signatures
+                )
+            ]
             if use_osc:
-                # Decreasing weight; ties resolve in original (token) order
-                # for determinism.
                 entries.sort(key=lambda e: -e[0])
-            build_ctx.annotate(tokens=len(token_infos), entries=len(entries))
+            threshold = c * input_weight
+            if span is not None:
+                span.annotate(entries=len(entries), threshold=threshold)
+        return QuerySignature(
+            tokens=tokens,
+            weight=input_weight,
+            entries=entries,
+            entry_weight=sum(e[0] for e in entries),
+            floor=threshold - input_weight * (1.0 - 1.0 / config.q),
+        )
 
-        total_entry_weight = sum(e[0] for e in entries)
-        adjustment_unit = 1.0 - 1.0 / config.q
-        full_adjustment = sum(info.weight for info in token_infos) * adjustment_unit
-        threshold = c * input_weight
+    def _stage_probe(
+        self,
+        query: QuerySignature,
+        k: int,
+        c: float,
+        use_osc: bool,
+        meter: BudgetMeter | None,
+        fms_cache: dict[int, tuple[float, tuple, bool]],
+        stats: MatchStats,
+    ) -> ProbeOutcome:
+        """Stage 2: look every entry up in the ETI, accumulating tid scores.
+
+        With ``use_osc`` the fetching test runs after each lookup and,
+        when it passes, the top K are verified exactly (no cost budget:
+        the stopping test needs exact fms); a passed stopping test
+        certifies them as the answer (``outcome.matches``).  A spent
+        budget stops the lookups (``outcome.budget_reason``).
+        """
+        config = self.config
         # Admission bar for new tids.  The paper's Figure 3 step 9b uses
         # w(u)·c outright, but its step 11 retains tids down to w(u)·c −
         # AdjustmentTerm; admitting against the unadjusted bar would starve
@@ -705,189 +754,145 @@ class FuzzyMatcher:
         # a tid first seen after (1−c) of the signature weight can still
         # clear c once the adjustment is credited).  We admit against the
         # adjusted floor, which is consistent and still bounds table size.
-        score_table = ScoreTable(max(threshold - full_adjustment, 0.0))
-        fms_cache: dict[int, tuple[float, tuple, bool]] = {}
-        lookups_before = eti.lookups
-
+        score_table = ScoreTable(max(query.floor, 0.0))
+        outcome = ProbeOutcome(score_table)
         processed_weight = 0.0
-        budget_reason = None
-        lookups_done = 0
-        eti_ctx = trace_span("matcher.eti_lookups")
-        with eti_ctx:
-            for qgram_weight, token_index, coordinate, gram, column in entries:
+        last_test: tuple[float, float] | None = None  # (outside cap, weakest fms)
+        with trace_span("matcher.eti_lookups") as span:
+            for qgram_weight, coordinate, gram, column in query.entries:
                 if meter is not None:
-                    budget_reason = meter.exhausted()
-                    if budget_reason is not None:
-                        if log:
-                            log(
-                                f"budget exhausted ({budget_reason}) after "
-                                f"{lookups_done} of {len(entries)} lookups; "
-                                "degrading to best-so-far"
-                            )
+                    outcome.budget_reason = meter.exhausted()
+                    if outcome.budget_reason is not None:
                         break
-                lookups_done += 1
-                remaining = total_entry_weight - processed_weight
-                eti_entry = eti.lookup(gram, coordinate, column)
-                if log:
-                    if eti_entry is None:
-                        outcome = "miss"
-                    elif eti_entry.is_stop_qgram:
-                        outcome = f"stop q-gram (freq {eti_entry.frequency})"
-                    else:
-                        outcome = f"{len(eti_entry.tid_list)} tids"
-                    log(
-                        f"lookup ({gram!r}, coord {coordinate}, col {column}) "
-                        f"w={qgram_weight:.3f} -> {outcome}"
-                    )
+                outcome.lookups += 1
+                eti_entry = self.eti.lookup(gram, coordinate, column)
                 if eti_entry is not None and eti_entry.tid_list:
                     score_table.add_tid_list(
-                        eti_entry.tid_list, qgram_weight, remaining
+                        eti_entry.tid_list,
+                        qgram_weight,
+                        query.entry_weight - processed_weight,
                     )
                 processed_weight += qgram_weight
 
                 if not use_osc or not score_table.scores:
                     continue
-                decision = fetching_test(
-                    score_table, k, processed_weight, total_entry_weight
-                )
+                decision = fetching_test(score_table, k, processed_weight, query.entry_weight)
                 if not decision.should_fetch:
                     continue
                 stats.osc_fetch_attempts += 1
-                if log:
-                    log(
-                        f"OSC fetching test passed: top-{k} "
-                        f"{decision.top_tids}, "
-                        f"outside cap {decision.outside_score_cap:.3f}"
-                    )
                 similarities = [
-                    # No cost budget here: the stopping test needs exact fms.
-                    self._verify(
-                        tid, input_tokens, input_weight, fms_cache, stats
-                    )[0]
+                    self._score_candidate(tid, query, fms_cache, stats)[0]
                     for tid in decision.top_tids
                 ]
+                last_test = (decision.outside_score_cap, min(similarities, default=0.0))
                 if stopping_test(
                     similarities,
                     decision.outside_score_cap,
-                    input_weight,
+                    query.weight,
                     config.q,
                     conservative=config.osc_conservative,
                 ):
                     stats.osc_succeeded = True
-                    if log:
-                        log(
-                            "OSC stopping test passed: fms "
-                            + ", ".join(f"{s:.3f}" for s in similarities)
-                            + " >= bound "
-                            + f"{decision.outside_score_cap / input_weight:.3f}"
-                        )
                     matches = [
                         Match(tid, similarity, fms_cache[tid][1])
-                        for tid, similarity in zip(
-                            decision.top_tids, similarities
-                        )
+                        for tid, similarity in zip(decision.top_tids, similarities)
                         if similarity >= c
                     ]
                     matches.sort(key=lambda m: (-m.similarity, m.tid))
-                    result.matches = matches
-                    self._finalize(stats, score_table, lookups_before)
-                    eti_ctx.annotate(
-                        lookups=lookups_done, osc_succeeded=True
+                    outcome.matches = matches
+                    break
+            if span is not None:
+                span.annotate(
+                    lookups=outcome.lookups,
+                    tids_processed=score_table.stats.tids_processed,
+                    tids_admitted=score_table.stats.tids_admitted,
+                    fetched=stats.candidates_fetched,
+                )
+                if use_osc:
+                    span.annotate(
+                        osc_fetch_attempts=stats.osc_fetch_attempts,
+                        osc_succeeded=stats.osc_succeeded,
                     )
-                    return result
-                if log:
-                    log(
-                        "OSC stopping test failed (fms "
-                        + ", ".join(f"{s:.3f}" for s in similarities)
-                        + "); continuing lookups"
+                if last_test is not None:
+                    span.annotate(
+                        osc_bound=stopping_bound(
+                            last_test[0], query.weight, config.q, config.osc_conservative
+                        ),
+                        osc_min_fms=last_test[1],
                     )
-        eti_ctx.annotate(lookups=lookups_done)
+                if outcome.budget_reason is not None:
+                    span.annotate(budget=outcome.budget_reason)
+        return outcome
 
-        # Basic finish: fetch candidates in decreasing score order, stopping
-        # once the next upper bound cannot displace the K-th verified match.
-        floor = threshold - full_adjustment
-        candidates = score_table.candidates(floor)
-        if budget_reason is not None:
-            # Budget spent mid-lookup: flag the result and verify only the
-            # top-K scored tids, so the degraded answer still costs a
-            # bounded, small amount of extra work.
-            stats.degraded = True
-            stats.degraded_reason = budget_reason
-            candidates = candidates[: max(k, 1)]
-        if log:
-            log(
-                f"verification phase: {len(candidates)} candidates "
-                f"above floor {floor:.3f}"
-            )
+    def _stage_verify(
+        self,
+        query: QuerySignature,
+        candidates: list[tuple[int, float]],
+        k: int,
+        c: float,
+        meter: BudgetMeter | None,
+        fms_cache: dict[int, tuple[float, tuple, bool]],
+        stats: MatchStats,
+    ) -> list[Match]:
+        """Stage 3: fetch ``candidates`` (best score first) and rank by fms.
+
+        Stops once the next candidate's score-space upper bound cannot
+        reach ``c`` or displace the K-th verified match, or when the
+        budget runs out (flagging the stats degraded).
+        """
+        config = self.config
         verified: list[tuple[float, int]] = []
-        verify_ctx = trace_span("matcher.verify", candidates=len(candidates))
-        with verify_ctx:
+        fetched_before = stats.candidates_fetched
+        stopped = "candidates_exhausted"
+        with trace_span("matcher.verify", candidates=len(candidates)) as span:
             for position, (tid, score) in enumerate(candidates):
-                if meter is not None and budget_reason is None and position > 0:
+                if meter is not None and position > 0:
                     reason = meter.exhausted()
                     if reason is not None:
                         stats.degraded = True
                         stats.degraded_reason = reason
-                        if log:
-                            log(
-                                f"budget exhausted ({reason}) after verifying "
-                                f"{position} candidates; returning best-so-far"
-                            )
+                        stopped = "budget"
                         break
-                upper_bound = similarity_upper_bound(
-                    score, input_weight, config.q
-                )
+                upper_bound = similarity_upper_bound(score, query.weight, config.q)
                 if upper_bound < c:
+                    stopped = "bound_below_threshold"
                     break
                 if len(verified) >= k and upper_bound <= verified[k - 1][0]:
-                    if log:
-                        log(
-                            f"stop: next upper bound {upper_bound:.3f} cannot "
-                            f"displace K-th fms {verified[k - 1][0]:.3f}"
-                        )
+                    stopped = "cannot_displace_kth"
                     break
                 cost_budget = None
-                if self.config.budgeted_verification and len(verified) >= k:
+                if config.budgeted_verification and len(verified) >= k:
                     # A candidate can only displace the K-th verified match
                     # if its transformation cost stays under (1 − kth) ·
                     # w(u); later candidates see ever-tighter budgets as the
                     # top-K improves, so the DP abandons most losers mid-row.
-                    cost_budget = (1.0 - verified[k - 1][0]) * input_weight
-                similarity, _, pruned = self._verify(
-                    tid, input_tokens, input_weight, fms_cache, stats,
-                    cost_budget=cost_budget,
+                    cost_budget = (1.0 - verified[k - 1][0]) * query.weight
+                similarity, _, pruned = self._score_candidate(
+                    tid, query, fms_cache, stats, cost_budget=cost_budget
                 )
                 if pruned:
                     # Certified unable to displace the current top-K; the
                     # similarity is an upper bound, never a result.
-                    if log:
-                        log(
-                            f"verify tid {tid}: score {score:.3f} -> "
-                            "budget-pruned (cannot beat K-th fms "
-                            f"{verified[k - 1][0]:.3f})"
-                        )
                     continue
-                if log:
-                    log(
-                        f"verify tid {tid}: score {score:.3f} -> "
-                        f"fms {similarity:.3f}"
-                    )
                 if similarity >= c:
                     verified.append((similarity, tid))
                     verified.sort(key=lambda item: (-item[0], item[1]))
                     del verified[k:]
-            verify_ctx.annotate(verified=len(verified))
-        result.matches = [
+            if span is not None:
+                span.annotate(
+                    verified=len(verified),
+                    fetched=stats.candidates_fetched - fetched_before,
+                    budget_prunes=stats.verify_budget_prunes,
+                    stopped=stopped,
+                )
+        return [
             Match(tid, similarity, fms_cache[tid][1]) for similarity, tid in verified
         ]
-        self._finalize(stats, score_table, lookups_before)
-        return result
 
-    def _verify(
+    def _score_candidate(
         self,
         tid: int,
-        input_tokens: TupleTokens,
-        input_weight: float,
+        query: QuerySignature,
         fms_cache: dict[int, tuple[float, tuple, bool]],
         stats: MatchStats,
         cost_budget: float | None = None,
@@ -927,11 +932,11 @@ class FuzzyMatcher:
         if cached is None:
             stats.candidates_fetched += 1
         similarity, pruned = fms_budgeted(
-            input_tokens,
+            query.tokens,
             reference_tokens,
             self._weights,
             self.config,
-            u_weight=input_weight,
+            u_weight=query.weight,
             cost_budget=cost_budget,
         )
         stats.fms_evaluations += 1
@@ -939,10 +944,3 @@ class FuzzyMatcher:
             stats.verify_budget_prunes += 1
         fms_cache[tid] = (similarity, reference_values, pruned)
         return fms_cache[tid]
-
-    def _finalize(
-        self, stats: MatchStats, score_table: ScoreTable, lookups_before: int
-    ) -> None:
-        stats.eti_lookups = self.eti.lookups - lookups_before
-        stats.tids_processed = score_table.stats.tids_processed
-        stats.tids_admitted = score_table.stats.tids_admitted

@@ -84,6 +84,20 @@ def similarity_upper_bound(raw_score: float, input_weight: float, q: int) -> flo
     return min(bound, 1.0)
 
 
+def stopping_bound(
+    outside_score_cap: float, input_weight: float, q: int, conservative: bool = False
+) -> float:
+    """The fms every fetched candidate must reach for OSC to stop.
+
+    See :func:`stopping_test` for the two forms.
+    """
+    if conservative:
+        return similarity_upper_bound(outside_score_cap, input_weight, q)
+    if input_weight > 0.0:
+        return outside_score_cap / input_weight
+    return 0.0
+
+
 def stopping_test(
     similarities: list[float],
     outside_score_cap: float,
@@ -107,10 +121,5 @@ def stopping_test(
     respect to fmsapx but fires far less often (the ablation benchmark
     quantifies the trade).
     """
-    if conservative:
-        bound = similarity_upper_bound(outside_score_cap, input_weight, q)
-    elif input_weight > 0.0:
-        bound = outside_score_cap / input_weight
-    else:
-        bound = 0.0
+    bound = stopping_bound(outside_score_cap, input_weight, q, conservative)
     return all(similarity >= bound for similarity in similarities)

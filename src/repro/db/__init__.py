@@ -57,11 +57,6 @@ from repro.db.relation import Relation
 from repro.db.types import Column, ColumnType, Schema
 from repro.db.wal import RecoveryInfo, WalFile, WalStats, WalStorage
 
-# Last on purpose: RetryPolicy now lives in repro.core.resilience (it backs
-# both storage retries and the serve client), and importing repro.core pulls
-# in modules that import repro.db.database — which must already be complete.
-from repro.core.resilience import RetryPolicy
-
 __all__ = [
     "BPlusTree",
     "BufferPool",
@@ -93,7 +88,6 @@ __all__ = [
     "Relation",
     "RelationError",
     "RetryExhaustedError",
-    "RetryPolicy",
     "Schema",
     "SchemaError",
     "TransientIOError",

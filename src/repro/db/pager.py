@@ -18,7 +18,7 @@ Resilience (the online-service requirement the paper's §1 setting implies):
   bytes never reach a caller silently.
 - Transient storage faults (:class:`~repro.db.errors.TransientIOError`)
   are retried with exponential backoff under a configurable
-  :class:`RetryPolicy`; exhaustion raises
+  :class:`~repro.core.resilience.RetryPolicy`; exhaustion raises
   :class:`~repro.db.errors.RetryExhaustedError`.
 """
 
@@ -182,27 +182,6 @@ class FileStorage:
             self._fd = -1
 
 
-def __getattr__(name: str) -> "type[RetryPolicy]":
-    """Back-compat re-export: :class:`RetryPolicy` moved to core/resilience.
-
-    The class lives in :mod:`repro.core.resilience` now (it backs both
-    storage retries and the serve client's reconnect loop), but importing
-    that package at this module's top level would be circular —
-    ``repro.core`` pulls in :mod:`repro.core.batch`, which imports
-    :mod:`repro.db.database`, which imports this module.  Resolving the
-    name lazily keeps ``from repro.db.pager import RetryPolicy`` working.
-    """
-    if name == "RetryPolicy":
-        from repro.core.resilience import RetryPolicy
-
-        return RetryPolicy
-    # The module-__getattr__ protocol requires AttributeError here, not a
-    # DatabaseError subclass.
-    raise AttributeError(  # reprolint: disable=exception-taxonomy
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
-
 @dataclass
 class PoolStats:
     """Buffer pool access counters."""
@@ -258,7 +237,8 @@ class BufferPool:
         if capacity < 1:
             raise BufferPoolError("buffer pool needs capacity >= 1")
         if retry_policy is None:
-            # Deferred for the same circularity reason as __getattr__ above.
+            # Deferred: repro.core pulls in repro.core.batch, which imports
+            # repro.db.database, which imports this module.
             from repro.core.resilience import RetryPolicy
 
             retry_policy = RetryPolicy()

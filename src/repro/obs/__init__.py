@@ -24,7 +24,7 @@ from repro.obs.registry import (
     log_bucket_edges,
     merge_snapshots,
 )
-from repro.obs.tracing import Span, Tracer, trace_span
+from repro.obs.tracing import Span, Tracer, render_span, trace_span
 
 __all__ = [
     "Counter",
@@ -41,6 +41,7 @@ __all__ = [
     "log_bucket_edges",
     "merge_snapshots",
     "render_prometheus",
+    "render_span",
     "snapshot_as_dict",
     "trace_span",
 ]

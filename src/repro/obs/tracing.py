@@ -28,7 +28,7 @@ from typing import Any, Callable
 
 from repro.analysis.debuglock import make_lock
 
-__all__ = ["Span", "Tracer", "trace_span"]
+__all__ = ["Span", "Tracer", "render_span", "trace_span"]
 
 
 class Span:
@@ -73,6 +73,24 @@ class Span:
         if self.children:
             node["children"] = [c.as_dict(origin) for c in self.children]
         return node
+
+
+def render_span(span: Span) -> list[str]:
+    """The tree under ``span`` as text, one line per span, children indented.
+
+    Each line carries the span's name, wall time and annotations — for a
+    ``matcher`` subtree that is the per-stage account of one query (see
+    docs/INTERNALS.md §8), which is what ``repro explain`` prints.
+    """
+    head = f"{span.name}  {span.duration_s * 1000.0:.3f} ms"
+    notes = " ".join(
+        f"{key}={value:.4g}" if isinstance(value, float) else f"{key}={value}"
+        for key, value in span.annotations.items()
+    )
+    lines = [f"{head}  {notes}" if notes else head]
+    for child in span.children:
+        lines.extend("  " + line for line in render_span(child))
+    return lines
 
 
 class _ThreadState(threading.local):

@@ -28,6 +28,28 @@ ORG_INPUTS = (
 ORG_COLUMNS = ("org_name", "city", "state", "zipcode")
 
 
+class ZeroWeights:
+    """A weight provider under which no token weighs anything."""
+
+    def weight(self, token, column):
+        return 0.0
+
+    def frequency(self, token, column):
+        return 1
+
+
+class SpentAfter:
+    """A budget meter that reports ``reason`` after ``polls`` polls."""
+
+    def __init__(self, polls, reason="deadline"):
+        self.polls = polls
+        self.reason = reason
+
+    def exhausted(self):
+        self.polls -= 1
+        return self.reason if self.polls < 0 else None
+
+
 @pytest.fixture()
 def org_db():
     db = Database.in_memory()

@@ -30,14 +30,14 @@ from repro.core.resilience import (
     DEGRADED_DEADLINE,
     QueryBudget,
     ResiliencePolicy,
+    RetryPolicy,
 )
 from repro.core.weights import build_frequency_cache
 from repro.data.datasets import DatasetSpec, make_dataset
 from repro.data.generator import CUSTOMER_COLUMNS, generate_customers
 from repro.db.database import Database
-from repro.db.errors import DatabaseError
 from repro.db.faults import FaultConfig, FaultInjector
-from repro.db.pager import BufferPool, InMemoryStorage, RetryPolicy
+from repro.db.pager import BufferPool, InMemoryStorage
 from repro.eti.builder import build_eti
 
 pytestmark = pytest.mark.chaos

@@ -1,7 +1,7 @@
 """The command-line interface: generate → corrupt → match round trips."""
 
 import csv
-import io
+import re
 
 import pytest
 
@@ -192,10 +192,15 @@ class TestExplain:
             ["explain", "--reference", str(reference_csv)]
             + [v if v else "" for v in values]
         )
-        output = capsys.readouterr().out
-        assert "w(u) =" in output
-        assert "lookup (" in output
-        assert "match tid=" in output or "no match" in output
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("explain  ")
+        assert lines[1].startswith("  matcher  ") and "strategy=osc" in lines[1]
+        names = [line.split()[0] for line in lines[2:] if line.startswith("    ")]
+        assert names[:2] == ["matcher.signature_build", "matcher.eti_lookups"]
+        assert names[-1] == "db"
+        assert re.search(r"input_weight=\S+ entries=\d+ threshold=0", lines[2])
+        assert re.search(r"lookups=\d+ tids_processed=\d+", lines[3])
+        assert any(x.startswith(("match tid=", "no match")) for x in lines)
 
     def test_explain_wrong_arity(self, reference_csv):
         with pytest.raises(SystemExit, match="columns"):

@@ -6,9 +6,7 @@ from repro.core.config import MatchConfig, SignatureScheme
 from repro.core.matcher import FuzzyMatcher
 from repro.core.minhash import MinHasher
 from repro.core.reference import ReferenceTable
-from repro.core.tokens import TupleTokens
 from repro.core.weights import build_frequency_cache
-from repro.db.database import Database
 from repro.eti.builder import build_eti
 from repro.eti.maintenance import EtiMaintainer
 from repro.eti.signature import signature_entries

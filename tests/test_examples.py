@@ -60,7 +60,8 @@ class TestPaperWalkthrough:
         assert "Tid-list" in output
 
     def test_osc_trace(self, output):
-        assert "osc_succeeded=True" in output
+        assert "matcher.eti_lookups" in output
+        assert "osc_succeeded=True osc_bound=" in output
 
 
 def test_all_examples_exist():

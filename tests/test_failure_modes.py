@@ -8,14 +8,14 @@ import os
 
 import pytest
 
-from repro.core.config import MatchConfig, SignatureScheme
+from repro.core.config import MatchConfig
 from repro.core.matcher import FuzzyMatcher
 from repro.core.minhash import MinHasher
 from repro.core.reference import ReferenceTable
 from repro.core.weights import BoundedTokenFrequencyCache, build_frequency_cache
 from repro.db.database import Database
 from repro.db.errors import BufferPoolError, SchemaError
-from repro.db.pager import BufferPool, FileStorage
+from repro.db.pager import BufferPool
 from repro.db.snapshot import load_database, save_database
 from repro.db.types import Column, ColumnType, Schema
 from repro.eti.builder import build_eti

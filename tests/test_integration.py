@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import MatchConfig, SignatureScheme
+from repro.core.config import MatchConfig
 from repro.core.matcher import FuzzyMatcher
 from repro.core.reference import ReferenceTable
 from repro.core.weights import build_frequency_cache

@@ -29,7 +29,7 @@ from repro.obs.registry import (
     log_bucket_edges,
     merge_snapshots,
 )
-from repro.obs.tracing import Span, Tracer, trace_span
+from repro.obs.tracing import Tracer, trace_span
 from repro.serve.client import ServeClient
 from repro.serve.protocol import ProtocolError, decode_request
 from repro.serve.server import MatchServer, ServeConfig, ServeStats

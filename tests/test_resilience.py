@@ -26,6 +26,7 @@ from repro.core.resilience import (
     Deadline,
     QueryBudget,
     ResiliencePolicy,
+    RetryPolicy,
     fallback_chain,
 )
 from repro.db.errors import (
@@ -40,7 +41,6 @@ from repro.db.pager import (
     BufferPool,
     FileStorage,
     InMemoryStorage,
-    RetryPolicy,
     page_checksum,
 )
 from repro.eti.index import EtiIndex

@@ -1092,10 +1092,12 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(jitter=1.5)
 
-    def test_pager_reexport_is_the_same_class(self):
+    def test_storage_packages_no_longer_reexport_it(self):
+        import repro.db
         from repro.db import pager
 
-        assert pager.RetryPolicy is RetryPolicy
+        assert not hasattr(pager, "RetryPolicy")
+        assert not hasattr(repro.db, "RetryPolicy")
 
 
 def test_bench_serve_importable():
@@ -1110,11 +1112,8 @@ def test_bench_serve_importable():
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert [path.name for path in module.RESULT_PATHS] == [
-        "BENCH_serve.json",
-        "BENCH_serve.json",
-    ]
-    payload = json.loads(module.RESULT_PATHS[0].read_text())
+    assert module.RESULT_PATH.parent.name == "results"
+    payload = json.loads(module.RESULT_PATH.read_text())
     assert payload["benchmark"] == "serve_overhead_and_overload"
     assert set(payload["levels"]) == {"serve_1x", "serve_2x", "serve_10x"}
     for level in payload["levels"].values():

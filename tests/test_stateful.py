@@ -9,7 +9,6 @@ from hypothesis import settings
 from hypothesis.stateful import (
     Bundle,
     RuleBasedStateMachine,
-    initialize,
     invariant,
     rule,
 )
