@@ -13,7 +13,7 @@
 """
 
 from repro.core.batch import BatchMatcher, BatchReport
-from repro.core.cache import CacheStats, CachingWeightFunction, LRUCache, MatcherCaches
+from repro.core.cache import LRUCache, MatcherCaches
 from repro.core.config import MatchConfig, SignatureScheme
 from repro.core.fms import fms, transformation_cost
 from repro.core.fms_apx import fms_apx, fms_t_apx
@@ -44,8 +44,6 @@ __all__ = [
     "BoundedTokenFrequencyCache",
     "BudgetMeter",
     "build_frequency_cache",
-    "CacheStats",
-    "CachingWeightFunction",
     "CircuitBreaker",
     "Deadline",
     "LRUCache",

@@ -7,9 +7,10 @@ single-query algorithms:
 
 1. **Deduplication** — identical tuples in one batch are matched once;
    duplicates get replicated results (dirty feeds repeat rows).
-2. **Cross-query caches** — per-worker :class:`~repro.core.cache.MatcherCaches`
-   amortize reference tokenization, IDF weighing, and signature expansion
-   across the whole batch (the PASS-JOIN/ApproxJoin preprocessing idea).
+2. **A cross-query cache** — each worker's
+   :class:`~repro.core.cache.MatcherCaches` amortizes reference fetches and
+   tokenization across the whole batch (the PASS-JOIN/ApproxJoin
+   preprocessing idea).
 3. **A worker pool** — with ``jobs > 1`` the distinct queries fan out over
    a worker pool.  Each worker lazily builds its own
    :class:`~repro.core.matcher.FuzzyMatcher` (own ETI lookup counter, own
@@ -614,18 +615,15 @@ class BatchMatcher:
         )
 
     def cache_counters(self) -> dict:
-        """Aggregated hit/miss counters over every matcher built so far."""
+        """Fleet hit/miss/eviction totals per cache, from the merged registries."""
         total: dict[str, dict[str, int]] = {}
-        with self._workers_lock:
-            matchers = [self._sequential, *self._workers]
-        for matcher in matchers:
-            for name, counters in matcher.caches.counters().items():
+        for (name, labels), value in self.metrics_snapshot().counters.items():
+            if name.startswith("repro_cache_"):
                 bucket = total.setdefault(
-                    name, {"hits": 0, "misses": 0, "evictions": 0}
+                    dict(labels).get("cache", ""),
+                    {"hits": 0, "misses": 0, "evictions": 0},
                 )
-                bucket["hits"] += counters["hits"]
-                bucket["misses"] += counters["misses"]
-                bucket["evictions"] += counters["evictions"]
+                bucket[name.removeprefix("repro_cache_").removesuffix("_total")] = value
         for bucket in total.values():
             lookups = bucket["hits"] + bucket["misses"]
             bucket["hit_rate"] = bucket["hits"] / lookups if lookups else 0.0

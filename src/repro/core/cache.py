@@ -1,28 +1,28 @@
-"""Cross-query caches for the fuzzy-match hot path.
+"""The matcher's one cross-query cache, and the memo idiom for the rest.
 
-The matcher's per-query work has three components that repeat massively
-across a batch of dirty input tuples (that is what IDF weighting says:
-most tokens are frequent ones):
+A query derives three kinds of value that repeat across queries, and each
+is remembered exactly once, where its cost is:
 
-- tokenizing fetched reference tuples (``tid -> TupleTokens``) — the same
-  candidates come back query after query;
-- IDF weight lookups (``(column, token) -> float``) — every fms evaluation
-  re-weighs the same tokens;
-- min-hash signature expansion (``token -> signature entries``) — dirty
-  batches share almost all of their tokens.
+- tokenized reference tuples (``tid -> (TupleTokens, values)``) save a
+  B+-tree fetch, a row decode and a tokenization per candidate — the one
+  memo that measurably pays, so it is the one real cache:
+  :class:`MatcherCaches` holds it as a bounded, counted :class:`LRUCache`;
+- min-hash signatures are memoized by :class:`repro.core.minhash.MinHasher`
+  itself (one hasher serves every worker of an engine);
+- token weights need no memo in front of the §4.4.1 frequency caches —
+  those *are* main-memory hash tables — and the one provider whose
+  ``weight`` costs an index lookup
+  (:class:`repro.eti.weights.EtiWeightProvider`) memoizes itself.
 
-PASS-JOIN and ApproxJoin get their throughput by amortizing exactly this
-per-string preprocessing across a workload; :class:`MatcherCaches` is the
-same idea for the online ETL loop of Figure 1.  All caches are bounded
-LRU, thread-safe (the parallel batch engine shares nothing *mutable*
-except these), and every one counts hits/misses/evictions so the win is
-measured, not asserted — the counters surface per query in
-:class:`repro.core.matcher.MatchStats` and in ``BENCH_batch.json``.
+The per-token memos (and the edit-distance memos of
+:mod:`repro.core.strings`) are :class:`BoundedMemo` dicts: read with a
+plain ``dict.get``, emptied when full.  PASS-JOIN and ApproxJoin get their
+throughput by amortizing per-string preprocessing once, where it is paid,
+not in layers.
 
-Cached values are keyed on content that is fixed for one matcher (its
-config, hasher, and weight provider).  Do **not** share one
-:class:`MatcherCaches` between matchers with different configurations;
-give each its own bundle (the default).
+The reference cache is keyed on content fixed for one matcher's reference
+relation.  Do **not** share one :class:`MatcherCaches` between matchers
+over different relations; give each its own bundle (the default).
 """
 
 from __future__ import annotations
@@ -35,93 +35,46 @@ from repro.obs.registry import MetricsRegistry
 
 _MISSING = object()
 
-# Default capacities: sized for the paper's evaluation scale (a couple of
-# million reference tuples, batches of thousands of dirty inputs) while
-# staying bounded.  Entries are small (token strings, weight floats,
-# tokenized tuples), so even the largest default is a few tens of MB.
+# Sized for the paper's evaluation scale (a couple of million reference
+# tuples, batches of thousands of dirty inputs) while staying bounded:
+# entries are tokenized tuples, a few tens of MB at the cap.
 DEFAULT_REFERENCE_CAPACITY = 65_536
-DEFAULT_WEIGHT_CAPACITY = 262_144
-DEFAULT_SIGNATURE_CAPACITY = 131_072
+
+#: Entries a :class:`BoundedMemo` holds before it is emptied.  The hot
+#: token vocabulary is far smaller, so in practice a memo never cycles; the
+#: cap only keeps a long-lived process (one hasher serves every worker of
+#: ``repro serve``) from growing with every distinct dirty token it has seen.
+MEMO_CAPACITY = 200_000
 
 
-class CacheStats:
-    """Hit/miss/eviction counters for one cache — a registry view.
+class BoundedMemo(dict):
+    """A dict memo that is simply emptied when it reaches ``capacity``.
 
-    The counts live in ``repro_cache_{hits,misses,evictions}_total``
-    series of a :class:`~repro.obs.registry.MetricsRegistry`, labelled
-    by cache name; this class is the read/write facade the cache uses,
-    so per-cache numbers and aggregate exposition read the same cells.
-    Without an explicit registry each instance gets a private one,
-    preserving the old standalone-counter behaviour.
-
-    The backing counters are relaxed (lockless): the cache only
-    increments them under its own LRU lock, and the pre-registry
-    dataclass had exactly the same unlocked-read semantics.
+    For values derived from input tokens (signatures, weights, edit
+    distances).  Reads are ordinary dict reads; every write goes through
+    :meth:`store`.  Memo policy never affects values.
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        cache_name: str = "",
-    ) -> None:
-        if registry is None:
-            registry = MetricsRegistry()
-        labels = {"cache": cache_name} if cache_name else None
-        self._hits = registry.counter(
-            "repro_cache_hits_total", labels, relaxed=True
-        )
-        self._misses = registry.counter(
-            "repro_cache_misses_total", labels, relaxed=True
-        )
-        self._evictions = registry.counter(
-            "repro_cache_evictions_total", labels, relaxed=True
-        )
+    def __init__(self, capacity: int = MEMO_CAPACITY) -> None:
+        super().__init__()
+        self.capacity = capacity
 
-    @property
-    def hits(self) -> int:
-        """Lookups served from the cache."""
-        return self._hits.value()
-
-    @property
-    def misses(self) -> int:
-        """Lookups that fell through to a compute."""
-        return self._misses.value()
-
-    @property
-    def evictions(self) -> int:
-        """Entries dropped to stay within capacity."""
-        return self._evictions.value()
-
-    def record_hit(self) -> None:
-        """Count one cache hit."""
-        self._hits.inc()
-
-    def record_miss(self) -> None:
-        """Count one cache miss."""
-        self._misses.inc()
-
-    def record_eviction(self) -> None:
-        """Count one LRU eviction."""
-        self._evictions.inc()
-
-    @property
-    def lookups(self) -> int:
-        """Hits plus misses."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups; 0.0 before the first lookup."""
-        total = self.lookups
-        return self.hits / total if total else 0.0
-
-    def snapshot(self) -> tuple[int, int]:
-        """``(hits, misses)`` at this instant, for per-query deltas."""
-        return (self.hits, self.misses)
+    def store(self, key: Hashable, value: Any) -> None:
+        """Set ``key -> value``, emptying the memo first when it is full."""
+        if len(self) >= self.capacity:
+            self.clear()
+        self[key] = value
 
 
 class LRUCache:
     """A bounded, thread-safe LRU map with hit/miss/eviction accounting.
+
+    The counts are the ``repro_cache_{hits,misses,evictions}_total``
+    series of a :class:`~repro.obs.registry.MetricsRegistry` (a private
+    one when none is given), labelled by cache name, so per-cache numbers
+    and aggregate exposition read the same cells.  The counters are
+    relaxed (lockless); the cache only increments them under its own lock
+    or on the disabled path, where exact counts under races do not matter.
 
     ``capacity=0`` disables the cache: every lookup misses and nothing is
     stored, which is how the "seed" (uncached) behaviour is reproduced for
@@ -144,7 +97,14 @@ class LRUCache:
             raise ValueError("cache capacity must be >= 0")
         self.capacity = capacity
         self.name = name
-        self.stats = CacheStats(registry, name)
+        if registry is None:
+            registry = MetricsRegistry()
+        labels = {"cache": name} if name else None
+        self.hits = registry.counter("repro_cache_hits_total", labels, relaxed=True)
+        self.misses = registry.counter("repro_cache_misses_total", labels, relaxed=True)
+        self.evictions = registry.counter(
+            "repro_cache_evictions_total", labels, relaxed=True
+        )
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = make_lock("LRUCache._lock")
 
@@ -163,15 +123,15 @@ class LRUCache:
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Look up ``key``, counting a hit or miss."""
         if not self.enabled:
-            self.stats.record_miss()
+            self.misses.inc()
             return default
         with self._lock:
             value = self._data.get(key, _MISSING)
             if value is _MISSING:
-                self.stats.record_miss()
+                self.misses.inc()
                 return default
             self._data.move_to_end(key)
-            self.stats.record_hit()
+            self.hits.inc()
             return value
 
     def put(self, key: Hashable, value: Any) -> None:
@@ -186,20 +146,20 @@ class LRUCache:
             self._data[key] = value
             if len(self._data) > self.capacity:
                 self._data.popitem(last=False)
-                self.stats.record_eviction()
+                self.evictions.inc()
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
         """Return the cached value, computing and storing it on a miss."""
         if not self.enabled:
-            self.stats.record_miss()
+            self.misses.inc()
             return compute()
         with self._lock:
             value = self._data.get(key, _MISSING)
             if value is not _MISSING:
                 self._data.move_to_end(key)
-                self.stats.record_hit()
+                self.hits.inc()
                 return value
-            self.stats.record_miss()
+            self.misses.inc()
         value = compute()
         self.put(key, value)
         return value
@@ -211,113 +171,58 @@ class LRUCache:
 
 
 class MatcherCaches:
-    """The bundle of cross-query caches one :class:`FuzzyMatcher` uses.
+    """The cross-query cache one :class:`FuzzyMatcher` uses, and its registry.
 
-    - ``reference_tokens``: ``tid -> (TupleTokens, values)`` for fetched
-      reference tuples, shared by candidate verification and the naive
-      scan.
-    - ``token_weights``: ``(column, token) -> weight`` memo in front of
-      the weight provider (see :class:`CachingWeightFunction`).
-    - ``signatures``: ``token -> signature entries`` memo in front of
-      :func:`repro.eti.signature.signature_entries`.
+    ``reference_tokens`` maps ``tid -> (TupleTokens, values)`` for fetched
+    reference tuples, shared by candidate verification and the naive scan.
 
     Every bundle owns (or is handed) one
-    :class:`~repro.obs.registry.MetricsRegistry`; its three caches
-    write their counters there, labelled by cache name, and the
-    matcher publishes its per-query metrics to the same registry.
-    Per-bundle registries keep absolute counts meaningful (one bundle
-    per matcher) while fleet totals come from snapshot merging — see
-    ``BatchMatcher.metrics_snapshot``.
+    :class:`~repro.obs.registry.MetricsRegistry`; the cache writes its
+    counters there, labelled by cache name, and the matcher publishes its
+    per-query metrics to the same registry.  Per-bundle registries keep
+    absolute counts meaningful (one bundle per matcher) while fleet totals
+    come from snapshot merging — see ``BatchMatcher.metrics_snapshot``.
     """
 
     def __init__(
         self,
         reference_capacity: int = DEFAULT_REFERENCE_CAPACITY,
-        weight_capacity: int = DEFAULT_WEIGHT_CAPACITY,
-        signature_capacity: int = DEFAULT_SIGNATURE_CAPACITY,
         registry: MetricsRegistry | None = None,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.reference_tokens = LRUCache(
             reference_capacity, "reference_tokens", self.registry
         )
-        self.token_weights = LRUCache(
-            weight_capacity, "token_weights", self.registry
-        )
-        self.signatures = LRUCache(
-            signature_capacity, "signatures", self.registry
-        )
 
     @classmethod
     def disabled(cls) -> "MatcherCaches":
-        """A bundle with every cache off — the seed (uncached) behaviour."""
-        return cls(0, 0, 0)
+        """A bundle with the cache off — the seed (uncached) behaviour."""
+        return cls(0)
 
     @property
     def enabled(self) -> bool:
-        return any(cache.enabled for cache in self.all_caches())
-
-    def all_caches(self) -> tuple[LRUCache, ...]:
-        """The three caches, in counter order."""
-        return (self.reference_tokens, self.token_weights, self.signatures)
+        return self.reference_tokens.enabled
 
     def counters(self) -> dict[str, dict[str, int | float]]:
-        """Per-cache hit/miss/eviction counters plus hit rate."""
+        """Hit/miss/eviction counters, hit rate and entry count, by cache name."""
+        cache = self.reference_tokens
+        hits, misses = self.snapshot()
+        lookups = hits + misses
         return {
             cache.name: {
-                "hits": cache.stats.hits,
-                "misses": cache.stats.misses,
-                "evictions": cache.stats.evictions,
-                "hit_rate": cache.stats.hit_rate,
+                "hits": hits,
+                "misses": misses,
+                "evictions": cache.evictions.value(),
+                "hit_rate": hits / lookups if lookups else 0.0,
                 "entries": len(cache),
             }
-            for cache in self.all_caches()
         }
 
-    def snapshot(self) -> tuple[tuple[int, int], ...]:
-        """Per-cache ``(hits, misses)`` tuples, for per-query deltas."""
-        return tuple(cache.stats.snapshot() for cache in self.all_caches())
+    def snapshot(self) -> tuple[int, int]:
+        """``(hits, misses)`` at this instant, for per-query deltas."""
+        cache = self.reference_tokens
+        return (cache.hits.value(), cache.misses.value())
 
     def clear(self) -> None:
-        """Drop every entry from every cache."""
-        for cache in self.all_caches():
-            cache.clear()
-
-
-class CachingWeightFunction:
-    """A :class:`~repro.core.weights.WeightFunction` memoizing ``weight``.
-
-    Wraps any weight provider with the shared ``token_weights`` LRU.  The
-    wrapper watches the provider's ``version`` attribute (bumped by the
-    frequency caches on every mutation — see
-    :class:`repro.core.weights.TokenFrequencyCache`) and clears the memo
-    whenever it changes, so incrementally-maintained weights stay exact.
-    Providers without a ``version`` attribute are assumed immutable.
-    """
-
-    def __init__(self, base: Any, cache: LRUCache) -> None:
-        self._base = base
-        self._cache = cache
-        self._seen_version = getattr(base, "version", None)
-
-    @property
-    def base(self) -> Any:
-        """The wrapped weight provider."""
-        return self._base
-
-    def _check_version(self) -> None:
-        version = getattr(self._base, "version", None)
-        if version != self._seen_version:
-            self._cache.clear()
-            self._seen_version = version
-
-    def weight(self, token: str, column: int) -> float:
-        """``w(t, i)`` served from the memo (computed once per token)."""
-        self._check_version()
-        return self._cache.get_or_compute(
-            (column, token), lambda: self._base.weight(token, column)
-        )
-
-    def frequency(self, token: str, column: int) -> int:
-        """``freq(t, i)``, delegated uncached (cold path)."""
-        return self._base.frequency(token, column)
+        """Drop every cached entry."""
+        self.reference_tokens.clear()

@@ -27,7 +27,7 @@ import time
 from typing import TYPE_CHECKING, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 
-from repro.core.cache import CachingWeightFunction, MatcherCaches
+from repro.core.cache import MatcherCaches
 from repro.core.candidates import ScoreTable
 from repro.core.config import MatchConfig
 from repro.core.fms import fms, fms_budgeted, input_tuple_weight
@@ -49,7 +49,7 @@ from repro.core.tokens import TupleTokens
 from repro.core.weights import WeightFunction
 from repro.db.errors import DatabaseError, RecordNotFoundError
 from repro.eti.index import EtiIndex
-from repro.eti.signature import signature_entries_cached
+from repro.eti.signature import signature_entries
 from repro.obs.tracing import trace_span
 
 if TYPE_CHECKING:
@@ -71,9 +71,9 @@ class MatchStats:
 
     ``candidates_fetched`` counts *logical* candidate fetches (one per
     distinct tid verified by the query), matching the paper's Figure 8
-    metric regardless of caching; the per-cache hit/miss counters below
-    say how many of this query's cache lookups were served from the
-    cross-query caches instead of recomputed.
+    metric regardless of caching; ``reference_cache_hits``/``_misses``
+    say how many of them the cross-query reference-tuple cache served
+    instead of a B+-tree fetch.
     """
 
     strategy: str = ""
@@ -92,6 +92,8 @@ class MatchStats:
     elapsed_seconds: float = 0.0
     reference_cache_hits: int = 0
     reference_cache_misses: int = 0
+    # Always 0 (no cache fronts weights or signatures); kept only because the
+    # frozen perf ledger, benchmarks/ledger/workloads.py, reads them by name.
     weight_cache_hits: int = 0
     weight_cache_misses: int = 0
     signature_cache_hits: int = 0
@@ -232,8 +234,8 @@ class FuzzyMatcher:
         Cross-query caches (:class:`~repro.core.cache.MatcherCaches`).
         Defaults to a fresh enabled bundle; pass
         ``MatcherCaches.disabled()`` for the uncached (seed) behaviour.
-        Caching never changes results — only how often tokenization,
-        weight lookups, and signature expansion are recomputed.
+        Caching never changes results — only how often a reference
+        tuple is fetched and tokenized again.
     resilience:
         Optional :class:`~repro.core.resilience.ResiliencePolicy`.  When
         set, queries run under its budget (degrading instead of stalling),
@@ -265,13 +267,6 @@ class FuzzyMatcher:
         )
         self.caches = caches if caches is not None else MatcherCaches()
         self.resilience = resilience
-        # The memoized weight view used on every hot path (fms, token
-        # weighing); ``self.weights`` stays the raw provider.
-        self._weights: WeightFunction = (
-            CachingWeightFunction(weights, self.caches.token_weights)
-            if self.caches.token_weights.enabled
-            else weights
-        )
         self._reference_version = reference_version(reference)
         # Per-query metrics live in the cache bundle's registry, so one
         # snapshot carries a matcher's full telemetry (cache counters
@@ -407,7 +402,9 @@ class FuzzyMatcher:
                     if circuit_skipped
                     else f"fallback:{type(last_error).__name__}"
                 )
-        self._record_cache_deltas(result.stats, counters_before)
+        hits, misses = self.caches.snapshot()
+        result.stats.reference_cache_hits = hits - counters_before[0]
+        result.stats.reference_cache_misses = misses - counters_before[1]
         wal = self._pool().wal
         if wal is not None:
             result.stats.wal_tail_pages = wal.tail_pages
@@ -487,11 +484,9 @@ class FuzzyMatcher:
 
         The batch engine behind the ETL-style usage of Figure 1: identical
         input tuples are matched once and their results replicated
-        (``stats.deduplicated`` marks the copies), and the cross-query
-        caches are warmed batch-wide before querying, so repeated tokens —
-        the common case in a dirty feed — are tokenized, weighed, and
-        min-hashed once for the whole batch.  Results are returned in
-        input order and are identical to calling :meth:`match` per tuple.
+        (``stats.deduplicated`` marks the copies).  Results are returned
+        in input order and are identical to calling :meth:`match` per
+        tuple.
 
         With ``fail_fast=False`` a :class:`DatabaseError` on one tuple is
         isolated into that tuple's result (``result.error`` set, no
@@ -499,8 +494,7 @@ class FuzzyMatcher:
         (bad arity, unknown strategy) always raise.
         """
         batch = list(batch)
-        groups, keys = group_duplicates(batch)
-        self._warm_batch(groups, strategy)
+        _, keys = group_duplicates(batch)
 
         results: list[MatchResult | None] = [None] * len(batch)
         computed: dict[tuple, MatchResult] = {}
@@ -524,47 +518,6 @@ class FuzzyMatcher:
                 computed[key] = result
             results[index] = result
         return results
-
-    def _warm_batch(self, groups: dict[tuple, list[int]], strategy: str | None) -> None:
-        """Pre-populate the weight and signature caches for a whole batch.
-
-        Touches every distinct (token, column) of the batch once, so the
-        per-query loops below run almost entirely on cache hits.  A no-op
-        when caching is disabled.
-        """
-        if not self.caches.enabled or len(self.reference.column_names) == 0:
-            return
-        if strategy is None:
-            strategy = "osc" if self.config.use_osc else "basic"
-        warm_signatures = (
-            strategy != "naive"
-            and self.eti is not None
-            and self.caches.signatures.enabled
-        )
-        seen: set[tuple[int, str]] = set()
-        for key in groups:
-            if len(key) != self.reference.num_columns:
-                continue  # match() raises per-tuple; don't raise while warming
-            for token, column in TupleTokens.from_values(key).all_tokens():
-                if (column, token) in seen:
-                    continue
-                seen.add((column, token))
-                self._weights.weight(token, column)
-                if warm_signatures:
-                    signature_entries_cached(
-                        token, self.hasher, self.config, self.caches.signatures
-                    )
-
-    def _record_cache_deltas(
-        self, stats: MatchStats, before: tuple[tuple[int, int], ...]
-    ) -> None:
-        reference, weights, signatures = self.caches.snapshot()
-        stats.reference_cache_hits = reference[0] - before[0][0]
-        stats.reference_cache_misses = reference[1] - before[0][1]
-        stats.weight_cache_hits = weights[0] - before[1][0]
-        stats.weight_cache_misses = weights[1] - before[1][1]
-        stats.signature_cache_hits = signatures[0] - before[2][0]
-        stats.signature_cache_misses = signatures[1] - before[2][1]
 
     def _reference_tokens(
         self, tid: int, values: tuple | None = None
@@ -604,7 +557,7 @@ class FuzzyMatcher:
         result = MatchResult()
         stats = result.stats
         input_tokens = TupleTokens.from_values(values)
-        u_weight = input_tuple_weight(input_tokens, self._weights, self.config)
+        u_weight = input_tuple_weight(input_tokens, self.weights, self.config)
 
         # Bounded top-K selection: a size-K min-heap on (similarity, -tid)
         # whose root is the weakest kept match — O(N log K) instead of
@@ -626,7 +579,7 @@ class FuzzyMatcher:
                 similarity = fms(
                     input_tokens,
                     reference_tokens,
-                    self._weights,
+                    self.weights,
                     self.config,
                     u_weight=u_weight,
                 )
@@ -700,7 +653,7 @@ class FuzzyMatcher:
         column_weights = config.normalized_column_weights(tokens.num_columns)
         with trace_span("matcher.signature_build") as span:
             weighted = [
-                (token, column, self._weights.weight(token, column) * column_weights[column])
+                (token, column, self.weights.weight(token, column) * column_weights[column])
                 for token, column in tokens.all_tokens()
             ]
             input_weight = sum(weight for _, _, weight in weighted)
@@ -711,9 +664,7 @@ class FuzzyMatcher:
             entries = [
                 (weight * entry.weight_fraction, entry.coordinate, entry.gram, column)
                 for token, column, weight in weighted
-                for entry in signature_entries_cached(
-                    token, self.hasher, config, self.caches.signatures
-                )
+                for entry in signature_entries(token, self.hasher, config)
             ]
             if use_osc:
                 entries.sort(key=lambda e: -e[0])
@@ -934,7 +885,7 @@ class FuzzyMatcher:
         similarity, pruned = fms_budgeted(
             query.tokens,
             reference_tokens,
-            self._weights,
+            self.weights,
             self.config,
             u_weight=query.weight,
             cost_budget=cost_budget,

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import hashlib
 
+from repro.core.cache import BoundedMemo
+
 
 class MinHasher:
     """Deterministic min-hash signature generator.
@@ -48,7 +50,7 @@ class MinHasher:
         # Per-instance memo: token -> signature.  Tokens repeat massively
         # across reference tuples ('seattle', 'wa', ...), so this is the
         # difference between O(tokens) and O(distinct tokens) hashing work.
-        self._memo: dict[str, tuple[str, ...]] = {}
+        self._memo = BoundedMemo()
 
     def _hash(self, key: bytes, gram: str) -> int:
         digest = hashlib.blake2b(
@@ -83,7 +85,7 @@ class MinHasher:
                 min(grams, key=lambda g, k=key: self._hash(k, g))
                 for key in self._keys
             )
-        self._memo[token] = signature
+        self._memo.store(token, signature)
         return signature
 
     def signature_length(self, token: str) -> int:

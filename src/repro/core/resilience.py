@@ -125,12 +125,6 @@ class Deadline:
         """Has the instant passed?"""
         return self._clock() >= self.at
 
-    def earliest(self, other: "Deadline | None") -> "Deadline":
-        """The tighter of two deadlines (``other=None`` means unlimited)."""
-        if other is None or self.at <= other.at:
-            return self
-        return other
-
     def __repr__(self) -> str:
         return f"Deadline(at={self.at:.6f}, remaining={self.remaining():.6f})"
 
@@ -227,15 +221,6 @@ class BudgetMeter:
             if budget.max_page_fetches is None or self._pool_stats is None
             else self._reads_at_start + budget.max_page_fetches
         )
-
-    @property
-    def elapsed(self) -> float:
-        return time.monotonic() - self._started
-
-    @property
-    def deadline(self) -> Deadline | None:
-        """The absolute instant this query must stop at (``None`` = no cap)."""
-        return self._deadline
 
     @property
     def page_fetches(self) -> int:

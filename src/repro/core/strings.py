@@ -22,22 +22,17 @@ from __future__ import annotations
 
 import math
 
+from repro.core.cache import BoundedMemo
 from repro.core.kernels import MYERS_MIN_PATTERN, bounded_distance, classic_distance, myers_distance
-
-#: Bound on the exact and lower-bound memo sizes.  When a memo fills up it
-#: is simply cleared — the hot-path token vocabulary is far smaller than
-#: this, so in practice the memos never cycle; the cap only guards
-#: pathological adversarial workloads.  Cache policy never affects values.
-ED_CACHE_CAPACITY = 200_000
 
 # token-pair -> exact normalized distance (keys are canonically ordered).
 # Exposed read-only as ``exact_distance_memo`` so the fms DP's inner loop
 # can probe it with a single dict lookup; all writes happen here.
-_ED_CACHE: dict[tuple[str, str], float] = {}
+_ED_CACHE = BoundedMemo()
 exact_distance_memo = _ED_CACHE
 # token-pair -> best *raw* lower bound proven so far by a thresholded call
 # that gave up before reaching the exact distance.
-_ED_LB_CACHE: dict[tuple[str, str], int] = {}
+_ED_LB_CACHE = BoundedMemo()
 
 
 def edit_distance_raw(s1: str, s2: str) -> int:
@@ -91,9 +86,7 @@ def cached_edit_distance(s1: str, s2: str) -> float:
     if value is not None:
         return value
     value = edit_distance(s1, s2)
-    if len(_ED_CACHE) >= ED_CACHE_CAPACITY:
-        _ED_CACHE.clear()
-    _ED_CACHE[key] = value
+    _ED_CACHE.store(key, value)
     return value
 
 
@@ -136,14 +129,10 @@ def bounded_edit_distance(s1: str, s2: str, cutoff: float) -> tuple[float, bool]
     raw = bounded_distance(s1, s2, limit)
     if raw <= limit:
         value = raw / longest
-        if len(_ED_CACHE) >= ED_CACHE_CAPACITY:
-            _ED_CACHE.clear()
-        _ED_CACHE[key] = value
+        _ED_CACHE.store(key, value)
         return (value, True)
     if known is None or raw > known:
-        if len(_ED_LB_CACHE) >= ED_CACHE_CAPACITY:
-            _ED_LB_CACHE.clear()
-        _ED_LB_CACHE[key] = raw
+        _ED_LB_CACHE.store(key, raw)
     return (raw / longest, False)
 
 

@@ -48,10 +48,6 @@ class _BaseFrequencyCache:
         self._column_totals = [0.0] * num_columns
         self._column_counts = [0] * num_columns
         self._column_averages: list[float] | None = None
-        #: Bumped on every mutation; memo layers in front of ``weight``
-        #: (:class:`repro.core.cache.CachingWeightFunction`) watch this to
-        #: invalidate themselves when frequencies change.
-        self.version = 0
 
     # -- subclass hooks --------------------------------------------------
 
@@ -102,7 +98,6 @@ class _BaseFrequencyCache:
         self._column_totals[column] += self.idf(frequency)
         self._column_counts[column] += 1
         self._column_averages = None
-        self.version += 1
 
 
 class TokenFrequencyCache(_BaseFrequencyCache):
@@ -154,7 +149,6 @@ class TokenFrequencyCache(_BaseFrequencyCache):
             key = (column, token)
             self._frequencies[key] = self._frequencies.get(key, 0) + 1
         self._column_averages = None
-        self.version += 1
 
     def remove_tuple(self, values: Sequence[str | None]) -> None:
         """Account for one reference tuple being deleted."""
@@ -172,7 +166,6 @@ class TokenFrequencyCache(_BaseFrequencyCache):
             else:
                 self._frequencies[key] = current - 1
         self._column_averages = None
-        self.version += 1
 
     def set_frequency(self, token: str, column: int, frequency: int) -> None:
         """Record one token's frequency (each entry set exactly once)."""

@@ -20,13 +20,9 @@ query processing, which is what makes lookups find what the builder wrote.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.core.config import MatchConfig, SignatureScheme
 from repro.core.minhash import MinHasher
-
-if TYPE_CHECKING:
-    from repro.core.cache import LRUCache
 
 TOKEN_COORDINATE = 0
 
@@ -69,22 +65,3 @@ def signature_entries(
             for i, gram in enumerate(signature)
         )
     return tuple(entries)
-
-
-def signature_entries_cached(
-    token: str, hasher: MinHasher, config: MatchConfig, cache: "LRUCache | None"
-) -> tuple[SignatureEntry, ...]:
-    """:func:`signature_entries` memoized through a shared per-token cache.
-
-    ``cache`` is an :class:`repro.core.cache.LRUCache` (or None to bypass).
-    Input tokens repeat massively across a dirty batch, so the expansion —
-    min-hashing plus entry construction — is paid once per distinct token
-    per matcher.  The cache key is the token alone: one cache must only
-    ever serve matchers sharing a (hasher, config) pair, which
-    :class:`repro.core.cache.MatcherCaches` guarantees by being per-matcher.
-    """
-    if cache is None:
-        return signature_entries(token, hasher, config)
-    return cache.get_or_compute(
-        token, lambda: signature_entries(token, hasher, config)
-    )

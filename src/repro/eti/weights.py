@@ -9,14 +9,18 @@ index lookup per token — no separate main-memory token-frequency cache.
 This trades the cache's memory for a lookup per weight request (which the
 paper flags as the slower option); it exists so deployments with tight
 memory, or those wanting a single persisted artifact, can run without the
-cache.  Column-average weights for unseen tokens are computed lazily from
-one scan over the ETI's coordinate-0 rows and then memoized.
+cache.  fms asks for a weight per token pair, so ``weight`` answers repeats
+from a bounded memo; like ``num_tuples`` and the column averages it is
+fixed for the provider's lifetime, so build a new provider after ETI
+maintenance.  Column-average weights for unseen tokens are computed lazily
+from one scan over the ETI's coordinate-0 rows.
 """
 
 from __future__ import annotations
 
 import math
 
+from repro.core.cache import BoundedMemo
 from repro.eti.index import EtiIndex
 from repro.eti.signature import TOKEN_COORDINATE
 
@@ -36,6 +40,7 @@ class EtiWeightProvider:
         self.num_tuples = num_tuples
         self.num_columns = num_columns
         self._averages: list[float] | None = None
+        self._memo = BoundedMemo()
         if not self._has_token_rows():
             raise ValueError(
                 "the ETI has no coordinate-0 token rows; build it with the "
@@ -54,10 +59,17 @@ class EtiWeightProvider:
 
     def weight(self, token: str, column: int) -> float:
         """``w(t, i)``: IDF if present, column-average otherwise."""
-        freq = self.frequency(token, column)
-        if freq > 0:
-            return math.log(self.num_tuples / freq)
-        return self._column_average(column)
+        key = (column, token)
+        weight = self._memo.get(key)
+        if weight is None:
+            freq = self.frequency(token, column)
+            weight = (
+                math.log(self.num_tuples / freq)
+                if freq > 0
+                else self._column_average(column)
+            )
+            self._memo.store(key, weight)
+        return weight
 
     def _column_average(self, column: int) -> float:
         if self._averages is None:

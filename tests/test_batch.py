@@ -90,7 +90,8 @@ class TestBatchMatcherParallel:
         assert report.unique_queries == len(set(batch))
         assert report.deduplicated_queries == len(batch) - len(set(batch))
         assert report.queries_per_second > 0
-        assert report.cache_counters["token_weights"]["hits"] > 0
+        assert set(report.cache_counters) == {"reference_tokens"}
+        assert report.cache_counters["reference_tokens"]["hits"] > 0
 
     def test_per_query_stats_do_not_race(self, world):
         """Each worker owns its ETI-lookup counter, so per-query stats

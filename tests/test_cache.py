@@ -1,11 +1,11 @@
-"""The cross-query cache layer: LRU mechanics, counters, and parity.
+"""The cross-query cache and the per-token memos: mechanics, bounds, parity.
 
-The contract under test is twofold: the caches must behave like caches
-(bounded, LRU eviction, accurate hit/miss/eviction accounting), and they
-must be *invisible* in results — a cached matcher returns bit-identical
-``Match`` lists to an uncached one on the synthetic error-injected
-dataset, across every strategy, including after reference and weight
-mutations (version-based invalidation).
+The contract under test is twofold: the cache must behave like a cache
+(bounded, LRU eviction, accurate hit/miss/eviction accounting) and every
+per-token memo must stay under its cap, and both must be *invisible* in
+results — a cached matcher returns bit-identical ``Match`` lists to an
+uncached one on the synthetic error-injected dataset, across every
+strategy, including after reference and weight mutations.
 """
 
 import threading
@@ -14,19 +14,17 @@ import time
 import pytest
 
 from repro.core.batch import BatchMatcher
-from repro.core.cache import (
-    CachingWeightFunction,
-    LRUCache,
-    MatcherCaches,
-)
-from repro.core.config import MatchConfig
+from repro.core.cache import BoundedMemo, LRUCache, MatcherCaches
+from repro.core.config import MatchConfig, SignatureScheme
 from repro.core.matcher import FuzzyMatcher
+from repro.core.minhash import MinHasher
 from repro.core.reference import ReferenceTable
 from repro.core.weights import build_frequency_cache
 from repro.data.datasets import DatasetSpec, make_dataset
 from repro.data.generator import CUSTOMER_COLUMNS, generate_customers
 from repro.db.database import Database
 from repro.eti.builder import build_eti
+from repro.eti.weights import EtiWeightProvider
 
 
 class TestLRUCache:
@@ -42,10 +40,8 @@ class TestLRUCache:
         cache.put("a", 1)
         cache.get("a")
         cache.get("a")
-        assert cache.stats.misses == 1
-        assert cache.stats.hits == 2
-        assert cache.stats.lookups == 3
-        assert cache.stats.hit_rate == pytest.approx(2 / 3)
+        assert cache.misses.value() == 1
+        assert cache.hits.value() == 2
 
     def test_evicts_least_recently_used(self):
         cache = LRUCache(2)
@@ -56,7 +52,7 @@ class TestLRUCache:
         assert "a" in cache
         assert "b" not in cache
         assert "c" in cache
-        assert cache.stats.evictions == 1
+        assert cache.evictions.value() == 1
         assert len(cache) == 2
 
     def test_capacity_is_a_hard_bound(self):
@@ -64,7 +60,7 @@ class TestLRUCache:
         for i in range(100):
             cache.put(i, i)
         assert len(cache) == 8
-        assert cache.stats.evictions == 92
+        assert cache.evictions.value() == 92
 
     def test_get_or_compute_computes_once(self):
         cache = LRUCache(4)
@@ -73,8 +69,8 @@ class TestLRUCache:
             value = cache.get_or_compute("k", lambda: calls.append(1) or 42)
             assert value == 42
         assert len(calls) == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.hits == 2
+        assert cache.misses.value() == 1
+        assert cache.hits.value() == 2
 
     def test_compute_error_caches_nothing(self):
         cache = LRUCache(4)
@@ -96,8 +92,8 @@ class TestLRUCache:
         for _ in range(2):
             cache.get_or_compute("a", lambda: calls.append(1) or 5)
         assert len(calls) == 2  # recomputed every time
-        assert cache.stats.hits == 0
-        assert cache.stats.misses == 3
+        assert cache.hits.value() == 0
+        assert cache.misses.value() == 3
 
     def test_clear_keeps_counters(self):
         cache = LRUCache(4)
@@ -105,7 +101,7 @@ class TestLRUCache:
         cache.get("a")
         cache.clear()
         assert len(cache) == 0
-        assert cache.stats.hits == 1
+        assert cache.hits.value() == 1
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -116,34 +112,74 @@ class TestMatcherCaches:
     def test_disabled_bundle(self):
         caches = MatcherCaches.disabled()
         assert not caches.enabled
-        assert all(not cache.enabled for cache in caches.all_caches())
+        assert not caches.reference_tokens.enabled
 
     def test_counters_shape(self):
         caches = MatcherCaches()
-        counters = caches.counters()
-        assert set(counters) == {"reference_tokens", "token_weights", "signatures"}
-        for bucket in counters.values():
-            assert {"hits", "misses", "evictions", "hit_rate", "entries"} <= set(
-                bucket
-            )
+        caches.reference_tokens.get_or_compute(1, lambda: "row")
+        caches.reference_tokens.get_or_compute(1, lambda: "row")
+        assert caches.snapshot() == (1, 1)
+        assert caches.counters() == {
+            "reference_tokens": {
+                "hits": 1,
+                "misses": 1,
+                "evictions": 0,
+                "hit_rate": 0.5,
+                "entries": 1,
+            }
+        }
 
 
-class TestCachingWeightFunction:
-    def test_parity_with_base(self, org_weights):
-        cached = CachingWeightFunction(org_weights, LRUCache(128))
-        for token, column in [("boeing", 0), ("seattle", 1), ("unseen", 0)]:
-            assert cached.weight(token, column) == org_weights.weight(token, column)
-            assert cached.frequency(token, column) == org_weights.frequency(
-                token, column
-            )
+class TestBoundedMemos:
+    """Every dict keyed by an input token stays under its cap."""
 
-    def test_invalidates_on_weight_mutation(self, org_weights):
-        cached = CachingWeightFunction(org_weights, LRUCache(128))
-        before = cached.weight("boeing", 0)
-        org_weights.add_tuple(("Boeing Blimps", "Everett", "WA", "98201"))
-        after = cached.weight("boeing", 0)
-        assert after == org_weights.weight("boeing", 0)
-        assert after != before  # |R| and freq(boeing) both moved
+    CAP = 32
+
+    def test_memo_clears_when_full(self):
+        memo = BoundedMemo(3)
+        for key in "abc":
+            memo.store(key, key.upper())
+        assert dict(memo) == {"a": "A", "b": "B", "c": "C"}
+        memo.store("d", "D")
+        assert dict(memo) == {"d": "D"}
+
+    def test_hasher_memo_is_bounded_and_rollover_keeps_signatures(self):
+        hasher = MinHasher(q=3, num_hashes=2)
+        hasher._memo.capacity = self.CAP
+        tokens = [f"corporation{i:04d}" for i in range(self.CAP + 17)]
+        before = [hasher.signature(token) for token in tokens]
+        assert len(hasher._memo) <= self.CAP
+        assert "corporation0000" not in hasher._memo  # rolled over
+        assert [hasher.signature(token) for token in tokens] == before
+        assert len(hasher._memo) <= self.CAP
+
+    def test_matcher_holds_no_per_token_container_above_its_cap(
+        self, org_db, org_reference
+    ):
+        config = MatchConfig(
+            q=3, signature_size=2, scheme=SignatureScheme.QGRAMS_PLUS_TOKEN
+        )
+        eti, _ = build_eti(org_db, org_reference, config)
+        provider = EtiWeightProvider(
+            eti, len(org_reference), org_reference.num_columns
+        )
+        matcher = FuzzyMatcher(
+            org_reference, provider, config, eti,
+            caches=MatcherCaches(reference_capacity=self.CAP),
+        )
+        matcher.hasher._memo.capacity = self.CAP
+        provider._memo.capacity = self.CAP
+        for i in range(2 * self.CAP):
+            matcher.match((f"boeing dirty{i:04d}", "seattle", "wa", "98004"))
+        holders = (matcher.hasher, matcher.caches, provider)
+        sized = [
+            (type(holder).__name__, name, len(value))
+            for holder in holders
+            for name, value in vars(holder).items()
+            if hasattr(value, "__len__")
+        ]
+        assert {name for _, name, _ in sized} >= {"_memo", "reference_tokens"}
+        assert [entry for entry in sized if entry[2] > self.CAP] == []
 
 
 def build_error_injected_world(num_reference=300, num_inputs=60, repeats=3):
@@ -206,11 +242,8 @@ class TestCachedUncachedParity:
         matcher = FuzzyMatcher(reference, weights, config, eti)
         matcher.match(batch[0])
         repeat = matcher.match(batch[0])
-        assert repeat.stats.weight_cache_hits > 0
-        assert repeat.stats.signature_cache_hits > 0
         assert repeat.stats.reference_cache_hits > 0
-        assert repeat.stats.weight_cache_misses == 0
-        assert repeat.stats.signature_cache_misses == 0
+        assert repeat.stats.reference_cache_misses == 0
 
     def test_candidates_fetched_unchanged_by_caching(self, error_world):
         """The Figure 8 metric counts logical fetches, cached or not."""

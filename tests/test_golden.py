@@ -2,10 +2,12 @@
 
 Each configuration runs the same seeded dirty tuples through a fresh
 matcher and hashes, per query, the ``(tid, similarity)`` list and every
-integer/bool :class:`MatchStats` field (plus ``degraded_reason``).  The
-expected digests were captured at the commit *before* `_match_indexed`
-was split into stages; a refactor that changes an answer, a counter, or
-the order in which candidates are fetched shows up here.
+integer/bool :class:`MatchStats` field (plus ``degraded_reason``) except
+the ``*_cache_hits`` / ``*_cache_misses`` six: cache accounting says how
+an answer was computed, not what it is.  The expected digests were
+captured at the commit *before* the token-weight and signature LRUs were
+deleted; a refactor that changes an answer, a counter, or the order in
+which candidates are fetched shows up here.
 
 Regenerate (only when a behaviour change is intended) with::
 
@@ -59,13 +61,13 @@ CONFIGS: dict[str, tuple[str, dict, int]] = {
 }
 
 EXPECTED: dict[str, str] = {
-    "osc": "244ba2989424adfdaf405001daa99ca564339194a20526119e31adacf5dc63bf",
-    "basic": "b88fe41ba4fbea95382e9466721b6cecfadfe22ab20418b05dd854b6c5918df9",
-    "naive": "19c69c925a486bf4f7cb5d02d509775484b3d9c36b327d5ce11cd63f7f541a12",
-    "osc_k3_c06": "75c4256fa0970767d74afa45451d82418c66d39283ffea941cf2b25a4a590e25",
-    "basic_k3": "0f865395ca1040ff34cfe95ad3f5fd957bbd94fe45fbd1944f1383652bdcef70",
-    "basic_k3_budget_lookups": "0f0976919c027c1f79d9b38732f8edb68ae45c2dc5ff11c97696b05f72c7eb03",
-    "osc_k2_budget_verify": "6b21ae06ddc1ec28ce25b67ff4eaf2fb556b0d78cc585524a144caa13b1aaea8",
+    "osc": "668951e6fe34f2998a8a7da0c98503ef296c028ab47fb79a0e249c446b31e7a8",
+    "basic": "bc80d8ddeef0fb4e0cd3bda6eb9cbe7e1c3b83652f750959aca122ef13ee0a19",
+    "naive": "a26b5954a3056731058684cd5e9b69eb6f86c907de819d3dcb52085505cabe83",
+    "osc_k3_c06": "79bcff7a38ee9df56c08f5ad9242e63a6b328adf7385b561123e0afcee02aa9a",
+    "basic_k3": "95bb242aebea6db0a146d3efca467ef79d5572ca45b754f947b0ee764663f4a8",
+    "basic_k3_budget_lookups": "a57190cebc1ce4c31f07582dff88340e075380c876fcf521c3fc943cde5b7cdb",
+    "osc_k2_budget_verify": "712e1aa95735d055489626fa3d543f41715787a5a28a2fcec959b9275ebc1882",
 }
 
 
@@ -102,7 +104,8 @@ def digest(world, name: str) -> str:
             sorted(
                 (key, value)
                 for key, value in stats.items()
-                if isinstance(value, (bool, int)) or key == "degraded_reason"
+                if (isinstance(value, (bool, int)) or key == "degraded_reason")
+                and not key.endswith(("_cache_hits", "_cache_misses"))
             ),
         )
         sha.update(repr(row).encode())

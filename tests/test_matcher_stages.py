@@ -40,7 +40,7 @@ def hand_signature(matcher, values, entries, floor=0.0):
     tokens = TupleTokens.from_values(values)
     return QuerySignature(
         tokens=tokens,
-        weight=input_tuple_weight(tokens, matcher._weights, matcher.config),
+        weight=input_tuple_weight(tokens, matcher.weights, matcher.config),
         entries=entries,
         entry_weight=sum(e[0] for e in entries),
         floor=floor,
@@ -50,7 +50,7 @@ def hand_signature(matcher, values, entries, floor=0.0):
 class TestSignatureStage:
     def test_hands_off_weight_and_floor(self, matcher):
         query = matcher._stage_signature(I1, 0.5, use_osc=False)
-        expected = input_tuple_weight(query.tokens, matcher._weights, matcher.config)
+        expected = input_tuple_weight(query.tokens, matcher.weights, matcher.config)
         assert query.weight == pytest.approx(expected)
         assert query.floor == 0.5 * query.weight - query.weight * (1 - 1 / matcher.config.q)
         assert query.entry_weight == sum(e[0] for e in query.entries)

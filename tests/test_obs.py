@@ -11,8 +11,10 @@ from serve through the matcher into the storage layer.
 from __future__ import annotations
 
 import json
+import re
 import threading
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -596,6 +598,36 @@ class TestStatsWireOp:
                 serve_only = client.stats(["serve"])
                 assert "metrics" not in serve_only
                 assert serve_only["ok"] is True
+
+    def test_every_metric_name_is_in_the_documented_catalog(self, org_engine):
+        internals = Path(__file__).parent.parent / "docs" / "INTERNALS.md"
+        section = internals.read_text().split("**Metric catalog.**")[1]
+        table = section.split("\n\n")[1]
+        documented, on_first_event = set(), set()
+        for row in table.splitlines()[2:]:
+            names_cell, kind = row.split("|")[1:3]
+            names = re.findall(r"`([a-z0-9_]+)`", names_cell)
+            family = "_".join(names[0].split("_")[:2])  # repro_<family>
+            full = {family + n if n.startswith("_") else n for n in names}
+            documented |= full
+            if "†" in kind:
+                on_first_event |= full
+        assert "repro_cache_misses_total" in documented
+        assert "repro_serve_shed_total" in on_first_event
+
+        with observed_server(org_engine) as server:
+            host, port = server.address
+            with ServeClient(host, port) as client:
+                response = client.match(["Beoing Company", "Seattle", "WA", "98004"])
+                assert response["outcome"] == "completed"
+            snap = server.metrics_snapshot()
+        registered = {
+            name
+            for series in (snap.counters, snap.gauges, snap.histograms)
+            for name, _ in series
+        }
+        assert registered - documented == set()
+        assert documented - registered <= on_first_event
 
     def test_malformed_sections_get_a_typed_error(self, org_engine):
         with observed_server(org_engine) as server:

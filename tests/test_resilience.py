@@ -322,14 +322,6 @@ class TestDeadline:
         assert deadline.expired()
         assert deadline.remaining() == 0.0  # clamped, never negative
 
-    def test_earliest_picks_the_sooner(self):
-        clock = ManualClock()
-        soon = Deadline.after(1.0, clock=clock)
-        late = Deadline.after(9.0, clock=clock)
-        assert late.earliest(soon) is soon
-        assert soon.earliest(late) is soon
-        assert soon.earliest(None) is soon
-
     def test_budget_from_deadline_clamps_to_remainder(self):
         clock = ManualClock()
         deadline = Deadline.after(2.0, clock=clock)
