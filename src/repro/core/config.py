@@ -70,7 +70,8 @@ class MatchConfig:
     transposition_cost:
         Cost function for a transposition.
     transposition_constant:
-        Cost used when ``transposition_cost`` is CONSTANT.
+        Cost used when ``transposition_cost`` is CONSTANT; must be
+        non-negative (not NaN).
     use_osc:
         Enable optimistic short circuiting in query processing (§4.3.2).
     budgeted_verification:
@@ -123,6 +124,10 @@ class MatchConfig:
         if self.column_weights is not None:
             if any(w <= 0 for w in self.column_weights):
                 raise ValueError("column weights must be positive")
+        if not self.transposition_constant >= 0.0:
+            # Also rejects NaN.  The fms DP's completion bound and its
+            # pre-DP cost bound both assume no operation costs below zero.
+            raise ValueError("transposition_constant must be non-negative")
 
     @property
     def strategy_label(self) -> str:

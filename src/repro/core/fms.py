@@ -20,8 +20,19 @@ and every index-based guarantee carries over.
 fms is deliberately asymmetric: ``u`` is always the dirty input, ``v`` the
 clean reference.
 
-Two verification fast paths live here (see ``docs/INTERNALS.md``):
+Three verification fast paths live here, cheapest first (see
+``docs/INTERNALS.md``):
 
+- *A cost lower bound before the DP*: with a budget, :func:`fms_budgeted`
+  first sums, over every input token missing from the candidate's column,
+  its weight times its distance to the nearest reference token of that
+  column (capped at 1, a deletion), plus the cheapest insertions the
+  column's extra reference tokens force.  Distances are the exact
+  memoized ones where known, otherwise the length-gap or banded-kernel
+  lower bound, so the sum never exceeds ``tc``; a sum above the budget
+  prunes the candidate without running the DP.  The input side comes
+  pre-weighed once per query (:class:`PreparedInput`), so the bound costs
+  dict probes, not weight lookups.
 - *Per-cell edit-distance cutoffs*: before comparing two tokens, the DP
   already knows the cheapest way to reach the cell without a replacement;
   the replacement only matters if ``ed`` lands below a cutoff derived from
@@ -36,10 +47,16 @@ Two verification fast paths live here (see ``docs/INTERNALS.md``):
   as soon as the running row minimum plus an admissible lower bound on the
   remaining tokens' cost exceeds the budget, returning a certified lower
   bound instead of the exact cost.
+
+Every bound assumes non-negative operation costs, which
+:class:`~repro.core.config.MatchConfig` enforces for the transposition
+constant.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.config import MatchConfig, TranspositionCost
@@ -47,6 +64,7 @@ from repro.core.strings import (
     bounded_edit_distance,
     cached_edit_distance,
     exact_distance_memo,
+    raw_lower_bound_memo,
 )
 from repro.core.tokens import TupleTokens
 from repro.core.weights import WeightFunction
@@ -60,10 +78,11 @@ class FmsCounters:
     (``repro_fms_*_total`` series).  ``dp_cells`` counts (input token ×
     reference token) cells filled, ``cutoff_prunes`` counts cells where
     the banded kernel's lower bound proved the replacement dominated
-    (no exact edit distance computed), and ``budget_abandons`` counts
-    DP runs that stopped early because the running cost cleared the
-    caller's budget.  Lockless increments: concurrent queries may
-    under-count, which only distorts reporting.
+    (no exact edit distance computed), ``budget_abandons`` counts DP runs
+    that stopped early because the running cost cleared the caller's
+    budget, and ``bound_prunes`` counts candidates whose pre-DP cost lower
+    bound cleared it, so no DP ran at all.  Lockless increments:
+    concurrent queries may under-count, which only distorts reporting.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
@@ -77,6 +96,9 @@ class FmsCounters:
         )
         self._budget_abandons = registry.counter(
             "repro_fms_budget_abandons_total", relaxed=True
+        )
+        self._bound_prunes = registry.counter(
+            "repro_fms_bound_prunes_total", relaxed=True
         )
 
     @property
@@ -94,6 +116,11 @@ class FmsCounters:
         """DP runs abandoned after clearing the caller's budget."""
         return self._budget_abandons.value()
 
+    @property
+    def bound_prunes(self) -> int:
+        """Candidates pruned by the cost lower bound before any DP ran."""
+        return self._bound_prunes.value()
+
     def add_dp_cells(self, cells: int) -> None:
         """Count ``cells`` DP cells filled."""
         self._dp_cells.inc(cells)
@@ -106,19 +133,72 @@ class FmsCounters:
         """Count one budget-driven early stop."""
         self._budget_abandons.inc()
 
-    def snapshot(self) -> tuple[int, int, int]:
+    def add_bound_prune(self) -> None:
+        """Count one candidate pruned before its DP."""
+        self._bound_prunes.inc()
+
+    def snapshot(self) -> tuple[int, int, int, int]:
         """Counter values at this instant, for before/after deltas."""
-        return (self.dp_cells, self.cutoff_prunes, self.budget_abandons)
+        return (
+            self.dp_cells,
+            self.cutoff_prunes,
+            self.budget_abandons,
+            self.bound_prunes,
+        )
 
     def reset(self) -> None:
         """Zero every counter (benchmark bracketing)."""
         self._dp_cells.reset()
         self._cutoff_prunes.reset()
         self._budget_abandons.reset()
+        self._bound_prunes.reset()
 
 
 #: Module-wide counters shared by every transformation-cost DP run.
 COUNTERS = FmsCounters()
+
+#: One weighed input token: ``(token, column-weighted weight, len(token),
+#: {reference token: exact normalized edit distance})``.  The dict is a
+#: per-query memo of *exact* distances only: a length-only bound stored
+#: there would shadow a tighter one the DP proves later.
+InputToken = tuple[str, float, int, dict[str, float]]
+
+
+@dataclass(frozen=True)
+class PreparedInput:
+    """An input tuple weighed once, for every fms call a query makes.
+
+    ``sets[i]`` holds one :data:`InputToken` per token of ``tok(u[i])``
+    in sorted order (the order ``w(u)`` is summed in); ``sequences[i]``
+    holds the same row objects in column ``i``'s token order, duplicates
+    included, for the DP.  ``weight`` is ``w(u)``.  Only valid with the
+    weights and config it was prepared under.
+    """
+
+    tokens: TupleTokens
+    column_weights: tuple[float, ...]
+    sets: tuple[tuple[InputToken, ...], ...]
+    sequences: tuple[tuple[InputToken, ...], ...]
+    weight: float
+
+
+def prepare_input(
+    u: TupleTokens, weights: WeightFunction, config: MatchConfig
+) -> PreparedInput:
+    """Weigh every token of ``u`` once: the input side of every fms call."""
+    column_weights = config.normalized_column_weights(u.num_columns)
+    sets = []
+    sequences = []
+    total = 0.0
+    for column, token_set in enumerate(u.sets):
+        rows = {}
+        for token in sorted(token_set):
+            weight = weights.weight(token, column) * column_weights[column]
+            rows[token] = (token, weight, len(token), {})
+            total += weight
+        sets.append(tuple(rows.values()))
+        sequences.append(tuple(rows[token] for token in u.sequences[column]))
+    return PreparedInput(u, column_weights, tuple(sets), tuple(sequences), total)
 
 
 def _transposition_cost(w1: float, w2: float, config: MatchConfig) -> float:
@@ -171,7 +251,7 @@ def _replace_cost(
 
 
 def transformation_cost(
-    input_tokens: Sequence[str],
+    input_tokens: Sequence[str] | Sequence[InputToken],
     reference_tokens: Sequence[str],
     column: int,
     weights: WeightFunction,
@@ -182,19 +262,25 @@ def transformation_cost(
     """``tc(u[i], v[i])``: minimum cost to transform one column's tokens.
 
     ``input_tokens`` / ``reference_tokens`` are the *ordered* token
-    sequences of column ``column``.  ``column_weight`` scales every token
-    weight (§5.2); 1.0 is plain fms.
+    sequences of column ``column``; the input side may instead be the
+    column's already-weighed rows (``PreparedInput.sequences[column]``).
+    ``column_weight`` scales every token weight not already weighed
+    (§5.2); 1.0 is plain fms.
 
     ``budget`` (``None`` = unlimited) lets the DP abandon early: when the
     minimum cost of any completion provably exceeds the budget, a
     certified lower bound greater than the budget is returned instead of
     the exact cost.  Results at or under the budget are always exact.
     """
+    if input_tokens and not isinstance(input_tokens[0], str):
+        input_weights = [row[1] for row in input_tokens]
+        input_tokens = [row[0] for row in input_tokens]
+    else:
+        input_weights = [
+            weights.weight(t, column) * column_weight for t in input_tokens
+        ]
     m = len(input_tokens)
     n = len(reference_tokens)
-    input_weights = [
-        weights.weight(t, column) * column_weight for t in input_tokens
-    ]
     reference_weights = [
         weights.weight(t, column) * column_weight for t in reference_tokens
     ]
@@ -257,7 +343,7 @@ def transformation_cost(
 
 
 def tuple_transformation_cost(
-    u: TupleTokens,
+    u: TupleTokens | PreparedInput,
     v: TupleTokens,
     weights: WeightFunction,
     config: MatchConfig,
@@ -271,26 +357,26 @@ def tuple_transformation_cost(
     the tuple cannot come in under it.  Results at or under the budget are
     always exact.
     """
-    if u.num_columns != v.num_columns:
+    if not isinstance(u, PreparedInput):
+        u = prepare_input(u, weights, config)
+    if u.tokens.num_columns != v.num_columns:
         raise ValueError("tuples must have the same number of columns")
-    column_weights = config.normalized_column_weights(u.num_columns)
     total = 0.0
-    for col in range(u.num_columns):
-        u_tokens = u.sequences[col]
+    for col, u_rows in enumerate(u.sequences):
         v_tokens = v.sequences[col]
-        if u_tokens == v_tokens:
+        if u.tokens.sequences[col] == v_tokens:
             # Identical token sequences transform for free; skipping the
             # DP here is the hot-path win (candidates usually agree on
             # most columns).
             continue
         remaining = None if budget is None else budget - total
         total += transformation_cost(
-            u_tokens,
+            u_rows,
             v_tokens,
             col,
             weights,
             config,
-            column_weight=column_weights[col],
+            column_weight=u.column_weights[col],
             budget=remaining,
         )
         if budget is not None and total > budget:
@@ -301,72 +387,137 @@ def tuple_transformation_cost(
     return total
 
 
-def input_tuple_weight(
-    u: TupleTokens, weights: WeightFunction, config: MatchConfig
+def cost_lower_bound(
+    u: PreparedInput,
+    v: TupleTokens,
+    weights: WeightFunction,
+    config: MatchConfig,
+    limit: float = math.inf,
 ) -> float:
-    """``w(u)``: total (column-weighted) weight of the token set tok(u)."""
-    column_weights = config.normalized_column_weights(u.num_columns)
-    return sum(
-        weights.weight(token, col) * column_weights[col]
-        for token, col in u.all_tokens()
-    )
+    """A lower bound on ``tc(u, v)``, summed only until it exceeds ``limit``.
+
+    Per column whose token sequences differ: every input token ``t`` of
+    weight ``w > 0`` missing from ``v``'s column costs at least
+    ``w · min(1, min over the column's reference tokens of d(t, ·))`` —
+    it is deleted (``w``), replaced (``w · ed``) or transposed and
+    replaced (``w · ed`` plus ``g ≥ 0``) — and when the reference column
+    has ``n > m`` tokens at least ``n − m`` of them are inserted, costing
+    at least ``c_ins`` times the ``n − m`` smallest reference weights.
+    ``d`` is the exact memoized distance when known, else the larger of
+    the length-gap bound and the banded kernel's memoized raw bound, over
+    the longer length; it never exceeds ``ed``, so the sum never exceeds
+    ``tc``.  Exact distances found in the global memo are copied into the
+    input token's own dict, which later candidates probe first.
+    """
+    exact = exact_distance_memo
+    raw_bounds = raw_lower_bound_memo
+    total = 0.0
+    for col, u_rows in enumerate(u.sequences):
+        v_tokens = v.sequences[col]
+        if u.tokens.sequences[col] == v_tokens:
+            continue
+        v_set = v.sets[col]
+        for token, weight, length, distances in u_rows:
+            if weight <= 0.0 or token in v_set:
+                continue
+            nearest = 1.0
+            for other in v_set:
+                distance = distances.get(other)
+                if distance is None:
+                    key = (token, other) if token <= other else (other, token)
+                    distance = exact.get(key)
+                    if distance is None:
+                        other_length = len(other)
+                        if length > other_length:
+                            longest, gap = length, length - other_length
+                        else:
+                            longest, gap = other_length, (other_length - length) or 1
+                        raw = raw_bounds.get(key)
+                        if raw is not None and raw > gap:
+                            gap = raw
+                        distance = gap / longest
+                    else:
+                        distances[other] = distance
+                if distance < nearest:
+                    nearest = distance
+            total += weight * nearest
+            if total > limit:
+                return total
+        surplus = len(v_tokens) - len(u_rows)
+        if surplus > 0:
+            column_weight = u.column_weights[col]
+            inserted = sorted(weights.weight(t, col) * column_weight for t in v_tokens)
+            total += config.token_insertion_factor * sum(inserted[:surplus])
+            if total > limit:
+                return total
+    return total
 
 
 def fms(
-    u: TupleTokens | Sequence[str | None],
+    u: PreparedInput | TupleTokens | Sequence[str | None],
     v: TupleTokens | Sequence[str | None],
     weights: WeightFunction,
     config: MatchConfig | None = None,
-    u_weight: float | None = None,
 ) -> float:
     """Fuzzy match similarity between input ``u`` and reference ``v``.
 
-    Accepts raw attribute-value sequences or pre-tokenized
-    :class:`TupleTokens`.  Returns a similarity in [0, 1].  An input with
-    no tokens at all matches an empty reference perfectly and anything
-    else not at all (``w(u) = 0`` leaves nothing to normalize by).
-
-    ``u_weight`` is an optional precomputed ``w(u)``
-    (:func:`input_tuple_weight` of ``u`` under the same weights and
-    config): a query verifying many candidates against one input tuple
-    computes it once instead of per candidate.
+    Accepts raw attribute-value sequences, pre-tokenized
+    :class:`TupleTokens`, or (for ``u``) a :class:`PreparedInput`: a
+    query verifying many candidates against one input weighs it once
+    (:func:`prepare_input`), ``w(u)`` included.  Returns a similarity in
+    [0, 1].  An input with no tokens at all matches an empty reference
+    perfectly and anything else not at all (``w(u) = 0`` leaves nothing
+    to normalize by).
     """
-    similarity, _ = fms_budgeted(u, v, weights, config, u_weight=u_weight)
+    similarity, _ = fms_budgeted(u, v, weights, config)
     return similarity
 
 
 def fms_budgeted(
-    u: TupleTokens | Sequence[str | None],
+    u: PreparedInput | TupleTokens | Sequence[str | None],
     v: TupleTokens | Sequence[str | None],
     weights: WeightFunction,
     config: MatchConfig | None = None,
-    u_weight: float | None = None,
     cost_budget: float | None = None,
 ) -> tuple[float, bool]:
     """:func:`fms` with an optional transformation-cost budget.
 
     Returns ``(similarity, pruned)``.  With ``pruned=False`` the
     similarity is exact.  With ``pruned=True`` (only possible when a
-    ``cost_budget`` is given) the DP proved the transformation cost
-    exceeds the budget and stopped; the returned value is an *upper
+    ``cost_budget`` is given) the cost lower bound or the DP proved the
+    transformation cost exceeds the budget; the returned value is an *upper
     bound* on the true similarity and is strictly below
     ``1 − cost_budget / w(u)`` — enough for a top-K loop to discard the
     candidate, and nothing else.
+
+    Under a budget the DP runs only when :func:`cost_lower_bound` leaves
+    it a chance: a bound clearing the budget (with a relative 1e-9 margin
+    for the different float summation order) proves the DP would report
+    ``pruned=True`` too, so pruning without it changes no answer.
     """
     if config is None:
         config = MatchConfig()
-    if not isinstance(u, TupleTokens):
-        u = TupleTokens.from_values(u)
+    if not isinstance(u, PreparedInput):
+        if not isinstance(u, TupleTokens):
+            u = TupleTokens.from_values(u)
+        u = prepare_input(u, weights, config)
     if not isinstance(v, TupleTokens):
         v = TupleTokens.from_values(v)
-    total_weight = (
-        u_weight if u_weight is not None else input_tuple_weight(u, weights, config)
-    )
+    total_weight = u.weight
     if total_weight <= 0.0:
         return (1.0 if v.token_count() == 0 else 0.0, False)
-    if cost_budget is not None and cost_budget >= total_weight:
-        # fms floors at 0 once cost reaches w(u): nothing left to prune.
-        cost_budget = None
+    if u.tokens.num_columns != v.num_columns:
+        raise ValueError("tuples must have the same number of columns")
+    if cost_budget is not None:
+        if cost_budget >= total_weight:
+            # fms floors at 0 once cost reaches w(u): nothing left to prune.
+            cost_budget = None
+        else:
+            limit = cost_budget * (1.0 + 1e-9) + 1e-12
+            bound = cost_lower_bound(u, v, weights, config, limit)
+            if bound > limit:
+                COUNTERS.add_bound_prune()
+                return (1.0 - min(bound / total_weight, 1.0), True)
     cost = tuple_transformation_cost(u, v, weights, config, budget=cost_budget)
     pruned = cost_budget is not None and cost > cost_budget
     return (1.0 - min(cost / total_weight, 1.0), pruned)

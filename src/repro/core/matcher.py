@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 from repro.core.cache import MatcherCaches
 from repro.core.candidates import ScoreTable
 from repro.core.config import MatchConfig
-from repro.core.fms import fms, fms_budgeted, input_tuple_weight
+from repro.core.fms import PreparedInput, fms, fms_budgeted, prepare_input
 from repro.core.minhash import MinHasher
 from repro.core.osc import (
     fetching_test,
@@ -144,11 +144,15 @@ class MatchResult:
 class QuerySignature:
     """The signature stage's output: all probe and verify need of the input."""
 
-    tokens: TupleTokens
-    weight: float  # w(u), the column-weighted total token weight
+    prepared: PreparedInput  # the input weighed once, for every fms call
     entries: list[tuple[float, int, str, int]]  # (weight, coordinate, gram, column)
     entry_weight: float  # w(Q_p), the summed weight of the entries
     floor: float  # w(u)·c − w(u)·(1 − 1/q): what a candidate must score (Fig. 3 step 11)
+
+    @property
+    def weight(self) -> float:
+        """``w(u)``, the column-weighted total token weight."""
+        return self.prepared.weight
 
 
 @dataclass
@@ -556,8 +560,9 @@ class FuzzyMatcher:
     ) -> MatchResult:
         result = MatchResult()
         stats = result.stats
-        input_tokens = TupleTokens.from_values(values)
-        u_weight = input_tuple_weight(input_tokens, self.weights, self.config)
+        prepared = prepare_input(
+            TupleTokens.from_values(values), self.weights, self.config
+        )
 
         # Bounded top-K selection: a size-K min-heap on (similarity, -tid)
         # whose root is the weakest kept match — O(N log K) instead of
@@ -577,11 +582,7 @@ class FuzzyMatcher:
                     tid, values=reference_values
                 )
                 similarity = fms(
-                    input_tokens,
-                    reference_tokens,
-                    self.weights,
-                    self.config,
-                    u_weight=u_weight,
+                    prepared, reference_tokens, self.weights, self.config
                 )
                 stats.fms_evaluations += 1
                 if similarity < c or k <= 0:
@@ -644,26 +645,25 @@ class FuzzyMatcher:
     ) -> QuerySignature | None:
         """Stage 1: tokenize, weigh, and expand into signature entries.
 
+        The weighed input (:class:`~repro.core.fms.PreparedInput`) rides
+        along to verification, so no fms call weighs an input token again.
         Returns ``None`` when every token weighs zero (no reference tuple
         can score).  With ``use_osc`` the entries come back in decreasing
         weight order, ties in original (token) order for determinism.
         """
         config = self.config
         tokens = TupleTokens.from_values(values)
-        column_weights = config.normalized_column_weights(tokens.num_columns)
         with trace_span("matcher.signature_build") as span:
-            weighted = [
-                (token, column, self.weights.weight(token, column) * column_weights[column])
-                for token, column in tokens.all_tokens()
-            ]
-            input_weight = sum(weight for _, _, weight in weighted)
+            prepared = prepare_input(tokens, self.weights, config)
+            input_weight = prepared.weight
             if span is not None:
-                span.annotate(tokens=len(weighted), input_weight=input_weight)
+                span.annotate(tokens=tokens.token_count(), input_weight=input_weight)
             if input_weight <= 0.0:
                 return None
             entries = [
                 (weight * entry.weight_fraction, entry.coordinate, entry.gram, column)
-                for token, column, weight in weighted
+                for column, rows in enumerate(prepared.sets)
+                for token, weight, _, _ in rows
                 for entry in signature_entries(token, self.hasher, config)
             ]
             if use_osc:
@@ -672,8 +672,7 @@ class FuzzyMatcher:
             if span is not None:
                 span.annotate(entries=len(entries), threshold=threshold)
         return QuerySignature(
-            tokens=tokens,
-            weight=input_weight,
+            prepared=prepared,
             entries=entries,
             entry_weight=sum(e[0] for e in entries),
             floor=threshold - input_weight * (1.0 - 1.0 / config.q),
@@ -883,11 +882,10 @@ class FuzzyMatcher:
         if cached is None:
             stats.candidates_fetched += 1
         similarity, pruned = fms_budgeted(
-            query.tokens,
+            query.prepared,
             reference_tokens,
             self.weights,
             self.config,
-            u_weight=query.weight,
             cost_budget=cost_budget,
         )
         stats.fms_evaluations += 1

@@ -31,8 +31,10 @@ from repro.core.kernels import MYERS_MIN_PATTERN, bounded_distance, classic_dist
 _ED_CACHE = BoundedMemo()
 exact_distance_memo = _ED_CACHE
 # token-pair -> best *raw* lower bound proven so far by a thresholded call
-# that gave up before reaching the exact distance.
+# that gave up before reaching the exact distance.  Exposed read-only as
+# ``raw_lower_bound_memo`` for fms's pre-DP cost bound.
 _ED_LB_CACHE = BoundedMemo()
+raw_lower_bound_memo = _ED_LB_CACHE
 
 
 def edit_distance_raw(s1: str, s2: str) -> int:

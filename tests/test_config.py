@@ -52,6 +52,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             MatchConfig(column_weights=(1.0, -1.0))
 
+    @pytest.mark.parametrize("constant", [-0.1, float("nan"), float("-inf")])
+    def test_invalid_transposition_constant(self, constant):
+        # A negative swap cost would make fms's lower bounds unsound.
+        with pytest.raises(ValueError, match="transposition_constant"):
+            MatchConfig(transposition_constant=constant)
+        assert MatchConfig(transposition_constant=0.0).transposition_constant == 0.0
+
     def test_frozen(self):
         config = MatchConfig()
         with pytest.raises(AttributeError):

@@ -1,15 +1,21 @@
 """The fms similarity function — §3's definitions and worked example."""
 
+import zlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import MatchConfig, TranspositionCost
 from repro.core.fms import (
+    COUNTERS,
+    cost_lower_bound,
     fms,
-    input_tuple_weight,
+    fms_budgeted,
+    prepare_input,
     transformation_cost,
     tuple_transformation_cost,
 )
+from repro.core.strings import bounded_edit_distance, clear_edit_distance_caches
 from repro.core.tokens import TupleTokens
 
 
@@ -233,7 +239,7 @@ class TestColumnWeights:
         tokens = TupleTokens.from_values(("a", "b"))
         config = CONFIG3.with_(column_weights=(3.0, 1.0))
         # normalized to average 1: (1.5, 0.5) -> total weight 2.0.
-        assert input_tuple_weight(tokens, UNIT, config) == pytest.approx(2.0)
+        assert prepare_input(tokens, UNIT, config).weight == pytest.approx(2.0)
 
 
 class TestTupleTransformationCost:
@@ -250,3 +256,126 @@ class TestTupleTransformationCost:
         v = TupleTokens.from_values(("a", "b"))
         with pytest.raises(ValueError):
             tuple_transformation_cost(u, v, UNIT, CONFIG3)
+
+
+class SeededWeights:
+    """Reproducible non-uniform weights in {0, 0.25, …, 3}, zeros included."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def weight(self, token, column):
+        key = f"{self.seed}:{column}:{token}".encode()
+        return (zlib.crc32(key) % 13) * 0.25
+
+    def frequency(self, token, column):
+        return 1
+
+
+# Short tokens over a tiny alphabet repeat often (duplicates within a
+# column, shared tokens across tuples); é and 日 exercise non-ASCII.
+_VALUES = st.one_of(st.none(), st.just(""), st.text(alphabet="abé日 ", max_size=14))
+
+
+@st.composite
+def bound_cases(draw):
+    columns = draw(st.integers(1, 3))
+    u = TupleTokens.from_values(draw(st.lists(_VALUES, min_size=columns, max_size=columns)))
+    v = TupleTokens.from_values(draw(st.lists(_VALUES, min_size=columns, max_size=columns)))
+    config = MatchConfig(
+        q=3,
+        token_insertion_factor=draw(st.sampled_from((0.0, 0.5, 1.0))),
+        column_weights=draw(
+            st.none()
+            | st.lists(st.floats(0.1, 5.0), min_size=columns, max_size=columns).map(tuple)
+        ),
+        allow_transpositions=draw(st.booleans()),
+        transposition_cost=draw(st.sampled_from(list(TranspositionCost))),
+        transposition_constant=draw(st.sampled_from((0.0, 0.3, 2.0))),
+    )
+    weights = SeededWeights(draw(st.integers(0, 7)))
+    memos = draw(st.sampled_from(("cleared", "banded", "exact")))
+    return u, v, config, weights, memos
+
+
+def set_memos(u, v, memos):
+    """Empty the edit-distance memos, then optionally pre-warm them."""
+    clear_edit_distance_caches()
+    pairs = [
+        (a, b)
+        for col in range(u.num_columns)
+        for a in u.sequences[col]
+        for b in v.sequences[col]
+    ]
+    for index, (a, b) in enumerate(pairs):
+        if memos == "banded":
+            # Mostly certified raw lower bounds, a few exact distances.
+            bounded_edit_distance(a, b, (index % 4) / 4)
+        elif memos == "exact":
+            bounded_edit_distance(a, b, 1.0)
+
+
+def within_margin(bound, cost):
+    """``bound ≤ cost`` up to the float margin ``fms_budgeted`` allows."""
+    return bound <= cost * (1.0 + 1e-9) + 1e-12
+
+
+class TestCostLowerBound:
+    def test_deletions_only_is_exact(self):
+        u = prepare_input(TupleTokens.from_values(("x y",)), UNIT, CONFIG3)
+        v = TupleTokens.from_values((None,))
+        assert cost_lower_bound(u, v, UNIT, CONFIG3) == 2.0
+        assert tuple_transformation_cost(u, v, UNIT, CONFIG3) == 2.0
+
+    def test_forced_insertions_are_charged(self):
+        u = prepare_input(TupleTokens.from_values(("boeing",)), UNIT, CONFIG3)
+        v = TupleTokens.from_values(("boeing company corp",))
+        # 'boeing' is shared (free); two extra reference tokens must be inserted.
+        assert cost_lower_bound(u, v, UNIT, CONFIG3) == pytest.approx(1.0)
+        assert tuple_transformation_cost(u, v, UNIT, CONFIG3) == pytest.approx(1.0)
+
+    def test_stops_summing_past_the_limit(self):
+        u = prepare_input(TupleTokens.from_values(("a b c d",)), UNIT, CONFIG3)
+        v = TupleTokens.from_values((None,))
+        assert cost_lower_bound(u, v, UNIT, CONFIG3, limit=1.5) == 2.0
+
+    def test_prune_before_the_dp_is_counted(self):
+        u = TupleTokens.from_values(("qqqq rrrr", "seattle"))
+        v = TupleTokens.from_values(("zz", "seattle"))
+        before = (COUNTERS.bound_prunes, COUNTERS.dp_cells)
+        similarity, pruned = fms_budgeted(u, v, UNIT, CONFIG3, cost_budget=0.5)
+        assert pruned and similarity < 1.0 - 0.5 / 3.0
+        assert COUNTERS.bound_prunes == before[0] + 1
+        assert COUNTERS.dp_cells == before[1]  # no DP ran
+        assert fms(u, v, UNIT, CONFIG3) <= similarity
+
+    @given(bound_cases(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_bound_never_exceeds_the_exact_cost(self, case, dp_first):
+        u, v, config, weights, memos = case
+        set_memos(u, v, memos)
+        prepared = prepare_input(u, weights, config)
+        if dp_first:
+            # The DP fills the memos (and the prepared input's distance
+            # dicts through the bound below) before the bound is taken.
+            exact = tuple_transformation_cost(prepared, v, weights, config)
+            bound = cost_lower_bound(prepared, v, weights, config)
+        else:
+            bound = cost_lower_bound(prepared, v, weights, config)
+            exact = tuple_transformation_cost(prepared, v, weights, config)
+        assert exact == tuple_transformation_cost(u, v, weights, config)
+        assert within_margin(bound, exact), (bound, exact)
+
+    @given(bound_cases(), st.floats(0.0, 1.5))
+    @settings(max_examples=300, deadline=None)
+    def test_a_bound_over_the_budget_means_the_dp_prunes_too(self, case, fraction):
+        u, v, config, weights, memos = case
+        exact = tuple_transformation_cost(u, v, weights, config)
+        set_memos(u, v, memos)
+        prepared = prepare_input(u, weights, config)
+        budget = exact * fraction
+        limit = budget * (1.0 + 1e-9) + 1e-12
+        if cost_lower_bound(prepared, v, weights, config, limit) > limit:
+            assert tuple_transformation_cost(prepared, v, weights, config, budget) > budget
+            if budget < prepared.weight:
+                assert fms_budgeted(prepared, v, weights, config, cost_budget=budget)[1]

@@ -4,10 +4,11 @@ Each configuration runs the same seeded dirty tuples through a fresh
 matcher and hashes, per query, the ``(tid, similarity)`` list and every
 integer/bool :class:`MatchStats` field (plus ``degraded_reason``) except
 the ``*_cache_hits`` / ``*_cache_misses`` six: cache accounting says how
-an answer was computed, not what it is.  The expected digests were
+an answer was computed, not what it is.  The first seven digests were
 captured at the commit *before* the token-weight and signature LRUs were
-deleted; a refactor that changes an answer, a counter, or the order in
-which candidates are fetched shows up here.
+deleted, the three ``*swaps*`` ones at the commit before the pre-DP cost
+lower bound; a refactor that changes an answer, a counter, or the order
+in which candidates are fetched shows up here.
 
 Regenerate (only when a behaviour change is intended) with::
 
@@ -21,7 +22,7 @@ import hashlib
 
 import pytest
 
-from repro.core.config import MatchConfig
+from repro.core.config import MatchConfig, TranspositionCost
 from repro.core.matcher import FuzzyMatcher
 from repro.core.reference import ReferenceTable
 from repro.core.weights import build_frequency_cache
@@ -49,15 +50,26 @@ class _PollBudget:
         return SpentAfter(self.polls, "page_fetches")
 
 
-# name -> (strategy, match kwargs, inputs)
-CONFIGS: dict[str, tuple[str, dict, int]] = {
-    "osc": ("osc", {}, INPUTS),
-    "basic": ("basic", {}, INPUTS),
-    "naive": ("naive", {}, NAIVE_INPUTS),
-    "osc_k3_c06": ("osc", {"k": 3, "min_similarity": 0.6}, INPUTS),
-    "basic_k3": ("basic", {"k": 3}, INPUTS),
-    "basic_k3_budget_lookups": ("basic", {"k": 3, "budget": _PollBudget(9)}, INPUTS),
-    "osc_k2_budget_verify": ("osc", {"k": 2, "budget": _PollBudget(40)}, INPUTS),
+# fms with §5.3 transpositions and §5.2 column weights: neither changes the
+# ETI, so these matchers share the default-config index.
+SWAPS_WEIGHTED = {
+    "allow_transpositions": True,
+    "column_weights": (3.0, 1.0, 0.5, 2.0),
+}
+SWAPS_MIN_WEIGHTED = {**SWAPS_WEIGHTED, "transposition_cost": TranspositionCost.MINIMUM}
+
+# name -> (strategy, match kwargs, inputs, MatchConfig changes)
+CONFIGS: dict[str, tuple[str, dict, int, dict]] = {
+    "osc": ("osc", {}, INPUTS, {}),
+    "basic": ("basic", {}, INPUTS, {}),
+    "naive": ("naive", {}, NAIVE_INPUTS, {}),
+    "osc_k3_c06": ("osc", {"k": 3, "min_similarity": 0.6}, INPUTS, {}),
+    "basic_k3": ("basic", {"k": 3}, INPUTS, {}),
+    "basic_k3_budget_lookups": ("basic", {"k": 3, "budget": _PollBudget(9)}, INPUTS, {}),
+    "osc_k2_budget_verify": ("osc", {"k": 2, "budget": _PollBudget(40)}, INPUTS, {}),
+    "osc_swaps_weighted": ("osc", {}, INPUTS, SWAPS_WEIGHTED),
+    "basic_k3_swaps_min_weighted": ("basic", {"k": 3}, INPUTS, SWAPS_MIN_WEIGHTED),
+    "naive_swaps_weighted": ("naive", {}, NAIVE_INPUTS, SWAPS_WEIGHTED),
 }
 
 EXPECTED: dict[str, str] = {
@@ -68,6 +80,9 @@ EXPECTED: dict[str, str] = {
     "basic_k3": "95bb242aebea6db0a146d3efca467ef79d5572ca45b754f947b0ee764663f4a8",
     "basic_k3_budget_lookups": "a57190cebc1ce4c31f07582dff88340e075380c876fcf521c3fc943cde5b7cdb",
     "osc_k2_budget_verify": "712e1aa95735d055489626fa3d543f41715787a5a28a2fcec959b9275ebc1882",
+    "osc_swaps_weighted": "d5af91b849bd79282e6393a7258a77ba450e0fbe13c4a3885ace7c65c2ebfc02",
+    "basic_k3_swaps_min_weighted": "52b536fe10cd18d45e550c79534f83623a82953e0496e68632553e121011e069",
+    "naive_swaps_weighted": "a909714d0840144bf1538e398ed3c540f683a5e3e57a1ab766ff58440dc8f9f8",
 }
 
 
@@ -93,8 +108,8 @@ def world():
 
 def digest(world, name: str) -> str:
     reference, weights, config, eti, inputs = world
-    strategy, kwargs, count = CONFIGS[name]
-    matcher = FuzzyMatcher(reference, weights, config, eti)
+    strategy, kwargs, count, changes = CONFIGS[name]
+    matcher = FuzzyMatcher(reference, weights, config.with_(**changes), eti)
     sha = hashlib.sha256()
     for values in inputs[:count]:
         result = matcher.match(values, strategy=strategy, **kwargs)

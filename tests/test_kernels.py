@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.core.config import MatchConfig
-from repro.core.fms import fms, fms_budgeted, input_tuple_weight, transformation_cost
+from repro.core.fms import fms, fms_budgeted, prepare_input, transformation_cost
 from repro.core.kernels import (
     MYERS_MIN_PATTERN,
     best_distance,
@@ -195,17 +195,14 @@ class TestBudgetedDp:
         rng = random.Random(17)
         pruned_seen = 0
         for dirty in queries:
-            u = TupleTokens.from_values(dirty)
-            u_weight = input_tuple_weight(u, weights, config)
+            u = prepare_input(TupleTokens.from_values(dirty), weights, config)
             v = TupleTokens.from_values(rows[rng.randrange(len(rows))][1])
-            budget = 0.25 * u_weight
-            upper, pruned = fms_budgeted(
-                u, v, weights, config, u_weight=u_weight, cost_budget=budget
-            )
-            exact = fms(u, v, weights, config, u_weight=u_weight)
+            budget = 0.25 * u.weight
+            upper, pruned = fms_budgeted(u, v, weights, config, cost_budget=budget)
+            exact = fms(u, v, weights, config)
             if pruned:
                 pruned_seen += 1
-                bar = 1.0 - budget / u_weight
+                bar = 1.0 - budget / u.weight
                 assert exact <= bar + 1e-9, (dirty, upper)
                 assert exact <= upper + 1e-12, (dirty, upper)
             else:

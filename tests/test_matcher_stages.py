@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.fms import input_tuple_weight
+from repro.core.fms import prepare_input
 from repro.core.matcher import FuzzyMatcher, MatchStats, QuerySignature
 from repro.core.tokens import TupleTokens
 from repro.eti.index import EtiEntry
@@ -39,8 +39,7 @@ class FakeEti:
 def hand_signature(matcher, values, entries, floor=0.0):
     tokens = TupleTokens.from_values(values)
     return QuerySignature(
-        tokens=tokens,
-        weight=input_tuple_weight(tokens, matcher.weights, matcher.config),
+        prepared=prepare_input(tokens, matcher.weights, matcher.config),
         entries=entries,
         entry_weight=sum(e[0] for e in entries),
         floor=floor,
@@ -50,7 +49,9 @@ def hand_signature(matcher, values, entries, floor=0.0):
 class TestSignatureStage:
     def test_hands_off_weight_and_floor(self, matcher):
         query = matcher._stage_signature(I1, 0.5, use_osc=False)
-        expected = input_tuple_weight(query.tokens, matcher.weights, matcher.config)
+        # w(u) = Σ w(t) over tok(u), one copy per (token, column); no column weights.
+        tokens = query.prepared.tokens
+        expected = sum(matcher.weights.weight(t, col) for t, col in tokens.all_tokens())
         assert query.weight == pytest.approx(expected)
         assert query.floor == 0.5 * query.weight - query.weight * (1 - 1 / matcher.config.q)
         assert query.entry_weight == sum(e[0] for e in query.entries)
