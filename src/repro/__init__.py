@@ -39,7 +39,6 @@ from repro.core import (
     MatcherCaches,
     MatchStats,
     MinHasher,
-    QueryBudget,
     ReferenceTable,
     ResiliencePolicy,
     SignatureScheme,
@@ -80,7 +79,6 @@ __all__ = [
     "MatchStats",
     "MinHasher",
     "qgram_set",
-    "QueryBudget",
     "ReferenceTable",
     "ResiliencePolicy",
     "SignatureScheme",

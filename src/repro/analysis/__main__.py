@@ -16,11 +16,6 @@ Three output formats:
 Files that fail to parse are reported as rule ``syntax-error`` findings
 (all formats) and force exit code 2 — a tree the linter cannot read is
 not a clean tree.
-
-Baselines gate CI on *new* findings only: ``--write-baseline FILE``
-records the current findings' fingerprints; ``--baseline FILE`` filters
-findings whose fingerprint is recorded, so legacy debt does not fail the
-build while anything fresh does.
 """
 
 from __future__ import annotations
@@ -42,8 +37,6 @@ SARIF_SCHEMA = (
     "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
     "Schemata/sarif-schema-2.1.0.json"
 )
-
-BASELINE_VERSION = 1
 
 
 def _default_target() -> Path:
@@ -75,16 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress findings whose fingerprints appear in this baseline",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write the current findings as a baseline file and exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the registered rules and exit",
@@ -95,53 +78,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _display_path(raw: str) -> str:
     """``raw`` relative to the working directory when possible (posix).
 
-    Keeps output and baselines stable across checkouts: the default
-    target is an absolute path, but CI fingerprints must not depend on
-    where the runner cloned the repo.
+    Keeps output stable across checkouts: the default target is an
+    absolute path, but CI output must not depend on where the runner
+    cloned the repo.
     """
     path = Path(raw)
     try:
         return path.resolve().relative_to(Path.cwd()).as_posix()
     except ValueError:
         return path.as_posix()
-
-
-def _fingerprint(finding: Finding) -> str:
-    """The baseline identity of a finding (line numbers excluded, so
-    unrelated edits moving code do not invalidate the baseline)."""
-    return f"{finding.rule}::{finding.path}::{finding.message}"
-
-
-def _load_baseline(path: Path) -> set[str]:
-    """The fingerprints recorded in a baseline file."""
-    payload = json.loads(path.read_text())
-    if not isinstance(payload, dict) or "findings" not in payload:
-        raise ValueError(f"{path} is not a reprolint baseline file")
-    fingerprints: set[str] = set()
-    for entry in payload["findings"]:
-        fingerprints.add(
-            f"{entry['rule']}::{entry['path']}::{entry['message']}"
-        )
-    return fingerprints
-
-
-def _baseline_document(findings: Sequence[Finding]) -> str:
-    """A deterministic baseline JSON document for ``findings``."""
-    entries = sorted(
-        (
-            {"rule": f.rule, "path": f.path, "message": f.message}
-            for f in findings
-        ),
-        key=lambda e: (e["path"], e["rule"], e["message"]),
-    )
-    return (
-        json.dumps(
-            {"version": BASELINE_VERSION, "findings": entries},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
 
 
 def _json_document(findings: Sequence[Finding]) -> str:
@@ -251,27 +196,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         dataclasses.replace(f, path=_display_path(f.path)) for f in findings
     ]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-
-    if args.write_baseline:
-        Path(args.write_baseline).write_text(_baseline_document(findings))
-        print(
-            f"wrote baseline with {len(findings)} finding(s) to "
-            f"{args.write_baseline}",
-            file=sys.stderr,
-        )
-        return 0
-
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.exists():
-            print(f"error: no such baseline: {baseline_path}", file=sys.stderr)
-            return 2
-        try:
-            known = _load_baseline(baseline_path)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            print(f"error: bad baseline {baseline_path}: {exc}", file=sys.stderr)
-            return 2
-        findings = [f for f in findings if _fingerprint(f) not in known]
 
     if args.output_format == "json":
         sys.stdout.write(_json_document(findings))

@@ -34,7 +34,7 @@ import os
 import signal
 import sys
 import time
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from repro.core.batch import BatchMatcher
 from repro.core.config import MatchConfig, SignatureScheme
@@ -63,11 +63,19 @@ def _value(cell: str) -> str | None:
     return cell if cell != "" else None
 
 
+def _open_csv(path: str) -> TextIO:
+    """``path`` opened for CSV reading; a missing file exits cleanly."""
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise SystemExit(f"{path}: {exc.strerror or exc}") from None
+
+
 def _read_reference_csv(
     path: str,
 ) -> tuple[list[str], list[tuple[int, tuple[str | None, ...]]]]:
     """Returns (column_names, [(tid, values), ...])."""
-    with open(path, newline="") as handle:
+    with _open_csv(path) as handle:
         reader = csv.reader(handle)
         header = next(reader)
         if not header or header[0] != "tid":
@@ -207,7 +215,7 @@ def cmd_match(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    with open(args.input, newline="") as handle:
+    with _open_csv(args.input) as handle:
         reader = csv.reader(handle)
         header = next(reader)
         has_target = bool(header) and header[0] == "target_tid"
@@ -226,21 +234,14 @@ def cmd_match(args: argparse.Namespace) -> int:
     budgeted = args.deadline_ms is not None or args.max_page_fetches is not None
     resilience = None
     if budgeted:
-        resilience = ResiliencePolicy.with_budget(
+        resilience = ResiliencePolicy(
             deadline_ms=args.deadline_ms, max_page_fetches=args.max_page_fetches
-        )
-    executor = getattr(args, "executor", "auto")
-    if resilience is not None and executor == "process":
-        raise SystemExit(
-            "--executor process cannot be combined with per-query budgets "
-            "(--deadline-ms/--max-page-fetches); use --executor thread"
         )
     engine = BatchMatcher.from_matcher(
         matcher,
         jobs=args.jobs,
         resilience=resilience,
         fail_fast=args.fail_fast,
-        executor=executor,
     )
     started = time.perf_counter()
     with engine:
@@ -280,7 +281,6 @@ def cmd_match(args: argparse.Namespace) -> int:
         f"matched {len(inputs)} tuples in {elapsed:.2f}s "
         f"({1000 * elapsed / max(len(inputs), 1):.1f} ms/tuple, "
         f"{report.queries_per_second:.1f} q/s, jobs={args.jobs}, "
-        f"executor={report.executor}, "
         f"{report.deduplicated_queries} deduplicated)",
         file=sys.stderr,
     )
@@ -450,7 +450,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             jobs=args.workers,
             resilience=ResiliencePolicy(),
             fail_fast=False,
-            executor="thread",
         )
         return engine, db
 
@@ -699,15 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="batch-matching workers (1 = sequential)",
-    )
-    mat.add_argument(
-        "--executor",
-        choices=("auto", "thread", "process"),
-        default="auto",
-        help="worker pool flavour for --jobs > 1: 'thread' shares one "
-        "interpreter (GIL-bound), 'process' runs true multicore workers, "
-        "'auto' picks processes when safe and useful (default)",
+        help="batch-matching worker threads (1 = sequential)",
     )
     mat.add_argument(
         "--deadline-ms",

@@ -8,7 +8,7 @@
 - :mod:`repro.core.fms_apx`: the indexable upper bounds *fmsapx* / *fmst_apx*.
 - :mod:`repro.core.matcher`: the naive, basic (§4.3.1) and OSC (§4.3.2)
   K-fuzzy-match algorithms over the ETI.
-- :mod:`repro.core.resilience`: per-query budgets, circuit breaking, and
+- :mod:`repro.core.resilience`: per-query deadlines, circuit breaking, and
   the degraded-mode contract for faulty storage.
 """
 
@@ -21,10 +21,8 @@ from repro.core.matcher import FuzzyMatcher, Match, MatchStats, failed_result
 from repro.core.minhash import MinHasher
 from repro.core.reference import ReferenceTable
 from repro.core.resilience import (
-    BudgetMeter,
     CircuitBreaker,
     Deadline,
-    QueryBudget,
     ResiliencePolicy,
     RetryPolicy,
     fallback_chain,
@@ -42,7 +40,6 @@ __all__ = [
     "BatchMatcher",
     "BatchReport",
     "BoundedTokenFrequencyCache",
-    "BudgetMeter",
     "build_frequency_cache",
     "CircuitBreaker",
     "Deadline",
@@ -62,7 +59,6 @@ __all__ = [
     "MatchStats",
     "MinHasher",
     "qgram_set",
-    "QueryBudget",
     "ReferenceTable",
     "ResiliencePolicy",
     "RetryPolicy",

@@ -18,31 +18,21 @@ single-query algorithms:
    stored relations, so per-query statistics never race.  The storage
    layer's buffer pool serializes page access internally.
 
-The pool comes in two flavours, selected by ``executor``: ``"thread"``
-(the GIL-bound historical behaviour — cheap workers, shared address
-space, compatible with resilience policies and fault injectors) and
-``"process"`` (true multicore: each worker process owns a private
-interpreter and matcher; see :class:`WorkerSpec` for how workers obtain
-the reference).  ``"auto"`` picks processes only when that is provably
-safe *and* useful — ``jobs > 1``, no shared resilience policy, stock
-reference/ETI classes, the ``fork`` start method available, and at least
-two CPUs — and threads otherwise.
+The pool is a thread pool: workers share one address space, so they
+share a resilience policy (one circuit breaker for the fleet) and any
+fault injector under the storage layer.
 
 Results are always returned in input order and are bit-identical to the
 sequential per-tuple :meth:`FuzzyMatcher.match` path: every query is
-deterministic and independent, so execution order cannot change answers
-— and the process pool ships back the same :class:`MatchResult` objects
-(matches, per-query stats) the thread pool produces in place.
+deterministic and independent, so execution order cannot change answers.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
 import threading
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -65,123 +55,13 @@ from repro.obs.registry import (
     RegistrySnapshot,
     merge_snapshots,
 )
-from repro.db.database import Database
 from repro.db.errors import DatabaseError
-from repro.eti.builder import build_eti
 from repro.eti.index import EtiIndex
-
-#: Valid ``executor`` arguments.
-EXECUTORS = ("auto", "thread", "process")
-
-
-@dataclass(frozen=True)
-class WorkerSpec:
-    """Picklable recipe that rebuilds a worker matcher in a fresh process.
-
-    Used only when worker processes cannot inherit the parent engine via
-    ``fork`` (spawn/forkserver start methods).  The worker rebuilds an
-    in-memory database from the serialized ``rows`` and — when the parent
-    had an ETI — re-runs the deterministic, seeded ETI build, yielding an
-    index bit-identical to the parent's by construction.  (Reopening the
-    parent's database *file* instead is deliberately not offered: the
-    storage engine keeps its catalog in the write-ahead-log manifest, so
-    attaching from another process while the parent holds the file could
-    not be done read-only; the rebuild is write-free and exact.)
-
-    The weight function and min-hash family are pickled through as-is so
-    worker similarities use exactly the parent's weights and signatures.
-    """
-
-    columns: tuple[str, ...]
-    table: str
-    build_index: bool
-    config: MatchConfig
-    weights: WeightFunction
-    hasher: MinHasher
-    rows: tuple[tuple[int, tuple[str | None, ...]], ...]
-    fail_fast: bool
-
-    def build(self) -> FuzzyMatcher:
-        """Materialize the matcher inside the worker process."""
-        db = Database.in_memory()
-        reference = ReferenceTable(db, self.table, self.columns)
-        reference.load(self.rows)
-        eti = (
-            build_eti(db, reference, self.config)[0] if self.build_index else None
-        )
-        return FuzzyMatcher(
-            reference, self.weights, self.config, eti, self.hasher,
-            caches=MatcherCaches(),
-        )
-
-
-# Per-process worker state.  ``_FORK_PARENT`` is set in the parent just
-# before the pool is created so that fork-started workers inherit the
-# live engine and can build their matcher from it without any pickling;
-# ``_PROCESS_MATCHER``/``_PROCESS_FAIL_FAST`` are populated inside each
-# worker by :func:`_process_worker_init`.
-_FORK_PARENT: "BatchMatcher | None" = None
-_PROCESS_MATCHER: FuzzyMatcher | None = None
-_PROCESS_FAIL_FAST: bool = True
-
-
-def _process_worker_init(spec: WorkerSpec | None) -> None:
-    """Build this worker process's private matcher (pool initializer).
-
-    ``spec=None`` is the fork fast path: the parent engine was inherited
-    through :data:`_FORK_PARENT` at fork time (the storage layer reads
-    pages with ``os.pread``, which is position-independent, so inherited
-    on-disk databases are safe to read from many processes at once).
-    Otherwise the picklable ``spec`` rebuilds everything from scratch.
-    """
-    global _PROCESS_MATCHER, _PROCESS_FAIL_FAST
-    if spec is None:
-        parent = _FORK_PARENT
-        if parent is None:
-            raise RuntimeError("fork worker started without an inherited engine")
-        _PROCESS_MATCHER = parent._build_matcher()
-        _PROCESS_FAIL_FAST = parent.fail_fast
-    else:
-        _PROCESS_MATCHER = spec.build()
-        _PROCESS_FAIL_FAST = spec.fail_fast
-
-
-def _process_run_query(
-    task: tuple[Sequence[str | None], int | None, float | None, str | None],
-) -> MatchResult:
-    """Run one query in a worker process and marshal the result back.
-
-    The returned :class:`MatchResult` (matches, stats) pickles
-    back to the parent whole, so process-mode reports and per-query
-    statistics look exactly like thread-mode ones.  ``fail_fast`` is
-    honoured worker-side the same way the thread path does it: the error
-    becomes the item's ``result.error`` marker, or re-raises to abort
-    the whole batch.
-    """
-    matcher = _PROCESS_MATCHER
-    if matcher is None:
-        raise RuntimeError("worker process used before initialization")
-    values, k, min_similarity, strategy = task
-    try:
-        return matcher.match(
-            values, k=k, min_similarity=min_similarity, strategy=strategy
-        )
-    except DatabaseError as exc:
-        if _PROCESS_FAIL_FAST:
-            raise
-        return failed_result(exc, strategy or "")
 
 
 @dataclass
 class BatchReport:
     """Accounting for one :meth:`BatchMatcher.match_many` run.
-
-    ``executor`` records which pool flavour actually ran the batch
-    (``"thread"`` or ``"process"`` — the resolved value, never
-    ``"auto"``).  In process mode ``cache_counters`` covers only the
-    parent-side sequential matcher: worker caches live in other
-    processes and are not aggregated (per-query :class:`MatchStats`
-    still ride along on every result).
 
     ``degraded_reasons`` and ``failed_types`` break the two outcome
     counters down by *why*: reason string (``"deadline"``,
@@ -194,7 +74,6 @@ class BatchReport:
     total_queries: int = 0
     unique_queries: int = 0
     jobs: int = 1
-    executor: str = "thread"
     elapsed_seconds: float = 0.0
     cache_counters: dict = field(default_factory=dict)
     degraded_queries: int = 0
@@ -219,7 +98,6 @@ class BatchReport:
             "unique_queries": self.unique_queries,
             "deduplicated_queries": self.deduplicated_queries,
             "jobs": self.jobs,
-            "executor": self.executor,
             "elapsed_seconds": self.elapsed_seconds,
             "queries_per_second": self.queries_per_second,
             "degraded_queries": self.degraded_queries,
@@ -241,18 +119,8 @@ class BatchMatcher:
 
     jobs:
         Worker count.  ``1`` runs sequentially (still deduplicating and
-        caching); ``N > 1`` fans distinct queries out over ``N`` workers.
-    executor:
-        ``"thread"`` (default), ``"process"``, or ``"auto"``.  Threads
-        share the address space — required whenever workers must share a
-        resilience policy, fault injectors, or subclassed components —
-        but serialize CPU-bound verification on the GIL.  Processes give
-        true multicore speedup; workers are initialized fork/spawn-safely
-        (inherit the engine on ``fork``, rebuild from a
-        :class:`WorkerSpec` otherwise) and results marshal back intact.
-        ``"auto"`` resolves to processes only when that is safe and the
-        machine has more than one CPU; it never breaks shared-state
-        setups, it only declines to parallelize them across processes.
+        caching); ``N > 1`` fans distinct queries out over ``N`` worker
+        threads.
     cache_factory:
         Zero-argument callable building the :class:`MatcherCaches` bundle
         for each worker (and the sequential matcher).  Defaults to
@@ -261,7 +129,7 @@ class BatchMatcher:
     resilience:
         Optional :class:`~repro.core.resilience.ResiliencePolicy`, shared
         by every worker — the circuit breaker sees the whole fleet's ETI
-        failures, and each query runs under the policy's budget.
+        failures, and each query runs under the policy's limits.
     fail_fast:
         With the default ``True``, a :class:`DatabaseError` on any tuple
         aborts the batch (the pre-resilience behaviour).  With ``False``
@@ -280,12 +148,9 @@ class BatchMatcher:
         cache_factory: Callable[[], MatcherCaches] = MatcherCaches,
         resilience: ResiliencePolicy | None = None,
         fail_fast: bool = True,
-        executor: str = "thread",
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if executor not in EXECUTORS:
-            raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
         self.resilience = resilience
         self.fail_fast = fail_fast
         self.reference = reference
@@ -299,13 +164,12 @@ class BatchMatcher:
         )
         self.jobs = jobs
         self.cache_factory = cache_factory
-        self.executor = self._resolve_executor(executor)
         self._local = threading.local()
         self._workers: list[FuzzyMatcher] = []
         self._workers_lock = make_lock("BatchMatcher._workers_lock")
         self._sequential = self._build_matcher()
-        self._pool: Executor | None = None
-        self.last_report = BatchReport(jobs=jobs, executor=self.executor)
+        self._pool: ThreadPoolExecutor | None = None
+        self.last_report = BatchReport(jobs=jobs)
 
     @classmethod
     def from_matcher(
@@ -317,7 +181,13 @@ class BatchMatcher:
         fail_fast: bool = True,
         executor: str = "thread",
     ) -> "BatchMatcher":
-        """Wrap an existing matcher's components in a batch engine."""
+        """Wrap an existing matcher's components in a batch engine.
+
+        ``executor`` must be ``"thread"``, the only worker pool; any other
+        value raises :class:`ValueError`.
+        """
+        if executor != "thread":
+            raise ValueError(f"executor must be 'thread', got {executor!r}")
         return cls(
             matcher.reference,
             matcher.weights,
@@ -328,47 +198,11 @@ class BatchMatcher:
             cache_factory=cache_factory,
             resilience=resilience if resilience is not None else matcher.resilience,
             fail_fast=fail_fast,
-            executor=executor,
         )
 
     # ------------------------------------------------------------------
     # Worker construction
     # ------------------------------------------------------------------
-
-    def _resolve_executor(self, requested: str) -> str:
-        """Turn the requested executor into a concrete ``thread``/``process``.
-
-        Explicit ``"process"`` is validated, not second-guessed: a shared
-        resilience policy cannot work across address spaces (each worker
-        would get a private circuit breaker, silently voiding the
-        contract), so that combination raises instead of degrading.
-
-        ``"auto"`` is conservative: processes only with ``jobs > 1``, no
-        resilience policy, *stock* reference/ETI classes (subclasses are
-        how tests inject faults and how callers share in-process state —
-        both break across a process boundary), a usable ``fork`` start
-        method, and more than one CPU (on a single core the fork and IPC
-        overhead cannot pay for itself).
-        """
-        if requested == "thread":
-            return "thread"
-        if requested == "process":
-            if self.resilience is not None:
-                raise ValueError(
-                    "executor='process' cannot share a resilience policy "
-                    "across worker processes; use executor='thread'"
-                )
-            return "process"
-        if (
-            self.jobs > 1
-            and self.resilience is None
-            and type(self.reference) is ReferenceTable
-            and (self.eti is None or type(self.eti) is EtiIndex)
-            and "fork" in multiprocessing.get_all_start_methods()
-            and (os.cpu_count() or 1) > 1
-        ):
-            return "process"
-        return "thread"
 
     def _build_matcher(self) -> FuzzyMatcher:
         """One matcher over the shared relations with private counters."""
@@ -404,62 +238,20 @@ class BatchMatcher:
                 self._workers.append(matcher)
         return matcher
 
-    def _worker_spec(self) -> WorkerSpec | None:
-        """Picklable rebuild recipe for non-fork worker processes.
-
-        Fork-started pools pass ``None`` (workers inherit the engine);
-        spawn/forkserver pools get the full spec, which serializes the
-        reference rows for a deterministic in-memory rebuild.
-        """
-        if "fork" in multiprocessing.get_all_start_methods():
-            return None
-        return WorkerSpec(
-            columns=self.reference.column_names,
-            table=self.reference.name,
-            build_index=self.eti is not None,
-            config=self.config,
-            weights=self.weights,
-            hasher=self.hasher,
-            rows=tuple(self.reference.scan()),
-            fail_fast=self.fail_fast,
-        )
-
-    def _ensure_pool(self) -> Executor:
+    def _ensure_pool(self) -> ThreadPoolExecutor:
         """The persistent worker pool (so worker caches stay warm across
         batches)."""
-        global _FORK_PARENT
         if self._pool is None:
-            if self.executor == "process":
-                spec = self._worker_spec()
-                if spec is None:
-                    # Fork fast path: workers build from the engine they
-                    # inherit at fork time.  Worker processes spawn lazily
-                    # on first submit, so the global stays set for the
-                    # pool's lifetime.
-                    _FORK_PARENT = self
-                    context = multiprocessing.get_context("fork")
-                else:
-                    context = multiprocessing.get_context()
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.jobs,
-                    mp_context=context,
-                    initializer=_process_worker_init,
-                    initargs=(spec,),
-                )
-            else:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.jobs, thread_name_prefix="repro-batch"
-                )
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.jobs, thread_name_prefix="repro-batch"
+            )
         return self._pool
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""
-        global _FORK_PARENT
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if _FORK_PARENT is self:
-            _FORK_PARENT = None
 
     def __enter__(self) -> "BatchMatcher":
         return self
@@ -538,37 +330,20 @@ class BatchMatcher:
             unique_inputs[0] if unique_inputs else None, k, min_similarity, strategy
         )
 
-        if self.executor == "process":
-            global _FORK_PARENT
-            if "fork" in multiprocessing.get_all_start_methods():
-                # Re-point the inherited-engine global at this engine so
-                # any worker forked during this batch builds from it.
-                _FORK_PARENT = self
-            tasks = [
-                (values, k, min_similarity, strategy) for values in unique_inputs
-            ]
-            chunksize = max(1, len(tasks) // (self.jobs * 4))
-            unique_results = list(
-                self._ensure_pool().map(
-                    _process_run_query, tasks, chunksize=chunksize
+        def run_query(values: Sequence[str | None]) -> MatchResult:
+            try:
+                return self.worker_matcher().match(
+                    values,
+                    k=k,
+                    min_similarity=min_similarity,
+                    strategy=strategy,
                 )
-            )
-        else:
+            except DatabaseError as exc:
+                if self.fail_fast:
+                    raise
+                return failed_result(exc, strategy or "")
 
-            def run_query(values: Sequence[str | None]) -> MatchResult:
-                try:
-                    return self.worker_matcher().match(
-                        values,
-                        k=k,
-                        min_similarity=min_similarity,
-                        strategy=strategy,
-                    )
-                except DatabaseError as exc:
-                    if self.fail_fast:
-                        raise
-                    return failed_result(exc, strategy or "")
-
-            unique_results = list(self._ensure_pool().map(run_query, unique_inputs))
+        unique_results = list(self._ensure_pool().map(run_query, unique_inputs))
 
         results: list[MatchResult | None] = [None] * len(batch)
         for group_index, indices in enumerate(groups.values()):
@@ -605,7 +380,6 @@ class BatchMatcher:
             total_queries=total,
             unique_queries=unique,
             jobs=self.jobs,
-            executor=self.executor,
             elapsed_seconds=time.perf_counter() - started,
             cache_counters=self.cache_counters(),
             degraded_queries=sum(1 for r in results if r is not None and r.stats.degraded),

@@ -26,8 +26,8 @@ unnormalized Levenshtein distance — at different cost profiles:
 operand size; :func:`repro.core.strings.edit_distance_raw` delegates to
 it, so every edit-distance consumer in the repository shares the fast
 path.  A seeded randomized parity suite (``tests/test_kernels.py``)
-asserts the three kernels agree bit-for-bit, and
-``benchmarks/bench_kernels.py`` records the speedups.
+asserts the three kernels agree bit-for-bit; the perf ledger's
+``core.kernels.*`` metrics count how often each one runs.
 
 All kernels are pure functions of their string arguments — no clocks, no
 randomness — which the reprolint ``determinism`` rule now enforces for
@@ -40,7 +40,7 @@ from repro.obs.registry import MetricsRegistry, default_registry
 
 #: Patterns shorter than this go to the classic DP: for one- and
 #: two-character tokens the bit-vector setup costs more than the handful
-#: of DP cells it replaces (measured in ``benchmarks/bench_kernels.py``).
+#: of DP cells it replaces.
 MYERS_MIN_PATTERN = 3
 
 

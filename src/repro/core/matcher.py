@@ -23,6 +23,7 @@ counts at the few-per-query level Figure 8 reports.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from typing import TYPE_CHECKING, Iterable, Sequence
 from dataclasses import dataclass, field, replace
@@ -39,12 +40,7 @@ from repro.core.osc import (
     stopping_test,
 )
 from repro.core.reference import ReferenceTable
-from repro.core.resilience import (
-    BudgetMeter,
-    QueryBudget,
-    ResiliencePolicy,
-    fallback_chain,
-)
+from repro.core.resilience import Deadline, ResiliencePolicy, fallback_chain
 from repro.core.tokens import TupleTokens
 from repro.core.weights import WeightFunction
 from repro.db.errors import DatabaseError, RecordNotFoundError
@@ -242,11 +238,11 @@ class FuzzyMatcher:
         tuple is fetched and tokenized again.
     resilience:
         Optional :class:`~repro.core.resilience.ResiliencePolicy`.  When
-        set, queries run under its budget (degrading instead of stalling),
+        set, queries run under its limits (degrading instead of stalling),
         storage failures on the ETI path fall back down the
         ``osc → basic → naive`` chain, and the policy's circuit breaker
         gates the indexed strategies.  ``None`` (the default) keeps the
-        exact pre-resilience behaviour: no budget, no fallback, errors
+        exact pre-resilience behaviour: no limits, no fallback, errors
         propagate.
     """
 
@@ -308,7 +304,8 @@ class FuzzyMatcher:
         k: int | None = None,
         min_similarity: float | None = None,
         strategy: str | None = None,
-        budget: QueryBudget | None = None,
+        deadline: Deadline | None = None,
+        max_page_fetches: int | None = None,
     ) -> MatchResult:
         """Find the K fuzzy matches of one input tuple.
 
@@ -318,9 +315,10 @@ class FuzzyMatcher:
         :class:`~repro.obs.tracing.Tracer` root and print
         :func:`~repro.obs.tracing.render_span` of it.
 
-        ``budget`` (defaulting to the resilience policy's budget, when one
-        is configured) bounds this query's wall clock and physical page
-        fetches; on exhaustion the best-so-far top-K comes back with
+        ``deadline`` and ``max_page_fetches`` (each defaulting to the
+        resilience policy's limit, when one is configured) bound this
+        query's wall clock and the physical page reads it may trigger from
+        now; on exhaustion the best-so-far top-K comes back with
         ``stats.degraded`` set instead of the query stalling or raising.
         With a resilience policy, a :class:`DatabaseError` on an indexed
         strategy falls back down ``osc → basic → naive`` (and trips the
@@ -341,11 +339,15 @@ class FuzzyMatcher:
             raise ValueError(f"strategy {strategy!r} requires a built ETI")
 
         policy = self.resilience
-        if budget is None and policy is not None:
-            budget = policy.budget
-        meter = None
-        if budget is not None and not budget.unlimited:
-            meter = budget.start(self._pool())
+        if policy is not None:
+            if deadline is None and policy.deadline_ms is not None:
+                deadline = Deadline.after(policy.deadline_ms / 1000.0)
+            if max_page_fetches is None:
+                max_page_fetches = policy.max_page_fetches
+        if max_page_fetches is not None:
+            deadline = (deadline or Deadline(math.inf)).capped(
+                self._pool(), max_page_fetches
+            )
 
         started = time.perf_counter()
         counters_before = self.caches.snapshot()
@@ -374,10 +376,10 @@ class FuzzyMatcher:
                 try:
                     if indexed:
                         result = self._match_indexed(
-                            values, k, c, use_osc=(attempt == "osc"), meter=meter
+                            values, k, c, use_osc=(attempt == "osc"), deadline=deadline
                         )
                     else:
-                        result = self._match_naive(values, k, c, meter=meter)
+                        result = self._match_naive(values, k, c, deadline=deadline)
                 except DatabaseError as exc:
                     if indexed and policy is not None:
                         policy.breaker.record_failure()
@@ -556,7 +558,7 @@ class FuzzyMatcher:
         values: Sequence[str | None],
         k: int,
         c: float,
-        meter: BudgetMeter | None = None,
+        deadline: Deadline | None = None,
     ) -> MatchResult:
         result = MatchResult()
         stats = result.stats
@@ -572,8 +574,8 @@ class FuzzyMatcher:
         scan_ctx = trace_span("matcher.naive_scan")
         with scan_ctx:
             for tid, reference_values in self.reference.scan():
-                if meter is not None and stats.fms_evaluations % 32 == 0:
-                    reason = meter.exhausted()
+                if deadline is not None and stats.fms_evaluations % 32 == 0:
+                    reason = deadline.exhausted()
                     if reason is not None:
                         stats.degraded = True
                         stats.degraded_reason = reason
@@ -609,13 +611,13 @@ class FuzzyMatcher:
         k: int,
         c: float,
         use_osc: bool,
-        meter: BudgetMeter | None = None,
+        deadline: Deadline | None = None,
     ) -> MatchResult:
         """Figures 3–4 as three stages handing plain data to the next.
 
         Thresholding sits between probe and verify: the score table's
         tids at or above the retention floor, best first, are the
-        candidates — cut to the top K when the budget ran out mid-probe,
+        candidates — cut to the top K when the deadline ran out mid-probe,
         so a degraded answer costs a bounded amount of extra work.
         """
         result = MatchResult()
@@ -624,7 +626,7 @@ class FuzzyMatcher:
         if query is None:
             return result  # all token weights are zero: nothing can match
         fms_cache: dict[int, tuple[float, tuple, bool]] = {}
-        probe = self._stage_probe(query, k, c, use_osc, meter, fms_cache, stats)
+        probe = self._stage_probe(query, k, c, use_osc, deadline, fms_cache, stats)
         if probe.matches is not None:
             result.matches = probe.matches
         else:
@@ -633,8 +635,10 @@ class FuzzyMatcher:
                 stats.degraded = True
                 stats.degraded_reason = probe.budget_reason
                 candidates = candidates[: max(k, 1)]
-                meter = None  # spent: verification must not poll it again
-            result.matches = self._stage_verify(query, candidates, k, c, meter, fms_cache, stats)
+                deadline = None  # spent: verification must not poll it again
+            result.matches = self._stage_verify(
+                query, candidates, k, c, deadline, fms_cache, stats
+            )
         stats.eti_lookups = probe.lookups
         stats.tids_processed = probe.score_table.stats.tids_processed
         stats.tids_admitted = probe.score_table.stats.tids_admitted
@@ -684,7 +688,7 @@ class FuzzyMatcher:
         k: int,
         c: float,
         use_osc: bool,
-        meter: BudgetMeter | None,
+        deadline: Deadline | None,
         fms_cache: dict[int, tuple[float, tuple, bool]],
         stats: MatchStats,
     ) -> ProbeOutcome:
@@ -694,7 +698,7 @@ class FuzzyMatcher:
         when it passes, the top K are verified exactly (no cost budget:
         the stopping test needs exact fms); a passed stopping test
         certifies them as the answer (``outcome.matches``).  A spent
-        budget stops the lookups (``outcome.budget_reason``).
+        deadline stops the lookups (``outcome.budget_reason``).
         """
         config = self.config
         # Admission bar for new tids.  The paper's Figure 3 step 9b uses
@@ -710,8 +714,8 @@ class FuzzyMatcher:
         last_test: tuple[float, float] | None = None  # (outside cap, weakest fms)
         with trace_span("matcher.eti_lookups") as span:
             for qgram_weight, coordinate, gram, column in query.entries:
-                if meter is not None:
-                    outcome.budget_reason = meter.exhausted()
+                if deadline is not None:
+                    outcome.budget_reason = deadline.exhausted()
                     if outcome.budget_reason is not None:
                         break
                 outcome.lookups += 1
@@ -731,7 +735,8 @@ class FuzzyMatcher:
                     continue
                 stats.osc_fetch_attempts += 1
                 similarities = [
-                    self._score_candidate(tid, query, fms_cache, stats)[0]
+                    # Exact fms: the stopping test cannot use a pruned bound.
+                    self._score_candidate(tid, query, fms_cache, stats, cost_budget=None)[0]
                     for tid in decision.top_tids
                 ]
                 last_test = (decision.outside_score_cap, min(similarities, default=0.0))
@@ -780,7 +785,7 @@ class FuzzyMatcher:
         candidates: list[tuple[int, float]],
         k: int,
         c: float,
-        meter: BudgetMeter | None,
+        deadline: Deadline | None,
         fms_cache: dict[int, tuple[float, tuple, bool]],
         stats: MatchStats,
     ) -> list[Match]:
@@ -788,7 +793,7 @@ class FuzzyMatcher:
 
         Stops once the next candidate's score-space upper bound cannot
         reach ``c`` or displace the K-th verified match, or when the
-        budget runs out (flagging the stats degraded).
+        deadline runs out (flagging the stats degraded).
         """
         config = self.config
         verified: list[tuple[float, int]] = []
@@ -796,8 +801,8 @@ class FuzzyMatcher:
         stopped = "candidates_exhausted"
         with trace_span("matcher.verify", candidates=len(candidates)) as span:
             for position, (tid, score) in enumerate(candidates):
-                if meter is not None and position > 0:
-                    reason = meter.exhausted()
+                if deadline is not None and position > 0:
+                    reason = deadline.exhausted()
                     if reason is not None:
                         stats.degraded = True
                         stats.degraded_reason = reason

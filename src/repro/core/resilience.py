@@ -1,4 +1,4 @@
-"""Per-query budgets, circuit breaking, and the degraded-mode contract.
+"""Per-query deadlines, circuit breaking, and the degraded-mode contract.
 
 The paper's setting is *online* data cleaning (§1): the fuzzy-match lookup
 sits inside an interactive pipeline, where a query that stalls is as bad
@@ -6,16 +6,17 @@ as one that answers wrongly — §4.3.2's optimistic short circuiting exists
 precisely to bound per-query work.  This module makes that bound
 *enforceable under faults*:
 
-- :class:`QueryBudget` caps one query's wall-clock time and physical page
-  fetches.  When a budget trips, the matcher does not raise: it returns
-  the best-so-far top-K with ``MatchStats.degraded`` set and the reason
-  recorded — partial answers are flagged, never silent.
+- :class:`Deadline` is the one time limit: a query's deadline (optionally
+  capped at a number of physical page fetches) is polled by the matcher.
+  When it trips, the matcher does not raise: it returns the best-so-far
+  top-K with ``MatchStats.degraded`` set and the reason recorded —
+  partial answers are flagged, never silent.
 - :class:`CircuitBreaker` watches the ETI path.  Repeated storage
   failures trip it open, after which queries skip straight to the
   index-free ``naive`` scan (the fallback chain ``osc → basic → naive``)
   until a half-open trial succeeds.
-- :class:`ResiliencePolicy` bundles both plus the fallback switch; one
-  policy is shared by every worker of a
+- :class:`ResiliencePolicy` bundles per-query limits, the breaker and the
+  fallback switch; one policy is shared by every worker of a
   :class:`~repro.core.batch.BatchMatcher` so the breaker sees the whole
   fleet's failures.
 
@@ -35,7 +36,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.analysis.debuglock import make_lock
 
 if TYPE_CHECKING:
-    from repro.db.pager import BufferPool
+    from repro.db.pager import BufferPool, PoolStats
 
 DEGRADED_DEADLINE = "deadline"
 DEGRADED_PAGE_FETCHES = "page_fetches"
@@ -85,30 +86,37 @@ class RetryPolicy:
 
 
 class Deadline:
-    """A fixed instant on a monotonic clock, shared by matcher and server.
+    """The one time limit: a fixed instant on a monotonic clock.
 
-    Every wall-clock limit in the system — a query budget's deadline, a
+    Every wall-clock limit in the system — a query's per-call limit, a
     request's end-to-end deadline carried over the wire, a server's drain
     budget — is the same concept: "this work is worthless after instant
-    T".  This helper centralizes the arithmetic that used to be
-    duplicated as ad-hoc ``started + seconds`` / ``now >= threshold``
-    pairs: construct with :meth:`after`, poll with :meth:`expired`, and
-    hand the unspent remainder to a narrower scope with
-    :meth:`remaining` (deadline *propagation*: a request that waited
-    80 ms of its 100 ms deadline in a queue runs with a 20 ms compute
-    budget).
+    T".  Construct with :meth:`after`, poll with :meth:`expired`, and hand
+    the unspent remainder to a narrower scope with :meth:`remaining`
+    (deadline *propagation*: a request that waited 80 ms of its 100 ms
+    deadline in a queue has 20 ms left to compute in).
+
+    The matcher polls a query's deadline with :meth:`exhausted`, which
+    also enforces an optional cap on physical page reads: the copy
+    :meth:`capped` returns is spent once the buffer pool has made
+    ``max_page_fetches`` more reads than when the copy was made, i.e. at
+    query start.  The pool is shared, so under parallel execution a query
+    may be charged for a neighbour's reads — the bound stays
+    conservative, which is the right direction for a limit.
 
     ``clock`` is injectable for deterministic tests; it defaults to
     ``time.monotonic`` so deadlines survive wall-clock adjustments.
     """
 
-    __slots__ = ("at", "_clock")
+    __slots__ = ("at", "_clock", "_pool_stats", "_read_limit")
 
     def __init__(
         self, at: float, clock: Callable[[], float] = time.monotonic
     ) -> None:
         self.at = at
         self._clock = clock
+        self._pool_stats: PoolStats | None = None
+        self._read_limit = 0
 
     @classmethod
     def after(
@@ -116,6 +124,16 @@ class Deadline:
     ) -> "Deadline":
         """The deadline ``seconds`` from now on ``clock``."""
         return cls(clock() + seconds, clock)
+
+    def capped(self, pool: "BufferPool", max_page_fetches: int) -> "Deadline":
+        """This instant, also spent after ``max_page_fetches`` more
+        physical reads through ``pool`` (counted from now)."""
+        if max_page_fetches < 0:
+            raise ValueError("max_page_fetches must be >= 0")
+        capped = Deadline(self.at, self._clock)
+        capped._pool_stats = pool.stats
+        capped._read_limit = pool.stats.physical_reads + max_page_fetches
+        return capped
 
     def remaining(self) -> float:
         """Seconds left before the deadline, floored at ``0.0``."""
@@ -125,119 +143,22 @@ class Deadline:
         """Has the instant passed?"""
         return self._clock() >= self.at
 
-    def __repr__(self) -> str:
-        return f"Deadline(at={self.at:.6f}, remaining={self.remaining():.6f})"
-
-
-@dataclass(frozen=True)
-class QueryBudget:
-    """Hard per-query limits: wall-clock seconds and physical page reads.
-
-    ``deadline`` is seconds of wall clock from the start of the query
-    (``None`` = unlimited); ``max_page_fetches`` caps the *physical* page
-    reads the query may trigger through the buffer pool (``None`` =
-    unlimited).  Construct from CLI-style milliseconds with
-    :meth:`from_ms`.
-    """
-
-    deadline: float | None = None
-    max_page_fetches: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError("deadline must be positive")
-        if self.max_page_fetches is not None and self.max_page_fetches < 0:
-            raise ValueError("max_page_fetches must be >= 0")
-
-    @classmethod
-    def from_ms(
-        cls, deadline_ms: float | None = None, max_page_fetches: int | None = None
-    ) -> "QueryBudget":
-        """Budget from a millisecond deadline (the CLI's unit)."""
-        deadline = None if deadline_ms is None else deadline_ms / 1000.0
-        return cls(deadline=deadline, max_page_fetches=max_page_fetches)
-
-    @classmethod
-    def from_deadline(
-        cls,
-        deadline: Deadline,
-        max_page_fetches: int | None = None,
-        floor: float = 0.001,
-    ) -> "QueryBudget":
-        """The budget covering whatever of ``deadline`` is still unspent.
-
-        This is the deadline-propagation primitive: a request that waited
-        in a queue runs with only the remainder of its end-to-end
-        deadline as compute budget.  ``floor`` (seconds) keeps the budget
-        constructible when the remainder has raced to ~zero — such a
-        query degrades on its first poll instead of being rejected here.
-        """
-        return cls(
-            deadline=max(deadline.remaining(), floor),
-            max_page_fetches=max_page_fetches,
-        )
-
-    @property
-    def unlimited(self) -> bool:
-        return self.deadline is None and self.max_page_fetches is None
-
-    def start(self, pool: "BufferPool | None" = None) -> "BudgetMeter":
-        """Begin metering one query (``pool`` supplies the read counter)."""
-        return BudgetMeter(self, pool)
-
-
-class BudgetMeter:
-    """One query's view of its budget: cheap to poll, never raises.
-
-    Page fetches are charged from the pool's ``physical_reads`` delta
-    since the meter started.  The pool is shared, so under parallel
-    execution a query may be charged for a neighbour's reads — the bound
-    stays conservative, which is the right direction for a limit.
-    """
-
-    __slots__ = (
-        "budget",
-        "_pool_stats",
-        "_started",
-        "_reads_at_start",
-        "_deadline",
-        "_max_fetches",
-    )
-
-    def __init__(self, budget: QueryBudget, pool: "BufferPool | None" = None) -> None:
-        self.budget = budget
-        self._pool_stats = pool.stats if pool is not None else None
-        self._started = time.monotonic()
-        self._reads_at_start = (
-            self._pool_stats.physical_reads if self._pool_stats is not None else 0
-        )
-        # exhausted() runs once per index entry on the hot path; flatten
-        # the budget into absolute thresholds so each poll is two compares.
-        self._deadline = (
-            None if budget.deadline is None else Deadline(self._started + budget.deadline)
-        )
-        self._max_fetches = (
-            None
-            if budget.max_page_fetches is None or self._pool_stats is None
-            else self._reads_at_start + budget.max_page_fetches
-        )
-
-    @property
-    def page_fetches(self) -> int:
-        if self._pool_stats is None:
-            return 0
-        return self._pool_stats.physical_reads - self._reads_at_start
-
     def exhausted(self) -> str | None:
-        """The reason the budget is spent, or ``None`` while within it."""
-        if self._deadline is not None and self._deadline.expired():
+        """Why the work must stop now, or ``None`` while within limits.
+
+        ``"deadline"`` once the instant has passed, ``"page_fetches"``
+        once a :meth:`capped` read allowance is spent.  Runs once per
+        index entry on the matcher's hot path: at most two compares.
+        """
+        if self._clock() >= self.at:
             return DEGRADED_DEADLINE
-        if (
-            self._max_fetches is not None
-            and self._pool_stats.physical_reads >= self._max_fetches
-        ):
+        stats = self._pool_stats
+        if stats is not None and stats.physical_reads >= self._read_limit:
             return DEGRADED_PAGE_FETCHES
         return None
+
+    def __repr__(self) -> str:
+        return f"Deadline(at={self.at:.6f}, remaining={self.remaining():.6f})"
 
 
 class CircuitBreaker:
@@ -348,25 +269,24 @@ class CircuitBreaker:
 class ResiliencePolicy:
     """Everything one matcher (or batch fleet) needs to survive faults.
 
-    ``budget`` applies to every query unless the call site passes its own;
-    ``fallback`` enables the ``osc → basic → naive`` strategy chain on
+    ``deadline_ms`` and ``max_page_fetches`` limit every query (``None`` =
+    unlimited) unless the call site passes its own; the matcher turns
+    them into a :class:`Deadline` when the query starts.  ``fallback``
+    enables the ``osc → basic → naive`` strategy chain on
     :class:`~repro.db.errors.DatabaseError`; ``breaker`` gates the ETI
     path.  Share one policy instance across the workers of a batch engine.
     """
 
-    budget: QueryBudget | None = None
+    deadline_ms: float | None = None
+    max_page_fetches: int | None = None
     fallback: bool = True
     breaker: CircuitBreaker = field(default_factory=CircuitBreaker)
 
-    @classmethod
-    def with_budget(
-        cls,
-        deadline_ms: float | None = None,
-        max_page_fetches: int | None = None,
-    ) -> "ResiliencePolicy":
-        """Policy with a budget given in CLI units (ms / fetch count)."""
-        budget = QueryBudget.from_ms(deadline_ms, max_page_fetches)
-        return cls(budget=None if budget.unlimited else budget)
+    def __post_init__(self) -> None:
+        if self.deadline_ms is not None and self.deadline_ms <= 0:
+            raise ValueError("deadline_ms must be positive")
+        if self.max_page_fetches is not None and self.max_page_fetches < 0:
+            raise ValueError("max_page_fetches must be >= 0")
 
 
 def fallback_chain(strategy: str) -> tuple[str, ...]:

@@ -17,9 +17,9 @@ Architecture (one process, thread-per-role):
   expired while queued, ask the
   :class:`~repro.serve.lifecycle.DegradationLadder` what stage to run
   at, and execute through the batch engine's per-thread matcher
-  (:meth:`~repro.core.batch.BatchMatcher.worker_matcher`) with a
-  :class:`~repro.core.resilience.QueryBudget` clamped to the deadline's
-  *remainder* — queue wait is not free, it comes out of compute.
+  (:meth:`~repro.core.batch.BatchMatcher.worker_matcher`) under the
+  request's own deadline — queue wait is not free, it comes out of
+  compute.
 - **Watchdog** — periodically feeds queue-wait p95 to the ladder
   (degrade), sheds queued bulk work past the shed threshold, and
   reports workers that went busy-silent (stuck) through readiness.
@@ -42,7 +42,7 @@ from typing import Any, Callable
 from repro.analysis.debuglock import make_lock
 from repro.core.batch import BatchMatcher
 from repro.core.matcher import FuzzyMatcher
-from repro.core.resilience import Deadline, QueryBudget
+from repro.core.resilience import Deadline
 from repro.db.database import Database
 from repro.db.errors import DatabaseError
 from repro.db.snapshot import save_database
@@ -109,7 +109,7 @@ class ServeConfig:
     """End-to-end deadline applied when a request names none
     (``None`` = requests without a deadline run unbounded)."""
     max_page_fetches: int | None = None
-    """Optional per-request physical-read cap (see ``QueryBudget``)."""
+    """Optional per-request physical-read cap, counted from query start."""
     degrade_p95_s: float = 0.200
     """Queue-wait p95 at which the ladder trips one stage cheaper."""
     recover_p95_s: float = 0.050
@@ -1021,13 +1021,6 @@ class MatchServer:
         effective = (
             stage if STAGES.index(stage) > STAGES.index(requested) else requested
         )
-        budget: QueryBudget | None = None
-        if item.deadline is not None:
-            budget = QueryBudget.from_deadline(
-                item.deadline, self.config.max_page_fetches
-            )
-        elif self.config.max_page_fetches is not None:
-            budget = QueryBudget(max_page_fetches=self.config.max_page_fetches)
 
         if self._before_execute is not None:
             self._before_execute(item)
@@ -1037,7 +1030,8 @@ class MatchServer:
                 k=request.k,
                 min_similarity=request.min_similarity,
                 strategy=effective,
-                budget=budget,
+                deadline=item.deadline,
+                max_page_fetches=self.config.max_page_fetches,
             )
         except (DatabaseError, ValueError) as exc:
             if probe is not None:

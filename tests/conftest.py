@@ -39,7 +39,8 @@ class ZeroWeights:
 
 
 class SpentAfter:
-    """A budget meter that reports ``reason`` after ``polls`` polls."""
+    """A stand-in :class:`~repro.core.resilience.Deadline` whose
+    :meth:`exhausted` poll reports ``reason`` after ``polls`` polls."""
 
     def __init__(self, polls, reason="deadline"):
         self.polls = polls

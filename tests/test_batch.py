@@ -125,80 +125,33 @@ class TestBatchMatcherParallel:
 
 
 class TestProcessExecutor:
-    def test_bit_identical_to_sequential(self, world):
-        """Process workers return exactly the sequential answers, twice
-        (the second batch exercises the warm pool)."""
+    """``from_matcher``'s ``executor`` accepts ``"thread"`` and nothing else."""
+
+    def test_thread_executor_accepted(self, world):
         reference, weights, config, eti, batch = world
-        sequential = FuzzyMatcher(
-            reference, weights, config, eti, caches=MatcherCaches.disabled()
+        matcher = FuzzyMatcher(reference, weights, config, eti)
+        with BatchMatcher.from_matcher(matcher, jobs=2, executor="thread") as engine:
+            results = engine.match_many(batch[:4])
+        assert result_view(results) == result_view(
+            [matcher.match(values) for values in batch[:4]]
         )
-        expected = result_view([sequential.match(values) for values in batch])
-        with BatchMatcher(
-            reference, weights, config, eti, jobs=2, executor="process"
-        ) as engine:
-            assert engine.executor == "process"
-            for _ in range(2):
-                results = engine.match_many(batch)
-                assert result_view(results) == expected
-            assert engine.last_report.executor == "process"
-
-    def test_thread_executor_recorded(self, world):
-        reference, weights, config, eti, batch = world
-        with BatchMatcher(reference, weights, config, eti, jobs=2) as engine:
-            engine.match_many(batch[:4])
-            assert engine.executor == "thread"
-            assert engine.last_report.executor == "thread"
-
-    def test_auto_with_resilience_resolves_to_thread(self, world):
-        from repro.core.resilience import ResiliencePolicy
-
-        reference, weights, config, eti, _ = world
-        engine = BatchMatcher(
-            reference, weights, config, eti,
-            jobs=4, executor="auto", resilience=ResiliencePolicy(),
-        )
-        assert engine.executor == "thread"
-        engine.close()
 
     def test_process_with_resilience_rejected(self, world):
         from repro.core.resilience import ResiliencePolicy
 
         reference, weights, config, eti, _ = world
-        with pytest.raises(ValueError, match="resilience"):
-            BatchMatcher(
-                reference, weights, config, eti,
-                jobs=2, executor="process", resilience=ResiliencePolicy(),
-            )
+        matcher = FuzzyMatcher(reference, weights, config, eti)
+        for resilience in (None, ResiliencePolicy()):
+            with pytest.raises(ValueError, match="executor"):
+                BatchMatcher.from_matcher(
+                    matcher, jobs=2, executor="process", resilience=resilience
+                )
 
     def test_invalid_executor_rejected(self, world):
         reference, weights, config, eti, _ = world
+        matcher = FuzzyMatcher(reference, weights, config, eti)
         with pytest.raises(ValueError, match="executor"):
-            BatchMatcher(reference, weights, config, eti, executor="greenlet")
-
-    def test_worker_spec_pickle_rebuild_parity(self, world):
-        """The spawn-path recipe survives pickling and rebuilds a matcher
-        whose answers are bit-identical to the parent's."""
-        import pickle
-
-        from repro.core.batch import WorkerSpec
-
-        reference, weights, config, eti, batch = world
-        parent = FuzzyMatcher(reference, weights, config, eti)
-        spec = WorkerSpec(
-            columns=reference.column_names,
-            table="rebuilt",
-            build_index=eti is not None,
-            config=config,
-            weights=weights,
-            hasher=parent.hasher,
-            rows=tuple(reference.scan()),
-            fail_fast=True,
-        )
-        rebuilt = pickle.loads(pickle.dumps(spec)).build()
-        subset = batch[:10]
-        assert result_view([rebuilt.match(v) for v in subset]) == result_view(
-            [parent.match(v) for v in subset]
-        )
+            BatchMatcher.from_matcher(matcher, executor="greenlet")
 
 
 class TestBatchReportJson:
@@ -207,7 +160,7 @@ class TestBatchReportJson:
         from repro.core.resilience import ResiliencePolicy
 
         reference, weights, config, eti, batch = world
-        policy = ResiliencePolicy.with_budget(max_page_fetches=0)
+        policy = ResiliencePolicy(max_page_fetches=0)
         with BatchMatcher(
             reference, weights, config, eti, jobs=2, resilience=policy
         ) as engine:
@@ -267,24 +220,6 @@ class TestCliJobs:
             parallel_rows = list(csv.reader(handle))
         assert sequential_rows == parallel_rows
 
-    def test_executor_flag_matches_sequential_output(self, csv_pair, tmp_path):
-        reference, dirty = csv_pair
-        seq_out = tmp_path / "seq.csv"
-        proc_out = tmp_path / "proc.csv"
-        base = ["match", "--reference", str(reference), "--input", str(dirty)]
-        assert cli_main(base + ["--out", str(seq_out)]) == 0
-        assert (
-            cli_main(
-                base + ["--jobs", "2", "--executor", "process", "--out", str(proc_out)]
-            )
-            == 0
-        )
-        with open(seq_out, newline="") as handle:
-            sequential_rows = list(csv.reader(handle))
-        with open(proc_out, newline="") as handle:
-            process_rows = list(csv.reader(handle))
-        assert sequential_rows == process_rows
-
     def test_report_json_flag_writes_breakdowns(self, csv_pair, tmp_path):
         reference, dirty = csv_pair
         report_path = tmp_path / "report.json"
@@ -307,41 +242,3 @@ class TestCliJobs:
         assert payload["degraded_reasons"].get("page_fetches") == payload[
             "degraded_queries"
         ]
-
-    def test_executor_process_rejects_query_budget(self, csv_pair, tmp_path):
-        reference, dirty = csv_pair
-        with pytest.raises(SystemExit):
-            cli_main(
-                [
-                    "match",
-                    "--reference", str(reference),
-                    "--input", str(dirty),
-                    "--jobs", "2",
-                    "--executor", "process",
-                    "--deadline-ms", "50",
-                    "--out", str(tmp_path / "never.csv"),
-                ]
-            )
-
-
-def test_bench_batch_importable():
-    """The throughput benchmark's module contract: modes + JSON targets."""
-    import importlib.util
-    from pathlib import Path
-
-    spec = importlib.util.spec_from_file_location(
-        "bench_batch",
-        Path(__file__).resolve().parent.parent / "benchmarks" / "bench_batch.py",
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert module.RESULT_PATH.parent.name == "results"
-    payload = json.loads(module.RESULT_PATH.read_text())
-    assert payload["benchmark"] == "batch_engine_throughput"
-    assert [mode["name"] for mode in payload["modes"]] == [
-        "seed_sequential",
-        "cached_sequential",
-        "cached_jobs4",
-        "process_jobs4",
-    ]
-    assert payload["cpus"] >= 1

@@ -28,7 +28,6 @@ from repro.core.matcher import FuzzyMatcher
 from repro.core.reference import ReferenceTable
 from repro.core.resilience import (
     DEGRADED_DEADLINE,
-    QueryBudget,
     ResiliencePolicy,
     RetryPolicy,
 )
@@ -229,7 +228,7 @@ class TestDeadline:
             deadline = reads * latency / 4
             slow = FaultConfig(latency_rate=1.0, latency_seconds=latency)
 
-            policy = ResiliencePolicy(budget=QueryBudget(deadline=deadline))
+            policy = ResiliencePolicy(deadline_ms=deadline * 1000.0)
             matcher = uncached_matcher(reference, weights, config, eti, policy)
             injector.arm(seed=1, config=slow)
             try:
@@ -261,7 +260,7 @@ class TestDeadline:
             build_faulted_world(pool_capacity=4)
         )
         try:
-            policy = ResiliencePolicy(budget=QueryBudget(max_page_fetches=1))
+            policy = ResiliencePolicy(max_page_fetches=1)
             matcher = uncached_matcher(reference, weights, config, eti, policy)
             pool.drop_cache()
             before = pool.stats.physical_reads

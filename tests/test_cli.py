@@ -155,6 +155,23 @@ class TestMatch:
                 ]
             )
 
+    @pytest.mark.parametrize("missing", ["--reference", "--input"])
+    def test_missing_file_exits_naming_it(self, tmp_path, reference_csv, dirty_csv, missing):
+        paths = {"--reference": str(reference_csv), "--input": str(dirty_csv)}
+        paths[missing] = str(tmp_path / "nonexistent.csv")
+        argv = ["match", "--out", str(tmp_path / "x.csv")]
+        for flag, path in paths.items():
+            argv += [flag, path]
+        with pytest.raises(SystemExit, match="nonexistent.csv"):
+            run_cli(argv)
+
+    @pytest.mark.parametrize("command", ["corrupt", "dedup", "explain"])
+    def test_missing_reference_exits_naming_it(self, tmp_path, command):
+        argv = [command, "--reference", str(tmp_path / "nonexistent.csv")]
+        argv += {"corrupt": ["--preset", "D1"], "dedup": [], "explain": ["a", "b"]}[command]
+        with pytest.raises(SystemExit, match="nonexistent.csv"):
+            run_cli(argv)
+
 
 class TestDedup:
     def test_dedup_output(self, tmp_path, reference_csv):
@@ -333,3 +350,11 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             run_cli(["frobnicate"])
+
+    def test_executor_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["match", "--reference", "r.csv", "--input", "i.csv", "--executor", "process"]
+            )
+        assert excinfo.value.code == 2
+        assert "--executor" in capsys.readouterr().err

@@ -38,18 +38,6 @@ INPUTS = 300
 NAIVE_INPUTS = 60  # the naive scan is |R| fms evaluations per query
 
 
-class _PollBudget:
-    """Stands in for a :class:`QueryBudget`; its meter counts polls, not time."""
-
-    unlimited = False
-
-    def __init__(self, polls: int) -> None:
-        self.polls = polls
-
-    def start(self, pool=None) -> SpentAfter:
-        return SpentAfter(self.polls, "page_fetches")
-
-
 # fms with §5.3 transpositions and §5.2 column weights: neither changes the
 # ETI, so these matchers share the default-config index.
 SWAPS_WEIGHTED = {
@@ -58,15 +46,22 @@ SWAPS_WEIGHTED = {
 }
 SWAPS_MIN_WEIGHTED = {**SWAPS_WEIGHTED, "transposition_cost": TranspositionCost.MINIMUM}
 
-# name -> (strategy, match kwargs, inputs, MatchConfig changes)
+
+def _spent_after(polls: int):
+    """Per-query stand-in deadlines that count polls, not time."""
+    return lambda: SpentAfter(polls, "page_fetches")
+
+
+# name -> (strategy, match kwargs, inputs, MatchConfig changes); a callable
+# kwarg is called afresh for every query
 CONFIGS: dict[str, tuple[str, dict, int, dict]] = {
     "osc": ("osc", {}, INPUTS, {}),
     "basic": ("basic", {}, INPUTS, {}),
     "naive": ("naive", {}, NAIVE_INPUTS, {}),
     "osc_k3_c06": ("osc", {"k": 3, "min_similarity": 0.6}, INPUTS, {}),
     "basic_k3": ("basic", {"k": 3}, INPUTS, {}),
-    "basic_k3_budget_lookups": ("basic", {"k": 3, "budget": _PollBudget(9)}, INPUTS, {}),
-    "osc_k2_budget_verify": ("osc", {"k": 2, "budget": _PollBudget(40)}, INPUTS, {}),
+    "basic_k3_budget_lookups": ("basic", {"k": 3, "deadline": _spent_after(9)}, INPUTS, {}),
+    "osc_k2_budget_verify": ("osc", {"k": 2, "deadline": _spent_after(40)}, INPUTS, {}),
     "osc_swaps_weighted": ("osc", {}, INPUTS, SWAPS_WEIGHTED),
     "basic_k3_swaps_min_weighted": ("basic", {"k": 3}, INPUTS, SWAPS_MIN_WEIGHTED),
     "naive_swaps_weighted": ("naive", {}, NAIVE_INPUTS, SWAPS_WEIGHTED),
@@ -112,7 +107,8 @@ def digest(world, name: str) -> str:
     matcher = FuzzyMatcher(reference, weights, config.with_(**changes), eti)
     sha = hashlib.sha256()
     for values in inputs[:count]:
-        result = matcher.match(values, strategy=strategy, **kwargs)
+        fresh = {key: value() if callable(value) else value for key, value in kwargs.items()}
+        result = matcher.match(values, strategy=strategy, **fresh)
         stats = dataclasses.asdict(result.stats)
         row = (
             [(m.tid, repr(m.similarity)) for m in result.matches],

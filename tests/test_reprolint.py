@@ -236,44 +236,6 @@ def test_disable_pragma_on_decorated_def_covers_decorators(tmp_path):
     assert run([bare], select=["determinism"])
 
 
-def test_write_baseline_then_gate_is_clean(tmp_path, capsys):
-    """Round trip: record today's findings, then gate against them."""
-    baseline = tmp_path / "baseline.json"
-    fixture = str(FIXTURES / "bad_blocking.py")
-    assert main(["--write-baseline", str(baseline), fixture]) == 0
-    capsys.readouterr()
-    code = main(["--baseline", str(baseline), fixture])
-    assert code == 0
-    assert capsys.readouterr().out == ""
-
-
-def test_baseline_lets_new_findings_through(tmp_path, capsys):
-    """A finding not in the baseline still fails the gate."""
-    baseline = tmp_path / "baseline.json"
-    assert main(["--write-baseline", str(baseline), str(FIXTURES / "clean.py")]) == 0
-    capsys.readouterr()
-    code = main(["--baseline", str(baseline), str(FIXTURES / "bad_blocking.py")])
-    assert code == 1
-    assert ": blocking-under-lock: " in capsys.readouterr().out
-
-
-def test_baseline_file_is_deterministic(tmp_path):
-    first = tmp_path / "a.json"
-    second = tmp_path / "b.json"
-    fixture = str(FIXTURES / "bad_leak.py")
-    assert main(["--write-baseline", str(first), fixture]) == 0
-    assert main(["--write-baseline", str(second), fixture]) == 0
-    assert first.read_bytes() == second.read_bytes()
-
-
-def test_cli_missing_baseline_exits_2(tmp_path, capsys):
-    code = main(
-        ["--baseline", str(tmp_path / "nope.json"), str(FIXTURES / "clean.py")]
-    )
-    assert code == 2
-    assert "no such baseline" in capsys.readouterr().err
-
-
 def test_registry_has_the_documented_rules():
     assert set(REGISTRY) == {
         "lock-discipline",

@@ -5,7 +5,7 @@ Three levels under test, bottom-up:
 - storage: the CRC32 ledger in :class:`BufferPool`, retry/backoff on
   :class:`TransientIOError`, and the :class:`FaultInjector` wrapper's
   determinism and fault taxonomy;
-- query: :class:`QueryBudget` / :class:`BudgetMeter` degradation,
+- query: :class:`Deadline` degradation (time and physical reads),
   :class:`CircuitBreaker` state machine, and the ``osc → basic → naive``
   fallback chain in :class:`FuzzyMatcher`;
 - batch: per-item fault isolation (``fail_fast=False``) in
@@ -14,6 +14,8 @@ Three levels under test, bottom-up:
 The randomized end-to-end invariant lives in ``test_chaos.py``; these are
 the deterministic unit and integration contracts.
 """
+
+import math
 
 import pytest
 
@@ -24,7 +26,6 @@ from repro.core.resilience import (
     DEGRADED_PAGE_FETCHES,
     CircuitBreaker,
     Deadline,
-    QueryBudget,
     ResiliencePolicy,
     RetryPolicy,
     fallback_chain,
@@ -263,42 +264,6 @@ class TestPoolUnderFaults:
         assert excinfo.value.page_no == page_no
 
 
-class TestQueryBudget:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QueryBudget(deadline=0)
-        with pytest.raises(ValueError):
-            QueryBudget(max_page_fetches=-1)
-
-    def test_from_ms_and_unlimited(self):
-        assert QueryBudget.from_ms(250).deadline == pytest.approx(0.25)
-        assert QueryBudget.from_ms(None, None).unlimited
-        assert not QueryBudget.from_ms(None, 10).unlimited
-
-    def test_meter_deadline(self):
-        meter = QueryBudget(deadline=5.0).start()
-        assert meter.exhausted() is None
-        meter._started -= 10.0  # pretend 10s elapsed
-        meter._deadline.at -= 10.0
-        assert meter.exhausted() == DEGRADED_DEADLINE
-
-    def test_meter_page_fetches(self):
-        pool = BufferPool(InMemoryStorage(), capacity=2)
-        page_no = pool.allocate_page()
-        meter = QueryBudget(max_page_fetches=2).start(pool)
-        assert meter.exhausted() is None
-        for _ in range(3):
-            pool.drop_cache()
-            pool.get_page(page_no)
-        assert meter.page_fetches >= 2
-        assert meter.exhausted() == DEGRADED_PAGE_FETCHES
-
-    def test_zero_fetch_budget_is_immediately_exhausted(self):
-        pool = BufferPool(InMemoryStorage(), capacity=2)
-        meter = QueryBudget(max_page_fetches=0).start(pool)
-        assert meter.exhausted() == DEGRADED_PAGE_FETCHES
-
-
 class ManualClock:
     def __init__(self, now: float = 100.0) -> None:
         self.now = now
@@ -322,21 +287,59 @@ class TestDeadline:
         assert deadline.expired()
         assert deadline.remaining() == 0.0  # clamped, never negative
 
-    def test_budget_from_deadline_clamps_to_remainder(self):
-        clock = ManualClock()
-        deadline = Deadline.after(2.0, clock=clock)
-        clock.advance(1.5)
-        budget = QueryBudget.from_deadline(deadline)
-        assert budget.deadline == pytest.approx(0.5)
 
-    def test_budget_from_expired_deadline_uses_floor(self):
+class TestQueryBudget:
+    """A query's budget is the :class:`Deadline` the matcher polls: an
+    instant, optionally capped at a number of physical page reads."""
+
+    def test_validation(self):
+        pool = BufferPool(InMemoryStorage(), capacity=2)
+        with pytest.raises(ValueError):
+            Deadline(math.inf).capped(pool, -1)
+        with pytest.raises(ValueError):
+            ResiliencePolicy(deadline_ms=0)
+        with pytest.raises(ValueError):
+            ResiliencePolicy(max_page_fetches=-1)
+
+    def test_meter_deadline(self):
+        """The poll reads the injected clock."""
         clock = ManualClock()
-        deadline = Deadline.after(1.0, clock=clock)
+        deadline = Deadline.after(5.0, clock=clock)
+        assert deadline.exhausted() is None
         clock.advance(5.0)
-        budget = QueryBudget.from_deadline(deadline)
-        # Constructible (deadline > 0 is enforced) but effectively spent:
-        # the query degrades on its first budget poll.
-        assert budget.deadline == pytest.approx(0.001)
+        assert deadline.exhausted() == DEGRADED_DEADLINE
+
+    def test_meter_page_fetches(self):
+        """Reads count from when the cap is set (the query's start)."""
+        pool = BufferPool(InMemoryStorage(), capacity=2)
+        page_no = pool.allocate_page()
+        pool.flush()
+
+        def physical_read():
+            pool.drop_cache()
+            pool.get_page(page_no)
+
+        for _ in range(5):
+            physical_read()  # before the query started: never charged
+        deadline = Deadline(math.inf).capped(pool, 2)
+        physical_read()
+        assert deadline.exhausted() is None
+        physical_read()
+        assert deadline.exhausted() == DEGRADED_PAGE_FETCHES
+
+    def test_zero_fetch_budget_is_immediately_exhausted(self):
+        pool = BufferPool(InMemoryStorage(), capacity=2)
+        deadline = Deadline(math.inf).capped(pool, 0)
+        assert deadline.exhausted() == DEGRADED_PAGE_FETCHES
+
+    def test_deadline_reason_wins_over_the_read_cap(self):
+        clock = ManualClock()
+        pool = BufferPool(InMemoryStorage(), capacity=2)
+        deadline = Deadline.after(1.0, clock=clock).capped(pool, 0)
+        assert deadline.exhausted() == DEGRADED_PAGE_FETCHES
+        clock.advance(1.0)
+        assert deadline.exhausted() == DEGRADED_DEADLINE
+        assert deadline.remaining() == 0.0
 
 
 class TestCircuitBreakerCooldown:
@@ -559,7 +562,7 @@ class TestMatcherResilience:
     def test_zero_fetch_budget_degrades_indexed_query(
         self, org_reference, org_weights, paper_config, org_eti
     ):
-        policy = ResiliencePolicy(budget=QueryBudget(max_page_fetches=0))
+        policy = ResiliencePolicy(max_page_fetches=0)
         matcher = self.make_matcher(
             org_reference, org_weights, paper_config, org_eti, policy
         )
@@ -568,16 +571,53 @@ class TestMatcherResilience:
         assert result.stats.degraded
         assert result.stats.degraded_reason == DEGRADED_PAGE_FETCHES
 
+    def test_read_cap_is_anchored_at_each_query_start(
+        self, org_reference, org_weights, paper_config, org_eti
+    ):
+        query = ("Beoing Company", "Seattle", "WA", "98004")
+        unlimited = self.make_matcher(org_reference, org_weights, paper_config, org_eti)
+        pool = unlimited._pool()
+        pool.drop_cache()
+        before = pool.stats.physical_reads
+        expected = unlimited.match(query)
+        reads = pool.stats.physical_reads - before
+        assert reads >= 1
+        # One query's worth of reads (plus one) per query: a cap counted
+        # from when the policy was made would trip on the second query.
+        policy = ResiliencePolicy(max_page_fetches=reads + 1)
+        matcher = self.make_matcher(
+            org_reference, org_weights, paper_config, org_eti, policy
+        )
+        for _ in range(2):
+            pool.drop_cache()
+            result = matcher.match(query)
+            assert not result.stats.degraded
+            assert result.matches == expected.matches
+
+    def test_call_site_deadline_overrides_policy(
+        self, org_reference, org_weights, paper_config, org_eti
+    ):
+        policy = ResiliencePolicy(deadline_ms=60_000)
+        matcher = self.make_matcher(
+            org_reference, org_weights, paper_config, org_eti, policy
+        )
+        query = ("Beoing Company", "Seattle", "WA", "98004")
+        assert not matcher.match(query).stats.degraded
+        spent = Deadline(0.0)  # an instant long past on the monotonic clock
+        result = matcher.match(query, deadline=spent)
+        assert result.stats.degraded
+        assert result.stats.degraded_reason == DEGRADED_DEADLINE
+
     def test_call_site_budget_overrides_policy(
         self, org_reference, org_weights, paper_config, org_eti
     ):
-        policy = ResiliencePolicy(budget=QueryBudget(max_page_fetches=0))
+        policy = ResiliencePolicy(max_page_fetches=0)
         matcher = self.make_matcher(
             org_reference, org_weights, paper_config, org_eti, policy
         )
         result = matcher.match(
             ("Beoing Company", "Seattle", "WA", "98004"),
-            budget=QueryBudget(max_page_fetches=10**9),
+            max_page_fetches=10**9,
         )
         assert not result.stats.degraded
 
