@@ -4,27 +4,26 @@ Run the linter over the package (exit 0 = clean, 1 = findings)::
 
     python -m repro.analysis                # lints src/repro
     python -m repro.analysis path.py dir/   # explicit targets
-    python -m repro.analysis --select lock-discipline,annotations
+    python -m repro.analysis --select lock-discipline,determinism
     python -m repro.analysis --list-rules
+
+The rules guard invariants no other gate checks; unused imports,
+annotations and ``__all__`` resolution are CI's ``ruff`` and
+``mypy --strict``, docstrings and export lists ``tests/test_docstrings.py``.
 
 Per-module rules (see each ``rules_*`` module for the rationale):
 
-===================  ====================================================
-``lock-discipline``  attributes mutated under ``with self._lock`` are
-                     only touched under it
+======================  =================================================
+``lock-discipline``     attributes mutated under ``with self._lock`` are
+                        only touched under it
 ``exception-taxonomy``  ``repro/db/`` raises only ``DatabaseError``
-                     subclasses; no bare/broad excepts outside the
-                     sanctioned resilience fallback sites
-``determinism``      no unseeded randomness, wall-clock reads, or
-                     set-order iteration on the match path
-``api-consistency``  ``__all__`` entries resolve; public defs are
-                     exported and documented
-``unused-import``    imports are referenced or re-exported
-``annotations``      full parameter/return annotations everywhere
-                     (the local strict-typing backstop)
-===================  ====================================================
+                        subclasses; no bare/broad excepts outside the
+                        sanctioned resilience fallback sites
+``determinism``         no unseeded randomness, wall-clock reads, or
+                        set-order iteration on the match path
+======================  =================================================
 
-Whole-program rules (reprolint v2 — built on the call graph in
+Whole-program rules (built on the call graph in
 :mod:`repro.analysis.callgraph`; see :mod:`repro.analysis.rules_interproc`):
 
 =========================  ==============================================
@@ -36,61 +35,12 @@ Whole-program rules (reprolint v2 — built on the call graph in
                            paths; semaphore tokens never silently dropped
 ``durability-ordering``    ``db/wal.py`` append/fsync discipline (COMMIT
                            then fsync; checkpoint writes then inner sync)
-``shed-exhaustiveness``    shed reasons across ``serve/`` match the
-                           protocol's documented ``SHED_REASONS``
 =========================  ==============================================
 
-The dynamic half — :class:`~repro.analysis.debuglock.DebugLock`, enabled
-by ``REPRO_DEBUG_LOCKS=1`` — lives in :mod:`repro.analysis.debuglock`.
+The package exports nothing: the linter lives in
+:mod:`repro.analysis.framework` (whose ``registry()`` imports the rule
+modules on first use) and the dynamic half —
+:class:`~repro.analysis.debuglock.DebugLock`, enabled by
+``REPRO_DEBUG_LOCKS=1`` — in :mod:`repro.analysis.debuglock`, the one
+module the engine imports.
 """
-
-from repro.analysis.debuglock import (
-    DebugLock,
-    LockDisciplineError,
-    LockOrderInversionError,
-    UnguardedAccessError,
-    assert_owned,
-    debug_locks_enabled,
-    lock_order_edges,
-    make_lock,
-    make_rlock,
-    reset_lock_order,
-)
-from repro.analysis.framework import REGISTRY, Finding, Module, Rule, register, run
-
-# Importing the rule modules populates REGISTRY via their @register
-# decorators; the imports are for that side effect.
-from repro.analysis import rules_api as _rules_api
-from repro.analysis import rules_determinism as _rules_determinism
-from repro.analysis import rules_exceptions as _rules_exceptions
-from repro.analysis import rules_interproc as _rules_interproc
-from repro.analysis import rules_locks as _rules_locks
-from repro.analysis import rules_typing as _rules_typing
-
-_ = (
-    _rules_api,
-    _rules_determinism,
-    _rules_exceptions,
-    _rules_interproc,
-    _rules_locks,
-    _rules_typing,
-)
-
-__all__ = [
-    "DebugLock",
-    "Finding",
-    "LockDisciplineError",
-    "LockOrderInversionError",
-    "Module",
-    "REGISTRY",
-    "Rule",
-    "UnguardedAccessError",
-    "assert_owned",
-    "debug_locks_enabled",
-    "lock_order_edges",
-    "make_lock",
-    "make_rlock",
-    "register",
-    "reset_lock_order",
-    "run",
-]

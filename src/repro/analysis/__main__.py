@@ -2,20 +2,18 @@
 
 Exit status is 0 when every selected rule is clean over every target,
 1 when there are findings, 2 on usage errors or unparseable files.
-Three output formats:
+Two output formats:
 
 - ``--format text`` (default) — one ``path:line:col: rule: message``
   line per finding, the same shape as compiler diagnostics, so editors
   and CI annotate it for free.
-- ``--format json`` — a deterministic JSON document (sorted findings,
-  sorted keys, stable separators): byte-identical across runs over the
-  same tree, which is what the determinism test pins down.
 - ``--format sarif`` — minimal SARIF 2.1.0 for GitHub code-scanning
   upload.
 
 Files that fail to parse are reported as rule ``syntax-error`` findings
-(all formats) and force exit code 2 — a tree the linter cannot read is
-not a clean tree.
+(both formats) and force exit code 2 — a tree the linter cannot read is
+not a clean tree.  An unknown rule name or an empty ``--select`` is a
+usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -27,8 +25,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis import REGISTRY, run
-from repro.analysis.framework import Finding
+from repro.analysis.framework import Finding, registry, run
 
 #: The pseudo-rule used for files the parser rejects.
 SYNTAX_ERROR_RULE = "syntax-error"
@@ -62,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "sarif"),
         default="text",
         dest="output_format",
         help="output format (default: text)",
@@ -89,27 +86,13 @@ def _display_path(raw: str) -> str:
         return path.as_posix()
 
 
-def _json_document(findings: Sequence[Finding]) -> str:
-    """The ``--format json`` document — byte-identical across runs."""
-    return (
-        json.dumps(
-            {
-                "findings": [dataclasses.asdict(f) for f in findings],
-                "count": len(findings),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
-
-
 def _sarif_document(findings: Sequence[Finding]) -> str:
     """A minimal SARIF 2.1.0 document for code-scanning upload."""
     rule_ids = sorted({f.rule for f in findings})
+    known = registry()
     rules = []
     for rule_id in rule_ids:
-        registered = REGISTRY.get(rule_id)
+        registered = known.get(rule_id)
         description = (
             registered.description
             if registered is not None
@@ -165,9 +148,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run reprolint; returns the process exit code."""
     args = build_parser().parse_args(argv)
     if args.list_rules:
-        width = max(len(name) for name in REGISTRY)
-        for name in sorted(REGISTRY):
-            print(f"{name:<{width}}  {REGISTRY[name].description}")
+        known = registry()
+        width = max(len(name) for name in known)
+        for name in sorted(known):
+            print(f"{name:<{width}}  {known[name].description}")
         return 0
     targets = [Path(p) for p in args.paths] if args.paths else [_default_target()]
     missing = [str(p) for p in targets if not p.exists()]
@@ -175,8 +159,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: no such path(s): {', '.join(missing)}", file=sys.stderr)
         return 2
     select = None
-    if args.select:
+    if args.select is not None:
         select = [name.strip() for name in args.select.split(",") if name.strip()]
+        if not select:
+            print("error: --select names no rule", file=sys.stderr)
+            return 2
     syntax_errors: list[Finding] = []
 
     def record_parse_error(path: Path, exc: Exception) -> None:
@@ -197,9 +184,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     ]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
 
-    if args.output_format == "json":
-        sys.stdout.write(_json_document(findings))
-    elif args.output_format == "sarif":
+    if args.output_format == "sarif":
         sys.stdout.write(_sarif_document(findings))
     else:
         for finding in findings:

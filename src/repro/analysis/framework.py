@@ -15,8 +15,10 @@ Architecture:
   and suppress rules;
 - :class:`Rule` subclasses declare a ``name`` and yield
   :class:`Finding` objects from :meth:`Rule.check`;
-- the :data:`REGISTRY` maps rule names to singleton instances (populated
-  by the ``@register`` decorator at import time);
+- :func:`registry` maps rule names to singleton instances (each rule
+  module's ``@register`` decorators fill it; :func:`registry` imports
+  the rule modules on first use, so importing the package — as every
+  lock owner does for :mod:`repro.analysis.debuglock` — loads no rule);
 - :func:`run` walks files, applies every selected rule, and returns the
   combined findings.
 
@@ -40,7 +42,9 @@ Pragmas (magic comments):
 from __future__ import annotations
 
 import ast
+import importlib
 import re
+import tokenize
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, Type
@@ -88,8 +92,14 @@ class Module:
 
     @classmethod
     def load(cls, path: Path, root: Path | None = None) -> "Module":
-        """Parse ``path``; the logical path is relative to ``root``."""
-        source = path.read_text()
+        """Parse ``path``; the logical path is relative to ``root``.
+
+        The source is decoded as Python decodes it (PEP 263/3120: a
+        coding cookie or BOM, else UTF-8), never with the locale's
+        encoding.
+        """
+        with tokenize.open(path) as handle:
+            source = handle.read()
         try:
             relative = path.relative_to(root) if root is not None else path
         except ValueError:
@@ -186,18 +196,33 @@ class ProgramRule(Rule):
         yield  # pragma: no cover
 
 
-REGISTRY: dict[str, Rule] = {}
+_REGISTRY: dict[str, Rule] = {}
+
+#: The modules whose ``@register`` decorators define every rule.
+RULE_MODULES = (
+    "repro.analysis.rules_determinism",
+    "repro.analysis.rules_exceptions",
+    "repro.analysis.rules_interproc",
+    "repro.analysis.rules_locks",
+)
 
 
 def register(rule_cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding one singleton instance to :data:`REGISTRY`."""
+    """Class decorator adding one singleton instance to the registry."""
     rule = rule_cls()
     if not rule.name:
         raise ValueError(f"{rule_cls.__name__} has no rule name")
-    if rule.name in REGISTRY:
+    if rule.name in _REGISTRY:
         raise ValueError(f"duplicate rule name {rule.name!r}")
-    REGISTRY[rule.name] = rule
+    _REGISTRY[rule.name] = rule
     return rule_cls
+
+
+def registry() -> dict[str, Rule]:
+    """Every rule by name, importing the rule modules on first use."""
+    for name in RULE_MODULES:
+        importlib.import_module(name)
+    return _REGISTRY
 
 
 def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
@@ -243,13 +268,14 @@ def run(
     through ``on_error`` (or re-raised when it is ``None``) and excluded
     from the program.
     """
+    known = registry()
     if select is None:
-        rules = list(REGISTRY.values())
+        rules = list(known.values())
     else:
-        unknown = [name for name in select if name not in REGISTRY]
+        unknown = [name for name in select if name not in known]
         if unknown:
             raise KeyError(f"unknown rule(s): {', '.join(unknown)}")
-        rules = [REGISTRY[name] for name in select]
+        rules = [known[name] for name in select]
     module_rules = [r for r in rules if not isinstance(r, ProgramRule)]
     program_rules = [r for r in rules if isinstance(r, ProgramRule)]
     findings: list[Finding] = []

@@ -3,7 +3,7 @@
 PRs 4–7 introduced contracts no per-module rule can see whole: the WAL's
 fsync ordering, deadline propagation down the serve → resilience →
 matcher stack, the admission queue's semaphore-token accounting, and the
-"no blocking I/O while holding a lock" discipline.  These five
+"no blocking I/O while holding a lock" discipline.  These four
 :class:`~repro.analysis.framework.ProgramRule` subclasses check them
 over the :class:`~repro.analysis.callgraph.Program` built from every
 module in the run:
@@ -31,11 +31,6 @@ module in the run:
     backend must be followed by ``inner.sync()`` (checkpoint
     crash-safety), and a PAGE append sharing a function with a COMMIT
     append needs a sync between them.
-``shed-exhaustiveness``
-    Shed-reason literals used across ``repro/serve/`` must be drawn from
-    the protocol's documented ``SHED_REASONS`` set, and every documented
-    reason must actually be raised or recorded somewhere — clients
-    branch on these strings, so the vocabulary and the code must agree.
 """
 
 from __future__ import annotations
@@ -429,7 +424,15 @@ def _append_record_kind(call: ast.Call) -> str | None:
 
 @register
 class DurabilityOrderingRule(ProgramRule):
-    """WAL appends and fsyncs happen in the crash-safe order."""
+    """WAL appends and fsyncs happen in the crash-safe order.
+
+    The crash sweep (``pytest -m crash``) cannot see what this rule
+    checks: ``CrashableWalFile.append`` writes through to the file at
+    once, so a simulated crash never loses bytes that were appended but
+    not yet fsynced.  A commit path missing its fsync after the COMMIT
+    append therefore recovers correctly in every crash-sweep case, and
+    only this rule fails it.
+    """
 
     name = "durability-ordering"
     description = (
@@ -506,153 +509,6 @@ class DurabilityOrderingRule(ProgramRule):
                 break
 
 
-# ---------------------------------------------------------------------------
-# shed-exhaustiveness
-# ---------------------------------------------------------------------------
-
-#: Shed call sites: callable name -> index of its reason argument.
-SHED_SITES = {
-    "SheddedError": 0,
-    "shed": 0,
-    "record_shed": 0,
-    "shed_bulk": 0,
-    "shed_response": 1,
-}
-
-#: Logical-path prefix of the modules whose shed literals are audited.
-SERVE_PREFIX = "repro/serve/"
-
-
-def _shed_constants(module: Module) -> dict[str, str]:
-    """Top-level ``SHED_X = "literal"`` bindings in one module."""
-    constants: dict[str, str] = {}
-    for node in module.tree.body:
-        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-            continue
-        target = node.targets[0]
-        if (
-            isinstance(target, ast.Name)
-            and target.id.startswith("SHED_")
-            and target.id != "SHED_REASONS"
-            and isinstance(node.value, ast.Constant)
-            and isinstance(node.value.value, str)
-        ):
-            constants[target.id] = node.value.value
-    return constants
-
-
-def _shed_reasons_assign(module: Module) -> ast.Assign | None:
-    """The top-level ``SHED_REASONS = (...)`` assignment, if present."""
-    for node in module.tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "SHED_REASONS"
-            for t in node.targets
-        ):
-            return node
-    return None
-
-
-@register
-class ShedExhaustivenessRule(ProgramRule):
-    """Shed reasons used in serve/ match the documented protocol set."""
-
-    name = "shed-exhaustiveness"
-    description = (
-        "SheddedError/shed/record_shed reasons across serve/ must be drawn "
-        "from the protocol's SHED_REASONS, and every documented reason must "
-        "be used somewhere"
-    )
-
-    def check_program(self, program: Program) -> Iterator[Finding]:
-        """Compare the documented reason set against every shed site."""
-        serve_modules = [
-            m
-            for m in program.modules.values()
-            if m.logical_path.startswith(SERVE_PREFIX)
-        ]
-        protocol = None
-        for module in sorted(serve_modules, key=lambda m: m.logical_path):
-            if _shed_reasons_assign(module) is not None:
-                protocol = module
-                if module.logical_path == SERVE_PREFIX + "protocol.py":
-                    break
-        if protocol is None:
-            return
-        constants: dict[str, str] = {}
-        for module in serve_modules:
-            constants.update(_shed_constants(module))
-        reasons_assign = _shed_reasons_assign(protocol)
-        assert reasons_assign is not None
-        documented: set[str] = set()
-        value = reasons_assign.value
-        if isinstance(value, (ast.Tuple, ast.List)):
-            for element in value.elts:
-                if isinstance(element, ast.Constant) and isinstance(
-                    element.value, str
-                ):
-                    documented.add(element.value)
-                elif isinstance(element, ast.Name) and element.id in constants:
-                    documented.add(constants[element.id])
-        used: set[str] = set()
-        for module in sorted(serve_modules, key=lambda m: m.logical_path):
-            yield from self._check_sites(module, constants, documented, used)
-        for missing in sorted(documented - used):
-            yield from self.emit(
-                protocol,
-                reasons_assign,
-                f"documented shed reason {missing!r} is never raised or "
-                f"recorded anywhere under {SERVE_PREFIX} — dead vocabulary "
-                f"misleads clients that branch on it",
-            )
-
-    def _check_sites(
-        self,
-        module: Module,
-        constants: dict[str, str],
-        documented: set[str],
-        used: set[str],
-    ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = None
-            if isinstance(node.func, ast.Name):
-                name = node.func.id
-            elif isinstance(node.func, ast.Attribute):
-                name = node.func.attr
-            if name not in SHED_SITES:
-                continue
-            index = SHED_SITES[name]
-            reason_expr: ast.expr | None = None
-            if len(node.args) > index:
-                reason_expr = node.args[index]
-            else:
-                for kw in node.keywords:
-                    if kw.arg == "reason":
-                        reason_expr = kw.value
-            literal: str | None = None
-            if isinstance(reason_expr, ast.Constant) and isinstance(
-                reason_expr.value, str
-            ):
-                literal = reason_expr.value
-            elif (
-                isinstance(reason_expr, ast.Name)
-                and reason_expr.id in constants
-            ):
-                literal = constants[reason_expr.id]
-            if literal is None:
-                continue  # dynamic reason (a parameter): checked at its source
-            used.add(literal)
-            if literal not in documented:
-                yield from self.emit(
-                    module,
-                    node,
-                    f"shed reason {literal!r} is not in the protocol's "
-                    f"documented SHED_REASONS — add it to the protocol or "
-                    f"use a documented reason",
-                )
-
-
 __all__ = [
     "ACQUIRE_CALLS",
     "ACQUIRE_METHODS",
@@ -665,9 +521,6 @@ __all__ = [
     "LOG_SYNC_CALLS",
     "ResourceLeakRule",
     "SANCTIONED_BLOCKING_MODULES",
-    "SERVE_PREFIX",
-    "SHED_SITES",
-    "ShedExhaustivenessRule",
     "TOKEN_MARKERS",
     "WAL_MODULE",
 ]

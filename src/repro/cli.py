@@ -28,13 +28,14 @@ are treated as missing (NULL) attribute values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import signal
 import sys
 import time
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 from repro.core.batch import BatchMatcher
 from repro.core.config import MatchConfig, SignatureScheme
@@ -61,6 +62,23 @@ def _cell(value: str | None) -> str:
 
 def _value(cell: str) -> str | None:
     return cell if cell != "" else None
+
+
+@contextlib.contextmanager
+def _from_arguments() -> Iterator[None]:
+    """Exit with a usage error when an object built from CLI arguments
+    rejects them.
+
+    ``MatchConfig``, ``ResiliencePolicy``, ``BatchMatcher``, ``ServeConfig``
+    and ``FuzzyDeduplicator`` validate their own fields; their
+    ``ValueError`` becomes ``repro: error: ...`` and exit status 2, the
+    same as argparse's own rejections, instead of a traceback.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _open_csv(path: str) -> TextIO:
@@ -186,16 +204,21 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
 
 def cmd_match(args: argparse.Namespace) -> int:
     """``repro match``: build an ETI and fuzzy-match an input CSV."""
-    if args.jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
-    config = MatchConfig(
-        q=args.q,
-        signature_size=args.signature_size,
-        scheme=SignatureScheme(args.scheme),
-        k=args.k,
-        min_similarity=args.min_similarity,
-        use_osc=(args.strategy != "basic"),
-    )
+    budgeted = args.deadline_ms is not None or args.max_page_fetches is not None
+    with _from_arguments():
+        config = MatchConfig(
+            q=args.q,
+            signature_size=args.signature_size,
+            scheme=SignatureScheme(args.scheme),
+            k=args.k,
+            min_similarity=args.min_similarity,
+            use_osc=(args.strategy != "basic"),
+        )
+        resilience = None
+        if budgeted:
+            resilience = ResiliencePolicy(
+                deadline_ms=args.deadline_ms, max_page_fetches=args.max_page_fetches
+            )
     started = time.perf_counter()
     if args.db:
         matcher, build_stats, _db = _matcher_from_db(
@@ -231,18 +254,13 @@ def cmd_match(args: argparse.Namespace) -> int:
             values = tuple(_value(c) for c in (record[1:] if has_target else record))
             inputs.append((target, values))
 
-    budgeted = args.deadline_ms is not None or args.max_page_fetches is not None
-    resilience = None
-    if budgeted:
-        resilience = ResiliencePolicy(
-            deadline_ms=args.deadline_ms, max_page_fetches=args.max_page_fetches
+    with _from_arguments():
+        engine = BatchMatcher.from_matcher(
+            matcher,
+            jobs=args.jobs,
+            resilience=resilience,
+            fail_fast=args.fail_fast,
         )
-    engine = BatchMatcher.from_matcher(
-        matcher,
-        jobs=args.jobs,
-        resilience=resilience,
-        fail_fast=args.fail_fast,
-    )
     started = time.perf_counter()
     with engine:
         results = engine.match_many(
@@ -312,11 +330,12 @@ def cmd_dedup(args: argparse.Namespace) -> int:
     """``repro dedup``: flag fuzzy duplicates inside a reference CSV."""
     from repro.dedup import FuzzyDeduplicator
 
+    with _from_arguments():
+        dedup = FuzzyDeduplicator(threshold=args.threshold, neighbors=args.neighbors)
     columns, rows = _read_reference_csv(args.reference)
     db = Database.in_memory()
     reference = ReferenceTable(db, "reference", columns)
     reference.load(rows)
-    dedup = FuzzyDeduplicator(threshold=args.threshold, neighbors=args.neighbors)
     report = dedup.deduplicate(reference, db)
     mapping = report.duplicates_of()
 
@@ -336,11 +355,12 @@ def cmd_dedup(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     """``repro explain``: run one query under a tracer, print its span tree."""
-    config = MatchConfig(
-        q=args.q,
-        signature_size=args.signature_size,
-        scheme=SignatureScheme(args.scheme),
-    )
+    with _from_arguments():
+        config = MatchConfig(
+            q=args.q,
+            signature_size=args.signature_size,
+            scheme=SignatureScheme(args.scheme),
+        )
     matcher, _ = _build_matcher(args.reference, config)
     values = tuple(_value(v) for v in args.values)
     if len(values) != matcher.reference.num_columns:
@@ -409,30 +429,31 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """
     from repro.serve.server import MatchServer, ServeConfig
 
-    config = MatchConfig(
-        q=args.q,
-        signature_size=args.signature_size,
-        scheme=SignatureScheme(args.scheme),
-        k=args.k,
-        min_similarity=args.min_similarity,
-        use_osc=(args.strategy != "basic"),
-    )
-    serve_config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_capacity=args.queue_capacity,
-        default_deadline_ms=(
-            args.default_deadline_ms if args.default_deadline_ms > 0 else None
-        ),
-        max_page_fetches=args.max_page_fetches,
-        degrade_p95_s=args.degrade_p95_ms / 1000.0,
-        recover_p95_s=args.recover_p95_ms / 1000.0,
-        shed_p95_s=args.shed_p95_ms / 1000.0,
-        stage_cooldown_s=args.stage_cooldown_s,
-        drain_budget_s=args.drain_budget_s,
-        stuck_after_s=args.stuck_after_s,
-    )
+    with _from_arguments():
+        config = MatchConfig(
+            q=args.q,
+            signature_size=args.signature_size,
+            scheme=SignatureScheme(args.scheme),
+            k=args.k,
+            min_similarity=args.min_similarity,
+            use_osc=(args.strategy != "basic"),
+        )
+        serve_config = ServeConfig(
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            queue_capacity=args.queue_capacity,
+            default_deadline_ms=(
+                args.default_deadline_ms if args.default_deadline_ms > 0 else None
+            ),
+            max_page_fetches=args.max_page_fetches,
+            degrade_p95_s=args.degrade_p95_ms / 1000.0,
+            recover_p95_s=args.recover_p95_ms / 1000.0,
+            shed_p95_s=args.shed_p95_ms / 1000.0,
+            stage_cooldown_s=args.stage_cooldown_s,
+            drain_budget_s=args.drain_budget_s,
+            stuck_after_s=args.stuck_after_s,
+        )
 
     def engine_factory() -> tuple[BatchMatcher, Database | None]:
         matcher, build_stats, db = _matcher_from_db(

@@ -79,7 +79,11 @@ class RetryPolicy:
 
     def delay(self, attempt: int, rng: random.Random | None = None) -> float:
         """Backoff before retry number ``attempt`` (0-based)."""
-        capped = min(self.base_delay * self.multiplier**attempt, self.max_delay)
+        try:
+            grown = self.base_delay * self.multiplier**attempt
+        except OverflowError:  # multiplier**attempt passed the float range
+            grown = self.max_delay if self.base_delay > 0 else 0.0
+        capped = min(grown, self.max_delay)
         if rng is None or self.jitter == 0.0:
             return capped
         return capped * (1.0 - self.jitter * rng.random())

@@ -566,7 +566,14 @@ def result_response(
 def shed_response(
     request_id: str | None, reason: str, state: str, stage: str
 ) -> dict[str, Any]:
-    """The response for a request the server refused to run."""
+    """The response for a request the server refused to run.
+
+    Every shed reply is built here, so the wire never carries a reason
+    outside the documented ``SHED_REASONS``: any other ``reason`` raises
+    ``ValueError``.
+    """
+    if reason not in SHED_REASONS:
+        raise ValueError(f"undocumented shed reason {reason!r}")
     return {
         "id": request_id,
         "ok": False,

@@ -173,7 +173,34 @@ class TestMatch:
             run_cli(argv)
 
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--k", "0", "k must be at least 1"),
+            ("--q", "0", "q must be positive"),
+            ("--min-similarity", "2", "min_similarity must be in [0, 1)"),
+            ("--deadline-ms", "-5", "deadline_ms must be positive"),
+            ("--max-page-fetches", "-1", "max_page_fetches must be >= 0"),
+            ("--jobs", "0", "jobs must be >= 1"),
+        ],
+    )
+    def test_invalid_numeric_flag_is_a_usage_error(
+        self, tmp_path, reference_csv, dirty_csv, capsys, flag, value, message
+    ):
+        argv = ["match", "--reference", str(reference_csv), "--input", str(dirty_csv)]
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(argv + [flag, value, "--out", str(tmp_path / "x.csv")])
+        assert excinfo.value.code == 2
+        assert f"repro: error: {message}" in capsys.readouterr().err
+
+
 class TestDedup:
+    def test_invalid_threshold_is_a_usage_error(self, tmp_path, reference_csv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["dedup", "--reference", str(reference_csv), "--threshold", "2"])
+        assert excinfo.value.code == 2
+        assert "repro: error: threshold must be in (0, 1]" in capsys.readouterr().err
+
     def test_dedup_output(self, tmp_path, reference_csv):
         # Duplicate a few reference rows verbatim, then dedup.
         polluted = tmp_path / "polluted.csv"

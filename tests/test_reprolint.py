@@ -1,14 +1,19 @@
 """reprolint: every rule fires on its bad fixture and the tree is clean."""
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import REGISTRY, run
 from repro.analysis.__main__ import main
+from repro.analysis.framework import registry, run
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
-SRC_REPRO = Path(__file__).parent.parent / "src" / "repro"
+SRC = Path(__file__).parent.parent / "src"
+SRC_REPRO = SRC / "repro"
 
 # (fixture file, rule name, fragments that must appear in the messages)
 BAD_FIXTURES = [
@@ -31,28 +36,6 @@ BAD_FIXTURES = [
         "bad_determinism_obs.py",
         "determinism",
         ["`random.random(...)`", "`time.time()`", "iterates a set directly"],
-    ),
-    (
-        "bad_api.py",
-        "api-consistency",
-        [
-            "__all__ lists 'missing_name'",
-            "private name '_private'",
-            "public function 'helper' has no docstring",
-        ],
-    ),
-    (
-        "bad_unused_import.py",
-        "unused-import",
-        ["import 'json' is never used", "import 'path' is never used"],
-    ),
-    (
-        "bad_annotations.py",
-        "annotations",
-        [
-            "missing parameter annotations for: value, factor",
-            "missing a return annotation",
-        ],
     ),
     (
         "bad_blocking.py",
@@ -84,14 +67,6 @@ BAD_FIXTURES = [
             "COMMIT record appended without a following log fsync",
             "without a following inner.sync()",
             "no fsync between them",
-        ],
-    ),
-    (
-        "bad_shed.py",
-        "shed-exhaustiveness",
-        [
-            "'mystery_reason' is not in the protocol's documented SHED_REASONS",
-            "documented shed reason 'ghost_reason' is never raised",
         ],
     ),
 ]
@@ -151,20 +126,32 @@ def test_cli_parse_error_exits_2(capsys):
     assert ": syntax-error: " in captured.out
 
 
-def test_syntax_error_is_a_finding_in_json_output(capsys):
-    import json
-
-    code = main(["--format", "json", str(FIXTURES / "unparseable.py.broken")])
+def test_syntax_error_is_a_finding_in_sarif_output(capsys):
+    code = main(["--format", "sarif", str(FIXTURES / "unparseable.py.broken")])
     assert code == 2
-    document = json.loads(capsys.readouterr().out)
-    assert document["count"] == 1
-    assert document["findings"][0]["rule"] == "syntax-error"
+    results = json.loads(capsys.readouterr().out)["runs"][0]["results"]
+    assert [r["ruleId"] for r in results] == ["syntax-error"]
+
+
+def test_json_format_is_gone(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--format", "json", str(FIXTURES / "clean.py")])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'json'" in capsys.readouterr().err
 
 
 def test_cli_unknown_rule_exits_2(capsys):
     code = main(["--select", "no-such-rule", str(FIXTURES / "clean.py")])
     assert code == 2
     assert "no-such-rule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("selection", [",", " ", ""])
+def test_cli_empty_selection_exits_2(selection, capsys):
+    """A selection naming no rule would run nothing and pass; refuse it."""
+    code = main(["--select", selection, str(FIXTURES / "bad_lock.py")])
+    assert code == 2
+    assert "--select names no rule" in capsys.readouterr().err
 
 
 def test_cli_missing_path_exits_2(capsys):
@@ -176,7 +163,7 @@ def test_cli_missing_path_exits_2(capsys):
 def test_cli_list_rules_names_every_rule(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for name in REGISTRY:
+    for name in registry():
         assert name in out
 
 
@@ -186,30 +173,26 @@ def test_run_rejects_unknown_rule_names():
 
 
 def test_disable_pragma_suppresses_finding(tmp_path):
-    source = (FIXTURES / "bad_unused_import.py").read_text()
-    suppressed = source.replace(
-        "import json", "import json  # reprolint: disable=unused-import"
-    ).replace(
-        "from os import path",
-        "from os import path  # reprolint: disable=unused-import",
+    pragma = "  # reprolint: disable=exception-taxonomy"
+    source = (FIXTURES / "bad_exceptions.py").read_text()
+    suppressed = source.replace("raise KeyError(key)", "raise KeyError(key)" + pragma).replace(
+        "except:  # noqa: E722", "except:  # noqa: E722" + pragma
     )
     target = tmp_path / "suppressed.py"
     target.write_text(suppressed)
-    assert run([target], select=["unused-import"]) == []
+    assert run([target], select=["exception-taxonomy"]) == []
 
 
 def test_path_pragma_opts_into_scoped_rules(tmp_path):
-    """Without the pragma the annotations rule skips non-package files."""
+    """Without the pragma the determinism rule skips off-path files."""
+    body = 'import random\n\n\ndef f():\n    """Doc."""\n    return random.random()\n'
     unscoped = tmp_path / "unscoped.py"
-    unscoped.write_text('"""Doc."""\n\n\ndef f(x):\n    """Doc."""\n    return x\n')
-    assert run([unscoped], select=["annotations"]) == []
+    unscoped.write_text('"""Doc."""\n' + body)
+    assert run([unscoped], select=["determinism"]) == []
     scoped = tmp_path / "scoped.py"
-    scoped.write_text(
-        '"""Doc."""\n# reprolint: path=repro/scoped.py\n\n\n'
-        'def f(x):\n    """Doc."""\n    return x\n'
-    )
-    findings = run([scoped], select=["annotations"])
-    assert findings and findings[0].rule == "annotations"
+    scoped.write_text('"""Doc."""\n# reprolint: path=repro/core/fms_scoped.py\n' + body)
+    findings = run([scoped], select=["determinism"])
+    assert findings and findings[0].rule == "determinism"
 
 
 def test_disable_pragma_on_decorated_def_covers_decorators(tmp_path):
@@ -237,16 +220,49 @@ def test_disable_pragma_on_decorated_def_covers_decorators(tmp_path):
 
 
 def test_registry_has_the_documented_rules():
-    assert set(REGISTRY) == {
+    assert set(registry()) == {
         "lock-discipline",
         "exception-taxonomy",
         "determinism",
-        "api-consistency",
-        "unused-import",
-        "annotations",
         "blocking-under-lock",
         "deadline-propagation",
         "resource-leak",
         "durability-ordering",
-        "shed-exhaustiveness",
     }
+
+
+def _run_python(args, **env):
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": str(SRC), **env},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_tree_is_clean_under_a_non_utf8_locale():
+    """Sources are decoded as Python decodes them, not with the locale's
+    encoding: under the C locale every file holding a non-ASCII character
+    used to become a false syntax-error finding."""
+    proc = _run_python(
+        ["-m", "repro.analysis"],
+        LC_ALL="C",
+        PYTHONCOERCECLOCALE="0",
+        PYTHONUTF8="0",
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "syntax-error" not in proc.stdout
+
+
+def test_serving_imports_no_rule_module():
+    """The engine imports only the lock factory, never the linter."""
+    proc = _run_python(
+        [
+            "-c",
+            "import sys, repro.cli, repro.serve.server; "
+            "print(*sorted(m for m in sys.modules if m.startswith('repro.analysis')))",
+        ]
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["repro.analysis", "repro.analysis.debuglock"]

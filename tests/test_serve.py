@@ -10,10 +10,12 @@ bit-identical to the offline matcher's.
 from __future__ import annotations
 
 import json
+import re
 import socket
 import threading
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +42,7 @@ from repro.serve.protocol import (
     SHED_OVERLOAD,
     SHED_PIPELINE_OVERFLOW,
     SHED_QUEUE_FULL,
+    SHED_REASONS,
     SHED_SLOW_FRAME,
     SHED_TOO_MANY_CONNECTIONS,
     FrameReader,
@@ -48,6 +51,7 @@ from repro.serve.protocol import (
     SheddedError,
     decode_request,
     encode_line,
+    shed_response,
 )
 from repro.serve.server import IdempotencyCache, MatchServer, ServeConfig
 
@@ -139,6 +143,36 @@ class TestProtocol:
         raw = encode_line({"ok": True, "id": "x"})
         assert raw.endswith(b"\n")
         assert raw.count(b"\n") == 1
+
+    def test_shed_response_refuses_an_undocumented_reason(self):
+        assert shed_response("q", SHED_LOADING, "loading", "normal")["shed_reason"] == SHED_LOADING
+        with pytest.raises(ValueError, match="bogus"):
+            shed_response("q", "bogus", "serving", "normal")
+
+    def test_every_documented_shed_reason_is_used(self):
+        """Each ``SHED_*`` constant in ``SHED_REASONS`` is referenced by a
+        serve module besides the protocol: clients branch on these
+        strings, so a reason nothing sheds with is dead vocabulary."""
+        import repro.serve.protocol as protocol
+
+        names = [
+            name
+            for name, value in vars(protocol).items()
+            if name.startswith("SHED_") and value in SHED_REASONS
+        ]
+        assert len(names) == len(SHED_REASONS)
+        serve_dir = Path(protocol.__file__).parent
+        sources = [
+            path.read_text(encoding="utf-8")
+            for path in serve_dir.glob("*.py")
+            if path.name != "protocol.py"
+        ]
+        unused = [
+            name
+            for name in names
+            if not any(re.search(rf"\b{name}\b", source) for source in sources)
+        ]
+        assert not unused, f"documented shed reasons no serve module uses: {unused}"
 
 
 # ----------------------------------------------------------------------
@@ -1111,6 +1145,13 @@ class TestRetryPolicy:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
             RetryPolicy(jitter=1.5)
+
+    def test_delay_past_the_float_range_is_the_cap(self):
+        """``multiplier**attempt`` overflows a float long after the cap is
+        reached; the delay stays the cap instead of raising."""
+        policy = RetryPolicy(max_attempts=5000)
+        assert policy.delay(4999) == policy.max_delay
+        assert RetryPolicy(base_delay=0.0).delay(4999) == 0.0
 
     def test_storage_packages_no_longer_reexport_it(self):
         import repro.db
