@@ -10,6 +10,7 @@ Signature schemes follow §6.2's notation: ``Q_H`` (q-grams only) and
 from __future__ import annotations
 
 import enum
+import math
 from typing import Any
 from dataclasses import dataclass, replace
 
@@ -62,9 +63,10 @@ class MatchConfig:
         Tid-lists longer than this are replaced by NULL in the ETI
         ("stop q-grams", §4.2).
     column_weights:
-        Optional per-column importance multipliers (§5.2).  Any positive
-        values are accepted; they are normalized internally (the paper
-        normalizes W_1..W_n to sum to 1).
+        Optional per-column importance multipliers (§5.2).  Any non-empty
+        tuple of finite positive values with a finite sum is accepted;
+        they are normalized internally (the paper normalizes W_1..W_n to
+        sum to 1).
     allow_transpositions:
         Enable the token transposition operation in fms (§5.3).
     transposition_cost:
@@ -74,17 +76,6 @@ class MatchConfig:
         non-negative (not NaN).
     use_osc:
         Enable optimistic short circuiting in query processing (§4.3.2).
-    budgeted_verification:
-        Let candidate verification pass a transformation-cost budget
-        derived from the current K-th best similarity into the fms DP, so
-        provably-losing candidates are abandoned mid-computation (see
-        :func:`repro.core.fms.fms_budgeted`).  Never changes answers —
-        only how much DP work losing candidates cost; ``False`` restores
-        the always-exact behaviour for A/B measurement.
-    osc_conservative:
-        Use the provably-safe stopping bound instead of the paper's
-        permissive score-space bound (see :mod:`repro.core.osc`).  Safer,
-        but short circuiting fires much less often.
     seed:
         Seed of the min-hash family (signatures must be identical between
         ETI build and query processing).
@@ -102,8 +93,6 @@ class MatchConfig:
     transposition_cost: TranspositionCost = TranspositionCost.AVERAGE
     transposition_constant: float = 0.5
     use_osc: bool = True
-    osc_conservative: bool = False
-    budgeted_verification: bool = True
     seed: int = 2003
 
     def __post_init__(self) -> None:
@@ -122,8 +111,14 @@ class MatchConfig:
         if self.stop_qgram_threshold < 1:
             raise ValueError("stop_qgram_threshold must be positive")
         if self.column_weights is not None:
-            if any(w <= 0 for w in self.column_weights):
-                raise ValueError("column weights must be positive")
+            # NaN, inf or an overflowing sum would turn every normalized
+            # weight, and so every similarity, into NaN or 0.0.
+            if not self.column_weights:
+                raise ValueError("column weights must not be empty")
+            if not all(0.0 < w < math.inf for w in self.column_weights):
+                raise ValueError("column weights must be finite and positive")
+            if not math.isfinite(sum(self.column_weights)):
+                raise ValueError("column weights must have a finite sum")
         if not self.transposition_constant >= 0.0:
             # Also rejects NaN.  The fms DP's completion bound and its
             # pre-DP cost bound both assume no operation costs below zero.

@@ -20,7 +20,7 @@ and every index-based guarantee carries over.
 fms is deliberately asymmetric: ``u`` is always the dirty input, ``v`` the
 clean reference.
 
-Three verification fast paths live here, cheapest first (see
+Two verification fast paths live here, cheapest first (see
 ``docs/INTERNALS.md``):
 
 - *A cost lower bound before the DP*: with a budget, :func:`fms_budgeted`
@@ -28,19 +28,11 @@ Three verification fast paths live here, cheapest first (see
   its weight times its distance to the nearest reference token of that
   column (capped at 1, a deletion), plus the cheapest insertions the
   column's extra reference tokens force.  Distances are the exact
-  memoized ones where known, otherwise the length-gap or banded-kernel
-  lower bound, so the sum never exceeds ``tc``; a sum above the budget
-  prunes the candidate without running the DP.  The input side comes
-  pre-weighed once per query (:class:`PreparedInput`), so the bound costs
-  dict probes, not weight lookups.
-- *Per-cell edit-distance cutoffs*: before comparing two tokens, the DP
-  already knows the cheapest way to reach the cell without a replacement;
-  the replacement only matters if ``ed`` lands below a cutoff derived from
-  that alternative, so the thresholded banded kernel
-  (:func:`repro.core.strings.bounded_edit_distance`) is asked only for a
-  verdict, not the exact distance.  Cell values are unchanged — the
-  shortcut is taken only when the kernel's certified lower bound proves
-  the replacement is dominated.
+  memoized ones where known, otherwise the length-gap lower bound, so the
+  sum never exceeds ``tc``; a sum above the budget prunes the candidate
+  without running the DP.  The input side comes pre-weighed once per
+  query (:class:`PreparedInput`), so the bound costs dict probes, not
+  weight lookups.
 - *Cost budgets*: the matcher's top-K loop knows that a candidate whose
   transformation cost exceeds ``(1 − kth_best) · w(u)`` can never enter
   the result, and passes that as a budget.  The DP abandons the candidate
@@ -48,9 +40,14 @@ Three verification fast paths live here, cheapest first (see
   remaining tokens' cost exceeds the budget, returning a certified lower
   bound instead of the exact cost.
 
-Every bound assumes non-negative operation costs, which
+Every DP cell that needs a replacement takes the exact, memoized token
+distance (:func:`repro.core.strings.cached_edit_distance`); it is skipped
+only when even a free replacement could not beat the cell's cheaper
+delete/insert alternative.
+
+Every bound assumes finite, non-negative operation costs, which
 :class:`~repro.core.config.MatchConfig` enforces for the transposition
-constant.
+constant and the column weights.
 """
 
 from __future__ import annotations
@@ -60,12 +57,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.config import MatchConfig, TranspositionCost
-from repro.core.strings import (
-    bounded_edit_distance,
-    cached_edit_distance,
-    exact_distance_memo,
-    raw_lower_bound_memo,
-)
+from repro.core.strings import cached_edit_distance, exact_distance_memo
 from repro.core.tokens import TupleTokens
 from repro.core.weights import WeightFunction
 from repro.obs.registry import MetricsRegistry, default_registry
@@ -76,9 +68,7 @@ class FmsCounters:
 
     A view over relaxed counters in the process-global metrics registry
     (``repro_fms_*_total`` series).  ``dp_cells`` counts (input token ×
-    reference token) cells filled, ``cutoff_prunes`` counts cells where
-    the banded kernel's lower bound proved the replacement dominated
-    (no exact edit distance computed), ``budget_abandons`` counts DP runs
+    reference token) cells filled, ``budget_abandons`` counts DP runs
     that stopped early because the running cost cleared the caller's
     budget, and ``bound_prunes`` counts candidates whose pre-DP cost lower
     bound cleared it, so no DP ran at all.  Lockless increments:
@@ -91,9 +81,6 @@ class FmsCounters:
         self._dp_cells = registry.counter(
             "repro_fms_dp_cells_total", relaxed=True
         )
-        self._cutoff_prunes = registry.counter(
-            "repro_fms_cutoff_prunes_total", relaxed=True
-        )
         self._budget_abandons = registry.counter(
             "repro_fms_budget_abandons_total", relaxed=True
         )
@@ -105,11 +92,6 @@ class FmsCounters:
     def dp_cells(self) -> int:
         """DP cells filled across every run."""
         return self._dp_cells.value()
-
-    @property
-    def cutoff_prunes(self) -> int:
-        """Cells settled by the banded kernel's lower bound alone."""
-        return self._cutoff_prunes.value()
 
     @property
     def budget_abandons(self) -> int:
@@ -125,10 +107,6 @@ class FmsCounters:
         """Count ``cells`` DP cells filled."""
         self._dp_cells.inc(cells)
 
-    def add_cutoff_prune(self) -> None:
-        """Count one lower-bound prune."""
-        self._cutoff_prunes.inc()
-
     def add_budget_abandon(self) -> None:
         """Count one budget-driven early stop."""
         self._budget_abandons.inc()
@@ -137,19 +115,13 @@ class FmsCounters:
         """Count one candidate pruned before its DP."""
         self._bound_prunes.inc()
 
-    def snapshot(self) -> tuple[int, int, int, int]:
+    def snapshot(self) -> tuple[int, int, int]:
         """Counter values at this instant, for before/after deltas."""
-        return (
-            self.dp_cells,
-            self.cutoff_prunes,
-            self.budget_abandons,
-            self.bound_prunes,
-        )
+        return (self.dp_cells, self.budget_abandons, self.bound_prunes)
 
     def reset(self) -> None:
         """Zero every counter (benchmark bracketing)."""
         self._dp_cells.reset()
-        self._cutoff_prunes.reset()
         self._budget_abandons.reset()
         self._bound_prunes.reset()
 
@@ -217,35 +189,14 @@ def _replace_cost(
 ) -> float:
     """Cell value ``min(alternative, prev_diag + ed(t_u, t_v) · w_u)``.
 
-    The edit distance only matters when it is small enough for the
-    replacement to beat ``alternative`` (the best of delete/insert), so
-    the thresholded kernel is consulted first; its certified lower bound
-    discharges most comparisons without computing an exact distance.  The
-    returned cell value is exactly what the unbounded DP would produce.
+    The edit distance is computed (memoized) only when the replacement
+    could still beat ``alternative``, the best of delete/insert.
     """
-    if weight_u <= 0.0:
-        return alternative if alternative < prev_diag else prev_diag
-    gap = alternative - prev_diag
-    if gap <= 0.0:
+    if alternative <= prev_diag:
         # Even a free replacement cannot beat the alternative.
         return alternative
-    # Fast path: a previously memoized exact distance settles the cell
-    # with one dict probe (the common case — candidates share tokens).
-    key = (token_u, token_v) if token_u <= token_v else (token_v, token_u)
-    memoized = exact_distance_memo.get(key)
-    if memoized is not None:
-        replace = prev_diag + memoized * weight_u
-        return replace if replace < alternative else alternative
-    distance, exact = bounded_edit_distance(token_u, token_v, gap / weight_u)
-    replace = prev_diag + distance * weight_u
-    if exact:
-        return replace if replace < alternative else alternative
-    if replace >= alternative:
-        # The lower bound alone proves the replacement is dominated.
-        COUNTERS.add_cutoff_prune()
-        return alternative
-    # Float-boundary fallback: the bound was not decisive; pay for the
-    # exact distance (memoized) to keep the cell bit-identical.
+    if weight_u <= 0.0:
+        return prev_diag
     replace = prev_diag + cached_edit_distance(token_u, token_v) * weight_u
     return replace if replace < alternative else alternative
 
@@ -403,14 +354,13 @@ def cost_lower_bound(
     replaced (``w · ed`` plus ``g ≥ 0``) — and when the reference column
     has ``n > m`` tokens at least ``n − m`` of them are inserted, costing
     at least ``c_ins`` times the ``n − m`` smallest reference weights.
-    ``d`` is the exact memoized distance when known, else the larger of
-    the length-gap bound and the banded kernel's memoized raw bound, over
-    the longer length; it never exceeds ``ed``, so the sum never exceeds
-    ``tc``.  Exact distances found in the global memo are copied into the
-    input token's own dict, which later candidates probe first.
+    ``d`` is the exact memoized distance when known, else the length gap
+    ``max(|len t − len s|, 1)`` over the longer length; it never exceeds
+    ``ed``, so the sum never exceeds ``tc``.  Exact distances found in the
+    global memo are copied into the input token's own dict, which later
+    candidates probe first.
     """
     exact = exact_distance_memo
-    raw_bounds = raw_lower_bound_memo
     total = 0.0
     for col, u_rows in enumerate(u.sequences):
         v_tokens = v.sequences[col]
@@ -429,13 +379,9 @@ def cost_lower_bound(
                     if distance is None:
                         other_length = len(other)
                         if length > other_length:
-                            longest, gap = length, length - other_length
+                            distance = (length - other_length) / length
                         else:
-                            longest, gap = other_length, (other_length - length) or 1
-                        raw = raw_bounds.get(key)
-                        if raw is not None and raw > gap:
-                            gap = raw
-                        distance = gap / longest
+                            distance = ((other_length - length) or 1) / other_length
                     else:
                         distances[other] = distance
                 if distance < nearest:
@@ -503,11 +449,11 @@ def fms_budgeted(
         u = prepare_input(u, weights, config)
     if not isinstance(v, TupleTokens):
         v = TupleTokens.from_values(v)
+    if u.tokens.num_columns != v.num_columns:
+        raise ValueError("tuples must have the same number of columns")
     total_weight = u.weight
     if total_weight <= 0.0:
         return (1.0 if v.token_count() == 0 else 0.0, False)
-    if u.tokens.num_columns != v.num_columns:
-        raise ValueError("tuples must have the same number of columns")
     if cost_budget is not None:
         if cost_budget >= total_weight:
             # fms floors at 0 once cost reaches w(u): nothing left to prune.

@@ -700,7 +700,6 @@ class FuzzyMatcher:
         certifies them as the answer (``outcome.matches``).  A spent
         deadline stops the lookups (``outcome.budget_reason``).
         """
-        config = self.config
         # Admission bar for new tids.  The paper's Figure 3 step 9b uses
         # w(u)·c outright, but its step 11 retains tids down to w(u)·c −
         # AdjustmentTerm; admitting against the unadjusted bar would starve
@@ -740,13 +739,7 @@ class FuzzyMatcher:
                     for tid in decision.top_tids
                 ]
                 last_test = (decision.outside_score_cap, min(similarities, default=0.0))
-                if stopping_test(
-                    similarities,
-                    decision.outside_score_cap,
-                    query.weight,
-                    config.q,
-                    conservative=config.osc_conservative,
-                ):
+                if stopping_test(similarities, decision.outside_score_cap, query.weight):
                     stats.osc_succeeded = True
                     matches = [
                         Match(tid, similarity, fms_cache[tid][1])
@@ -770,9 +763,7 @@ class FuzzyMatcher:
                     )
                 if last_test is not None:
                     span.annotate(
-                        osc_bound=stopping_bound(
-                            last_test[0], query.weight, config.q, config.osc_conservative
-                        ),
+                        osc_bound=stopping_bound(last_test[0], query.weight),
                         osc_min_fms=last_test[1],
                     )
                 if outcome.budget_reason is not None:
@@ -816,7 +807,7 @@ class FuzzyMatcher:
                     stopped = "cannot_displace_kth"
                     break
                 cost_budget = None
-                if config.budgeted_verification and len(verified) >= k:
+                if len(verified) >= k:
                     # A candidate can only displace the K-th verified match
                     # if its transformation cost stays under (1 − kth) ·
                     # w(u); later candidates see ever-tighter budgets as the

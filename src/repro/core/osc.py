@@ -7,26 +7,24 @@ not-yet-processed signature weight and compared against the best score the
 (K+1)-th tid could still reach (the paper's worked example: R1's score 2.0
 after two q-grams extrapolates to 4.5, R2 can reach at most 1.0 + 2.5 =
 3.5, so fetch).  If the test passes, the top-K candidates are fetched and
-verified with exact fms; the *stopping test* then confirms that no tuple
-outside the fetched K can possibly be more similar.
-
-The stopping test converts the score-space cap into similarity space
-through the capped per-token form of fmsapx.  A token t whose min-hash
-similarity to its best reference token is s contributes ``w(t) · min(2/q ·
-s + (1 − 1/q), 1)`` to fmsapx·w(u), while contributing ``w(t) · s`` to the
-accumulated raw score.  Hence for any tuple whose final raw score is at
-most S::
-
-    fms ≤ fmsapx ≤ (2/q) · S / w(u) + (1 − 1/q)
-
-which is the bound an outside tuple must fail to clear.  This is both
-safe (fms ≤ fmsapx holds with high probability, Lemma 4.1) and far
-tighter than adding the adjustment term outright — tight enough for the
-test to actually fire on the majority of inputs, which is what Figure 10
-reports.
+verified with exact fms; the *stopping test* then accepts them when
+every fetched fms reaches the outside tuples' score cap over ``w(u)``,
+the paper's permissive comparison (§4.3.2).
 
 An over-optimistic fetching test costs only wasted fetches, never a wrong
 answer (Theorem 2): correctness rests on the stopping test alone.
+
+:func:`similarity_upper_bound` converts a raw score into similarity
+space through the capped per-token form of fmsapx.  A token t whose
+min-hash similarity to its best reference token is s contributes
+``w(t) · min(2/q · s + (1 − 1/q), 1)`` to fmsapx·w(u), while contributing
+``w(t) · s`` to the accumulated raw score.  Hence for any tuple whose
+final raw score is at most S::
+
+    fms ≤ fmsapx ≤ (2/q) · S / w(u) + (1 − 1/q)
+
+The basic algorithm's ordered verification stops fetching once the next
+candidate's bound cannot reach the running K-th best.
 """
 
 from __future__ import annotations
@@ -84,42 +82,27 @@ def similarity_upper_bound(raw_score: float, input_weight: float, q: int) -> flo
     return min(bound, 1.0)
 
 
-def stopping_bound(
-    outside_score_cap: float, input_weight: float, q: int, conservative: bool = False
-) -> float:
+def stopping_bound(outside_score_cap: float, input_weight: float) -> float:
     """The fms every fetched candidate must reach for OSC to stop.
 
-    See :func:`stopping_test` for the two forms.
+    ``(ss_i(r_{K+1}) + w(Q_p) − w(Q_i)) / w(u)`` — the worked example's
+    "If fms(u, R1) ≥ 3.5/4.5, we stop".
     """
-    if conservative:
-        return similarity_upper_bound(outside_score_cap, input_weight, q)
     if input_weight > 0.0:
         return outside_score_cap / input_weight
     return 0.0
 
 
 def stopping_test(
-    similarities: list[float],
-    outside_score_cap: float,
-    input_weight: float,
-    q: int,
-    conservative: bool = False,
+    similarities: list[float], outside_score_cap: float, input_weight: float
 ) -> bool:
     """True iff every fetched candidate beats all outside tuples.
 
-    ``similarities`` are the exact fms values of the fetched top-K.
-
-    With ``conservative=False`` (default) the test is the paper's: compare
-    fms against ``(ss_i(r_{K+1}) + w(Q_p) − w(Q_i)) / w(u)`` — the worked
-    example's "If fms(u, R1) ≥ 3.5/4.5, we stop".  This treats the raw
-    score as a direct stand-in for similarity; it can in principle stop on
-    a non-optimal tuple whose competitor has low q-gram overlap but high
-    edit similarity, which the paper's accuracy numbers absorb.
-
-    With ``conservative=True`` the outside cap is translated through
-    :func:`similarity_upper_bound` instead, which is provably safe with
-    respect to fmsapx but fires far less often (the ablation benchmark
-    quantifies the trade).
+    ``similarities`` are the exact fms values of the fetched top-K,
+    compared against :func:`stopping_bound`.  This treats the raw score as
+    a direct stand-in for similarity, so it can stop on a non-optimal
+    tuple whose competitor has low q-gram overlap but high edit
+    similarity, which the paper's accuracy numbers absorb.
     """
-    bound = stopping_bound(outside_score_cap, input_weight, q, conservative)
+    bound = stopping_bound(outside_score_cap, input_weight)
     return all(similarity >= bound for similarity in similarities)

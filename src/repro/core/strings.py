@@ -15,26 +15,22 @@ Distance computation is delegated to :mod:`repro.core.kernels`: the
 bit-parallel Myers kernel for everything but the tiniest operands, and the
 classic DP (with preallocated rows) as the small-operand fallback.  All
 kernels are exact and parity-tested, so callers never see a different
-number than the reference DP would produce.
+number than the reference DP would produce.  The fms DP's token pairs go
+through :func:`cached_edit_distance`, whose one bounded cross-query memo
+holds exact normalized distances only.
 """
 
 from __future__ import annotations
 
-import math
-
 from repro.core.cache import BoundedMemo
-from repro.core.kernels import MYERS_MIN_PATTERN, bounded_distance, classic_distance, myers_distance
+from repro.core.kernels import MYERS_MIN_PATTERN, classic_distance, myers_distance
 
 # token-pair -> exact normalized distance (keys are canonically ordered).
 # Exposed read-only as ``exact_distance_memo`` so the fms DP's inner loop
-# can probe it with a single dict lookup; all writes happen here.
+# and its pre-DP cost bound can probe it with a single dict lookup; all
+# writes happen here.
 _ED_CACHE = BoundedMemo()
 exact_distance_memo = _ED_CACHE
-# token-pair -> best *raw* lower bound proven so far by a thresholded call
-# that gave up before reaching the exact distance.  Exposed read-only as
-# ``raw_lower_bound_memo`` for fms's pre-DP cost bound.
-_ED_LB_CACHE = BoundedMemo()
-raw_lower_bound_memo = _ED_LB_CACHE
 
 
 def edit_distance_raw(s1: str, s2: str) -> int:
@@ -68,9 +64,8 @@ def edit_distance(s1: str, s2: str) -> float:
 
 
 def clear_edit_distance_caches() -> None:
-    """Drop the cross-query edit-distance memos (benchmark bracketing)."""
+    """Drop the cross-query edit-distance memo (benchmark bracketing)."""
     _ED_CACHE.clear()
-    _ED_LB_CACHE.clear()
 
 
 def cached_edit_distance(s1: str, s2: str) -> float:
@@ -90,52 +85,6 @@ def cached_edit_distance(s1: str, s2: str) -> float:
     value = edit_distance(s1, s2)
     _ED_CACHE.store(key, value)
     return value
-
-
-def bounded_edit_distance(s1: str, s2: str, cutoff: float) -> tuple[float, bool]:
-    """Normalized edit distance, computed only up to ``cutoff``.
-
-    Returns ``(value, exact)``.  With ``exact=True``, ``value`` is the
-    exact normalized distance (and has been memoized alongside
-    :func:`cached_edit_distance`'s results).  With ``exact=False``,
-    ``value`` is a certified *lower bound* on the normalized distance —
-    the banded kernel proved the distance is at least that much and
-    stopped.  Callers that only need "is the distance below ``cutoff``"
-    (the budgeted fms DP) use the bound to discard the comparison without
-    paying for the full computation; anything else should fall back to
-    :func:`cached_edit_distance`.
-
-    A ``cutoff`` at or above 1.0 always computes exactly (normalized
-    distances never exceed 1.0, so no bound could prune anything).
-    """
-    if s2 < s1:
-        s1, s2 = s2, s1
-    key = (s1, s2)
-    value = _ED_CACHE.get(key)
-    if value is not None:
-        return (value, True)
-    longest = max(len(s1), len(s2))
-    if longest == 0:
-        return (0.0, True)
-    if cutoff >= 1.0:
-        return (cached_edit_distance(s1, s2), True)
-    # Raw distances strictly below ceil(cutoff·longest) can matter; the
-    # band limit is one less.  Float error in the product can only move
-    # the limit by one either way, and the caller re-checks the returned
-    # bound against its own threshold before acting on it, so a too-small
-    # limit costs a fallback computation, never a wrong answer.
-    limit = math.ceil(cutoff * longest) - 1
-    known = _ED_LB_CACHE.get(key)
-    if known is not None and known > limit:
-        return (known / longest, False)
-    raw = bounded_distance(s1, s2, limit)
-    if raw <= limit:
-        value = raw / longest
-        _ED_CACHE.store(key, value)
-        return (value, True)
-    if known is None or raw > known:
-        _ED_LB_CACHE.store(key, raw)
-    return (raw / longest, False)
 
 
 def qgram_set(s: str, q: int) -> frozenset[str]:

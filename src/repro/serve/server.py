@@ -93,6 +93,15 @@ from repro.serve.protocol import (
 #: the database handle to checkpoint on drain.
 EngineFactory = Callable[[], "tuple[BatchMatcher, Database | None]"]
 
+#: Worker queue-poll timeout (drain/stop latency granularity).
+IDLE_POLL_S = 0.1
+#: Entries in the bounded response cache for client retries.
+IDEMPOTENCY_CACHE_SIZE = 1024
+#: Recent request traces retained in the tracer's ring buffer.
+TRACE_RING_CAPACITY = 64
+#: Slow request traces retained alongside the ring buffer.
+SLOW_TRACE_CAPACITY = 16
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -124,8 +133,6 @@ class ServeConfig:
     """Governor/watchdog tick."""
     stuck_after_s: float = 10.0
     """A busy worker silent this long is reported stuck."""
-    idle_poll_s: float = 0.1
-    """Worker queue-poll timeout (drain/stop latency granularity)."""
     response_grace_s: float = 5.0
     """Extra wait past a request's deadline before the connection
     handler gives up on its worker (stuck-worker escape hatch)."""
@@ -149,17 +156,8 @@ class ServeConfig:
     """Global cap on concurrently open connections."""
     max_connections_per_peer: int = 64
     """Per-peer-address cap on concurrently open connections."""
-    idempotency_cache_size: int = 1024
-    """Entries in the bounded response cache for client retries."""
     slow_trace_ms: float = 50.0
     """Requests slower than this land in the tracer's slow-query log."""
-    trace_ring_capacity: int = 64
-    """Recent request traces retained in the tracer's ring buffer."""
-    slow_trace_capacity: int = 16
-    """Slow request traces retained alongside the ring buffer."""
-    trace_requests: bool = True
-    """Capture a span tree per executed request (metrics must also be
-    enabled); ``False`` keeps only the metrics plane."""
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -177,7 +175,6 @@ class ServeConfig:
             "drain_budget_s",
             "watchdog_interval_s",
             "stuck_after_s",
-            "idle_poll_s",
             "response_grace_s",
             "frame_timeout_s",
             "idle_timeout_s",
@@ -191,9 +188,6 @@ class ServeConfig:
             "max_pipelined_frames",
             "max_connections",
             "max_connections_per_peer",
-            "idempotency_cache_size",
-            "trace_ring_capacity",
-            "slow_trace_capacity",
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -383,8 +377,8 @@ class MatchServer:
             tracer
             if tracer is not None
             else Tracer(
-                ring_capacity=self.config.trace_ring_capacity,
-                slow_capacity=self.config.slow_trace_capacity,
+                ring_capacity=TRACE_RING_CAPACITY,
+                slow_capacity=SLOW_TRACE_CAPACITY,
                 slow_threshold_s=self.config.slow_trace_ms / 1000.0,
             )
         )
@@ -402,7 +396,7 @@ class MatchServer:
         self.gate = ConnectionGate(
             self.config.max_connections, self.config.max_connections_per_peer
         )
-        self.idempotency = IdempotencyCache(self.config.idempotency_cache_size)
+        self.idempotency = IdempotencyCache(IDEMPOTENCY_CACHE_SIZE)
 
         self.address: tuple[str, int] | None = None
         self._listener: socket.socket | None = None
@@ -521,7 +515,7 @@ class MatchServer:
         self._workers_stop.set()
         for thread in self._threads:
             if thread is not threading.current_thread():
-                thread.join(timeout=max(1.0, self.config.idle_poll_s * 4))
+                thread.join(timeout=max(1.0, IDLE_POLL_S * 4))
         self._checkpoint()
         self._close_connections()
         self.lifecycle.transition(STATE_STOPPED)
@@ -957,7 +951,7 @@ class MatchServer:
         self.health.beat(name, busy=False)
         try:
             while not self._workers_stop.is_set():
-                item = self.queue.take(self.config.idle_poll_s)
+                item = self.queue.take(IDLE_POLL_S)
                 if item is None:
                     self.health.beat(name, busy=False)
                     continue
@@ -973,14 +967,14 @@ class MatchServer:
         """Observability wrapper around :meth:`_execute_inner`.
 
         Records queue wait and per-stage service latency into the
-        registry, and (when tracing is on) captures the request's span
+        registry, and (when metrics are on) captures the request's span
         tree — a synthesized ``serve.queue_wait`` child plus whatever
         spans the matcher and storage layers open — annotated with the
         resolved outcome.
         """
         self._obs_queue_wait.observe(item.queue_wait)
         started = time.perf_counter()
-        if self.config.trace_requests and self.registry.enabled:
+        if self.registry.enabled:
             with self.tracer.trace(
                 "request",
                 op=item.request.op,

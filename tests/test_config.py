@@ -52,6 +52,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             MatchConfig(column_weights=(1.0, -1.0))
 
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            (),
+            (float("nan"), 1.0, 1.0, 1.0),
+            (float("inf"), 1.0, 1.0, 1.0),
+            (1e308, 1e308, 1.0, 1.0),  # each finite, the sum overflows
+        ],
+    )
+    def test_column_weights_that_break_every_query(self, weights):
+        with pytest.raises(ValueError, match="column weights"):
+            MatchConfig(column_weights=weights)
+
+    def test_large_finite_column_weights_are_accepted(self):
+        config = MatchConfig(column_weights=(1e300, 1.0))
+        assert sum(config.normalized_column_weights(2)) == pytest.approx(2.0)
+
     @pytest.mark.parametrize("constant", [-0.1, float("nan"), float("-inf")])
     def test_invalid_transposition_constant(self, constant):
         # A negative swap cost would make fms's lower bounds unsound.

@@ -15,7 +15,8 @@ from repro.core.fms import (
     transformation_cost,
     tuple_transformation_cost,
 )
-from repro.core.strings import bounded_edit_distance, clear_edit_distance_caches
+from repro.core.kernels import classic_distance
+from repro.core.strings import cached_edit_distance, clear_edit_distance_caches
 from repro.core.tokens import TupleTokens
 
 
@@ -152,6 +153,11 @@ class TestFms:
         with pytest.raises(ValueError):
             fms(("a",), ("a", "b"), UNIT, CONFIG3)
 
+    def test_arity_checked_for_a_zero_weight_input(self):
+        # w(u) = 0 must not short-circuit past the column-count check.
+        with pytest.raises(ValueError, match="same number of columns"):
+            fms((None, None), ("zzz",), UNIT, CONFIG3)
+
     def test_default_config(self):
         assert fms(("x",), ("x",), UNIT) == 1.0
 
@@ -258,6 +264,52 @@ class TestTupleTransformationCost:
             tuple_transformation_cost(u, v, UNIT, CONFIG3)
 
 
+def textbook_transformation_cost(u, v, column, weights, config, column_weight):
+    """§3.1's weighted-token edit DP (plus §5.3's swap), one full table.
+
+    Written independently of :mod:`repro.core.fms`: no budget, no
+    shortcuts, no memo, token distances straight from the classic kernel.
+    """
+
+    def ed(a, b):
+        longest = max(len(a), len(b))
+        return classic_distance(a, b) / longest if longest else 0.0
+
+    def g(w1, w2):
+        kind = config.transposition_cost
+        if kind is TranspositionCost.AVERAGE:
+            return (w1 + w2) / 2.0
+        if kind is TranspositionCost.MINIMUM:
+            return min(w1, w2)
+        if kind is TranspositionCost.MAXIMUM:
+            return max(w1, w2)
+        return config.transposition_constant
+
+    wu = [weights.weight(t, column) * column_weight for t in u]
+    wv = [weights.weight(t, column) * column_weight for t in v]
+    c_ins = config.token_insertion_factor
+    table = [[0.0] * (len(v) + 1) for _ in range(len(u) + 1)]
+    for j in range(1, len(v) + 1):
+        table[0][j] = table[0][j - 1] + c_ins * wv[j - 1]
+    for i in range(1, len(u) + 1):
+        table[i][0] = table[i - 1][0] + wu[i - 1]
+        for j in range(1, len(v) + 1):
+            options = [
+                table[i - 1][j] + wu[i - 1],
+                table[i][j - 1] + c_ins * wv[j - 1],
+                table[i - 1][j - 1] + ed(u[i - 1], v[j - 1]) * wu[i - 1],
+            ]
+            if config.allow_transpositions and i >= 2 and j >= 2:
+                options.append(
+                    table[i - 2][j - 2]
+                    + g(wu[i - 2], wu[i - 1])
+                    + ed(u[i - 1], v[j - 2]) * wu[i - 1]
+                    + ed(u[i - 2], v[j - 1]) * wu[i - 2]
+                )
+            table[i][j] = min(options)
+    return table[len(u)][len(v)]
+
+
 class SeededWeights:
     """Reproducible non-uniform weights in {0, 0.25, …, 3}, zeros included."""
 
@@ -294,25 +346,18 @@ def bound_cases(draw):
         transposition_constant=draw(st.sampled_from((0.0, 0.3, 2.0))),
     )
     weights = SeededWeights(draw(st.integers(0, 7)))
-    memos = draw(st.sampled_from(("cleared", "banded", "exact")))
+    memos = draw(st.sampled_from(("cleared", "exact")))
     return u, v, config, weights, memos
 
 
 def set_memos(u, v, memos):
-    """Empty the edit-distance memos, then optionally pre-warm them."""
+    """Empty the edit-distance memo, then optionally pre-warm it."""
     clear_edit_distance_caches()
-    pairs = [
-        (a, b)
-        for col in range(u.num_columns)
-        for a in u.sequences[col]
-        for b in v.sequences[col]
-    ]
-    for index, (a, b) in enumerate(pairs):
-        if memos == "banded":
-            # Mostly certified raw lower bounds, a few exact distances.
-            bounded_edit_distance(a, b, (index % 4) / 4)
-        elif memos == "exact":
-            bounded_edit_distance(a, b, 1.0)
+    if memos == "exact":
+        for col in range(u.num_columns):
+            for a in u.sequences[col]:
+                for b in v.sequences[col]:
+                    cached_edit_distance(a, b)
 
 
 def within_margin(bound, cost):
@@ -379,3 +424,41 @@ class TestCostLowerBound:
             assert tuple_transformation_cost(prepared, v, weights, config, budget) > budget
             if budget < prepared.weight:
                 assert fms_budgeted(prepared, v, weights, config, cost_budget=budget)[1]
+
+
+@st.composite
+def token_sequences(draw):
+    """Two columns' token sequences, mostly drawn from one small pool so
+    that shared tokens, duplicates and swappable pairs are common."""
+    pool = draw(st.lists(st.text(alphabet="abcé日", min_size=1, max_size=7), min_size=1, max_size=4))
+    token = st.sampled_from(pool) | st.text(alphabet="abcé日", min_size=1, max_size=7)
+    return draw(st.lists(token, max_size=5)), draw(st.lists(token, max_size=5))
+
+
+class TestTransformationCostIsTheTextbookDp:
+    @given(
+        token_sequences(),
+        st.integers(0, 50),
+        st.sampled_from((0.0, 0.25, 0.5, 1.0)),
+        st.sampled_from([None, *TranspositionCost]),
+        st.sampled_from((0.0, 0.3, 2.0)),
+        st.sampled_from((1.0, 0.4, 2.5)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_textbook_dp(
+        self, sequences, seed, c_ins, transposition, constant, column_weight
+    ):
+        u, v = sequences
+        config = MatchConfig(
+            q=3,
+            token_insertion_factor=c_ins,
+            allow_transpositions=transposition is not None,
+            transposition_cost=transposition or TranspositionCost.AVERAGE,
+            transposition_constant=constant,
+        )
+        weights = SeededWeights(seed)
+        expected = textbook_transformation_cost(u, v, 1, weights, config, column_weight)
+        clear_edit_distance_caches()
+        for memo in ("cleared", "warm"):
+            got = transformation_cost(u, v, 1, weights, config, column_weight=column_weight)
+            assert got == expected, (memo, got, expected)

@@ -3,8 +3,8 @@
 The fast path is only allowed to be fast, never different: a seeded
 randomized sweep (> 10k pairs, covering unicode, > 64-char tokens, empty
 strings, and the short-token cases q-gram handling cares about) asserts
-the Myers bit-parallel kernel and the banded/thresholded kernel agree
-with the classic reference DP, and a matcher-level A/B proves candidates
+the Myers bit-parallel kernel and the size-based router agree with the
+classic reference DP, and a matcher-level A/B proves candidates
 abandoned by the verification cost budget never belonged in the top-K.
 """
 
@@ -12,18 +12,18 @@ import random
 
 import pytest
 
+from repro.core import matcher as matcher_module
 from repro.core.config import MatchConfig
 from repro.core.fms import fms, fms_budgeted, prepare_input, transformation_cost
 from repro.core.kernels import (
+    COUNTERS,
     MYERS_MIN_PATTERN,
-    best_distance,
-    bounded_distance,
     classic_distance,
     myers_distance,
 )
 from repro.core.matcher import FuzzyMatcher
 from repro.core.reference import ReferenceTable
-from repro.core.strings import bounded_edit_distance, cached_edit_distance
+from repro.core.strings import clear_edit_distance_caches, edit_distance_raw
 from repro.core.tokens import TupleTokens
 from repro.core.weights import build_frequency_cache
 from repro.data.datasets import DatasetSpec, make_dataset
@@ -84,49 +84,19 @@ def random_pair(rng):
 
 class TestKernelParity:
     def test_randomized_sweep(self):
-        """> 10k seeded pairs: Myers == classic == banded contract."""
+        """> 10k seeded pairs: Myers == router == classic."""
         rng = random.Random(2003)
         for _ in range(10_500):
             s1, s2 = random_pair(rng)
             classic = classic_distance(s1, s2)
             assert myers_distance(s1, s2) == classic, (s1, s2)
-            assert best_distance(s1, s2) == classic, (s1, s2)
-            limit = rng.randrange(0, max(len(s1), len(s2)) + 2)
-            bounded = bounded_distance(s1, s2, limit)
-            if classic <= limit:
-                assert bounded == classic, (s1, s2, limit)
-            else:
-                # Early exit must certify a lower bound, never under- or
-                # over-claim: limit < bound <= true distance.
-                assert limit < bounded <= classic, (s1, s2, limit)
+            assert edit_distance_raw(s1, s2) == classic, (s1, s2)
 
     def test_known_distances(self):
         assert myers_distance("company", "corporation") == 7
         assert classic_distance("company", "corporation") == 7
         assert myers_distance("", "") == 0
         assert myers_distance("abc", "abc") == 0
-        assert bounded_distance("company", "corporation", 11) == 7
-
-    def test_negative_limit_short_circuits(self):
-        assert bounded_distance("a", "b", -1) == 1
-        assert bounded_distance("same", "same", -1) == 0
-
-    def test_length_gap_lower_bound(self):
-        # When the length difference alone exceeds the limit, the gap is
-        # itself a certified lower bound — no DP work needed.
-        assert bounded_distance("ab", "abcdefgh", 3) == 6
-
-    def test_bounded_edit_distance_contract(self):
-        rng = random.Random(7)
-        for _ in range(2_000):
-            s1, s2 = random_pair(rng)
-            cutoff = rng.random()
-            value, exact = bounded_edit_distance(s1, s2, cutoff)
-            true = cached_edit_distance(s1, s2)
-            if exact:
-                assert value == true, (s1, s2, cutoff)
-            else:
-                assert value <= true, (s1, s2, cutoff)
 
 
 def build_world(num_reference, num_inputs, seed, config=None):
@@ -213,30 +183,35 @@ class TestBudgetedDp:
 class TestBudgetedVerificationTopK:
     @pytest.mark.parametrize("strategy", ["basic", "osc"])
     @pytest.mark.parametrize("k", [1, 3])
-    def test_top_k_bit_identical_and_prunes_fire(self, k, strategy):
+    def test_top_k_bit_identical_and_prunes_fire(self, k, strategy, monkeypatch):
         """Budget-abandoned candidates never appear in the returned top-K.
 
         The proof is the strongest available: the budgeted matcher must
         return *exactly* the exhaustive matcher's top-K (tids and
         similarities), while demonstrably pruning candidates along the
-        way.  (OSC's stopping-test verifications are always exact; the
-        prunes it reports come from the shared finish loop it falls back
-        to when the stopping test never passes.)
+        way.  The exhaustive side is the same matcher with the cost
+        budget dropped before it reaches fms.  (OSC's stopping-test
+        verifications are always exact; the prunes it reports come from
+        the shared finish loop it falls back to when the stopping test
+        never passes.)
         """
         db, _, reference, weights, config, eti, queries = build_world(
             num_reference=150, num_inputs=50, seed=33,
             config=MatchConfig(q=4, signature_size=2, k=k, use_osc=True),
         )
+        budgeted_fms = matcher_module.fms_budgeted
+
+        def exhaustive_fms(*args, cost_budget=None, **kwargs):
+            return budgeted_fms(*args, **kwargs)
+
         try:
-            exhaustive = FuzzyMatcher(
-                reference, weights,
-                config.with_(budgeted_verification=False), eti,
-            )
-            budgeted = FuzzyMatcher(reference, weights, config, eti)
+            matcher = FuzzyMatcher(reference, weights, config, eti)
             prunes = 0
             for dirty in queries:
-                expected = exhaustive.match(dirty, k=k, strategy=strategy)
-                got = budgeted.match(dirty, k=k, strategy=strategy)
+                with monkeypatch.context() as patch:
+                    patch.setattr(matcher_module, "fms_budgeted", exhaustive_fms)
+                    expected = matcher.match(dirty, k=k, strategy=strategy)
+                got = matcher.match(dirty, k=k, strategy=strategy)
                 assert [(m.tid, m.similarity) for m in got.matches] == [
                     (m.tid, m.similarity) for m in expected.matches
                 ], dirty
@@ -246,3 +221,16 @@ class TestBudgetedVerificationTopK:
                 assert prunes > 0, "budget never pruned any candidate"
         finally:
             db.close()
+
+
+class TestKernelCounters:
+    def test_snapshot_keeps_seven_slots_with_the_banded_ones_zero(self, budget_world):
+        """The perf ledger unpacks seven values; the last three stay 0."""
+        _, reference, weights, config, eti, queries = budget_world
+        clear_edit_distance_caches()
+        before = COUNTERS.snapshot()
+        FuzzyMatcher(reference, weights, config, eti).match(queries[0])
+        after = COUNTERS.snapshot()
+        assert len(before) == len(after) == 7
+        assert after[4:] == (0, 0, 0)
+        assert after[:4] != before[:4]  # the query did call a kernel

@@ -229,18 +229,6 @@ class TestStrategyEquivalence:
         # sub-optimal tuple occasionally.
         assert mismatches <= 3
 
-    def test_conservative_osc_matches_basic_exactly(self):
-        matcher, queries = build_random_world(7, osc_conservative=True)
-        for values in queries:
-            basic = matcher.match(values, strategy="basic")
-            osc = matcher.match(values, strategy="osc")
-            if basic.best is None:
-                # No reference tuple shares a signature q-gram: both
-                # strategies see the same empty candidate set.
-                assert osc.best is None
-            else:
-                assert osc.best.similarity == pytest.approx(basic.best.similarity)
-
     @pytest.mark.parametrize("scheme", list(SignatureScheme))
     def test_schemes_agree_on_clean_inputs(self, scheme):
         matcher, _ = build_random_world(3, scheme=scheme)

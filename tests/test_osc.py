@@ -68,27 +68,15 @@ class TestFetchingTest:
 class TestStoppingTest:
     def test_paper_example_stop_threshold(self):
         """Stop iff fms(u, R1) >= 3.5/4.5 (the example's stated bound)."""
-        assert stopping_test([0.80], 3.5, 4.5, q=3)
-        assert not stopping_test([0.75], 3.5, 4.5, q=3)
+        assert stopping_test([0.80], 3.5, 4.5)
+        assert not stopping_test([0.75], 3.5, 4.5)
 
     def test_all_k_must_pass(self):
-        assert not stopping_test([0.9, 0.5], 3.5, 4.5, q=3)
-        assert stopping_test([0.9, 0.8], 3.5, 4.5, q=3)
+        assert not stopping_test([0.9, 0.5], 3.5, 4.5)
+        assert stopping_test([0.9, 0.8], 3.5, 4.5)
 
     def test_zero_input_weight(self):
-        assert stopping_test([0.0], 1.0, 0.0, q=3)
-
-    def test_conservative_bound_is_stricter(self):
-        # Conservative requires fms >= min(2/q * cap/w + (1-1/q), 1).
-        # cap=1.0, w=4.5, q=3: bound = 2/3*0.222 + 2/3 = 0.815.
-        assert stopping_test([0.5], 1.0, 4.5, q=3)  # paper bound 0.222
-        assert not stopping_test([0.5], 1.0, 4.5, q=3, conservative=True)
-        assert stopping_test([0.82], 1.0, 4.5, q=3, conservative=True)
-
-    def test_conservative_bound_caps_at_one(self):
-        # Huge outside cap: bound capped at 1.0, only exact matches stop.
-        assert not stopping_test([0.999], 100.0, 4.5, q=3, conservative=True)
-        assert stopping_test([1.0], 100.0, 4.5, q=3, conservative=True)
+        assert stopping_test([0.0], 1.0, 0.0)
 
 
 class TestSimilarityUpperBound:
