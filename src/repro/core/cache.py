@@ -28,7 +28,7 @@ over different relations; give each its own bundle (the default).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Hashable, Iterable
 
 from repro.analysis.debuglock import make_lock
 from repro.obs.registry import MetricsRegistry
@@ -163,6 +163,13 @@ class LRUCache:
         value = compute()
         self.put(key, value)
         return value
+
+    def discard(self, keys: Iterable[Hashable]) -> None:
+        """Drop the entries for ``keys`` that are present (counters are retained)."""
+        with self._lock:
+            pop = self._data.pop
+            for key in keys:
+                pop(key, None)
 
     def clear(self) -> None:
         """Drop every entry (counters are retained)."""

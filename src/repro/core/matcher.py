@@ -161,11 +161,6 @@ class ProbeOutcome:
     budget_reason: str | None = None  # why the lookups stopped early, if the budget ran out
 
 
-def reference_version(reference: object) -> int | None:
-    """The reference relation's mutation version (None if untracked)."""
-    return getattr(reference, "version", None)
-
-
 def replicate_result(result: MatchResult) -> MatchResult:
     """An independent copy of ``result`` flagged as batch-deduplicated.
 
@@ -267,7 +262,7 @@ class FuzzyMatcher:
         )
         self.caches = caches if caches is not None else MatcherCaches()
         self.resilience = resilience
-        self._reference_version = reference_version(reference)
+        self._reference_version = reference.version
         # Per-query metrics live in the cache bundle's registry, so one
         # snapshot carries a matcher's full telemetry (cache counters
         # included) and fleet totals come from snapshot merging.
@@ -534,13 +529,18 @@ class FuzzyMatcher:
         the tuple (the naive scan).  Without it a cache miss fetches via
         the tid index (counted in ``reference.fetches``).  Raises
         :class:`RecordNotFoundError` for dangling tids; misses are never
-        cached.  The cache is cleared whenever the reference relation's
-        mutation version moves.
+        cached.  When the reference relation's mutation version moves,
+        the tids it changed since are dropped, or the whole cache when
+        its change log no longer reaches back that far.
         """
         cache = self.caches.reference_tokens
-        version = reference_version(self.reference)
+        version = self.reference.version
         if version != self._reference_version:
-            cache.clear()
+            changed = self.reference.changed_since(self._reference_version)
+            if changed is None:
+                cache.clear()
+            else:
+                cache.discard(changed)
             self._reference_version = version
 
         def compute() -> tuple[TupleTokens, tuple]:

@@ -7,17 +7,66 @@ indexed on the Tid attribute" for efficient candidate fetches).
 
 Fetch accounting (`fetches`) backs the paper's Figure 8 metric — the number
 of reference tuples fetched per input tuple.
+
+Every insert and delete bumps a mutation version and logs the tid it
+changed; a cache keyed by tid asks :meth:`ReferenceTable.changed_since`
+which tids to drop instead of emptying itself.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
+from repro.analysis.debuglock import make_lock
 from repro.db.database import Database
 from repro.db.errors import RecordNotFoundError
 from repro.db.types import Column, ColumnType
 
 TID_INDEX = "tid_idx"
+
+#: Single-tuple mutations a reference relation remembers by tid.  A cache
+#: that falls further behind than this is cleared instead.
+CHANGE_LOG_SIZE = 4096
+
+
+class _ChangeLog:
+    """The mutation version plus the tids of the latest mutations.
+
+    One entry per single-tuple insert or delete, each bumping the version
+    by one, so the ``i``-th newest tid is the change that made version
+    ``version - i``.  A bulk load bumps the version past what the log
+    remembers.  Shared by every :meth:`ReferenceTable.view`.
+    """
+
+    __slots__ = ("version", "_tids", "_lock")
+
+    def __init__(self) -> None:
+        self.version = 0
+        self._tids: deque[int] = deque(maxlen=CHANGE_LOG_SIZE)
+        self._lock = make_lock("ReferenceTable._changes")
+
+    def record(self, tid: int) -> None:
+        """Log one single-tuple mutation of ``tid``."""
+        with self._lock:
+            self._tids.append(tid)
+            self.version += 1
+
+    def forget(self, mutations: int) -> None:
+        """Count ``mutations`` the log does not itemise (a bulk load)."""
+        if mutations:
+            with self._lock:
+                self._tids.clear()
+                self.version += mutations
+
+    def since(self, version: int) -> list[int] | None:
+        """Tids changed after ``version``; None when the log lost some."""
+        with self._lock:
+            behind = self.version - version
+            if not 0 <= behind <= len(self._tids):
+                return None
+            return list(islice(reversed(self._tids), behind))
 
 
 class ReferenceTable:
@@ -38,7 +87,7 @@ class ReferenceTable:
         self.relation = db.create_relation(name, columns)
         self.relation.create_index(TID_INDEX, ["tid"], unique=True)
         self.fetches = 0
-        self._version_box = [0]
+        self._changes = _ChangeLog()
 
     @classmethod
     def attach(cls, db: Database, name: str, column_names: Sequence[str]) -> "ReferenceTable":
@@ -61,29 +110,39 @@ class ReferenceTable:
         table.column_names = tuple(column_names)
         table.relation = relation
         table.fetches = 0
-        table._version_box = [0]
+        table._changes = _ChangeLog()
         return table
 
     def view(self) -> "ReferenceTable":
         """A handle onto the same stored relation with its own counters.
 
-        Views share the relation, the tid index, and the mutation version
-        (an insert through any view invalidates caches everywhere), but
-        count fetches independently — the parallel batch engine gives each
-        worker a view so per-query statistics stay race-free.
+        Views share the relation, the tid index, the mutation version and
+        its change log (an insert through any view invalidates caches
+        everywhere), but count fetches independently — the parallel batch
+        engine gives each worker a view so per-query statistics stay
+        race-free.
         """
         table = ReferenceTable.__new__(ReferenceTable)
         table.name = self.name
         table.column_names = self.column_names
         table.relation = self.relation
         table.fetches = 0
-        table._version_box = self._version_box
+        table._changes = self._changes
         return table
 
     @property
     def version(self) -> int:
         """Bumped on every insert/delete; cache layers watch this."""
-        return self._version_box[0]
+        return self._changes.version
+
+    def changed_since(self, version: int) -> list[int] | None:
+        """Tids inserted or deleted since ``version``, newest first.
+
+        None when the change log no longer reaches back that far (more
+        than :data:`CHANGE_LOG_SIZE` mutations, or a bulk :meth:`load`
+        since): a cache that far behind must be emptied.
+        """
+        return self._changes.since(version)
 
     @property
     def num_columns(self) -> int:
@@ -103,7 +162,7 @@ class ReferenceTable:
     def insert(self, tid: int, values: Sequence[str | None]) -> None:
         """Insert one reference tuple."""
         self.relation.insert(self._row(tid, values))
-        self._version_box[0] += 1
+        self._changes.record(tid)
 
     def load(self, rows: Iterable[tuple[int, Sequence[str | None]]]) -> int:
         """Bulk load ``(tid, values)`` pairs; returns the count.
@@ -118,7 +177,7 @@ class ReferenceTable:
                 self._row(tid, values) for tid, values in rows
             )
         finally:
-            self._version_box[0] += len(self.relation) - stored_before
+            self._changes.forget(len(self.relation) - stored_before)
 
     def fetch(self, tid: int) -> tuple[str | None, ...]:
         """Fetch the attribute values of tuple ``tid`` via the tid index."""
@@ -131,7 +190,7 @@ class ReferenceTable:
         rid = self.relation.find_rid(TID_INDEX, tid)
         values = self.relation.fetch(rid)[1:]
         self.relation.delete(rid)
-        self._version_box[0] += 1
+        self._changes.record(tid)
         return values
 
     def __contains__(self, tid: int) -> bool:

@@ -106,8 +106,9 @@ class TokenFrequencyCache(_BaseFrequencyCache):
     The only variant that also supports *incremental maintenance*
     (:meth:`add_tuple` / :meth:`remove_tuple`): column averages are
     recomputed lazily from the live frequency map, and ``|R|`` tracks the
-    mutations, so IDF weights stay exact as the reference relation changes
-    (pair with :class:`repro.eti.maintenance.EtiMaintainer`).
+    mutations — down to 0 when the relation empties — so IDF weights stay
+    exact as the reference relation changes (pair with
+    :class:`repro.eti.maintenance.EtiMaintainer`).
     """
 
     def __init__(self, num_tuples: int, num_columns: int) -> None:
@@ -119,12 +120,21 @@ class TokenFrequencyCache(_BaseFrequencyCache):
         return self._frequencies.get((column, token), 0)
 
     def average_weight(self, column: int) -> float:
-        """Average IDF over the live frequency map (recomputed on change)."""
+        """Average IDF over the live frequency map (recomputed on change).
+
+        Each distinct frequency's weight is computed once per refresh; the
+        sums run in the map's order, so the averages are the same floats
+        a per-entry loop gives.
+        """
         if self._column_averages is None:
             totals = [0.0] * self.num_columns
             counts = [0] * self.num_columns
+            weights: dict[int, float] = {}
             for (col, _), freq in self._frequencies.items():
-                totals[col] += max(self.idf(freq), 0.0)
+                weight = weights.get(freq)
+                if weight is None:
+                    weight = weights[freq] = max(self.idf(freq), 0.0)
+                totals[col] += weight
                 counts[col] += 1
             fallback = math.log(self.num_tuples) if self.num_tuples > 1 else 1.0
             self._column_averages = [
@@ -157,7 +167,9 @@ class TokenFrequencyCache(_BaseFrequencyCache):
             raise ValueError(
                 f"{tokens.num_columns} columns for a {self.num_columns}-column cache"
             )
-        self.num_tuples = max(self.num_tuples - 1, 1)
+        if self.num_tuples < 1:
+            raise ValueError("no reference tuple left to remove")
+        self.num_tuples -= 1
         for token, column in tokens.all_tokens():
             key = (column, token)
             current = self._frequencies.get(key, 0)

@@ -3,7 +3,10 @@
 A heap file owns a contiguous, growable set of pages from one buffer pool.
 Records are addressed by :class:`RecordId` (page number within the file plus
 slot).  Inserts go to the last page with room, falling back to allocating a
-new page — the append-mostly pattern the ETI build relies on.
+new page — the append-mostly pattern the ETI build relies on.  An update
+rewrites the record in its own slot when the page has room for the new
+size (:meth:`HeapFile.update`), so the record id stays stable; only a
+record its page cannot absorb is relocated (deleted, then inserted).
 """
 
 from __future__ import annotations
@@ -63,6 +66,24 @@ class HeapFile:
         """Fetch the record stored at ``rid``."""
         page = self.pool.get_page(self._resolve(rid))
         return page.read(rid.slot)
+
+    def update(self, rid: RecordId, record: bytes) -> RecordId:
+        """Replace the record at ``rid``; returns where it now lives.
+
+        The record is rewritten in place, keeping ``rid``, whenever its
+        page can absorb the size change (:meth:`Page.update`); otherwise
+        it is deleted and inserted like a new record, and the new id is
+        returned.
+        """
+        if len(record) > MAX_RECORD_SIZE:
+            raise PageFullError(
+                f"record of {len(record)} bytes exceeds page capacity"
+            )
+        page = self.pool.get_page(self._resolve(rid))
+        if page.update(rid.slot, record):
+            return rid
+        self.delete(rid)
+        return self.insert(record)
 
     def delete(self, rid: RecordId) -> None:
         """Delete the record at ``rid``."""

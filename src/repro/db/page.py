@@ -13,6 +13,12 @@ Layout::
 
 A deleted slot has offset 0 — no live record can start inside the header,
 so the marker never collides with a genuinely empty record.
+
+A record can be rewritten in place (:meth:`Page.update`): it keeps its
+slot and its end, and the data below it slides by the size difference,
+so the free gap absorbs a growth and takes back a shrink.  Nothing else
+reclaims space: a deleted record's bytes stay where they are until the
+page is rewritten, and no update compacts the page.
 """
 
 from __future__ import annotations
@@ -101,8 +107,48 @@ class Page:
             raise RecordNotFoundError(f"slot {slot} is deleted")
         return bytes(self.data[offset : offset + length])
 
+    def update(self, slot: int, record: bytes) -> bool:
+        """Rewrite the record in ``slot`` in place; False if it cannot grow.
+
+        The record keeps its slot number and its end offset.  A size
+        change moves the data between the free gap and the record in one
+        slice, and shifts the offsets of the slots stored there.  Returns
+        False, leaving the page untouched, only when the free gap is
+        smaller than the growth.
+        """
+        if len(record) > MAX_RECORD_SIZE:
+            raise PageFullError(
+                f"record of {len(record)} bytes exceeds max {MAX_RECORD_SIZE}"
+            )
+        offset, length = self._slot_entry(slot)
+        if offset == 0:
+            raise RecordNotFoundError(f"slot {slot} is deleted")
+        num_slots, free_end = self._read_header()
+        directory_end = _HEADER_SIZE + num_slots * _SLOT_SIZE
+        growth = len(record) - length
+        if growth > free_end - directory_end:
+            return False
+        data = self.data
+        end = offset + length
+        start = end - len(record)
+        if growth:
+            data[free_end - growth : offset - growth] = data[free_end:offset]
+            # Live records ending at or below this one's start moved.
+            directory_format = f"<{2 * num_slots}H"
+            directory = list(struct.unpack_from(directory_format, data, _HEADER_SIZE))
+            for at in range(0, 2 * num_slots, 2):
+                other_offset = directory[at]
+                if other_offset and other_offset + directory[at + 1] <= offset:
+                    directory[at] = other_offset - growth
+            directory[2 * slot : 2 * slot + 2] = (start, len(record))
+            struct.pack_into(directory_format, data, _HEADER_SIZE, *directory)
+            self._write_header(num_slots, free_end - growth)
+        data[start:end] = record
+        self.dirty = True
+        return True
+
     def delete(self, slot: int) -> None:
-        """Mark ``slot`` deleted.  Space is not compacted."""
+        """Mark ``slot`` deleted; its bytes stay where they are."""
         offset, _ = self._slot_entry(slot)
         if offset == 0:
             raise RecordNotFoundError(f"slot {slot} already deleted")

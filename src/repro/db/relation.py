@@ -65,6 +65,9 @@ class Relation:
         self.schema = schema
         self.heap = HeapFile(pool)
         self._indexes: dict[str, _IndexSpec] = {}
+        # Leading columns that hold every index key: all a delete or an
+        # update needs to decode of the old row.
+        self._key_columns = 0
 
     def __len__(self) -> int:
         return len(self.heap)
@@ -96,6 +99,7 @@ class Relation:
             [(spec.key_of(decode(record, leading)), rid) for rid, record in self.heap.scan()]
         )
         self._indexes[index_name] = spec
+        self._key_columns = max(self._key_columns, leading)
 
     def index_names(self) -> tuple[str, ...]:
         """Names of the relation's indexes."""
@@ -166,31 +170,40 @@ class Relation:
         """Fetch the row stored at ``rid``."""
         return self.schema.decode(self.heap.read(rid))
 
+    def _stored_keys(self, rid: RecordId) -> Row:
+        """The leading columns of the row at ``rid`` that the indexes read."""
+        return self.schema.decode(self.heap.read(rid), self._key_columns)
+
     def delete(self, rid: RecordId) -> None:
         """Delete the row at ``rid`` from the heap and all indexes."""
-        row = self.fetch(rid)
+        row = self._stored_keys(rid)
         self.heap.delete(rid)
         for spec in self._indexes.values():
             spec.tree.delete(spec.key_of(row), rid)
 
     def update(self, rid: RecordId, row: Sequence[Any]) -> RecordId:
-        """Replace the row at ``rid``; returns the row's new record id.
+        """Replace the row at ``rid``; returns the row's record id.
 
-        Implemented as delete + insert (the new version may not fit in the
-        old slot), with all indexes kept consistent.  Callers holding the
-        old rid must switch to the returned one.
+        The row is rewritten in place and keeps ``rid`` whenever its page
+        can absorb the new size (:meth:`HeapFile.update`); otherwise it is
+        relocated and the new id is returned, so callers holding the old
+        rid must switch to the returned one.  An index entry is touched
+        only when its key or the rid changed.
         """
         record = self.schema.encode(row)  # validates
-        old_row = self.fetch(rid)
-        for spec in self._indexes.values():
-            new_key = spec.key_of(row)
-            if new_key != spec.key_of(old_row):
+        old_row = self._stored_keys(rid)
+        keys = [
+            (spec, spec.key_of(old_row), spec.key_of(row))
+            for spec in self._indexes.values()
+        ]
+        for spec, old_key, new_key in keys:
+            if new_key != old_key:
                 spec.check_unique(new_key, self.name)
-        self.heap.delete(rid)
-        new_rid = self.heap.insert(record)
-        for spec in self._indexes.values():
-            spec.tree.delete(spec.key_of(old_row), rid)
-            spec.tree.insert(spec.key_of(row), new_rid)
+        new_rid = self.heap.update(rid, record)
+        for spec, old_key, new_key in keys:
+            if new_rid != rid or new_key != old_key:
+                spec.tree.delete(old_key, rid)
+                spec.tree.insert(new_key, new_rid)
         return new_rid
 
     def find_rid(self, index_name: str, key: Any) -> RecordId:

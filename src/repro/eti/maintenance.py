@@ -15,6 +15,11 @@ exactly the rows named by that tuple's signature entries:
   be reconstructed without a rebuild.  This is conservative: a stopped
   q-gram only costs recall that the remaining coordinates supply.
 
+Each mutation reads and edits its rows in memory before it writes any of
+them, so a tid-list that would outgrow a page raises the builder's typed
+:class:`~repro.eti.builder.TidListTooLargeError` with nothing written.
+Rows are then rewritten in place (:meth:`repro.db.relation.Relation.update`).
+
 Token *weights* can be maintained in lock-step: pass the plain
 :class:`~repro.core.weights.TokenFrequencyCache` as ``weights`` and the
 maintainer calls its ``add_tuple`` / ``remove_tuple`` on every mutation,
@@ -34,14 +39,18 @@ after the whole tuple, never a half-indexed one.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, ContextManager, Iterator, Sequence
 
 from repro.core.config import MatchConfig
 from repro.core.minhash import MinHasher
-from repro.core.reference import ReferenceTable
+from repro.core.reference import TID_INDEX, ReferenceTable
 from repro.core.tokens import TupleTokens
 from repro.db.errors import RecordNotFoundError
+from repro.db.heap import RecordId
+from repro.db.page import MAX_RECORD_SIZE
+from repro.eti.builder import TidListTooLargeError
 from repro.eti.index import EtiIndex
 from repro.eti.schema import ETI_INDEX
 from repro.eti.signature import signature_entries
@@ -49,6 +58,16 @@ from repro.eti.signature import signature_entries
 if TYPE_CHECKING:
     from repro.core.weights import TokenFrequencyCache
     from repro.db.database import Database
+
+# Bytes an ETI row can take besides its q-gram's UTF-8 and its tids: the
+# q-gram's length prefix, coordinate, column and frequency (tagged 64-bit
+# varints) and the list's length.
+_ROW_BYTES_BESIDE_TIDS = 5 + 3 * 11 + 5
+
+# An ETI row's editable part, ``(frequency, tid_list)``; NULL list = stop q-gram.
+_RowState = tuple[int, list[int] | None]
+# Touched ETI key -> (stored rid or None, new state or None when it goes).
+_Edits = dict[tuple[str, int, int], tuple[RecordId | None, _RowState | None]]
 
 
 class EtiMaintainer:
@@ -94,13 +113,17 @@ class EtiMaintainer:
     def insert_tuple(self, tid: int, values: Sequence[str | None]) -> None:
         """Add a reference tuple and index all its signature entries.
 
-        With a ``database`` attached, the heap insert and every ETI row it
-        touches commit as one WAL transaction.
+        Every ETI row the tuple touches is edited in memory first; if one
+        would outgrow a page, :class:`TidListTooLargeError` is raised
+        before anything is written.  With a ``database`` attached, the
+        heap insert and every ETI row it touches commit as one WAL
+        transaction.
         """
         with self._transaction():
+            edits = self._edits(values, tid, add=True)
+            self._check_fits(edits)
             self.reference.insert(tid, values)
-            for gram, coordinate, column in self._entries(values):
-                self._index_add(gram, coordinate, column, tid)
+            self._write(edits)
             self._account(values, add=True)
 
     def delete_tuple(self, tid: int) -> tuple[str | None, ...]:
@@ -111,21 +134,27 @@ class EtiMaintainer:
         """
         with self._transaction():
             values = self.reference.delete(tid)
-            for gram, coordinate, column in self._entries(values):
-                self._index_remove(gram, coordinate, column, tid)
+            self._write(self._edits(values, tid, add=False))
             self._account(values, add=False)
         return values
 
     def update_tuple(self, tid: int, values: Sequence[str | None]) -> None:
         """Replace a reference tuple's attribute values.
 
-        With a ``database`` attached this is *one* transaction — the
-        delete and re-insert commit together (transactions nest; only the
-        outermost commits).
+        The ETI rows are edited as a delete followed by an insert, checked
+        against the page limit before the first write, and written once.
+        With a ``database`` attached this is *one* transaction.
         """
         with self._transaction():
-            self.delete_tuple(tid)
-            self.insert_tuple(tid, values)
+            old = self.reference.relation.index_get(TID_INDEX, tid)[1:]
+            edits = self._edits(old, tid, add=False)
+            self._edits(values, tid, add=True, edits=edits)
+            self._check_fits(edits)
+            self.reference.delete(tid)
+            self.reference.insert(tid, values)
+            self._write(edits)
+            self._account(old, add=False)
+            self._account(values, add=True)
 
     @property
     def rebuild_hint(self) -> bool:
@@ -171,45 +200,102 @@ class EtiMaintainer:
                 for entry in signature_entries(token, self.hasher, self.config):
                     yield entry.gram, entry.coordinate, column
 
-    def _index_add(self, gram: str, coordinate: int, column: int, tid: int) -> None:
-        relation = self.eti.relation
-        key = (gram, coordinate, column)
-        try:
-            rid = relation.find_rid(ETI_INDEX, key)
-        except RecordNotFoundError:
-            relation.insert((gram, coordinate, column, 1, [tid]))
-            return
-        row = relation.fetch(rid)
-        frequency = row[3] + 1
-        tid_list = row[4]
-        if tid_list is None or frequency > self.config.stop_qgram_threshold:
-            tid_list = None  # already (or newly) a stop q-gram
-        else:
-            tid_list = list(tid_list)
-            if tid not in tid_list:
-                tid_list.append(tid)
-                tid_list.sort()
-        relation.update(rid, (gram, coordinate, column, frequency, tid_list))
+    def _edits(
+        self,
+        values: Sequence[str | None],
+        tid: int,
+        add: bool,
+        edits: _Edits | None = None,
+    ) -> _Edits:
+        """The ETI rows adding (or removing) ``tid`` leaves, written nowhere yet.
 
-    def _index_remove(self, gram: str, coordinate: int, column: int, tid: int) -> None:
+        Maps each touched key to ``(rid, state)``: the row's stored record
+        id (None if it has none) and its new ``(frequency, tid_list)``, or
+        None once the row should not exist.  Each signature entry edits
+        the state the previous one left, so a key named twice is edited
+        twice, as if every edit had been written in turn.
+        """
+        if edits is None:
+            edits = {}
         relation = self.eti.relation
-        key = (gram, coordinate, column)
-        try:
-            rid = relation.find_rid(ETI_INDEX, key)
-        except RecordNotFoundError:
-            return  # never indexed (e.g. inserted while already a stop gram)
-        row = relation.fetch(rid)
-        frequency = max(row[3] - 1, 0)
-        tid_list = row[4]
-        if tid_list is None:
-            # Stop q-grams keep a NULL list; only the frequency decays.
-            if frequency == 0:
-                relation.delete(rid)
+        edit = self._added if add else self._removed
+        for key in self._entries(values):
+            if key in edits:
+                rid, state = edits[key]
             else:
-                relation.update(rid, (gram, coordinate, column, frequency, None))
-            return
-        tid_list = [t for t in tid_list if t != tid]
-        if not tid_list:
-            relation.delete(rid)
-        else:
-            relation.update(rid, (gram, coordinate, column, frequency, tid_list))
+                try:
+                    rid = relation.find_rid(ETI_INDEX, key)
+                except RecordNotFoundError:
+                    rid, state = None, None
+                else:
+                    row = relation.fetch(rid)
+                    state = (row[3], row[4])
+            edits[key] = (rid, edit(state, tid))
+        return edits
+
+    def _added(self, state: _RowState | None, tid: int) -> _RowState:
+        """The row after ``tid`` joins it; a list past the threshold is NULL."""
+        if state is None:
+            return (1, [tid])
+        frequency, tid_list = state
+        frequency += 1
+        if tid_list is None or frequency > self.config.stop_qgram_threshold:
+            return (frequency, None)  # already (or newly) a stop q-gram
+        at = bisect_left(tid_list, tid)
+        if at == len(tid_list) or tid_list[at] != tid:
+            tid_list.insert(at, tid)
+        return (frequency, tid_list)
+
+    @staticmethod
+    def _removed(state: _RowState | None, tid: int) -> _RowState | None:
+        """The row after ``tid`` leaves it; None once it should vanish.
+
+        Stop q-grams keep a NULL list and only their frequency decays.
+        """
+        if state is None:
+            return None  # never indexed (e.g. inserted while already a stop gram)
+        frequency, tid_list = state
+        frequency = max(frequency - 1, 0)
+        if tid_list is None:
+            return (frequency, None) if frequency else None
+        at = bisect_left(tid_list, tid)
+        if at < len(tid_list) and tid_list[at] == tid:
+            del tid_list[at]
+        return (frequency, tid_list) if tid_list else None
+
+    def _check_fits(self, edits: _Edits) -> None:
+        """Raise the typed page-wall error for the first row too large to store.
+
+        Only a row that might not fit is encoded: each tid takes at most
+        the varint bytes of the list's last (largest) tid, and the rest of
+        the row at most :data:`_ROW_BYTES_BESIDE_TIDS` plus its q-gram.
+        """
+        encode = self.eti.relation.schema.encode
+        for key, (_, state) in edits.items():
+            if state is None:
+                continue
+            frequency, tid_list = state
+            if tid_list is None:
+                continue
+            largest = max(1, (tid_list[-1].bit_length() + 6) // 7)
+            bound = len(tid_list) * largest + 4 * len(key[0]) + _ROW_BYTES_BESIDE_TIDS
+            if bound <= MAX_RECORD_SIZE:
+                continue
+            encoded_bytes = len(encode((*key, frequency, tid_list)))
+            if encoded_bytes > MAX_RECORD_SIZE:
+                raise TidListTooLargeError(
+                    key, frequency, encoded_bytes,
+                    largest_buildable_threshold=frequency - 1,
+                )
+
+    def _write(self, edits: _Edits) -> None:
+        """Store every edited row: insert, rewrite in place, or delete."""
+        relation = self.eti.relation
+        for key, (rid, state) in edits.items():
+            if state is None:
+                if rid is not None:
+                    relation.delete(rid)
+            elif rid is None:
+                relation.insert((*key, *state))
+            else:
+                relation.update(rid, (*key, *state))

@@ -13,6 +13,11 @@ each one asserts the three durability invariants:
 3. fuzzy-match answers over the recovered index are identical to the
    rebuild's.
 
+The template is sized so the workload takes all three ETI row-update
+paths of :meth:`repro.db.heap.HeapFile.update`: a row grown in place, a
+row shrunk in place, and a row relocated because its full page could not
+absorb the growth.
+
 Scale the sweep with ``REPRO_CRASH_SEEDS`` (default 2 tear seeds; CI
 runs 12).  The sweep itself carries the ``crash`` marker.
 """
@@ -20,6 +25,7 @@ runs 12).  The sweep itself carries the ``crash`` marker.
 import json
 import os
 import shutil
+from collections import Counter
 
 import pytest
 
@@ -31,7 +37,7 @@ from repro.db.database import Database
 from repro.db.errors import CrashError, DatabaseError
 from repro.db.faults import CrashableStorage, CrashableWalFile, CrashPoint
 from repro.db.fsck import check_database
-from repro.db.page import PAGE_SIZE
+from repro.db.page import PAGE_SIZE, Page
 from repro.db.pager import InMemoryStorage
 from repro.db.snapshot import load_database, save_database
 from repro.db.wal import WalFile, WalStorage
@@ -45,15 +51,28 @@ CONFIG = MatchConfig(q=3, signature_size=2)
 
 SEEDS = range(int(os.environ.get("REPRO_CRASH_SEEDS", "2")))
 
+# Filler tuples stored beside the Table 1 rows in the template.  Their
+# tids encode to 8 varint bytes, so their shared tokens' tid-lists fill
+# the ETI's first heap pages to within a few bytes of full.
+BIG_TID = 10**15
+FILLER = tuple(
+    (BIG_TID + i, (f"Filler{i:02d} Works", "Spokane", "WA", f"99{i:03d}"))
+    for i in range(100)
+)
+BASE_ROWS = ORG_ROWS + FILLER
+
 # Maintenance operations applied after the template snapshot.  Each runs
 # in its own WAL transaction, so every crash must land the database on a
-# prefix of this sequence; all six prefix states are pairwise distinct.
+# prefix of this sequence; all seven prefix states are pairwise distinct.
+# The last op repeats a filler tuple under another 8-byte tid: its rows
+# live on the full pages, so some must be relocated.
 OPS = (
     ("insert", 10, ("Boing Corp", "Kent", "WA", "98032")),
     ("insert", 11, ("Cascade Couriers", "Renton", "WA", "98055")),
     ("delete", 2, None),
     ("insert", 12, ("Bon Voyage Company", "Tacoma", "WA", "98402")),
     ("delete", 10, None),
+    ("insert", BIG_TID + 999, FILLER[0][1]),
 )
 
 QUERIES = (
@@ -76,7 +95,7 @@ def eti_as_dict(eti):
 
 def expected_state(k):
     """Reference rows after the first ``k`` operations."""
-    rows = {tid: tuple(values) for tid, values in ORG_ROWS}
+    rows = {tid: tuple(values) for tid, values in BASE_ROWS}
     for kind, tid, values in OPS[:k]:
         if kind == "insert":
             rows[tid] = tuple(values)
@@ -173,7 +192,7 @@ def template_dir(tmp_path_factory):
     base = tmp_path_factory.mktemp("crash-template")
     db = Database.on_disk(str(base / "db.pages"))
     reference = ReferenceTable(db, "orgs", list(ORG_COLUMNS))
-    reference.load(ORG_ROWS)
+    reference.load(BASE_ROWS)
     build_eti(db, reference, CONFIG)
     save_database(db)
     db.close()
@@ -207,8 +226,24 @@ class TestCrashSweep:
     @pytest.mark.crash
     @pytest.mark.parametrize("seed", SEEDS)
     def test_every_crash_point_recovers_consistently(
-        self, template_dir, total_ops, tmp_path, seed
+        self, template_dir, total_ops, tmp_path, seed, monkeypatch
     ):
+        # Count the ETI row-update paths the workload takes, from outside.
+        paths = Counter()
+        page_update = Page.update
+
+        def counting_update(page, slot, record):
+            before = len(page.read(slot))
+            fitted = page_update(page, slot, record)
+            if not fitted:
+                paths["relocated"] += 1
+            elif len(record) > before:
+                paths["grown in place"] += 1
+            elif len(record) < before:
+                paths["shrunk in place"] += 1
+            return fitted
+
+        monkeypatch.setattr(Page, "update", counting_update)
         recovered_prefixes = set()
         for crash_after in range(total_ops):
             work = tmp_path / f"run-{crash_after}"
@@ -223,6 +258,8 @@ class TestCrashSweep:
         # crash recovers the template, the latest recovers everything.
         assert 0 in recovered_prefixes
         assert len(OPS) in recovered_prefixes
+        for path in ("grown in place", "shrunk in place", "relocated"):
+            assert paths[path] >= 1, (path, dict(paths))
 
     def test_crash_during_checkpoint_loses_nothing(
         self, template_dir, total_ops, tmp_path
@@ -327,5 +364,5 @@ class TestTornAndForeignLogs:
             tid for tid, _ in ReferenceTable.attach(
                 reopened, "orgs", list(ORG_COLUMNS)
             ).scan()
-        ) == [1, 2, 3]
+        ) == sorted(tid for tid, _ in BASE_ROWS)
         reopened.close()

@@ -78,3 +78,40 @@ class TestRecordId:
 
     def test_hashable(self):
         assert len({RecordId(0, 0), RecordId(0, 0), RecordId(0, 1)}) == 2
+
+
+class TestHeapUpdate:
+    def test_rewrites_in_place_when_the_page_has_room(self, heap):
+        rids = [heap.insert(f"rec{i}".encode()) for i in range(5)]
+        assert heap.update(rids[2], b"grown-record-2" * 10) == rids[2]
+        assert heap.update(rids[3], b"") == rids[3]
+        assert heap.read(rids[2]) == b"grown-record-2" * 10
+        assert heap.read(rids[3]) == b""
+        assert len(heap) == 5 and heap.num_pages == 1
+
+    def test_relocates_exactly_when_the_page_refuses(self, heap):
+        record = b"r" * 1000
+        rids = []
+        while heap.num_pages < 2:
+            rids.append(heap.insert(record))
+        first_page = [rid for rid in rids if rid.page_index == 0]
+        page = heap.pool.get_page(heap._resolve(first_page[0]))
+        room = page.free_space + 4  # the gap: no new slot entry is needed
+        fits = heap.update(first_page[0], record + b"x" * room)
+        assert fits == first_page[0]
+        moved = heap.update(first_page[1], record + b"y")
+        assert moved != first_page[1]
+        assert moved.page_index == 1
+        assert heap.read(moved) == record + b"y"
+        with pytest.raises(RecordNotFoundError):
+            heap.read(first_page[1])
+        assert len(heap) == len(rids)
+        assert sorted(rid for rid, _ in heap.scan()) == sorted(
+            [rid for rid in rids if rid != first_page[1]] + [moved]
+        )
+
+    def test_oversized_record_rejected(self, heap):
+        rid = heap.insert(b"small")
+        with pytest.raises(PageFullError):
+            heap.update(rid, b"x" * (MAX_RECORD_SIZE + 1))
+        assert heap.read(rid) == b"small"

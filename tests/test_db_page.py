@@ -110,6 +110,101 @@ class TestPageCapacity:
         assert count > PAGE_SIZE // 10
 
 
+class TestPageUpdate:
+    @staticmethod
+    def _page(*records):
+        page = Page()
+        for record in records:
+            page.insert(record)
+        return page
+
+    def test_grows_into_the_gap(self):
+        page = self._page(b"aaaa", b"bbbb", b"cccc")
+        gap_before = page.free_space
+        assert page.update(1, b"B" * 40)
+        assert [r for _, r in page.records()] == [b"aaaa", b"B" * 40, b"cccc"]
+        assert page.free_space == gap_before - 36
+        assert page.validate() == []
+
+    def test_shrinks_and_returns_the_space(self):
+        page = self._page(b"aaaa", b"b" * 40, b"cccc")
+        gap_before = page.free_space
+        assert page.update(1, b"bb")
+        assert [r for _, r in page.records()] == [b"aaaa", b"bb", b"cccc"]
+        assert page.free_space == gap_before + 38
+        assert page.validate() == []
+
+    def test_same_size_rewrites_in_place(self):
+        page = self._page(b"aaaa", b"bbbb")
+        gap_before = page.free_space
+        assert page.update(0, b"AAAA")
+        assert [r for _, r in page.records()] == [b"AAAA", b"bbbb"]
+        assert page.free_space == gap_before
+
+    def test_shifts_records_below_deleted_slots(self):
+        page = self._page(b"aaaa", b"bbbb", b"cccc", b"dddd", b"", b"eeee")
+        page.delete(2)
+        page.delete(3)
+        assert page.update(1, b"B" * 25)
+        assert page.update(0, b"A")
+        assert dict(page.records()) == {
+            0: b"A", 1: b"B" * 25, 4: b"", 5: b"eeee"
+        }
+        assert page.update(5, b"E" * 9)
+        assert page.update(4, b"four")
+        assert dict(page.records()) == {
+            0: b"A", 1: b"B" * 25, 4: b"four", 5: b"E" * 9
+        }
+        assert page.validate() == []
+
+    def test_refuses_growth_past_the_gap(self):
+        page = Page()
+        page.insert(b"a" * 100)
+        page.insert(b"b" * (page.free_space - 10))
+        before = bytes(page.data)
+        gap = page.free_space + 4  # no new slot entry is needed
+        assert not page.update(0, b"a" * (100 + gap + 1))
+        assert bytes(page.data) == before
+        assert page.update(0, b"a" * (100 + gap))
+        assert page.read(0) == b"a" * (100 + gap)
+        assert page.validate() == []
+
+    def test_keeps_every_slot_number(self):
+        page = self._page(*(bytes([i]) * (i + 1) for i in range(12)))
+        for slot in range(12):
+            page.update(slot, bytes([100 + slot]) * (30 - 2 * slot))
+        assert page.num_slots == 12
+        assert [slot for slot, _ in page.records()] == list(range(12))
+        for slot in range(12):
+            assert page.read(slot) == bytes([100 + slot]) * (30 - 2 * slot)
+        assert page.validate() == []
+
+    def test_survives_a_byte_round_trip(self):
+        page = self._page(b"aaaa", b"bbbb", b"cccc")
+        page.update(1, b"B" * 17)
+        restored = Page(bytes(page.data))
+        assert list(restored.records()) == list(page.records())
+
+    def test_sets_dirty(self):
+        page = Page(bytes(self._page(b"aaaa").data))
+        assert not page.dirty
+        page.update(0, b"bbbbbb")
+        assert page.dirty
+
+    def test_deleted_or_missing_slot_raises(self):
+        page = self._page(b"aaaa")
+        page.delete(0)
+        with pytest.raises(RecordNotFoundError):
+            page.update(0, b"x")
+        with pytest.raises(RecordNotFoundError):
+            page.update(1, b"x")
+
+    def test_oversized_record_rejected(self):
+        page = self._page(b"aaaa")
+        with pytest.raises(PageFullError):
+            page.update(0, b"x" * (MAX_RECORD_SIZE + 1))
+
+
 class TestPageSerialization:
     def test_round_trip_through_bytes(self):
         page = Page()

@@ -1,13 +1,19 @@
 """Incremental ETI maintenance: insert/delete/update reference tuples."""
 
+import random
+
 import pytest
 
+import repro.core.reference as reference_module
 from repro.core.config import MatchConfig, SignatureScheme
 from repro.core.matcher import FuzzyMatcher
 from repro.core.minhash import MinHasher
 from repro.core.reference import ReferenceTable
 from repro.core.weights import build_frequency_cache
-from repro.eti.builder import build_eti
+from repro.data.generator import CUSTOMER_COLUMNS, generate_customers
+from repro.db.database import Database
+from repro.db.page import MAX_RECORD_SIZE
+from repro.eti.builder import TidListTooLargeError, build_eti
 from repro.eti.maintenance import EtiMaintainer
 from repro.eti.signature import signature_entries
 
@@ -325,3 +331,124 @@ class TestIncrementalWeights:
         hashed = HashedTokenFrequencyCache(3, 4)
         with pytest.raises(TypeError, match="add_tuple"):
             EtiMaintainer(org_reference, eti, paper_config, weights=hashed)
+
+
+class TestPageWall:
+    """A tid-list outgrowing its page fails typed, before any write."""
+
+    # 8-byte varint tids: ~1 000 tuples sharing a token fill one ETI row.
+    BIG = 10**15
+
+    def test_insert_past_the_page_wall_is_typed_and_writes_nothing(self):
+        config = MatchConfig(q=3, signature_size=2)
+        db = Database.in_memory()
+        reference = ReferenceTable(db, "shared", ["state"])
+        reference.load((self.BIG + i, ("wa",)) for i in range(1_000))
+        eti, _ = build_eti(db, reference, config)
+        weights = build_frequency_cache(reference.scan_values(), 1)
+        maintainer = EtiMaintainer(reference, eti, config, weights=weights, database=db)
+
+        tid = self.BIG + 1_000
+        with pytest.raises(TidListTooLargeError) as raised:
+            for tid in range(tid, tid + 50):
+                maintainer.insert_tuple(tid, ("wa",))
+        error = raised.value
+        assert error.key[0] in {entry.gram for entry in signature_entries(
+            "wa", maintainer.hasher, config
+        )}
+        assert error.encoded_bytes > MAX_RECORD_SIZE
+        assert error.largest_buildable_threshold == error.frequency - 1
+
+        stored = len(reference)
+        before = eti_as_dict(eti)
+        assert tid not in reference
+        assert stored == tid - self.BIG
+        # Nothing the failed insert touched was written or counted.
+        assert len(reference.relation.heap) == stored
+        assert eti_as_dict(eti) == before
+        assert weights.num_tuples == stored
+
+        maintainer.insert_tuple(1, ("or",))
+        assert 1 in reference and len(reference) == stored + 1
+        matcher = FuzzyMatcher(reference, weights, config, eti)
+        assert [m.tid for m in matcher.match(("or",)).matches] == [1]
+        db.close()
+
+
+class TestWritesBesideReads:
+    """Long-lived matchers answer like a cold one across write bursts.
+
+    The matchers' reference-token caches drop only the tids each burst
+    changed, or everything when a burst outruns the change log, which
+    the test shrinks so one burst does.  The matcher on the table reads
+    between writes (a change log one entry behind); the one on a view
+    reads only after each burst.
+    """
+
+    LOG = 16
+    BURSTS = (3, 9, 2 * LOG + 5, 1, 6)
+
+    @staticmethod
+    def answers(matcher, values, strategy):
+        return [
+            (m.tid, repr(m.similarity))
+            for m in matcher.match(values, k=3, strategy=strategy).matches
+        ]
+
+    def test_long_lived_matchers_equal_a_cold_one(self, monkeypatch):
+        monkeypatch.setattr(reference_module, "CHANGE_LOG_SIZE", self.LOG)
+        config = MatchConfig(q=3, signature_size=2)
+        rows = [(c.tid, c.values) for c in generate_customers(300, seed=11, unique=True)]
+        fresh = iter(
+            c.values for c in generate_customers(400, seed=12, unique=True)
+        )
+        db = Database.in_memory()
+        reference = ReferenceTable(db, "customers", list(CUSTOMER_COLUMNS))
+        reference.load(rows)
+        eti, _ = build_eti(db, reference, config)
+        weights = build_frequency_cache(reference.scan_values(), reference.num_columns)
+        maintainer = EtiMaintainer(reference, eti, config, weights=weights, database=db)
+        long_lived = [
+            FuzzyMatcher(reference, weights, config, eti),
+            FuzzyMatcher(reference.view(), weights, config, eti),
+        ]
+        live = dict(rows)
+        next_tid = max(live) + 1
+        rng = random.Random(5)
+        kept_entries = 0
+        for size in self.BURSTS:
+            touched = rng.sample(sorted(live), size)
+            queries = [live[tid] for tid in touched]
+            for matcher in long_lived:  # cache every tuple the burst changes
+                for values in queries:
+                    matcher.match(values, k=3, strategy="basic")
+            deleted = []
+            for op, tid in enumerate(touched):
+                kind = ("update", "delete", "insert")[op % 3]
+                if kind == "delete":
+                    values = live.pop(tid)
+                    maintainer.delete_tuple(tid)
+                    deleted.append(tid)
+                else:
+                    values = next(fresh)
+                    if kind == "insert":  # a deleted tid comes back, new values
+                        tid = deleted.pop() if deleted else next_tid
+                        next_tid = max(next_tid, tid + 1)
+                        maintainer.insert_tuple(tid, values)
+                    else:
+                        maintainer.update_tuple(tid, values)
+                    live[tid] = values
+                    queries.append(values)
+                # One matcher reads between writes, one only after the burst.
+                long_lived[0].match(values, k=3, strategy="basic")
+            cold = FuzzyMatcher(reference, weights, config, eti)
+            for values in queries[:24]:
+                for strategy in ("basic", "osc"):
+                    expected = self.answers(cold, values, strategy)
+                    for matcher in long_lived:
+                        assert self.answers(matcher, values, strategy) == expected
+            if size < self.LOG:
+                kept_entries += len(long_lived[0].caches.reference_tokens)
+        assert kept_entries > 0
+        assert dict(reference.scan()) == live
+        db.close()

@@ -1,8 +1,11 @@
 """ReferenceTable: tid-indexed access, mutation, fetch accounting."""
 
+import sys
+import threading
+
 import pytest
 
-from repro.core.reference import ReferenceTable
+from repro.core.reference import CHANGE_LOG_SIZE, ReferenceTable
 from repro.db.database import Database
 from repro.db.errors import DuplicateKeyError, RecordNotFoundError
 
@@ -126,3 +129,64 @@ class TestAttach:
         ReferenceTable(db, "r", ["name", "city"])
         with pytest.raises(ValueError, match="columns"):
             ReferenceTable.attach(db, "r", ["wrong"])
+
+
+class TestChangeLog:
+    def test_changed_since_names_each_mutation_newest_first(self, table):
+        start = table.version
+        table.insert(9, ("delta four", "ogdenville"))
+        table.delete(2)
+        table.delete(9)
+        assert table.version == start + 3
+        assert table.changed_since(start) == [9, 2, 9]
+        assert table.changed_since(start + 2) == [9]
+        assert table.changed_since(table.version) == []
+
+    def test_views_share_the_log(self, table):
+        view = table.view()
+        start = view.version
+        table.insert(9, ("delta four", "ogdenville"))
+        assert view.version == start + 1
+        assert view.changed_since(start) == [9]
+
+    def test_a_bulk_load_or_an_outrun_log_names_nothing(self, table):
+        start = table.version
+        table.insert(9, ("delta four", "ogdenville"))
+        table.load([(10, ("epsilon", "x"))])
+        assert table.changed_since(start) is None
+        assert table.changed_since(table.version) == []
+        behind = table.version
+        for tid in range(100, 100 + CHANGE_LOG_SIZE + 1):
+            table.insert(tid, ("filler", None))
+        assert table.changed_since(behind) is None
+        assert table.changed_since(behind + 1) == list(
+            range(100 + CHANGE_LOG_SIZE, 100, -1)
+        )
+
+    def test_concurrent_mutations_lose_no_version(self):
+        table = ReferenceTable(Database.in_memory(), "r", ["name"])
+        log = table._changes
+        writers, per_writer = 6, 400
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda w=w: [log.record(w) for _ in range(per_writer)]
+                )
+                for w in range(writers)
+            ]
+            for thread in threads:
+                thread.start()
+            for _ in range(200):  # readers race the writers
+                changed = table.changed_since(0)
+                assert changed is None or set(changed) <= set(range(writers))
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert table.version == writers * per_writer
+        assert sorted(table.changed_since(0)) == sorted(
+            w for w in range(writers) for _ in range(per_writer)
+        )

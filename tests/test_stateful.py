@@ -144,10 +144,19 @@ class RelationMachine(RuleBasedStateMachine):
             del self.model[key]
             del self.rid_of[key]
 
-    @rule(key=keys, value=st.text(max_size=10))
+    @rule(
+        key=keys,
+        value=st.text(max_size=10) | st.integers(0, 3000).map(lambda n: "v" * n),
+    )
     def update(self, key, value):
         if key in self.model:
-            new_rid = self.relation.update(self.rid_of[key], (key, value))
+            rid = self.rid_of[key]
+            heap = self.relation.heap
+            page = heap.pool.get_page(heap._resolve(rid))
+            growth = len(self.relation.schema.encode((key, value))) - len(heap.read(rid))
+            had_room = growth <= page.free_space + 4  # no new slot entry needed
+            new_rid = self.relation.update(rid, (key, value))
+            assert (new_rid == rid) == had_room
             self.rid_of[key] = new_rid
             self.model[key] = value
 

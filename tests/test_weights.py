@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.tokens import TupleTokens
 from repro.core.weights import (
@@ -159,3 +160,64 @@ class TestBuildFrequencyCache:
         pre_sized = TokenFrequencyCache(5, 1)
         with pytest.raises(ValueError):
             build_frequency_cache([("a",)], 1, cache=pre_sized, num_tuples=5)
+
+
+def per_entry_averages(cache):
+    """Column averages by the textbook loop: one IDF per vocabulary entry."""
+    totals = [0.0] * cache.num_columns
+    counts = [0] * cache.num_columns
+    for (column, _), freq in cache._frequencies.items():
+        totals[column] += max(cache.idf(freq), 0.0)
+        counts[column] += 1
+    fallback = math.log(cache.num_tuples) if cache.num_tuples > 1 else 1.0
+    return [
+        totals[c] / counts[c] if counts[c] else fallback
+        for c in range(cache.num_columns)
+    ]
+
+
+_WORDS = st.sampled_from(["acme", "boing", "bon", "corp", "wa", "or", "kent", "98004"])
+_TUPLES = st.tuples(
+    st.lists(_WORDS, max_size=3).map(" ".join),
+    st.one_of(st.none(), _WORDS),
+)
+
+
+class TestIncrementalMaintenance:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=st.lists(_TUPLES, min_size=1, max_size=6),
+        steps=st.lists(st.tuples(st.booleans(), _TUPLES, st.integers(0, 50)), max_size=25),
+    )
+    def test_average_weight_is_the_per_entry_loop(self, base, steps):
+        cache = build_frequency_cache(base, 2)
+        stored = list(base)
+        for add, values, pick in steps:
+            if add or not stored:
+                cache.add_tuple(values)
+                stored.append(values)
+            else:
+                cache.remove_tuple(stored.pop(pick % len(stored)))
+            expected = per_entry_averages(cache)
+            assert [repr(cache.average_weight(c)) for c in range(2)] == [
+                repr(average) for average in expected
+            ]
+
+    def test_emptied_relation_counts_from_zero(self):
+        cache = build_frequency_cache([("acme", "wa")], 2)
+        cache.remove_tuple(("acme", "wa"))
+        assert cache.num_tuples == 0
+        cache.add_tuple(("boing", "wa"))
+        rebuilt = build_frequency_cache([("boing", "wa")], 2)
+        assert cache.num_tuples == rebuilt.num_tuples == 1
+        for token, column in [("boing", 0), ("wa", 1), ("acme", 0), ("unseen", 1)]:
+            assert repr(cache.weight(token, column)) == repr(
+                rebuilt.weight(token, column)
+            ), (token, column)
+        assert cache.weight("boing", 0) == 0.0
+
+    def test_removing_from_an_empty_relation_is_refused(self):
+        cache = build_frequency_cache([("acme", "wa")], 2)
+        cache.remove_tuple(("acme", "wa"))
+        with pytest.raises(ValueError, match="no reference tuple"):
+            cache.remove_tuple(("acme", "wa"))
