@@ -206,6 +206,32 @@ class Relation:
                 spec.tree.insert(new_key, new_rid)
         return new_rid
 
+    def update_record(self, rid: RecordId, record: bytes) -> RecordId:
+        """Replace the row at ``rid`` with an already-encoded ``record``.
+
+        For a caller that edits encoded rows itself (:meth:`Schema.splice`)
+        and keeps every index key.  The record is stored as given, in place
+        or relocated exactly as :meth:`update` stores a row, and the rid it
+        now has is returned; index entries move only on relocation.  The
+        key columns must encode to the stored row's bytes — compared as
+        bytes, nothing is decoded — or :class:`RelationError` is raised
+        with nothing written.
+        """
+        old = self.heap.read(rid)
+        keys_end = self.schema.prefix_size(old, self._key_columns)
+        if record[:keys_end] != old[:keys_end]:
+            raise RelationError(
+                f"update_record on {self.name!r} would change an index key at {rid}"
+            )
+        new_rid = self.heap.update(rid, record)
+        if new_rid != rid:
+            row = self.schema.decode(old, self._key_columns)
+            for spec in self._indexes.values():
+                key = spec.key_of(row)
+                spec.tree.delete(key, rid)
+                spec.tree.insert(key, new_rid)
+        return new_rid
+
     def find_rid(self, index_name: str, key: Any) -> RecordId:
         """Record id of the single row whose index key equals ``key``."""
         spec = self._index(index_name)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.db.errors import SchemaError
 
@@ -148,6 +148,105 @@ class Schema:
                 f"trailing bytes while decoding row ({len(data) - offset} left)"
             )
         return tuple(values)
+
+    def prefix_size(self, data: bytes, leading: int) -> int:
+        """Bytes the first ``leading`` columns of the encoded ``data`` take.
+
+        Each column's encoding delimits itself, so two records whose first
+        ``prefix_size`` bytes are equal decode to equal leading columns.
+        """
+        offset = 0
+        try:
+            for decoder in self._decoders[:leading]:
+                _, offset = decoder(data, offset)
+        except IndexError:
+            raise SchemaError("truncated varint") from None
+        return offset
+
+    def splice(
+        self,
+        data: bytes,
+        value: int,
+        add: bool,
+        ints: Mapping[str, int | None] | None = None,
+    ) -> bytes | None:
+        """The encoded row ``data`` with one value added to or removed from its list.
+
+        The schema's last column must be an ``INT_LIST`` whose stored list
+        is sorted without repeats, as the ETI keeps its tid-lists; ``ints``
+        gives new values for named ``INT`` columns.  Only what changes is
+        re-encoded: those columns, the list's count, and the one varint
+        spliced in or cut out.  The edit point is found by walking the
+        list's varints backward from the record's end (every byte of a
+        varint but its last has the high bit set), so an edit at the tail
+        reads one varint and one at the head reads them all.  The result
+        equals :meth:`encode` of the edited row byte for byte.
+
+        Returns None, leaving the caller to decode, edit and encode, when
+        the list is NULL, when the edit is a no-op (adding a value already
+        present, removing one absent), and when a remove would leave the
+        list empty.  ``value`` and ``ints`` are validated like
+        :meth:`validate` checks a row.
+        """
+        last = len(self.columns) - 1
+        column = self.columns[last]
+        if column.type is not ColumnType.INT_LIST:
+            raise SchemaError(f"splice needs a trailing int list, not {column.name!r}")
+        if not (isinstance(value, int) and value >= 0):
+            raise SchemaError(
+                f"column {column.name!r} expects {_EXPECTS[column.type]}, "
+                f"got element {value!r}"
+            )
+        replaced: dict[int, int | None] = {}
+        for name, new in (ints or {}).items():
+            position = self.position(name)
+            if self.columns[position].type is not ColumnType.INT:
+                raise SchemaError(f"splice replaces int columns only, not {name!r}")
+            self._checkers[position](new)
+            replaced[position] = new
+        out = bytearray()
+        offset = kept = 0
+        try:
+            for position, decoder in enumerate(self._decoders[:last]):
+                start = offset
+                _, offset = decoder(data, offset)
+                if position in replaced:
+                    out += data[kept:start]
+                    new = replaced[position]
+                    if new is None:
+                        out += _NULL_BYTES
+                    else:
+                        _encode_int(new, out)
+                    kept = offset
+            count, first = _decode_varint(data, offset)
+        except IndexError:
+            raise SchemaError("truncated varint") from None
+        if count == _NULL_MARKER or (not add and count <= 1):
+            return None
+        # Walk back to the last element <= value; it spans data[start:end].
+        end = len(data)
+        found = -1
+        while end > first:
+            start = end - 1
+            current = data[start]
+            while start > first and data[start - 1] >= 0x80:
+                start -= 1
+                current = (current << 7) | (data[start] & 0x7F)
+            if current <= value:
+                found = current
+                break
+            end = start
+        if (found == value) == add:
+            return None
+        out += data[kept:offset]
+        _append_varint(out, count + 1 if add else count - 1)
+        if add:
+            out += data[first:end]
+            _append_varint(out, value)
+        else:
+            out += data[first:start]
+        out += data[end:]
+        return bytes(out)
 
 
 # ----------------------------------------------------------------------

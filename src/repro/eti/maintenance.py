@@ -18,7 +18,18 @@ exactly the rows named by that tuple's signature entries:
 Each mutation reads and edits its rows in memory before it writes any of
 them, so a tid-list that would outgrow a page raises the builder's typed
 :class:`~repro.eti.builder.TidListTooLargeError` with nothing written.
-Rows are then rewritten in place (:meth:`repro.db.relation.Relation.update`).
+An edit is spliced into the encoded row (:meth:`repro.db.types.Schema.splice`):
+one tid varint goes in or out, the frequency is re-encoded, and the rest of
+the record is copied as bytes, never decoded.  Row creation, a row that
+empties, a list crossing the stop threshold, and any edit the splice
+declines decode the row, edit it and encode it instead.  Rows are then
+rewritten in place (:meth:`repro.db.relation.Relation.update_record`, or
+:meth:`~repro.db.relation.Relation.update` for a decoded row).
+
+Each tuple names every ``(q-gram, coordinate, column)`` key once, in an
+order fixed by its tokens' sorted order: a key two tokens share counts the
+tuple once, as the builder counts it, and identical mutations write
+identical page files whatever the process's string-hash seed.
 
 Token *weights* can be maintained in lock-step: pass the plain
 :class:`~repro.core.weights.TokenFrequencyCache` as ``weights`` and the
@@ -41,7 +52,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, ContextManager, Iterator, Sequence
+from typing import TYPE_CHECKING, ContextManager, Sequence
 
 from repro.core.config import MatchConfig
 from repro.core.minhash import MinHasher
@@ -66,8 +77,9 @@ _ROW_BYTES_BESIDE_TIDS = 5 + 3 * 11 + 5
 
 # An ETI row's editable part, ``(frequency, tid_list)``; NULL list = stop q-gram.
 _RowState = tuple[int, list[int] | None]
-# Touched ETI key -> (stored rid or None, new state or None when it goes).
-_Edits = dict[tuple[str, int, int], tuple[RecordId | None, _RowState | None]]
+# Touched ETI key -> (stored rid or None, the row now: its encoded record,
+# its decoded state, or None when it goes).
+_Edits = dict[tuple[str, int, int], tuple[RecordId | None, bytes | _RowState | None]]
 
 
 class EtiMaintainer:
@@ -191,14 +203,21 @@ class EtiMaintainer:
             self.weight_drift += 1
         self.mutations += 1
 
-    def _entries(
-        self, values: Sequence[str | None]
-    ) -> Iterator[tuple[str, int, int]]:
+    def _entries(self, values: Sequence[str | None]) -> list[tuple[str, int, int]]:
+        """The ETI keys of a tuple, each once, tokens in sorted order.
+
+        Two tokens of one column can share an entry (a token of at most
+        q characters is its own coordinate-1 entry, which can also be a
+        longer token's min-hash q-gram); the builder counts the tuple once
+        for it, and so must maintenance.
+        """
         tokens = TupleTokens.from_values(values)
+        keys: dict[tuple[str, int, int], None] = {}
         for column in range(tokens.num_columns):
-            for token in tokens.column_tokens(column):
+            for token in sorted(tokens.column_tokens(column)):
                 for entry in signature_entries(token, self.hasher, self.config):
-                    yield entry.gram, entry.coordinate, column
+                    keys[entry.gram, entry.coordinate, column] = None
+        return list(keys)
 
     def _edits(
         self,
@@ -209,29 +228,55 @@ class EtiMaintainer:
     ) -> _Edits:
         """The ETI rows adding (or removing) ``tid`` leaves, written nowhere yet.
 
-        Maps each touched key to ``(rid, state)``: the row's stored record
-        id (None if it has none) and its new ``(frequency, tid_list)``, or
-        None once the row should not exist.  Each signature entry edits
-        the state the previous one left, so a key named twice is edited
-        twice, as if every edit had been written in turn.
+        Maps each touched key to ``(rid, row)``: the row's stored record
+        id (None if it has none) and the row after the edit — its encoded
+        record when the edit was spliced into it, its new ``(frequency,
+        tid_list)`` when it was not, None once the row should not exist.
+        An edit applies to the row the previous one left, so a key that
+        both halves of an update name is edited twice, as if every edit
+        had been written in turn.
         """
         if edits is None:
             edits = {}
         relation = self.eti.relation
-        edit = self._added if add else self._removed
         for key in self._entries(values):
             if key in edits:
-                rid, state = edits[key]
+                rid, row = edits[key]
             else:
                 try:
                     rid = relation.find_rid(ETI_INDEX, key)
                 except RecordNotFoundError:
-                    rid, state = None, None
+                    rid, row = None, None
                 else:
-                    row = relation.fetch(rid)
-                    state = (row[3], row[4])
-            edits[key] = (rid, edit(state, tid))
+                    row = relation.heap.read(rid)
+            edits[key] = (rid, self._edit(row, tid, add))
         return edits
+
+    def _edit(
+        self, row: bytes | _RowState | None, tid: int, add: bool
+    ) -> bytes | _RowState | None:
+        """One entry's edit, spliced into the encoded row when it can be.
+
+        A row being created, one crossing the stop threshold, and one
+        whose edit the splice declines (a NULL list, a no-op, a list that
+        would empty) are edited decoded, by :meth:`_added` / :meth:`_removed`.
+        """
+        if isinstance(row, bytes):
+            schema = self.eti.relation.schema
+            frequency = self._frequency(row)
+            if not add or frequency < self.config.stop_qgram_threshold:
+                frequency = frequency + 1 if add else max(frequency - 1, 0)
+                spliced = schema.splice(row, tid, add, {"frequency": frequency})
+                if spliced is not None:
+                    return spliced
+            decoded = schema.decode(row)
+            row = (decoded[3], decoded[4])
+        return self._added(row, tid) if add else self._removed(row, tid)
+
+    def _frequency(self, record: bytes) -> int:
+        """The frequency stored in an encoded ETI row."""
+        frequency: int = self.eti.relation.schema.decode(record, 4)[3]
+        return frequency
 
     def _added(self, state: _RowState | None, tid: int) -> _RowState:
         """The row after ``tid`` joins it; a list past the threshold is NULL."""
@@ -266,12 +311,21 @@ class EtiMaintainer:
     def _check_fits(self, edits: _Edits) -> None:
         """Raise the typed page-wall error for the first row too large to store.
 
-        Only a row that might not fit is encoded: each tid takes at most
-        the varint bytes of the list's last (largest) tid, and the rest of
-        the row at most :data:`_ROW_BYTES_BESIDE_TIDS` plus its q-gram.
+        A spliced row is measured as it is.  Of the decoded rows, only one
+        that might not fit is encoded: each tid takes at most the varint
+        bytes of the list's last (largest) tid, and the rest of the row at
+        most :data:`_ROW_BYTES_BESIDE_TIDS` plus its q-gram.
         """
         encode = self.eti.relation.schema.encode
         for key, (_, state) in edits.items():
+            if isinstance(state, bytes):
+                if len(state) > MAX_RECORD_SIZE:
+                    frequency = self._frequency(state)
+                    raise TidListTooLargeError(
+                        key, frequency, len(state),
+                        largest_buildable_threshold=frequency - 1,
+                    )
+                continue
             if state is None:
                 continue
             frequency, tid_list = state
@@ -295,6 +349,9 @@ class EtiMaintainer:
             if state is None:
                 if rid is not None:
                     relation.delete(rid)
+            elif isinstance(state, bytes):
+                assert rid is not None  # spliced from the stored record
+                relation.update_record(rid, state)
             elif rid is None:
                 relation.insert((*key, *state))
             else:

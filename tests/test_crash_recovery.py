@@ -16,7 +16,9 @@ each one asserts the three durability invariants:
 The template is sized so the workload takes all three ETI row-update
 paths of :meth:`repro.db.heap.HeapFile.update`: a row grown in place, a
 row shrunk in place, and a row relocated because its full page could not
-absorb the growth.
+absorb the growth.  Tid-list edits spliced into encoded rows
+(:meth:`repro.db.types.Schema.splice`) are among the crash points, adds
+and removes both.
 
 Scale the sweep with ``REPRO_CRASH_SEEDS`` (default 2 tear seeds; CI
 runs 12).  The sweep itself carries the ``crash`` marker.
@@ -40,6 +42,7 @@ from repro.db.fsck import check_database
 from repro.db.page import PAGE_SIZE, Page
 from repro.db.pager import InMemoryStorage
 from repro.db.snapshot import load_database, save_database
+from repro.db.types import Schema
 from repro.db.wal import WalFile, WalStorage
 from repro.eti.builder import build_eti
 from repro.eti.index import EtiIndex
@@ -63,14 +66,17 @@ BASE_ROWS = ORG_ROWS + FILLER
 
 # Maintenance operations applied after the template snapshot.  Each runs
 # in its own WAL transaction, so every crash must land the database on a
-# prefix of this sequence; all seven prefix states are pairwise distinct.
-# The last op repeats a filler tuple under another 8-byte tid: its rows
-# live on the full pages, so some must be relocated.
+# prefix of this sequence; all eight prefix states are pairwise distinct.
+# Tid 13's tokens "bonus" and "bon" share the signature entry ("bon", 1):
+# the tuple must count once in that row's frequency.  The last op repeats
+# a filler tuple under another 8-byte tid: its rows live on the full
+# pages, so some must be relocated.
 OPS = (
     ("insert", 10, ("Boing Corp", "Kent", "WA", "98032")),
     ("insert", 11, ("Cascade Couriers", "Renton", "WA", "98055")),
     ("delete", 2, None),
     ("insert", 12, ("Bon Voyage Company", "Tacoma", "WA", "98402")),
+    ("insert", 13, ("Bonus Bon Shop", "Tacoma", "WA", "98402")),
     ("delete", 10, None),
     ("insert", BIG_TID + 999, FILLER[0][1]),
 )
@@ -243,7 +249,16 @@ class TestCrashSweep:
                 paths["shrunk in place"] += 1
             return fitted
 
+        splice = Schema.splice
+
+        def counting_splice(schema, data, value, add, ints=None):
+            spliced = splice(schema, data, value, add, ints)
+            if spliced is not None:
+                paths["spliced add" if add else "spliced remove"] += 1
+            return spliced
+
         monkeypatch.setattr(Page, "update", counting_update)
+        monkeypatch.setattr(Schema, "splice", counting_splice)
         recovered_prefixes = set()
         for crash_after in range(total_ops):
             work = tmp_path / f"run-{crash_after}"
@@ -258,7 +273,10 @@ class TestCrashSweep:
         # crash recovers the template, the latest recovers everything.
         assert 0 in recovered_prefixes
         assert len(OPS) in recovered_prefixes
-        for path in ("grown in place", "shrunk in place", "relocated"):
+        for path in (
+            "grown in place", "shrunk in place", "relocated",
+            "spliced add", "spliced remove",
+        ):
             assert paths[path] >= 1, (path, dict(paths))
 
     def test_crash_during_checkpoint_loses_nothing(

@@ -233,6 +233,60 @@ class TestBulkPaths:
         assert len(calls) == 3
 
 
+class TestUpdateRecord:
+    """Storing an already-encoded row whose index keys are unchanged."""
+
+    def relation(self, db):
+        rel = db.create_relation(
+            "r",
+            [
+                Column("k", ColumnType.INT),
+                Column("v", ColumnType.STR),
+                Column("tids", ColumnType.INT_LIST, nullable=True),
+            ],
+        )
+        rel.create_index("by_k", ["k"], unique=True)
+        rel.create_index("by_v", ["v"])
+        return rel
+
+    def test_rewrites_in_place_and_keeps_the_rid(self, db):
+        rel = self.relation(db)
+        rid = rel.insert((1, "a", [1, 2]))
+        record = rel.schema.encode((1, "a", [1, 2, 3]))
+        assert rel.update_record(rid, record) == rid
+        assert rel.index_get("by_k", 1) == (1, "a", [1, 2, 3])
+        assert rel.index_lookup("by_v", "a") == [(1, "a", [1, 2, 3])]
+
+    @pytest.mark.parametrize("row", [(2, "a", [1, 2]), (1, "b", [1, 2]), (1, "ab", [])])
+    def test_rejects_a_record_whose_key_bytes_differ(self, db, row):
+        rel = self.relation(db)
+        rid = rel.insert((1, "a", [1, 2]))
+        with pytest.raises(RelationError, match="index key"):
+            rel.update_record(rid, rel.schema.encode(row))
+        assert rel.fetch(rid) == (1, "a", [1, 2])
+        assert rel.find_rid("by_k", 1) == rid
+
+    def test_moves_the_index_entry_when_the_page_cannot_absorb_growth(self, db):
+        rel = self.relation(db)
+        tids = list(range(0, 1800, 3))
+        rids = []
+        while rel.num_pages < 2:
+            rids.append(rel.insert((len(rids), f"v{len(rids) % 2}", tids)))
+        victim = rids[0]
+        assert victim.page_index == 0
+        grown = (0, "v0", tids + list(range(2000, 2600)))
+        moved = rel.update_record(victim, rel.schema.encode(grown))
+        assert moved != victim and moved.page_index == 1
+        with pytest.raises(RecordNotFoundError):
+            rel.fetch(victim)
+        assert rel.find_rid("by_k", 0) == moved
+        assert rel.index_get("by_k", 0) == grown
+        assert sorted(rel.index_lookup("by_v", "v0")) == sorted(
+            [grown] + [(k, "v0", tids) for k in range(2, len(rids), 2)]
+        )
+        assert len(rel) == len(rids)
+
+
 class TestDatabase:
     def test_create_and_get(self, db):
         db.create_relation("r", [Column("v", ColumnType.INT)])

@@ -268,3 +268,146 @@ class TestValidationIsPartOfEncode:
                 schema.validate(bad)
             with pytest.raises(SchemaError):
                 schema.encode(bad)
+
+
+def list_schema():
+    """An ETI-shaped schema: key columns, a frequency, a trailing tid-list."""
+    return Schema(
+        [
+            Column("gram", ColumnType.STR),
+            Column("coordinate", ColumnType.INT),
+            Column("frequency", ColumnType.INT),
+            Column("tids", ColumnType.INT_LIST, nullable=True),
+        ]
+    )
+
+
+# Values on both sides of a varint-width boundary: tids at 1/2, 2/3 and
+# 8/9 bytes, frequencies whose zig-zag form is 1/2 and 2/3 bytes wide.
+TID_EDGES = (0, 1, 126, 127, 128, 129, 16382, 16383, 16384, 16385,
+             2**56 - 1, 2**56, 2**56 + 1)
+FREQUENCY_EDGES = (0, 1, 62, 63, 64, 65, 8190, 8191, 8192, 8193, -64, -65)
+TIDS = st.one_of(st.sampled_from(TID_EDGES), st.integers(0, 2**64))
+FREQUENCIES = st.one_of(st.sampled_from(FREQUENCY_EDGES), st.integers(-(2**40), 2**40))
+
+
+def edited(tid_list, value, add):
+    """The list ``splice`` should leave, or None where it must decline."""
+    if tid_list is None or (value in tid_list) == add:
+        return None
+    if add:
+        return sorted([*tid_list, value])
+    rest = [t for t in tid_list if t != value]
+    return rest or None
+
+
+class TestSplice:
+    @given(
+        st.one_of(st.none(), st.lists(TIDS, max_size=12, unique=True).map(sorted)),
+        FREQUENCIES,
+        FREQUENCIES,
+        st.booleans(),
+        st.data(),
+    )
+    def test_equals_encode_of_the_edited_row(
+        self, tid_list, frequency, new_frequency, add, data
+    ):
+        schema = list_schema()
+        value = data.draw(
+            st.one_of(st.sampled_from(tid_list), TIDS) if tid_list else TIDS
+        )
+        record = schema.encode(("qgr", 1, frequency, tid_list))
+        spliced = schema.splice(record, value, add, {"frequency": new_frequency})
+        expected = edited(tid_list, value, add)
+        if expected is None:
+            assert spliced is None
+        else:
+            assert spliced == schema.encode(("qgr", 1, new_frequency, expected))
+
+    @pytest.mark.parametrize(
+        "value,add,expected",
+        [
+            (16384, True, [127, 128, 16383, 16384]),  # tail
+            (200, True, [127, 128, 200, 16383]),  # middle
+            (3, True, [3, 127, 128, 16383]),  # head
+            (128, True, None),  # present
+            (16383, False, [127, 128]),  # tail
+            (128, False, [127, 16383]),  # middle
+            (127, False, [128, 16383]),  # head
+            (129, False, None),  # absent
+        ],
+    )
+    def test_edit_positions(self, value, add, expected):
+        schema = list_schema()
+        record = schema.encode(("g", 0, 63, [127, 128, 16383]))
+        spliced = schema.splice(record, value, add, {"frequency": 64})
+        if expected is None:
+            assert spliced is None
+        else:
+            assert spliced == schema.encode(("g", 0, 64, expected))
+
+    def test_declines_a_null_list_and_an_emptying_remove(self):
+        schema = list_schema()
+        assert schema.splice(schema.encode(("g", 0, 9, None)), 5, True) is None
+        assert schema.splice(schema.encode(("g", 0, 9, None)), 5, False) is None
+        assert schema.splice(schema.encode(("g", 0, 1, [5])), 5, False) is None
+
+    def test_an_empty_list_takes_an_add(self):
+        schema = list_schema()
+        spliced = schema.splice(schema.encode(("g", 0, 0, [])), 2**56, True)
+        assert spliced == schema.encode(("g", 0, 0, [2**56]))
+
+    def test_unnamed_columns_are_copied(self):
+        schema = list_schema()
+        record = schema.encode(("zürich", -3, 8191, [1, 2]))
+        assert schema.splice(record, 3, True) == schema.encode(
+            ("zürich", -3, 8191, [1, 2, 3])
+        )
+        assert schema.splice(record, 1, False, {"coordinate": 7}) == schema.encode(
+            ("zürich", 7, 8191, [2])
+        )
+
+    @pytest.mark.parametrize(
+        "value,ints,match",
+        [
+            (-1, None, "non-negative"),
+            (1.5, None, "non-negative"),
+            (None, None, "non-negative"),
+            (1, {"frequency": None}, "not nullable"),
+            (1, {"frequency": "2"}, "expects int"),
+            (1, {"gram": 2}, "int columns only"),
+            (1, {"nope": 2}, "no column"),
+        ],
+    )
+    def test_validates_like_encode(self, value, ints, match):
+        schema = list_schema()
+        record = schema.encode(("g", 0, 2, [1, 5]))
+        with pytest.raises(SchemaError, match=match):
+            schema.splice(record, value, True, ints)
+
+    def test_needs_a_trailing_int_list(self):
+        schema = make_schema()
+        reordered = Schema([*schema.columns[3:], *schema.columns[:3]])
+        record = reordered.encode(([1], 1, "x", 2.0))
+        with pytest.raises(SchemaError, match="trailing int list"):
+            reordered.splice(record, 2, True)
+
+
+class TestPrefixSize:
+    def test_spans_exactly_the_leading_columns(self):
+        schema = wide_schema()
+        for row, _ in GOLDEN:
+            data = schema.encode(row)
+            assert schema.prefix_size(data, len(schema)) == len(data)
+            for leading in range(len(schema) + 1):
+                size = schema.prefix_size(data, leading)
+                assert schema.decode(data[:size], leading) == schema.decode(
+                    data, leading
+                )
+                if leading < len(schema):
+                    assert size < len(data)
+
+    def test_truncated_record_rejected(self):
+        schema = wide_schema()
+        with pytest.raises(SchemaError, match="truncated"):
+            schema.prefix_size(b"\x80", 1)

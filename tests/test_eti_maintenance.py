@@ -1,6 +1,11 @@
 """Incremental ETI maintenance: insert/delete/update reference tuples."""
 
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -13,11 +18,15 @@ from repro.core.weights import build_frequency_cache
 from repro.data.generator import CUSTOMER_COLUMNS, generate_customers
 from repro.db.database import Database
 from repro.db.page import MAX_RECORD_SIZE
+from repro.db.snapshot import save_database
+from repro.db.types import Schema
 from repro.eti.builder import TidListTooLargeError, build_eti
 from repro.eti.maintenance import EtiMaintainer
 from repro.eti.signature import signature_entries
 
 from tests.conftest import ORG_ROWS
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def eti_as_dict(eti):
@@ -452,3 +461,239 @@ class TestWritesBesideReads:
         assert kept_entries > 0
         assert dict(reference.scan()) == live
         db.close()
+
+
+def rebuilt(rows, config, hasher=None):
+    """``eti_as_dict`` of a fresh build over ``rows`` (four columns)."""
+    db = Database.in_memory()
+    reference = ReferenceTable(db, "fresh", ["name", "city", "state", "zip"])
+    reference.load(rows)
+    eti, _ = build_eti(db, reference, config, hasher=hasher)
+    state = eti_as_dict(eti)
+    db.close()
+    return state
+
+
+class TestSharedSignatureEntries:
+    """A key two tokens of one tuple share counts that tuple once.
+
+    ``anna`` has at most q characters, so it is its own coordinate-1
+    entry, and ``annab``'s coordinate-1 min-hash q-gram is ``anna`` too.
+    """
+
+    BASE = [
+        (1, ("bob smith", "seattle", "wa", "98101")),
+        (2, ("carol jones", "tacoma", "wa", "98402")),
+    ]
+    NEW = (3, ("anna annab", "seattle", "wa", "98101"))
+
+    def maintained(self, config, base):
+        db = Database.in_memory()
+        reference = ReferenceTable(db, "r", ["name", "city", "state", "zip"])
+        reference.load(base)
+        eti, _ = build_eti(db, reference, config)
+        return EtiMaintainer(reference, eti, config)
+
+    def test_the_entry_is_shared(self):
+        config = MatchConfig()
+        hasher = MinHasher(config.q, config.signature_size, config.seed)
+        keys = [
+            (entry.gram, entry.coordinate)
+            for token in ("anna", "annab")
+            for entry in signature_entries(token, hasher, config)
+        ]
+        assert keys.count(("anna", 1)) == 2
+
+    def test_insert_equals_rebuild(self):
+        config = MatchConfig()
+        maintainer = self.maintained(config, self.BASE)
+        maintainer.insert_tuple(*self.NEW)
+        state = eti_as_dict(maintainer.eti)
+        assert state[("anna", 1, 0)] == (1, (3,))
+        assert state == rebuilt(self.BASE + [self.NEW], config)
+        maintainer.delete_tuple(3)
+        assert eti_as_dict(maintainer.eti) == rebuilt(self.BASE, config)
+
+    def test_stop_row_counts_the_tuple_once(self):
+        config = MatchConfig(stop_qgram_threshold=2)
+        base = self.BASE + [
+            (tid, (f"anna x{tid}", "spokane", "or", f"9700{tid}")) for tid in (4, 5, 6)
+        ]
+        maintainer = self.maintained(config, base)
+        assert maintainer.eti.lookup("anna", 1, 0).tid_list is None
+        maintainer.insert_tuple(*self.NEW)
+        assert maintainer.eti.lookup("anna", 1, 0).frequency == 4
+        assert eti_as_dict(maintainer.eti) == rebuilt(base + [self.NEW], config)
+
+    def test_a_list_at_the_threshold_does_not_stop_early(self):
+        config = MatchConfig(stop_qgram_threshold=3)
+        base = self.BASE + [(4, ("anna x4", "spokane", "or", "97004"))]
+        maintainer = self.maintained(config, base)
+        maintainer.insert_tuple(*self.NEW)
+        assert maintainer.eti.lookup("anna", 1, 0).tid_list == (3, 4)
+        assert eti_as_dict(maintainer.eti) == rebuilt(base + [self.NEW], config)
+
+
+# ----------------------------------------------------------------------
+# Spliced tid-list edits: byte-identical to decode, edit, encode
+# ----------------------------------------------------------------------
+
+CHURN_CONFIG = MatchConfig(q=3, signature_size=2, stop_qgram_threshold=40)
+HOT_CITY = "hotcity"
+LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+def churn_tid(rng):
+    """A tid from 1-, 2-, 3- or 8-byte varint ranges, in no order."""
+    return rng.choice(
+        (
+            rng.randrange(0, 300),
+            rng.randrange(16_000, 16_800),
+            rng.randrange(2**49, 2**56),
+        )
+    )
+
+
+def churn_words(rng, count):
+    return ["".join(rng.choice(LETTERS) for _ in range(rng.randint(2, 8))) for _ in range(count)]
+
+
+def churn_values(rng, pools, city=None):
+    names, cities, states = pools
+    return (
+        f"{rng.choice(names)} {rng.choice(names)}",
+        city or rng.choice(cities),
+        rng.choice(states),
+        str(rng.randrange(10**5)),
+    )
+
+
+def churn_world(seed=7):
+    """Seeded base rows plus a burst of ``(kind, tid, values)`` mutations.
+
+    The burst inserts out-of-order tids of every varint width, deletes
+    and updates tuples from anywhere in the lists, and one insert takes
+    the ``HOT_CITY`` entries past the stop threshold.  Tuples in that
+    city are never deleted or updated, so the maintained ETI must equal
+    a rebuild.
+    """
+    rng = random.Random(seed)
+    pools = (churn_words(rng, 80), churn_words(rng, 30), churn_words(rng, 20))
+    tids = set()
+    while len(tids) < 460:
+        tids.add(churn_tid(rng))
+    fresh = sorted(tids)
+    rng.shuffle(fresh)
+    threshold = CHURN_CONFIG.stop_qgram_threshold
+    base = [
+        (tid, churn_values(rng, pools, HOT_CITY if i < threshold else None))
+        for i, tid in enumerate(fresh[:160])
+    ]
+    live = {tid: values for tid, values in base}
+    ops = []
+    for step, tid in enumerate(fresh[160:]):
+        cold = sorted(t for t, v in live.items() if v[1] != HOT_CITY)
+        roll = rng.random()
+        if step == 150:
+            ops.append(("insert", tid, churn_values(rng, pools, HOT_CITY)))
+        elif roll < 0.5:
+            ops.append(("insert", tid, churn_values(rng, pools)))
+        elif roll < 0.75:
+            ops.append(("delete", rng.choice(cold), None))
+        else:
+            victim = rng.choice(cold)
+            old = live[victim]
+            ops.append(("update", victim, (churn_values(rng, pools)[0], *old[1:])))
+        kind, tid, values = ops[-1]
+        if kind == "delete":
+            del live[tid]
+        else:
+            live[tid] = values
+    return base, ops, live
+
+
+def churned_warehouse(page_path, seed=7):
+    """Apply ``churn_world``'s burst to a fresh warehouse; return its ETI.
+
+    The database is checkpointed and closed, so ``page_path`` holds
+    every page the mutations wrote.
+    """
+    base, ops, _ = churn_world(seed)
+    db = Database.on_disk(str(page_path))
+    reference = ReferenceTable(db, "churn", ["name", "city", "state", "zip"])
+    reference.load(base)
+    eti, _ = build_eti(db, reference, CHURN_CONFIG)
+    weights = build_frequency_cache(reference.scan_values(), reference.num_columns)
+    maintainer = EtiMaintainer(reference, eti, CHURN_CONFIG, weights=weights, database=db)
+    for kind, tid, values in ops:
+        if kind == "insert":
+            maintainer.insert_tuple(tid, values)
+        elif kind == "delete":
+            maintainer.delete_tuple(tid)
+        else:
+            maintainer.update_tuple(tid, values)
+    state = eti_as_dict(eti)
+    save_database(db)
+    db.close()
+    return state
+
+
+class TestSplicedEdits:
+    """The splice path writes what decode → edit → encode writes, byte for byte."""
+
+    def test_splice_and_fallback_write_identical_pages(self, tmp_path, monkeypatch):
+        splice = Schema.splice
+        spliced = Counter()
+
+        def counting(schema, data, value, add, ints=None):
+            out = splice(schema, data, value, add, ints)
+            spliced["add" if add else "remove", out is not None] += 1
+            return out
+
+        monkeypatch.setattr(Schema, "splice", counting)
+        state = churned_warehouse(tmp_path / "splice.pages")
+        monkeypatch.setattr(Schema, "splice", lambda *args, **kwargs: None)
+        fallback = churned_warehouse(tmp_path / "fallback.pages")
+
+        # Both edits were spliced, and a remove that empties a row declined.
+        assert spliced["add", True] > 1000, spliced
+        assert spliced["remove", True] > 1000, spliced
+        assert spliced["remove", False] >= 1, spliced
+        assert state == fallback
+        assert (tmp_path / "splice.pages").read_bytes() == (
+            tmp_path / "fallback.pages"
+        ).read_bytes()
+        _, _, live = churn_world()
+        assert state == rebuilt(sorted(live.items()), CHURN_CONFIG)
+        hot = signature_entries(HOT_CITY, MinHasher(3, 2, CHURN_CONFIG.seed), CHURN_CONFIG)
+        for entry in hot:
+            key = (entry.gram, entry.coordinate, 1)
+            assert state[key] == (CHURN_CONFIG.stop_qgram_threshold + 1, None)
+        assert any(tid >= 2**49 for tid in live)
+
+
+class TestSameBytesAcrossProcesses:
+    def test_page_files_do_not_depend_on_the_hash_seed(self, tmp_path):
+        script = (
+            "import hashlib, sys\n"
+            "from tests.test_eti_maintenance import churned_warehouse\n"
+            "churned_warehouse(sys.argv[1])\n"
+            "print(hashlib.sha256(open(sys.argv[1], 'rb').read()).hexdigest())\n"
+        )
+        digests = []
+        for seed in ("1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / f"h{seed}.pages")],
+                env={
+                    **os.environ,
+                    "PYTHONHASHSEED": seed,
+                    "PYTHONPATH": os.pathsep.join((str(REPO / "src"), str(REPO))),
+                },
+                cwd=REPO,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            digests.append(result.stdout.strip())
+        assert digests[0] == digests[1]
