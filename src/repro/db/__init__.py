@@ -12,9 +12,9 @@ provides exactly those primitives in pure Python:
 - :mod:`repro.db.btree`: a B+-tree supporting point and range lookups and
   sorted bulk-loading (used for the ETI clustered index and the reference
   relation's Tid index).
-- :mod:`repro.db.exsort`: external merge sort (run generation + k-way merge),
-  the workhorse behind the paper's ETI-query (``ORDER BY QGram, Coordinate,
-  Column, Tid``).
+- :mod:`repro.db.exsort`: external merge sort in its two halves (sorted run
+  spilling + k-way merge), shared by ``external_sort`` and the ETI build
+  behind the paper's ETI-query (``ORDER BY QGram, Coordinate, Column``).
 - :mod:`repro.db.relation` / :mod:`repro.db.database`: schema-carrying
   relations (row-at-a-time and sorted bulk writes) and a tiny catalog, the
   "data warehouse" of the paper.

@@ -1,15 +1,18 @@
-"""External merge sort.
+"""External merge sort, in its two textbook halves.
 
 The paper builds the ETI by running "select QGram, Coordinate, Column, Tid
 from pre-ETI order by QGram, Coordinate, Column, Tid" — a sort whose input
-is usually larger than main memory (the ETI builder streams the pre-ETI
-rows straight in).  This module implements the textbook two-phase algorithm the
-database system would use: bounded-memory *run generation* followed by a
-k-way *merge* driven by a heap.
+is usually larger than main memory.  This module implements the two-phase
+algorithm the database system would use: bounded-memory *run generation*
+followed by a k-way *merge* driven by a heap.
 
-Runs are spilled to temporary files using a small length-prefixed pickle
-framing, so sorting really is external — memory usage is bounded by
-``memory_limit`` rows regardless of input size.
+:class:`SortRuns` is the two halves: :meth:`SortRuns.spill` writes one
+sorted run to a temporary file (a small length-prefixed pickle framing) and
+:meth:`SortRuns.merge` streams every spilled run plus an in-memory tail
+back in key order.  :func:`external_sort` is the plain sort over them —
+memory is bounded by ``memory_limit`` rows regardless of input size.  The
+ETI builder generates its own runs (the pre-ETI already grouped by key) and
+shares the run format and the merge.
 """
 
 from __future__ import annotations
@@ -19,14 +22,19 @@ import os
 import pickle
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable, Iterator
+from typing import Any, Callable, Generator, Iterable
 
 DEFAULT_MEMORY_LIMIT = 100_000
 
 
 @dataclass
 class SortStats:
-    """Accounting for one external sort."""
+    """Accounting for one external sort.
+
+    ``rows_in`` and ``spilled_rows`` count the rows handed to the sort; for
+    an ETI build those are chunk rows (one per ETI key per run), not
+    postings.
+    """
 
     rows_in: int = 0
     runs: int = 0
@@ -34,24 +42,67 @@ class SortStats:
     merge_passes: int = 0
 
 
-class _RunWriter:
-    """Append rows to a temp file as length-prefixed pickles."""
+class SortRuns:
+    """The sorted runs of one external sort, spilled to temporary files.
 
-    def __init__(self, directory: str | None) -> None:
-        fd, self.path = tempfile.mkstemp(prefix="repro-sortrun-", dir=directory)
-        self._file = os.fdopen(fd, "wb")
+    Use it as a context manager: leaving the ``with`` block removes every
+    run file, including one whose write failed part-way.
+    """
 
-    def write_rows(self, rows: Iterable[Any]) -> None:
-        for row in rows:
-            payload = pickle.dumps(row, protocol=pickle.HIGHEST_PROTOCOL)
-            self._file.write(len(payload).to_bytes(4, "little"))
-            self._file.write(payload)
+    def __init__(self, tmp_dir: str | None = None, stats: SortStats | None = None) -> None:
+        self.tmp_dir = tmp_dir
+        self.stats = stats if stats is not None else SortStats()
+        self.paths: list[str] = []
 
-    def close(self) -> None:
-        self._file.close()
+    def __enter__(self) -> SortRuns:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        for path in self.paths:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
+
+    def spill(self, rows: list[Any]) -> None:
+        """Write ``rows``, already in key order, as one run file."""
+        fd, path = tempfile.mkstemp(prefix="repro-sortrun-", dir=self.tmp_dir)
+        # Recorded before the first byte, so a half-written run is removed too.
+        self.paths.append(path)
+        with os.fdopen(fd, "wb") as run_file:
+            for row in rows:
+                payload = pickle.dumps(row, protocol=pickle.HIGHEST_PROTOCOL)
+                run_file.write(len(payload).to_bytes(4, "little"))
+                run_file.write(payload)
+        self.stats.runs += 1
+        self.stats.spilled_rows += len(rows)
+
+    def merge(
+        self, tail: list[Any], key: Callable[[Any], Any]
+    ) -> Generator[Any, None, None]:
+        """The spilled runs and ``tail`` (sorted, in memory) in key order.
+
+        Key ties resolve in run order, spilled runs first and ``tail`` last,
+        so a sort whose runs were cut in input order is stable.  The stats
+        count ``tail`` as a run now; the files are opened on the first pull.
+        """
+        self.stats.runs += 1 if tail else 0
+        if self.paths:
+            self.stats.merge_passes = 1
+        return self._merged(tail, key)
+
+    def _merged(
+        self, tail: list[Any], key: Callable[[Any], Any]
+    ) -> Generator[Any, None, None]:
+        streams = [_read_run(path) for path in self.paths]
+        try:
+            yield from heapq.merge(*streams, tail, key=key)
+        finally:
+            for stream in streams:
+                stream.close()
 
 
-def _read_run(path: str) -> Iterator[Any]:
+def _read_run(path: str) -> Generator[Any, None, None]:
     with open(path, "rb") as run_file:
         while True:
             header = run_file.read(4)
@@ -59,7 +110,6 @@ def _read_run(path: str) -> Iterator[Any]:
                 return
             length = int.from_bytes(header, "little")
             yield pickle.loads(run_file.read(length))
-    # Caller removes the file after the merge finishes.
 
 
 def external_sort(
@@ -73,8 +123,7 @@ def external_sort(
 
     ``memory_limit`` is the maximum number of rows held in memory at once.
     If the input fits in one run, no temp files are created.  The sort is
-    stable across runs (ties resolve in input order) because the merge heap
-    breaks key ties by run sequence number.
+    stable across runs (ties resolve in input order).
     """
     if memory_limit < 2:
         # Argument validation: a bad limit is a caller bug, so ValueError
@@ -82,55 +131,14 @@ def external_sort(
         raise ValueError(  # reprolint: disable=exception-taxonomy
             "memory_limit must be at least 2 rows"
         )
-    if stats is None:
-        stats = SortStats()
-
-    run_paths: list[str] = []
-    buffer: list[Any] = []
-    try:
+    with SortRuns(tmp_dir, stats) as runs:
+        buffer: list[Any] = []
         for row in rows:
-            stats.rows_in += 1
+            runs.stats.rows_in += 1
             buffer.append(row)
             if len(buffer) >= memory_limit:
                 buffer.sort(key=key)
-                writer = _RunWriter(tmp_dir)
-                writer.write_rows(buffer)
-                writer.close()
-                run_paths.append(writer.path)
-                stats.runs += 1
-                stats.spilled_rows += len(buffer)
+                runs.spill(buffer)
                 buffer = []
-
         buffer.sort(key=key)
-        if not run_paths:
-            stats.runs = 1 if buffer else 0
-            yield from buffer
-            return
-
-        stats.runs += 1
-        stats.merge_passes = 1
-        streams: list[Iterator[Any]] = [_read_run(path) for path in run_paths]
-        streams.append(iter(buffer))
-        yield from _merge(streams, key)
-    finally:
-        for path in run_paths:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-
-
-def _merge(streams: list[Iterator[Any]], key: Callable[[Any], Any]) -> Iterator[Any]:
-    """K-way merge of individually sorted streams."""
-    heap: list[tuple[Any, int, Any, Iterator[Any]]] = []
-    for seq, stream in enumerate(streams):
-        for row in stream:
-            heap.append((key(row), seq, row, stream))
-            break
-    heapq.heapify(heap)
-    while heap:
-        _, seq, row, stream = heapq.heappop(heap)
-        yield row
-        for nxt in stream:
-            heapq.heappush(heap, (key(nxt), seq, nxt, stream))
-            break
+        yield from runs.merge(buffer, key)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.db.exsort import SortStats, external_sort
+from repro.db.exsort import SortRuns, SortStats, external_sort
 
 
 class TestBasicSorting:
@@ -56,8 +56,10 @@ class TestSpilling:
         assert stats.runs == 1
 
     def test_exact_multiple_of_limit(self):
+        stats = SortStats()
         data = list(range(50, 0, -1))
-        assert list(external_sort(data, memory_limit=10)) == sorted(data)
+        assert list(external_sort(data, memory_limit=10, stats=stats)) == sorted(data)
+        assert stats.runs == 5  # no empty in-memory tail counted as a run
 
     def test_stability_across_runs(self):
         # Rows with equal keys must keep input order even when they land in
@@ -83,6 +85,55 @@ class TestSpilling:
         next(gen)
         gen.close()
         assert os.listdir(str(tmp_path)) == []
+
+    def test_failed_spill_leaves_no_run_file_or_handle(self, tmp_path, monkeypatch):
+        import os
+
+        import repro.db.exsort as exsort
+
+        dumps, fdopen, calls, opened = exsort.pickle.dumps, os.fdopen, [], []
+
+        def failing_dumps(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 15:  # the fifth row of the second run
+                raise OSError("disk full")
+            return dumps(*args, **kwargs)
+
+        def recording_fdopen(*args, **kwargs):
+            opened.append(fdopen(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(exsort.pickle, "dumps", failing_dumps)
+        monkeypatch.setattr(exsort.os, "fdopen", recording_fdopen)
+        with pytest.raises(OSError, match="disk full"):
+            list(external_sort(range(100), memory_limit=10, tmp_dir=str(tmp_path)))
+        assert os.listdir(str(tmp_path)) == []
+        assert len(opened) == 2 and all(run_file.closed for run_file in opened)
+
+    def test_failed_run_spill_is_closed_and_removed(self, tmp_path, monkeypatch):
+        # The half the ETI builder drives directly: a run whose third row
+        # cannot be written leaves neither its file nor an open handle.
+        import os
+
+        import repro.db.exsort as exsort
+
+        class Unwritable:
+            def __reduce__(self):
+                raise OSError("disk full")
+
+        fdopen, opened = os.fdopen, []
+
+        def recording_fdopen(*args, **kwargs):
+            opened.append(fdopen(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(exsort.os, "fdopen", recording_fdopen)
+        with pytest.raises(OSError, match="disk full"), SortRuns(str(tmp_path)) as runs:
+            runs.spill([1, 2, 3])
+            runs.spill([4, 5, Unwritable()])
+        assert len(runs.paths) == 2 and os.listdir(str(tmp_path)) == []
+        assert len(opened) == 2 and all(run_file.closed for run_file in opened)
+        assert runs.stats.runs == 1 and runs.stats.spilled_rows == 3
 
     def test_rows_in_counted(self):
         stats = SortStats()

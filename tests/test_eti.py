@@ -1,8 +1,13 @@
 """ETI construction and lookup (§4.2, §5.1)."""
 
+import hashlib
 import inspect
 import os
+import random
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -15,12 +20,14 @@ from repro.db.btree import BPlusTree
 from repro.db.database import Database
 from repro.db.errors import DatabaseError, PageFullError, RecordNotFoundError, RelationError
 from repro.db.page import MAX_RECORD_SIZE
+from repro.db.snapshot import save_database
 from repro.db.types import Schema
 from repro.eti.builder import EtiBuilder, TidListTooLargeError, build_eti
 from repro.obs.tracing import Tracer
 from repro.eti.schema import ETI_INDEX, eti_columns
 from repro.eti.signature import TOKEN_COORDINATE, SignatureEntry, signature_entries
 
+REPO = Path(__file__).resolve().parent.parent
 
 @pytest.fixture()
 def sort_tmp(tmp_path, monkeypatch):
@@ -215,6 +222,10 @@ class TestEtiBuild:
             build_eti(org_db, org_reference, paper_config)
         assert org_db.relation("eti") is eti.relation
 
+    def test_sort_memory_limit_below_two_is_rejected(self, org_db, paper_config):
+        with pytest.raises(ValueError, match="sort_memory_limit"):
+            EtiBuilder(org_db, paper_config, sort_memory_limit=1)
+
     def test_no_pre_eti_knobs(self):
         import repro.eti
 
@@ -232,6 +243,7 @@ class TestEtiBuild:
         runs, write = root.children
         assert (runs.name, write.name) == ("eti.builder.runs", "eti.builder.write")
         assert runs.annotations["pre_eti_rows"] == stats.pre_eti_rows
+        assert runs.annotations["runs"] == stats.sort.runs == 1
         assert write.annotations["eti_rows"] == stats.eti_rows
         assert runs.end_s <= write.start_s
         assert stats.runs_seconds > 0 and stats.write_seconds > 0
@@ -296,6 +308,56 @@ def eti_oracle(reference, hasher, config):
     return rows
 
 
+def oracle_counters(reference, hasher, config):
+    """The ``BuildStats`` counters of the per-posting pre-ETI and its oracle."""
+    rows = eti_oracle(reference, hasher, config)
+    stored = [len(row[4]) for row in rows if row[4] is not None]
+    return {
+        "pre_eti_rows": sum(
+            len(signature_entries(token, hasher, config))
+            for _, values in reference.scan()
+            for tokens in TupleTokens.from_values(values).sets
+            for token in tokens
+        ),
+        "eti_rows": len(rows),
+        "tid_entries": sum(stored),
+        "stop_qgrams": len(rows) - len(stored),
+        "max_tid_list": max(stored, default=0),
+    }
+
+
+def build_equals_oracle(db, reference, config, sort_memory_limit):
+    """Build with ``sort_memory_limit``; assert rows and counters match the oracle."""
+    hasher = MinHasher(config.q, config.signature_size, config.seed)
+    eti, stats = build_eti(
+        db,
+        reference,
+        config,
+        hasher,
+        eti_name=f"eti_{sort_memory_limit}",
+        sort_memory_limit=sort_memory_limit,
+    )
+    assert list(eti.relation.scan()) == eti_oracle(reference, hasher, config)
+    counters = oracle_counters(reference, hasher, config)
+    assert {name: getattr(stats, name) for name in counters} == counters
+    return eti, stats
+
+
+def fresh_warehouse_digest(page_path, sort_memory_limit):
+    """SHA-256 of a fresh warehouse's page file and metadata."""
+    db = Database.on_disk(str(page_path))
+    reference = ReferenceTable(db, "reference", list(CUSTOMER_COLUMNS))
+    reference.load((c.tid, c.values) for c in generate_customers(300, seed=5, unique=True))
+    build_eti(db, reference, MatchConfig(), sort_memory_limit=sort_memory_limit)
+    save_database(db)
+    db.close()
+    digest = hashlib.sha256()
+    for path in (str(page_path), f"{page_path}.meta.json"):
+        with open(path, "rb") as stored:
+            digest.update(stored.read())
+    return digest.hexdigest()
+
+
 class TestBuildEquivalence:
     @pytest.mark.parametrize("seed", [3, 11, 2003])
     @pytest.mark.parametrize(
@@ -336,6 +398,70 @@ class TestBuildEquivalence:
         assert stats.tid_entries == sum(len(r[4]) for r in oracle if r[4] is not None)
         db.close()
 
+    @pytest.mark.parametrize("limit", [200_000, 700, 2])
+    def test_shuffled_load_order_equals_oracle(self, limit, sort_tmp):
+        db = Database.in_memory()
+        rows = [(c.tid, c.values) for c in generate_customers(150, seed=3, unique=True)]
+        random.Random(5).shuffle(rows)
+        reference = ReferenceTable(db, "reference", list(CUSTOMER_COLUMNS))
+        reference.load(rows)
+        scanned = [tid for tid, _ in reference.scan()]
+        assert scanned != sorted(scanned)  # heap order is not tid order
+        config = MatchConfig(q=3, signature_size=2, stop_qgram_threshold=6)
+        build_equals_oracle(db, reference, config, limit)
+        assert os.listdir(sort_tmp) == []
+        db.close()
+
+    def test_flush_after_every_tuple_equals_oracle(self, sort_tmp):
+        db = Database.in_memory()
+        reference = ReferenceTable(db, "reference", list(CUSTOMER_COLUMNS))
+        reference.load((c.tid, c.values) for c in generate_customers(150, seed=11, unique=True))
+        _, stats = build_equals_oracle(db, reference, MatchConfig(), 2)
+        assert stats.sort.runs == 150
+        assert stats.sort.spilled_rows == stats.sort.rows_in
+        db.close()
+
+    @pytest.mark.parametrize("limit", [200_000, 2, 3])
+    def test_tokens_sharing_an_entry_count_the_tuple_once(self, limit):
+        # 'anna' and 'annab' both index ('anna', 1) under the default
+        # config; 'bob' puts postings ahead of them in the tuple.
+        db = Database.in_memory()
+        reference = ReferenceTable(db, "reference", ["name", "city"])
+        reference.load(
+            [
+                (1, ("anna annab", "seattle")),
+                (2, ("bob anna annab", "tacoma")),
+                (3, ("carol annab anna", "seattle")),
+            ]
+        )
+        eti, _ = build_equals_oracle(db, reference, MatchConfig(), limit)
+        assert eti.lookup("anna", 1, 0).tid_list == (1, 2, 3)
+        db.close()
+
+    @pytest.mark.parametrize("threshold", [50, 8])
+    def test_key_chunks_spanning_runs_equal_oracle(self, threshold, sort_tmp):
+        # Each tuple makes three postings ('acme' twice, 'u<tid>' once), so
+        # a limit of 9 cuts a run every three tuples: 'acme's keys get one
+        # three-tid chunk in each of four runs.  At threshold 8 no chunk is
+        # above the threshold, only the merged tid-list.
+        db = Database.in_memory()
+        reference = ReferenceTable(db, "reference", ["name"])
+        reference.load((tid, (f"acme u{tid}",)) for tid in range(1, 13))
+        config = MatchConfig(
+            q=3,
+            signature_size=2,
+            scheme=SignatureScheme.QGRAMS,
+            stop_qgram_threshold=threshold,
+        )
+        eti, stats = build_equals_oracle(db, reference, config, 9)
+        assert stats.sort.runs == 4
+        acme = [row for row in eti.relation.scan() if row[3] == 12]
+        assert len(acme) == 2
+        for row in acme:
+            assert row[4] == (list(range(1, 13)) if threshold == 50 else None)
+        assert stats.stop_qgrams == (0 if threshold == 50 else 2)
+        db.close()
+
     def test_bulk_loaded_index_equals_insert_built(self, org_eti):
         relation = org_eti.relation
         spec_tree = relation._indexes[ETI_INDEX].tree
@@ -351,6 +477,33 @@ class TestBuildEquivalence:
         assert spec_tree.search(("zzz", 9, 9)) == []
         lo, hi = keys[len(keys) // 4], keys[3 * len(keys) // 4]
         assert list(spec_tree.range(lo, hi)) == list(inserted.range(lo, hi))
+
+
+class TestSameBytesAcrossProcesses:
+    @pytest.mark.parametrize("limit", [200_000, 700])
+    def test_page_files_do_not_depend_on_the_hash_seed(self, limit, tmp_path):
+        script = (
+            "import sys\n"
+            "from tests.test_eti import fresh_warehouse_digest\n"
+            "print(fresh_warehouse_digest(sys.argv[1], int(sys.argv[2])))\n"
+        )
+        digests = []
+        for seed in ("1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / f"h{seed}.pages"), str(limit)],
+                env={
+                    **os.environ,
+                    "PYTHONHASHSEED": seed,
+                    "PYTHONPATH": os.pathsep.join((str(REPO / "src"), str(REPO))),
+                },
+                cwd=REPO,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            digests.append(result.stdout.strip())
+        assert digests[0] == digests[1]
 
 
 class TestPageWall:
