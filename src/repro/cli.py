@@ -35,7 +35,7 @@ import os
 import signal
 import sys
 import time
-from typing import Iterator, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO, cast
 
 from repro.core.batch import BatchMatcher
 from repro.core.config import MatchConfig, SignatureScheme
@@ -89,20 +89,51 @@ def _open_csv(path: str) -> TextIO:
         raise SystemExit(f"{path}: {exc.strerror or exc}") from None
 
 
+def _read_csv(
+    path: str, key: str, required: bool = False
+) -> tuple[list[str], list[tuple[int | None, tuple[str | None, ...]]], bool]:
+    """Read a CSV whose first column is (or, unless ``required``, may be)
+    the integer column ``key``.
+
+    Returns the attribute column names, one ``(key value, values)`` per
+    record (the key value ``None`` when the header does not start with
+    ``key``), and whether it does.  An empty file, a missing required key
+    column, a record whose cell count differs from the header's, or a key
+    cell that is not an integer exits cleanly, naming ``path:line``.
+    """
+    with _open_csv(path) as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if not header:
+            raise SystemExit(f"{path}:1: empty file, expected a header row")
+        keyed = header[0] == key
+        if required and not keyed:
+            raise SystemExit(
+                f"{path}:1: first column must be {key!r}, got {header[:1]}"
+            )
+        rows: list[tuple[int | None, tuple[str | None, ...]]] = []
+        for record in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(record) != len(header):
+                raise SystemExit(
+                    f"{where}: expected {len(header)} cells, got {len(record)}"
+                )
+            try:
+                number = int(record[0]) if keyed else None
+            except ValueError:
+                raise SystemExit(
+                    f"{where}: {key} must be an integer, got {record[0]!r}"
+                ) from None
+            rows.append((number, tuple(_value(c) for c in record[keyed:])))
+    return header[keyed:], rows, keyed
+
+
 def _read_reference_csv(
     path: str,
 ) -> tuple[list[str], list[tuple[int, tuple[str | None, ...]]]]:
     """Returns (column_names, [(tid, values), ...])."""
-    with _open_csv(path) as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if not header or header[0] != "tid":
-            raise SystemExit(f"{path}: first column must be 'tid', got {header[:1]}")
-        columns = header[1:]
-        rows = []
-        for record in reader:
-            rows.append((int(record[0]), tuple(_value(c) for c in record[1:])))
-    return columns, rows
+    columns, rows, _ = _read_csv(path, "tid", required=True)
+    return columns, cast(list[tuple[int, tuple[str | None, ...]]], rows)
 
 
 def _build_matcher(
@@ -238,21 +269,12 @@ def cmd_match(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    with _open_csv(args.input) as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        has_target = bool(header) and header[0] == "target_tid"
-        input_columns = header[1:] if has_target else header
-        if len(input_columns) != matcher.reference.num_columns:
-            raise SystemExit(
-                f"input has {len(input_columns)} attribute columns, "
-                f"reference has {matcher.reference.num_columns}"
-            )
-        inputs = []
-        for record in reader:
-            target = int(record[0]) if has_target else None
-            values = tuple(_value(c) for c in (record[1:] if has_target else record))
-            inputs.append((target, values))
+    input_columns, inputs, has_target = _read_csv(args.input, "target_tid")
+    if len(input_columns) != matcher.reference.num_columns:
+        raise SystemExit(
+            f"input has {len(input_columns)} attribute columns, "
+            f"reference has {matcher.reference.num_columns}"
+        )
 
     with _from_arguments():
         engine = BatchMatcher.from_matcher(

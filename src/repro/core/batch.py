@@ -7,20 +7,21 @@ single-query algorithms:
 
 1. **Deduplication** — identical tuples in one batch are matched once;
    duplicates get replicated results (dirty feeds repeat rows).
-2. **A cross-query cache** — each worker's
+2. **A cross-query cache** — the engine's one
    :class:`~repro.core.cache.MatcherCaches` amortizes reference fetches and
-   tokenization across the whole batch (the PASS-JOIN/ApproxJoin
-   preprocessing idea).
+   tokenization across every batch and every worker (the PASS-JOIN /
+   ApproxJoin preprocessing idea: pay per reference tuple once).
 3. **A worker pool** — with ``jobs > 1`` the distinct queries fan out over
-   a worker pool.  Each worker lazily builds its own
-   :class:`~repro.core.matcher.FuzzyMatcher` (own ETI lookup counter, own
-   reference-fetch counter, own caches) over the *shared read-only*
-   stored relations, so per-query statistics never race.  The storage
-   layer's buffer pool serializes page access internally.
+   a thread pool.  Every worker runs the engine's one
+   :class:`~repro.core.matcher.FuzzyMatcher`: each query counts its own
+   statistics into its own :class:`~repro.core.matcher.MatchStats`, so
+   nothing per-query is shared.  The storage layer's buffer pool
+   serializes page access internally.
 
 The pool is a thread pool: workers share one address space, so they
-share a resilience policy (one circuit breaker for the fleet) and any
-fault injector under the storage layer.
+share the matcher, its cache and registry, a resilience policy (one
+circuit breaker for the fleet) and any fault injector under the storage
+layer.
 
 Results are always returned in input order and are bit-identical to the
 sequential per-tuple :meth:`FuzzyMatcher.match` path: every query is
@@ -30,14 +31,11 @@ deterministic and independent, so execution order cannot change answers.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from repro.analysis.debuglock import make_lock
-from repro.core.cache import MatcherCaches
 from repro.core.config import MatchConfig
 from repro.core.matcher import (
     FuzzyMatcher,
@@ -50,11 +48,7 @@ from repro.core.minhash import MinHasher
 from repro.core.reference import ReferenceTable
 from repro.core.resilience import ResiliencePolicy
 from repro.core.weights import WeightFunction
-from repro.obs.registry import (
-    MetricsRegistry,
-    RegistrySnapshot,
-    merge_snapshots,
-)
+from repro.obs.registry import RegistrySnapshot
 from repro.db.errors import DatabaseError
 from repro.eti.index import EtiIndex
 
@@ -120,12 +114,8 @@ class BatchMatcher:
     jobs:
         Worker count.  ``1`` runs sequentially (still deduplicating and
         caching); ``N > 1`` fans distinct queries out over ``N`` worker
-        threads.
-    cache_factory:
-        Zero-argument callable building the :class:`MatcherCaches` bundle
-        for each worker (and the sequential matcher).  Defaults to
-        :class:`MatcherCaches` with default capacities; pass
-        ``MatcherCaches.disabled`` to benchmark the uncached path.
+        threads.  Either way the engine holds exactly one matcher, one
+        cache bundle and one metrics registry.
     resilience:
         Optional :class:`~repro.core.resilience.ResiliencePolicy`, shared
         by every worker — the circuit breaker sees the whole fleet's ETI
@@ -145,29 +135,19 @@ class BatchMatcher:
         eti: EtiIndex | None = None,
         hasher: MinHasher | None = None,
         jobs: int = 1,
-        cache_factory: Callable[[], MatcherCaches] = MatcherCaches,
         resilience: ResiliencePolicy | None = None,
         fail_fast: bool = True,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        self.resilience = resilience
         self.fail_fast = fail_fast
+        self.jobs = jobs
+        self._matcher = FuzzyMatcher(
+            reference, weights, config, eti, hasher, resilience=resilience
+        )
         self.reference = reference
         self.weights = weights
-        self.config = config if config is not None else MatchConfig()
-        self.eti = eti
-        self.hasher = (
-            hasher
-            if hasher is not None
-            else MinHasher(self.config.q, self.config.signature_size, self.config.seed)
-        )
-        self.jobs = jobs
-        self.cache_factory = cache_factory
-        self._local = threading.local()
-        self._workers: list[FuzzyMatcher] = []
-        self._workers_lock = make_lock("BatchMatcher._workers_lock")
-        self._sequential = self._build_matcher()
+        self.config = self._matcher.config
         self._pool: ThreadPoolExecutor | None = None
         self.last_report = BatchReport(jobs=jobs)
 
@@ -176,7 +156,6 @@ class BatchMatcher:
         cls,
         matcher: FuzzyMatcher,
         jobs: int = 1,
-        cache_factory: Callable[[], MatcherCaches] = MatcherCaches,
         resilience: ResiliencePolicy | None = None,
         fail_fast: bool = True,
         executor: str = "thread",
@@ -195,52 +174,24 @@ class BatchMatcher:
             matcher.eti,
             matcher.hasher,
             jobs=jobs,
-            cache_factory=cache_factory,
             resilience=resilience if resilience is not None else matcher.resilience,
             fail_fast=fail_fast,
         )
 
-    # ------------------------------------------------------------------
-    # Worker construction
-    # ------------------------------------------------------------------
-
-    def _build_matcher(self) -> FuzzyMatcher:
-        """One matcher over the shared relations with private counters."""
-        eti_view = EtiIndex(self.eti.relation) if self.eti is not None else None
-        reference_view = self.reference.view()
-        return FuzzyMatcher(
-            reference_view,
-            self.weights,
-            self.config,
-            eti_view,
-            self.hasher,
-            caches=self.cache_factory(),
-            resilience=self.resilience,
-        )
-
     def worker_matcher(self) -> FuzzyMatcher:
-        """This thread's matcher over the shared relations (built lazily).
+        """The engine's one matcher, the same object for every thread.
 
-        One matcher per calling thread, cached for the engine's lifetime:
-        private per-query counters and caches, shared read-only reference
-        + ETI, shared resilience policy.  The batch path uses this for
-        its pool workers, and the serving layer
-        (:class:`repro.serve.server.MatchServer`) reuses it so server
-        workers get exactly the batch engine's worker semantics — warm
-        caches across requests, one breaker for the whole fleet — instead
-        of a second pool implementation.
+        Shared read-only reference + ETI, one cross-query cache, one
+        metrics registry, one resilience policy.  The batch pool runs its
+        queries through it, and the serving layer
+        (:class:`repro.serve.server.MatchServer`) hands it to every server
+        worker, so the fleet warms one cache and reports one set of
+        counters.
         """
-        matcher = getattr(self._local, "matcher", None)
-        if matcher is None:
-            matcher = self._build_matcher()
-            self._local.matcher = matcher
-            with self._workers_lock:
-                self._workers.append(matcher)
-        return matcher
+        return self._matcher
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
-        """The persistent worker pool (so worker caches stay warm across
-        batches)."""
+        """The persistent worker pool (threads are reused across batches)."""
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=self.jobs, thread_name_prefix="repro-batch"
@@ -259,30 +210,15 @@ class BatchMatcher:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def warm_shared_state(
-        self,
-        sample: Sequence[str | None] | None = None,
-        k: int | None = None,
-        min_similarity: float | None = None,
-        strategy: str | None = None,
-    ) -> None:
+    def warm_shared_state(self) -> None:
         """Force lazily-built shared structures before threads fan out.
 
-        The weight provider computes column averages on the first unseen
-        token and the min-hash family memoizes signatures; doing one
-        throwaway query here keeps those one-time mutations
-        single-threaded.  Query errors (bad arity, missing ETI, storage
-        faults) are left for the real execution to raise or isolate.
+        The weight provider computes its column averages on the first
+        unseen token; doing that here keeps the one-time mutation
+        single-threaded.
         """
         for column in range(self.reference.num_columns):
             self.weights.weight("", column)
-        if sample is not None:
-            try:
-                self._sequential.match(
-                    sample, k=k, min_similarity=min_similarity, strategy=strategy
-                )
-            except (ValueError, DatabaseError):
-                pass
 
     # ------------------------------------------------------------------
     # Public API
@@ -310,7 +246,7 @@ class BatchMatcher:
         batch = list(batch)
         started = time.perf_counter()
         if self.jobs == 1 or len(batch) <= 1:
-            results = self._sequential.match_many(
+            results = self._matcher.match_many(
                 batch,
                 k=k,
                 min_similarity=min_similarity,
@@ -326,13 +262,9 @@ class BatchMatcher:
             batch[indices[0]] for indices in groups.values()
         ] + [batch[i] for i, key in enumerate(keys) if key is None]
 
-        self.warm_shared_state(
-            unique_inputs[0] if unique_inputs else None, k, min_similarity, strategy
-        )
-
         def run_query(values: Sequence[str | None]) -> MatchResult:
             try:
-                return self.worker_matcher().match(
+                return self._matcher.match(
                     values,
                     k=k,
                     min_similarity=min_similarity,
@@ -343,6 +275,7 @@ class BatchMatcher:
                     raise
                 return failed_result(exc, strategy or "")
 
+        self.warm_shared_state()
         unique_results = list(self._ensure_pool().map(run_query, unique_inputs))
 
         results: list[MatchResult | None] = [None] * len(batch)
@@ -389,47 +322,13 @@ class BatchMatcher:
         )
 
     def cache_counters(self) -> dict:
-        """Fleet hit/miss/eviction totals per cache, from the merged registries."""
-        total: dict[str, dict[str, int]] = {}
-        for (name, labels), value in self.metrics_snapshot().counters.items():
-            if name.startswith("repro_cache_"):
-                bucket = total.setdefault(
-                    dict(labels).get("cache", ""),
-                    {"hits": 0, "misses": 0, "evictions": 0},
-                )
-                bucket[name.removeprefix("repro_cache_").removesuffix("_total")] = value
-        for bucket in total.values():
-            lookups = bucket["hits"] + bucket["misses"]
-            bucket["hit_rate"] = bucket["hits"] / lookups if lookups else 0.0
-        return total
-
-    def registries(self) -> list[MetricsRegistry]:
-        """Every matcher's metrics registry built so far (dedup'd).
-
-        One registry per cache bundle; matchers sharing a bundle (the
-        ``cache_factory=lambda: shared`` pattern) contribute it once.
-        """
-        with self._workers_lock:
-            matchers = [self._sequential, *self._workers]
-        registries: list[MetricsRegistry] = []
-        for matcher in matchers:
-            registry = matcher.caches.registry
-            if not any(registry is seen for seen in registries):
-                registries.append(registry)
-        return registries
+        """Hit/miss/eviction totals, hit rate and entries, by cache name."""
+        return self._matcher.caches.counters()
 
     def metrics_snapshot(self) -> RegistrySnapshot:
-        """Fleet totals: every per-matcher registry snapshot, merged."""
-        return merge_snapshots(
-            registry.snapshot() for registry in self.registries()
-        )
+        """The engine registry's snapshot: cache and per-query counters."""
+        return self._matcher.caches.registry.snapshot()
 
     def set_metrics_enabled(self, enabled: bool) -> None:
-        """Toggle metric recording on every matcher registry at runtime.
-
-        Matchers built *after* the call get fresh (enabled) registries;
-        the serve layer re-applies the flag per worker matcher, which is
-        the only place matchers are created post-start.
-        """
-        for registry in self.registries():
-            registry.set_enabled(enabled)
+        """Toggle metric recording on the engine registry at runtime."""
+        self._matcher.caches.registry.set_enabled(enabled)

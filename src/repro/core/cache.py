@@ -8,7 +8,7 @@ is remembered exactly once, where its cost is:
   memo that measurably pays, so it is the one real cache:
   :class:`MatcherCaches` holds it as a bounded, counted :class:`LRUCache`;
 - min-hash signatures are memoized by :class:`repro.core.minhash.MinHasher`
-  itself (one hasher serves every worker of an engine);
+  itself (one hasher serves every thread of an engine);
 - token weights need no memo in front of the §4.4.1 frequency caches —
   those *are* main-memory hash tables — and the one provider whose
   ``weight`` costs an index lookup
@@ -22,13 +22,15 @@ not in layers.
 
 The reference cache is keyed on content fixed for one matcher's reference
 relation.  Do **not** share one :class:`MatcherCaches` between matchers
-over different relations; give each its own bundle (the default).
+over different relations; give each its own bundle (the default).  One
+matcher, and so one bundle, serves every thread of a batch engine or
+server: each query counts its own hits and misses.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Hashable, Iterable
 
 from repro.analysis.debuglock import make_lock
 from repro.obs.registry import MetricsRegistry
@@ -80,10 +82,9 @@ class LRUCache:
     stored, which is how the "seed" (uncached) behaviour is reproduced for
     parity tests and benchmarks.
 
-    Thread safety: all map mutations happen under one lock.  In
-    :meth:`get_or_compute` the compute callable runs *outside* the lock,
-    so two threads racing on the same key may both compute; the second
-    store is discarded.  Cached values must therefore be immutable (they
+    Thread safety: all map mutations happen under one lock.  Values are
+    computed outside it, so two threads missing on the same key may both
+    compute and store; cached values must therefore be immutable (they
     are: tuples, floats, frozen dataclasses).
     """
 
@@ -148,22 +149,6 @@ class LRUCache:
                 self._data.popitem(last=False)
                 self.evictions.inc()
 
-    def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
-        """Return the cached value, computing and storing it on a miss."""
-        if not self.enabled:
-            self.misses.inc()
-            return compute()
-        with self._lock:
-            value = self._data.get(key, _MISSING)
-            if value is not _MISSING:
-                self._data.move_to_end(key)
-                self.hits.inc()
-                return value
-            self.misses.inc()
-        value = compute()
-        self.put(key, value)
-        return value
-
     def discard(self, keys: Iterable[Hashable]) -> None:
         """Drop the entries for ``keys`` that are present (counters are retained)."""
         with self._lock:
@@ -186,9 +171,7 @@ class MatcherCaches:
     Every bundle owns (or is handed) one
     :class:`~repro.obs.registry.MetricsRegistry`; the cache writes its
     counters there, labelled by cache name, and the matcher publishes its
-    per-query metrics to the same registry.  Per-bundle registries keep
-    absolute counts meaningful (one bundle per matcher) while fleet totals
-    come from snapshot merging — see ``BatchMatcher.metrics_snapshot``.
+    per-query metrics to the same registry.
     """
 
     def __init__(
@@ -213,7 +196,7 @@ class MatcherCaches:
     def counters(self) -> dict[str, dict[str, int | float]]:
         """Hit/miss/eviction counters, hit rate and entry count, by cache name."""
         cache = self.reference_tokens
-        hits, misses = self.snapshot()
+        hits, misses = cache.hits.value(), cache.misses.value()
         lookups = hits + misses
         return {
             cache.name: {
@@ -224,11 +207,6 @@ class MatcherCaches:
                 "entries": len(cache),
             }
         }
-
-    def snapshot(self) -> tuple[int, int]:
-        """``(hits, misses)`` at this instant, for per-query deltas."""
-        cache = self.reference_tokens
-        return (cache.hits.value(), cache.misses.value())
 
     def clear(self) -> None:
         """Drop every cached entry."""

@@ -28,6 +28,7 @@ import time
 from typing import TYPE_CHECKING, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 
+from repro.analysis.debuglock import make_lock
 from repro.core.cache import MatcherCaches
 from repro.core.candidates import ScoreTable
 from repro.core.config import MatchConfig
@@ -68,8 +69,9 @@ class MatchStats:
     ``candidates_fetched`` counts *logical* candidate fetches (one per
     distinct tid verified by the query), matching the paper's Figure 8
     metric regardless of caching; ``reference_cache_hits``/``_misses``
-    say how many of them the cross-query reference-tuple cache served
-    instead of a B+-tree fetch.
+    count the query's own reference-cache lookups (a hit is a tuple the
+    cross-query cache served instead of a B+-tree fetch), so they are
+    exact however many threads share the matcher.
     """
 
     strategy: str = ""
@@ -262,10 +264,13 @@ class FuzzyMatcher:
         )
         self.caches = caches if caches is not None else MatcherCaches()
         self.resilience = resilience
+        # The reference version the cache has caught up to.  Syncing and
+        # the guarded put (see _reference_tokens) both hold this lock.
+        self._reference_lock = make_lock("FuzzyMatcher._reference_lock")
         self._reference_version = reference.version
         # Per-query metrics live in the cache bundle's registry, so one
         # snapshot carries a matcher's full telemetry (cache counters
-        # included) and fleet totals come from snapshot merging.
+        # included).
         registry = self.caches.registry
         self._obs_registry = registry
         self._obs_match_seconds = {
@@ -345,7 +350,7 @@ class FuzzyMatcher:
             )
 
         started = time.perf_counter()
-        counters_before = self.caches.snapshot()
+        self._sync_reference_cache()
         db_before = self._db_counters()
 
         requested = strategy
@@ -364,17 +369,27 @@ class FuzzyMatcher:
         last_error: DatabaseError | None = None
         result = None
         used = requested
+        stats = MatchStats()
         matcher_ctx = trace_span("matcher", requested=requested)
         with matcher_ctx:
             for index, attempt in enumerate(attempts):
                 indexed = attempt != "naive"
+                # A failed attempt's work is discarded; its cache lookups
+                # happened all the same, so they carry over.
+                stats = MatchStats(
+                    reference_cache_hits=stats.reference_cache_hits,
+                    reference_cache_misses=stats.reference_cache_misses,
+                )
                 try:
                     if indexed:
                         result = self._match_indexed(
-                            values, k, c, use_osc=(attempt == "osc"), deadline=deadline
+                            values, k, c, stats, use_osc=(attempt == "osc"),
+                            deadline=deadline,
                         )
                     else:
-                        result = self._match_naive(values, k, c, deadline=deadline)
+                        result = self._match_naive(
+                            values, k, c, stats, deadline=deadline
+                        )
                 except DatabaseError as exc:
                     if indexed and policy is not None:
                         policy.breaker.record_failure()
@@ -403,9 +418,6 @@ class FuzzyMatcher:
                     if circuit_skipped
                     else f"fallback:{type(last_error).__name__}"
                 )
-        hits, misses = self.caches.snapshot()
-        result.stats.reference_cache_hits = hits - counters_before[0]
-        result.stats.reference_cache_misses = misses - counters_before[1]
         wal = self._pool().wal
         if wal is not None:
             result.stats.wal_tail_pages = wal.tail_pages
@@ -520,34 +532,60 @@ class FuzzyMatcher:
             results[index] = result
         return results
 
+    def _sync_reference_cache(self) -> None:
+        """Catch the reference cache up with the relation, once per query.
+
+        When the reference relation's mutation version moved, the tids it
+        changed since are dropped, or the whole cache when its change log
+        no longer reaches back that far.
+        """
+        with self._reference_lock:
+            version = self.reference.version
+            if version != self._reference_version:
+                changed = self.reference.changed_since(self._reference_version)
+                if changed is None:
+                    self.caches.reference_tokens.clear()
+                else:
+                    self.caches.reference_tokens.discard(changed)
+                self._reference_version = version
+
     def _reference_tokens(
-        self, tid: int, values: tuple | None = None
+        self,
+        tid: int,
+        stats: MatchStats,
+        scanned: tuple[tuple, int] | None = None,
     ) -> tuple[TupleTokens, tuple]:
         """``(TupleTokens, values)`` of reference tuple ``tid``, cached.
 
-        ``values`` short-circuits the fetch when the caller already holds
-        the tuple (the naive scan).  Without it a cache miss fetches via
-        the tid index (counted in ``reference.fetches``).  Raises
+        Counts one hit or miss into ``stats``.  A miss fetches the tuple
+        via the tid index unless the caller already holds it: the naive
+        scan passes ``scanned=(values, version)``, values it read at or
+        after the relation's mutation version ``version``.  Raises
         :class:`RecordNotFoundError` for dangling tids; misses are never
-        cached.  When the reference relation's mutation version moves,
-        the tids it changed since are dropped, or the whole cache when
-        its change log no longer reaches back that far.
+        cached.
+
+        A miss is stored only while the relation is still at the version
+        read before the tuple was: a tuple read before a mutation another
+        thread has logged (and maybe already synced away) is never put
+        back.
         """
         cache = self.caches.reference_tokens
-        version = self.reference.version
-        if version != self._reference_version:
-            changed = self.reference.changed_since(self._reference_version)
-            if changed is None:
-                cache.clear()
-            else:
-                cache.discard(changed)
-            self._reference_version = version
-
-        def compute() -> tuple[TupleTokens, tuple]:
-            row = values if values is not None else self.reference.fetch(tid)
-            return (TupleTokens.from_values(row), tuple(row))
-
-        return cache.get_or_compute(tid, compute)
+        entry = cache.get(tid)
+        if entry is not None:
+            stats.reference_cache_hits += 1
+            return entry
+        stats.reference_cache_misses += 1
+        if scanned is None:
+            version = self.reference.version
+            row = self.reference.fetch(tid)
+        else:
+            row, version = scanned
+        entry = (TupleTokens.from_values(row), tuple(row))
+        if cache.enabled:
+            with self._reference_lock:
+                if self.reference.version == version:
+                    cache.put(tid, entry)
+        return entry
 
     # ------------------------------------------------------------------
     # Naive scan
@@ -558,10 +596,10 @@ class FuzzyMatcher:
         values: Sequence[str | None],
         k: int,
         c: float,
+        stats: MatchStats,
         deadline: Deadline | None = None,
     ) -> MatchResult:
-        result = MatchResult()
-        stats = result.stats
+        result = MatchResult(stats=stats)
         prepared = prepare_input(
             TupleTokens.from_values(values), self.weights, self.config
         )
@@ -571,6 +609,7 @@ class FuzzyMatcher:
         # sorting the whole admitted set.  tid is unique, so the heap
         # never compares row values.
         kept: list[tuple[float, int, tuple]] = []
+        version = self.reference.version  # read before any row is
         scan_ctx = trace_span("matcher.naive_scan")
         with scan_ctx:
             for tid, reference_values in self.reference.scan():
@@ -581,7 +620,7 @@ class FuzzyMatcher:
                         stats.degraded_reason = reason
                         break
                 reference_tokens, row = self._reference_tokens(
-                    tid, values=reference_values
+                    tid, stats, scanned=(reference_values, version)
                 )
                 similarity = fms(
                     prepared, reference_tokens, self.weights, self.config
@@ -610,6 +649,7 @@ class FuzzyMatcher:
         values: Sequence[str | None],
         k: int,
         c: float,
+        stats: MatchStats,
         use_osc: bool,
         deadline: Deadline | None = None,
     ) -> MatchResult:
@@ -620,8 +660,7 @@ class FuzzyMatcher:
         candidates — cut to the top K when the deadline ran out mid-probe,
         so a degraded answer costs a bounded amount of extra work.
         """
-        result = MatchResult()
-        stats = result.stats
+        result = MatchResult(stats=stats)
         query = self._stage_signature(values, c, use_osc)
         if query is None:
             return result  # all token weights are zero: nothing can match
@@ -871,7 +910,7 @@ class FuzzyMatcher:
             if not cached[2] or cost_budget is not None:
                 return cached
         try:
-            reference_tokens, reference_values = self._reference_tokens(tid)
+            reference_tokens, reference_values = self._reference_tokens(tid, stats)
         except RecordNotFoundError:
             fms_cache[tid] = (-1.0, (), False)
             return fms_cache[tid]

@@ -3,10 +3,9 @@
 Wraps a :class:`repro.db.Relation` whose first column is the integer tuple
 identifier and whose remaining columns are nullable strings, with a unique
 B+-tree index on tid (the paper assumes "the reference relation R is
-indexed on the Tid attribute" for efficient candidate fetches).
-
-Fetch accounting (`fetches`) backs the paper's Figure 8 metric — the number
-of reference tuples fetched per input tuple.
+indexed on the Tid attribute" for efficient candidate fetches).  The
+paper's Figure 8 metric, reference tuples fetched per input tuple, is
+counted per query (``MatchStats.candidates_fetched``).
 
 Every insert and delete bumps a mutation version and logs the tid it
 changed; a cache keyed by tid asks :meth:`ReferenceTable.changed_since`
@@ -37,7 +36,7 @@ class _ChangeLog:
     One entry per single-tuple insert or delete, each bumping the version
     by one, so the ``i``-th newest tid is the change that made version
     ``version - i``.  A bulk load bumps the version past what the log
-    remembers.  Shared by every :meth:`ReferenceTable.view`.
+    remembers.
     """
 
     __slots__ = ("version", "_tids", "_lock")
@@ -86,7 +85,6 @@ class ReferenceTable:
         columns.extend(Column(c, ColumnType.STR, nullable=True) for c in column_names)
         self.relation = db.create_relation(name, columns)
         self.relation.create_index(TID_INDEX, ["tid"], unique=True)
-        self.fetches = 0
         self._changes = _ChangeLog()
 
     @classmethod
@@ -109,25 +107,7 @@ class ReferenceTable:
         table.name = name
         table.column_names = tuple(column_names)
         table.relation = relation
-        table.fetches = 0
         table._changes = _ChangeLog()
-        return table
-
-    def view(self) -> "ReferenceTable":
-        """A handle onto the same stored relation with its own counters.
-
-        Views share the relation, the tid index, the mutation version and
-        its change log (an insert through any view invalidates caches
-        everywhere), but count fetches independently — the parallel batch
-        engine gives each worker a view so per-query statistics stay
-        race-free.
-        """
-        table = ReferenceTable.__new__(ReferenceTable)
-        table.name = self.name
-        table.column_names = self.column_names
-        table.relation = self.relation
-        table.fetches = 0
-        table._changes = self._changes
         return table
 
     @property
@@ -181,7 +161,6 @@ class ReferenceTable:
 
     def fetch(self, tid: int) -> tuple[str | None, ...]:
         """Fetch the attribute values of tuple ``tid`` via the tid index."""
-        self.fetches += 1
         row = self.relation.index_get(TID_INDEX, tid)
         return row[1:]
 
@@ -209,7 +188,3 @@ class ReferenceTable:
         """Yield attribute values only (for frequency-cache building)."""
         for _, values in self.scan():
             yield values
-
-    def reset_fetch_counter(self) -> None:
-        """Zero the fetch counter (per-experiment accounting)."""
-        self.fetches = 0

@@ -13,8 +13,8 @@ provides exactly those primitives in pure Python:
   sorted bulk-loading (used for the ETI clustered index and the reference
   relation's Tid index).
 - :mod:`repro.db.exsort`: external merge sort in its two halves (sorted run
-  spilling + k-way merge), shared by ``external_sort`` and the ETI build
-  behind the paper's ETI-query (``ORDER BY QGram, Coordinate, Column``).
+  spilling + k-way merge), driven by the ETI build behind the paper's
+  ETI-query (``ORDER BY QGram, Coordinate, Column``).
 - :mod:`repro.db.relation` / :mod:`repro.db.database`: schema-carrying
   relations (row-at-a-time and sorted bulk writes) and a tiny catalog, the
   "data warehouse" of the paper.
@@ -36,7 +36,6 @@ from repro.db.errors import (
     TransientIOError,
     WalError,
 )
-from repro.db.exsort import external_sort
 from repro.db.faults import (
     CrashableStorage,
     CrashableWalFile,
@@ -70,7 +69,6 @@ __all__ = [
     "Database",
     "DatabaseError",
     "DuplicateKeyError",
-    "external_sort",
     "FaultConfig",
     "FaultInjector",
     "FaultStats",

@@ -9,10 +9,9 @@ followed by a k-way *merge* driven by a heap.
 :class:`SortRuns` is the two halves: :meth:`SortRuns.spill` writes one
 sorted run to a temporary file (a small length-prefixed pickle framing) and
 :meth:`SortRuns.merge` streams every spilled run plus an in-memory tail
-back in key order.  :func:`external_sort` is the plain sort over them —
-memory is bounded by ``memory_limit`` rows regardless of input size.  The
-ETI builder generates its own runs (the pre-ETI already grouped by key) and
-shares the run format and the merge.
+back in key order.  The ETI builder cuts the runs itself (the pre-ETI
+already grouped by key, at most ``sort_memory_limit`` postings held), so
+memory is bounded regardless of the reference relation's size.
 """
 
 from __future__ import annotations
@@ -22,9 +21,7 @@ import os
 import pickle
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable
-
-DEFAULT_MEMORY_LIMIT = 100_000
+from typing import Any, Callable, Generator
 
 
 @dataclass
@@ -110,35 +107,3 @@ def _read_run(path: str) -> Generator[Any, None, None]:
                 return
             length = int.from_bytes(header, "little")
             yield pickle.loads(run_file.read(length))
-
-
-def external_sort(
-    rows: Iterable[Any],
-    key: Callable[[Any], Any] = lambda row: row,
-    memory_limit: int = DEFAULT_MEMORY_LIMIT,
-    tmp_dir: str | None = None,
-    stats: SortStats | None = None,
-) -> Generator[Any, None, None]:
-    """Yield ``rows`` in ascending ``key`` order using bounded memory.
-
-    ``memory_limit`` is the maximum number of rows held in memory at once.
-    If the input fits in one run, no temp files are created.  The sort is
-    stable across runs (ties resolve in input order).
-    """
-    if memory_limit < 2:
-        # Argument validation: a bad limit is a caller bug, so ValueError
-        # is the narrowest correct type, not a DatabaseError.
-        raise ValueError(  # reprolint: disable=exception-taxonomy
-            "memory_limit must be at least 2 rows"
-        )
-    with SortRuns(tmp_dir, stats) as runs:
-        buffer: list[Any] = []
-        for row in rows:
-            runs.stats.rows_in += 1
-            buffer.append(row)
-            if len(buffer) >= memory_limit:
-                buffer.sort(key=key)
-                runs.spill(buffer)
-                buffer = []
-        buffer.sort(key=key)
-        yield from runs.merge(buffer, key)

@@ -1,8 +1,9 @@
 """Query-side access to a built ETI relation.
 
 All lookups go through the clustered index on ``[QGram, Coordinate,
-Column]`` and are counted — the number of ETI lookups per input tuple is
-one of the paper's efficiency metrics (§4.4).
+Column]``.  The number of ETI lookups per input tuple, one of the paper's
+efficiency metrics (§4.4), is counted per query
+(``MatchStats.eti_lookups``).
 """
 
 from __future__ import annotations
@@ -34,14 +35,12 @@ class EtiIndex:
 
     def __init__(self, relation: Relation) -> None:
         self.relation = relation
-        self.lookups = 0
 
     def __len__(self) -> int:
         return len(self.relation)
 
     def lookup(self, qgram: str, coordinate: int, column: int) -> EtiEntry | None:
         """Fetch the ETI tuple for ``(qgram, coordinate, column)`` or None."""
-        self.lookups += 1
         try:
             row = self.relation.index_get(ETI_INDEX, (qgram, coordinate, column))
         except RecordNotFoundError:
@@ -54,10 +53,6 @@ class EtiIndex:
             frequency=row[3],
             tid_list=None if tid_list is None else tuple(tid_list),
         )
-
-    def reset_lookup_counter(self) -> None:
-        """Zero the lookup counter (per-experiment accounting)."""
-        self.lookups = 0
 
     def stats(self) -> dict[str, int]:
         """Index-level statistics for reporting."""

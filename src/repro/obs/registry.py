@@ -13,8 +13,9 @@ Design constraints, in order:
   timestamps.  The module sits inside the reprolint determinism rule's
   scope (``repro/obs/``).
 - **Mergeability.**  :class:`RegistrySnapshot` values add pointwise
-  (:func:`merge_snapshots`), so per-worker registries aggregate into
-  fleet totals without shared-lock contention on the hot path.
+  (:func:`merge_snapshots`), so separate registries (a server's, its
+  engine's, the process-global one) aggregate into one view without a
+  shared lock on the hot path.
 - **Bounded labels.**  Each metric name admits at most
   ``label_cardinality`` distinct label sets; overflow routes to a
   sentinel series instead of growing without bound.
@@ -289,7 +290,7 @@ class RegistrySnapshot:
 
         Counters and histogram buckets add; gauges take the pointwise
         maximum, because the same point-in-time value (a WAL tail
-        length, a queue depth) may be sampled into several per-worker
+        length, a queue depth) may be sampled into several merged
         registries and summing copies would multiply it.  Both rules
         are associative, so any fold order yields the same totals;
         float histogram sums are subject to addition-order rounding

@@ -44,7 +44,6 @@ from repro.serve.protocol import (
     encode_line,
 )
 from repro.serve.server import (
-    IdempotencyCache,
     MatchServer,
     ServeConfig,
     ServeStats,
@@ -60,7 +59,6 @@ __all__ = [
     "FrameError",
     "FrameReader",
     "FrameTooLargeError",
-    "IdempotencyCache",
     "Lifecycle",
     "LifecycleError",
     "MatchServer",

@@ -16,10 +16,10 @@ Architecture (one process, thread-per-role):
 - **Workers** — pull admitted items, shed anything whose deadline
   expired while queued, ask the
   :class:`~repro.serve.lifecycle.DegradationLadder` what stage to run
-  at, and execute through the batch engine's per-thread matcher
-  (:meth:`~repro.core.batch.BatchMatcher.worker_matcher`) under the
-  request's own deadline — queue wait is not free, it comes out of
-  compute.
+  at, and execute through the batch engine's one matcher
+  (:meth:`~repro.core.batch.BatchMatcher.worker_matcher`, shared by every
+  worker, so the fleet warms one reference cache) under the request's own
+  deadline — queue wait is not free, it comes out of compute.
 - **Watchdog** — periodically feeds queue-wait p95 to the ladder
   (degrade), sheds queued bulk work past the shed threshold, and
   reports workers that went busy-silent (stuck) through readiness.
@@ -35,12 +35,12 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.analysis.debuglock import make_lock
 from repro.core.batch import BatchMatcher
+from repro.core.cache import LRUCache
 from repro.core.matcher import FuzzyMatcher
 from repro.core.resilience import Deadline
 from repro.db.database import Database
@@ -111,7 +111,7 @@ class ServeConfig:
     port: int = 0
     """0 = let the OS pick; the bound port is in ``server.address``."""
     workers: int = 4
-    """Engine worker threads (one per-thread matcher each)."""
+    """Engine worker threads (all running the engine's one matcher)."""
     queue_capacity: int = 64
     """Admission queue bound; arrivals past it are shed, not queued."""
     default_deadline_ms: float | None = 250.0
@@ -283,47 +283,6 @@ class ServeStats:
         }
 
 
-class IdempotencyCache:
-    """Bounded LRU of match responses keyed by client idempotency key.
-
-    A client that retries after a timeout resends the same key; answering
-    a retransmission from this cache means the engine ran the request at
-    most once even though the wire saw it twice.  Only engine-resolved
-    outcomes (completed / degraded / typed engine error) are stored —
-    shed responses and stuck-worker timeouts are not, so a retry of
-    refused or unresolved work is admitted fresh.  Past ``capacity`` the
-    least recently used entry is evicted, so a hostile client cannot
-    balloon server memory through unique keys.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._lock = make_lock("IdempotencyCache._lock")
-        self._entries: OrderedDict[str, dict[str, Any]] = OrderedDict()
-
-    def get(self, key: str) -> dict[str, Any] | None:
-        """The cached response for ``key``, refreshing its recency."""
-        with self._lock:
-            payload = self._entries.get(key)
-            if payload is not None:
-                self._entries.move_to_end(key)
-            return payload
-
-    def put(self, key: str, payload: dict[str, Any]) -> None:
-        """Store ``key``'s response, evicting the oldest past capacity."""
-        with self._lock:
-            self._entries[key] = payload
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
 class MatchServer:
     """Online fuzzy-match server over one batch engine.
 
@@ -396,7 +355,11 @@ class MatchServer:
         self.gate = ConnectionGate(
             self.config.max_connections, self.config.max_connections_per_peer
         )
-        self.idempotency = IdempotencyCache(IDEMPOTENCY_CACHE_SIZE)
+        # idempotency_key -> response, for engine-resolved outcomes only:
+        # a retry of shed or unresolved work is admitted fresh.  Bounded,
+        # so unique keys cannot balloon memory; its counters stay in the
+        # cache's private registry.
+        self.idempotency = LRUCache(IDEMPOTENCY_CACHE_SIZE)
 
         self.address: tuple[str, int] | None = None
         self._listener: socket.socket | None = None
@@ -634,9 +597,9 @@ class MatchServer:
         """One merged snapshot across every registry this server touches.
 
         Combines the server's own registry (serve-plane counters and
-        latency histograms plus collected gauges), each engine worker's
-        per-matcher registry (cache and match counters), and the
-        process-global default registry (kernel and FMS counters).
+        latency histograms plus collected gauges), the engine's registry
+        (cache and match counters), and the process-global default
+        registry (kernel and FMS counters).
         """
         snapshots = [self.registry.snapshot()]
         engine = self._engine
@@ -1062,7 +1025,6 @@ class MatchServer:
 
 __all__ = [
     "EngineFactory",
-    "IdempotencyCache",
     "MatchServer",
     "ServeConfig",
     "ServeError",

@@ -8,10 +8,12 @@ semantic one.
 
 import csv
 import json
+import threading
 
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core import batch as batch_module
 from repro.core.batch import BatchMatcher, BatchReport
 from repro.core.cache import MatcherCaches
 from repro.core.matcher import FuzzyMatcher
@@ -94,20 +96,70 @@ class TestBatchMatcherParallel:
         assert report.cache_counters["reference_tokens"]["hits"] > 0
 
     def test_per_query_stats_do_not_race(self, world):
-        """Each worker owns its ETI-lookup counter, so per-query stats
-        match the sequential run even under concurrency."""
+        """Each query counts into its own stats, so per-query stats match
+        the sequential run although every worker shares one matcher."""
         reference, weights, config, eti, batch = world
         sequential = FuzzyMatcher(
             reference, weights, config, eti, caches=MatcherCaches.disabled()
         )
         distinct = list(dict.fromkeys(batch))
         expected = [
-            sequential.match(values).stats.candidates_fetched for values in distinct
+            (stats.candidates_fetched, stats.eti_lookups, stats.fms_evaluations)
+            for stats in (sequential.match(values).stats for values in distinct)
         ]
         with BatchMatcher(reference, weights, config, eti, jobs=4) as engine:
             results = engine.match_many(distinct)
-        got = [result.stats.candidates_fetched for result in results]
+        got = [
+            (r.stats.candidates_fetched, r.stats.eti_lookups, r.stats.fms_evaluations)
+            for r in results
+        ]
         assert got == expected
+
+    def test_cache_counts_are_exact_under_threads(self, world):
+        """Naive scans touch every tuple once: one hit or miss apiece, and
+        the batch's sums are what the shared cache's counters moved by."""
+        reference, weights, config, eti, batch = world
+        distinct = list(dict.fromkeys(batch))[:12]
+        with BatchMatcher(reference, weights, config, eti, jobs=4) as engine:
+
+            def cache_counters():
+                counters = engine.metrics_snapshot().counters
+                return [
+                    counters[(f"repro_cache_{kind}_total", (("cache", "reference_tokens"),))]
+                    for kind in ("hits", "misses")
+                ]
+
+            before = cache_counters()
+            results = engine.match_many(distinct, strategy="naive")
+            after = cache_counters()
+        hits = [r.stats.reference_cache_hits for r in results]
+        misses = [r.stats.reference_cache_misses for r in results]
+        assert [h + m for h, m in zip(hits, misses)] == [len(reference)] * len(distinct)
+        assert [sum(hits), sum(misses)] == [a - b for a, b in zip(after, before)]
+
+    def test_one_matcher_for_every_thread(self, world, monkeypatch):
+        reference, weights, config, eti, batch = world
+        built = []
+
+        class Counted(FuzzyMatcher):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(batch_module, "FuzzyMatcher", Counted)
+        with BatchMatcher(reference, weights, config, eti, jobs=4) as engine:
+            engine.match_many(batch)
+            seen = []
+            threads = [
+                threading.Thread(target=lambda: seen.append(engine.worker_matcher()))
+                for _ in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        assert len(built) == 1
+        assert len(seen) == 4 and all(matcher is built[0] for matcher in seen)
 
     def test_invalid_jobs_rejected(self, world):
         reference, weights, config, eti, _ = world

@@ -16,13 +16,14 @@ import pytest
 from repro.core.batch import BatchMatcher
 from repro.core.cache import BoundedMemo, LRUCache, MatcherCaches
 from repro.core.config import MatchConfig, SignatureScheme
-from repro.core.matcher import FuzzyMatcher
+from repro.core.matcher import FuzzyMatcher, MatchStats
 from repro.core.minhash import MinHasher
 from repro.core.reference import ReferenceTable
 from repro.core.weights import build_frequency_cache
 from repro.data.datasets import DatasetSpec, make_dataset
 from repro.data.generator import CUSTOMER_COLUMNS, generate_customers
 from repro.db.database import Database
+from repro.db.errors import RecordNotFoundError
 from repro.eti.builder import build_eti
 from repro.eti.weights import EtiWeightProvider
 
@@ -62,36 +63,13 @@ class TestLRUCache:
         assert len(cache) == 8
         assert cache.evictions.value() == 92
 
-    def test_get_or_compute_computes_once(self):
-        cache = LRUCache(4)
-        calls = []
-        for _ in range(3):
-            value = cache.get_or_compute("k", lambda: calls.append(1) or 42)
-            assert value == 42
-        assert len(calls) == 1
-        assert cache.misses.value() == 1
-        assert cache.hits.value() == 2
-
-    def test_compute_error_caches_nothing(self):
-        cache = LRUCache(4)
-
-        def boom():
-            raise RuntimeError("no")
-
-        with pytest.raises(RuntimeError):
-            cache.get_or_compute("k", boom)
-        assert "k" not in cache
-        assert cache.get_or_compute("k", lambda: 7) == 7
-
     def test_disabled_cache_stores_nothing(self):
         cache = LRUCache(0)
         assert not cache.enabled
-        cache.put("a", 1)
-        assert cache.get("a") is None
-        calls = []
-        for _ in range(2):
-            cache.get_or_compute("a", lambda: calls.append(1) or 5)
-        assert len(calls) == 2  # recomputed every time
+        for _ in range(3):
+            cache.put("a", 1)
+            assert cache.get("a") is None
+        assert len(cache) == 0
         assert cache.hits.value() == 0
         assert cache.misses.value() == 3
 
@@ -116,9 +94,9 @@ class TestMatcherCaches:
 
     def test_counters_shape(self):
         caches = MatcherCaches()
-        caches.reference_tokens.get_or_compute(1, lambda: "row")
-        caches.reference_tokens.get_or_compute(1, lambda: "row")
-        assert caches.snapshot() == (1, 1)
+        assert caches.reference_tokens.get(1) is None
+        caches.reference_tokens.put(1, "row")
+        assert caches.reference_tokens.get(1) == "row"
         assert caches.counters() == {
             "reference_tokens": {
                 "hits": 1,
@@ -258,6 +236,16 @@ class TestCachedUncachedParity:
             b = cached.match(values).stats.candidates_fetched  # hot run
             assert a == b
 
+    def test_dangling_tid_caches_nothing(self, error_world):
+        """A tid the relation does not hold raises, counts a miss, stores nothing."""
+        reference, weights, config, eti, _ = error_world
+        matcher = FuzzyMatcher(reference, weights, config, eti)
+        stats = MatchStats()
+        with pytest.raises(RecordNotFoundError):
+            matcher._reference_tokens(10**9, stats)
+        assert (stats.reference_cache_hits, stats.reference_cache_misses) == (0, 1)
+        assert 10**9 not in matcher.caches.reference_tokens
+
     def test_reference_mutation_invalidates_tokens(self, error_world):
         reference, weights, config, eti, batch = error_world
         matcher = FuzzyMatcher(reference, weights, config, eti)
@@ -272,13 +260,14 @@ class TestCachedUncachedParity:
 
 
 class TestBatchInvalidationRace:
-    """Version-based invalidation against warm :class:`BatchMatcher` workers.
+    """Version-based invalidation against a warm :class:`BatchMatcher`.
 
-    The batch engine keeps worker matchers (and their caches) alive across
-    batches; mutating the weight provider or the reference relation bumps a
-    version that every worker's cache layer watches.  The contract: after a
-    mutation, no worker may serve a stale cached entry — batch results must
-    be bit-identical to a freshly built uncached matcher's.
+    The batch engine keeps its one matcher (and its cache) alive across
+    batches and worker threads; mutating the weight provider or the
+    reference relation bumps a version the cache layer watches.  The
+    contract: after a mutation, no worker may serve a stale cached entry —
+    batch results must be bit-identical to a freshly built uncached
+    matcher's.
     """
 
     def make_world(self):
@@ -352,5 +341,41 @@ class TestBatchInvalidationRace:
                 assert got == self.fresh_expected(
                     reference, weights, config, eti, batch
                 )
+        finally:
+            db.close()
+
+    def test_a_tuple_read_before_another_workers_mutation_is_not_cached(self):
+        """The shared cache's one hazard, replayed deterministically.
+
+        Query A misses on tid X and reads X's old row; before A stores it,
+        "another worker" updates X and runs a query of its own on the
+        same matcher, which syncs the cache past the update.  A must then
+        not put the old row back: nothing would ever discard it again.
+        """
+        db, reference, weights, config, eti, _ = self.make_world()
+        try:
+            with BatchMatcher(reference, weights, config, eti, jobs=2) as engine:
+                matcher = engine.worker_matcher()
+                target, old = next(iter(reference.scan()))
+                fetch = reference.fetch
+                interleaved = []
+
+                def fetch_then_interleave(tid):
+                    row = fetch(tid)
+                    if tid == target and not interleaved:
+                        interleaved.append(tid)
+                        reference.delete(target)
+                        reference.insert(target, ("renamed entity",) + tuple(old[1:]))
+                        matcher.match(old, k=2)  # the other worker
+                    return row
+
+                reference.fetch = fetch_then_interleave
+                try:
+                    matcher.match(old, k=2)
+                finally:
+                    del reference.fetch
+                assert interleaved == [target]
+                got = result_view([matcher.match(old, k=2)])
+                assert got == self.fresh_expected(reference, weights, config, eti, [old])
         finally:
             db.close()

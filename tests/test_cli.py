@@ -172,6 +172,30 @@ class TestMatch:
         with pytest.raises(SystemExit, match="nonexistent.csv"):
             run_cli(argv)
 
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            ("--reference", "", r"ref\.csv:1: empty file"),
+            ("--input", "", r"in\.csv:1: empty file"),
+            ("--reference", "tid,name,city,state,zipcode\nx1,a,b,c,d\n", r"ref\.csv:2: tid must be an integer"),
+            ("--input", "target_tid,name,city,state,zipcode\nx1,a,b,c,d\n", r"in\.csv:2: target_tid must be an integer"),
+            ("--reference", "tid,name,city,state,zipcode\n1,a,b,c\n", r"ref\.csv:2: expected 5 cells, got 4"),
+            ("--input", "name,city,state,zipcode\na,b,c,d\na,b,c\n", r"in\.csv:3: expected 4 cells, got 3"),
+        ],
+    )
+    def test_malformed_csv_exits_naming_the_line(
+        self, tmp_path, reference_csv, dirty_csv, flag, text, message
+    ):
+        bad = tmp_path / ("ref.csv" if flag == "--reference" else "in.csv")
+        bad.write_text(text)
+        paths = {"--reference": str(reference_csv), "--input": str(dirty_csv)}
+        paths[flag] = str(bad)
+        argv = ["match", "--out", str(tmp_path / "x.csv")]
+        for name, path in paths.items():
+            argv += [name, path]
+        with pytest.raises(SystemExit, match=message):
+            run_cli(argv)
+
 
     @pytest.mark.parametrize(
         "flag, value, message",

@@ -1,39 +1,58 @@
-"""External merge sort."""
+"""External merge sort: the two halves the ETI build drives.
+
+``sort_in_runs`` below plays the builder's part: it cuts the input into
+sorted runs of ``memory_limit`` rows, spills every full run through
+:meth:`SortRuns.spill`, and streams them back, with the in-memory tail,
+through :meth:`SortRuns.merge`.
+"""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.db.exsort import SortRuns, SortStats, external_sort
+from repro.db.exsort import SortRuns, SortStats
+from repro.eti.builder import EtiBuilder
+
+
+def sort_in_runs(rows, key=lambda row: row, memory_limit=100_000, tmp_dir=None, stats=None):
+    """``rows`` in ``key`` order, at most ``memory_limit`` held at once."""
+    with SortRuns(tmp_dir, stats) as runs:
+        run = []
+        for row in rows:
+            run.append(row)
+            if len(run) >= memory_limit:
+                runs.spill(sorted(run, key=key))
+                run = []
+        yield from runs.merge(sorted(run, key=key), key)
 
 
 class TestBasicSorting:
     def test_empty_input(self):
-        assert list(external_sort([])) == []
+        assert list(sort_in_runs([])) == []
 
     def test_single_element(self):
-        assert list(external_sort([5])) == [5]
+        assert list(sort_in_runs([5])) == [5]
 
     def test_already_sorted(self):
         data = list(range(100))
-        assert list(external_sort(data)) == data
+        assert list(sort_in_runs(data)) == data
 
     def test_reverse_sorted(self):
         data = list(range(100, 0, -1))
-        assert list(external_sort(data)) == sorted(data)
+        assert list(sort_in_runs(data)) == sorted(data)
 
     def test_key_function(self):
         rows = [("b", 2), ("a", 1), ("c", 0)]
-        assert list(external_sort(rows, key=lambda r: r[1])) == [
+        assert list(sort_in_runs(rows, key=lambda r: r[1])) == [
             ("c", 0),
             ("a", 1),
             ("b", 2),
         ]
 
-    def test_memory_limit_validation(self):
+    def test_memory_limit_validation(self, org_db, paper_config):
         with pytest.raises(ValueError):
-            list(external_sort([1, 2], memory_limit=1))
+            EtiBuilder(org_db, paper_config, sort_memory_limit=1)
 
 
 class TestSpilling:
@@ -42,7 +61,7 @@ class TestSpilling:
         data = [random.Random(3).randrange(1000) for _ in range(1000)]
         rng = random.Random(3)
         data = [rng.randrange(1000) for _ in range(1000)]
-        result = list(external_sort(data, memory_limit=100, stats=stats))
+        result = list(sort_in_runs(data, memory_limit=100, stats=stats))
         assert result == sorted(data)
         assert stats.runs > 1
         assert stats.spilled_rows >= 900
@@ -50,7 +69,7 @@ class TestSpilling:
 
     def test_no_spill_when_under_limit(self):
         stats = SortStats()
-        result = list(external_sort([3, 1, 2], memory_limit=100, stats=stats))
+        result = list(sort_in_runs([3, 1, 2], memory_limit=100, stats=stats))
         assert result == [1, 2, 3]
         assert stats.spilled_rows == 0
         assert stats.runs == 1
@@ -58,14 +77,14 @@ class TestSpilling:
     def test_exact_multiple_of_limit(self):
         stats = SortStats()
         data = list(range(50, 0, -1))
-        assert list(external_sort(data, memory_limit=10, stats=stats)) == sorted(data)
+        assert list(sort_in_runs(data, memory_limit=10, stats=stats)) == sorted(data)
         assert stats.runs == 5  # no empty in-memory tail counted as a run
 
     def test_stability_across_runs(self):
         # Rows with equal keys must keep input order even when they land in
         # different spill runs.
         rows = [(i % 5, i) for i in range(200)]
-        result = list(external_sort(rows, key=lambda r: r[0], memory_limit=20))
+        result = list(sort_in_runs(rows, key=lambda r: r[0], memory_limit=20))
         for key in range(5):
             sequence = [i for k, i in result if k == key]
             assert sequence == sorted(sequence)
@@ -74,14 +93,14 @@ class TestSpilling:
         import os
 
         data = list(range(500, 0, -1))
-        list(external_sort(data, memory_limit=50, tmp_dir=str(tmp_path)))
+        list(sort_in_runs(data, memory_limit=50, tmp_dir=str(tmp_path)))
         assert os.listdir(str(tmp_path)) == []
 
     def test_early_close_cleans_temp_files(self, tmp_path):
         import os
 
         data = list(range(500, 0, -1))
-        gen = external_sort(data, memory_limit=50, tmp_dir=str(tmp_path))
+        gen = sort_in_runs(data, memory_limit=50, tmp_dir=str(tmp_path))
         next(gen)
         gen.close()
         assert os.listdir(str(tmp_path)) == []
@@ -106,7 +125,7 @@ class TestSpilling:
         monkeypatch.setattr(exsort.pickle, "dumps", failing_dumps)
         monkeypatch.setattr(exsort.os, "fdopen", recording_fdopen)
         with pytest.raises(OSError, match="disk full"):
-            list(external_sort(range(100), memory_limit=10, tmp_dir=str(tmp_path)))
+            list(sort_in_runs(range(100), memory_limit=10, tmp_dir=str(tmp_path)))
         assert os.listdir(str(tmp_path)) == []
         assert len(opened) == 2 and all(run_file.closed for run_file in opened)
 
@@ -135,10 +154,17 @@ class TestSpilling:
         assert len(opened) == 2 and all(run_file.closed for run_file in opened)
         assert runs.stats.runs == 1 and runs.stats.spilled_rows == 3
 
-    def test_rows_in_counted(self):
-        stats = SortStats()
-        list(external_sort(range(123), stats=stats))
-        assert stats.rows_in == 123
+    def test_rows_in_counted(self, org_db, org_reference, paper_config):
+        # The builder counts the chunk rows it hands the sort: one per ETI
+        # key in a single run, more once keys span runs.
+        _, one_run = EtiBuilder(org_db, paper_config).build(org_reference, "eti_one")
+        assert one_run.sort.runs == 1
+        assert one_run.sort.rows_in == one_run.eti_rows
+        _, spilled = EtiBuilder(org_db, paper_config, sort_memory_limit=2).build(
+            org_reference, "eti_spilled"
+        )
+        assert spilled.sort.runs > 1
+        assert spilled.sort.rows_in > spilled.eti_rows
 
 
 class TestComplexRows:
@@ -150,7 +176,7 @@ class TestComplexRows:
             (rng.choice(grams), rng.randrange(3), rng.randrange(4), rng.randrange(100))
             for _ in range(500)
         ]
-        result = list(external_sort(rows, memory_limit=64))
+        result = list(sort_in_runs(rows, memory_limit=64))
         assert result == sorted(rows)
 
     @settings(max_examples=25, deadline=None)
@@ -159,5 +185,5 @@ class TestComplexRows:
         st.integers(min_value=2, max_value=50),
     )
     def test_property_sorted_permutation(self, data, limit):
-        result = list(external_sort(data, memory_limit=limit))
+        result = list(sort_in_runs(data, memory_limit=limit))
         assert result == sorted(data)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import MatchConfig, SignatureScheme
+from repro.core.matcher import FuzzyMatcher
 from repro.core.minhash import MinHasher
 from repro.core.reference import ReferenceTable
 from repro.core.tokens import TupleTokens
@@ -568,11 +569,18 @@ class TestEtiIndex:
     def test_lookup_miss_returns_none(self, org_eti):
         assert org_eti.lookup("zzz", 1, 0) is None
 
-    def test_lookup_counter(self, org_eti):
-        org_eti.reset_lookup_counter()
-        org_eti.lookup("zzz", 1, 0)
-        org_eti.lookup("zzz", 2, 0)
-        assert org_eti.lookups == 2
+    def test_lookup_counter(self, org_eti, org_reference, org_weights, paper_config, monkeypatch):
+        """A query counts its own ETI lookups: one per index probe it makes."""
+        calls = []
+        lookup = org_eti.lookup
+        monkeypatch.setattr(
+            org_eti, "lookup", lambda *key: calls.append(key) or lookup(*key)
+        )
+        matcher = FuzzyMatcher(org_reference, org_weights, paper_config, org_eti)
+        for strategy in ("basic", "osc"):
+            calls.clear()
+            stats = matcher.match(("Beoing Corp", "Seattle", "WA", "98004"), strategy=strategy).stats
+            assert stats.eti_lookups == len(calls) > 0
 
     def test_entry_fields(self, org_db, org_reference):
         config = MatchConfig(

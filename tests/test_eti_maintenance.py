@@ -389,9 +389,9 @@ class TestWritesBesideReads:
 
     The matchers' reference-token caches drop only the tids each burst
     changed, or everything when a burst outruns the change log, which
-    the test shrinks so one burst does.  The matcher on the table reads
-    between writes (a change log one entry behind); the one on a view
-    reads only after each burst.
+    the test shrinks so one burst does.  One matcher reads between writes
+    (a change log one entry behind); the other reads only after each
+    burst.
     """
 
     LOG = 16
@@ -419,7 +419,7 @@ class TestWritesBesideReads:
         maintainer = EtiMaintainer(reference, eti, config, weights=weights, database=db)
         long_lived = [
             FuzzyMatcher(reference, weights, config, eti),
-            FuzzyMatcher(reference.view(), weights, config, eti),
+            FuzzyMatcher(reference, weights, config, eti),
         ]
         live = dict(rows)
         next_tid = max(live) + 1

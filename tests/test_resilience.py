@@ -452,35 +452,6 @@ class FlakyEti(EtiIndex):
         return super().lookup(qgram, coordinate, column)
 
 
-class FlakyRelation:
-    """A relation proxy whose index lookups raise for ``failures`` calls.
-
-    :class:`BatchMatcher` rebuilds a fresh ``EtiIndex`` view per worker
-    from ``eti.relation``, so batch-level fault tests must inject at the
-    relation layer, not the index object.
-    """
-
-    def __init__(self, inner, failures):
-        self.inner = inner
-        self.failures = failures
-
-    def index_get(self, *args, **kwargs):
-        if self.failures > 0:
-            self.failures -= 1
-            raise TransientIOError("injected index fault")
-        return self.inner.index_get(*args, **kwargs)
-
-    def __len__(self):
-        return len(self.inner)
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-
-def flaky_batch_eti(org_eti, failures):
-    return EtiIndex(FlakyRelation(org_eti.relation, failures))
-
-
 class TestMatcherResilience:
     def make_matcher(self, org_reference, org_weights, paper_config, eti,
                      policy=None):
@@ -635,7 +606,7 @@ class TestBatchIsolation:
     def test_fail_fast_false_isolates_per_item(
         self, org_reference, org_weights, paper_config, org_eti
     ):
-        flaky = flaky_batch_eti(org_eti, failures=10**6)
+        flaky = FlakyEti(org_eti.relation, failures=10**6)
         matcher = FuzzyMatcher(org_reference, org_weights, paper_config, flaky)
         engine = BatchMatcher.from_matcher(matcher, fail_fast=False)
         batch = [("Beoing Company", "Seattle", "WA", "98004")] * 3
@@ -647,7 +618,7 @@ class TestBatchIsolation:
     def test_fail_fast_true_raises(
         self, org_reference, org_weights, paper_config, org_eti
     ):
-        flaky = flaky_batch_eti(org_eti, failures=10**6)
+        flaky = FlakyEti(org_eti.relation, failures=10**6)
         matcher = FuzzyMatcher(org_reference, org_weights, paper_config, flaky)
         engine = BatchMatcher.from_matcher(matcher, fail_fast=True)
         with pytest.raises(TransientIOError):
@@ -660,7 +631,7 @@ class TestBatchIsolation:
         self, org_reference, org_weights, paper_config, org_eti
     ):
         # Fail exactly the first query's ETI path; later queries succeed.
-        flaky = flaky_batch_eti(org_eti, failures=1)
+        flaky = FlakyEti(org_eti.relation, failures=1)
         matcher = FuzzyMatcher(org_reference, org_weights, paper_config, flaky)
         engine = BatchMatcher.from_matcher(
             matcher, resilience=ResiliencePolicy(fallback=False), fail_fast=False
@@ -677,7 +648,7 @@ class TestBatchIsolation:
     def test_parallel_isolation(
         self, org_reference, org_weights, paper_config, org_eti
     ):
-        flaky = flaky_batch_eti(org_eti, failures=10**6)
+        flaky = FlakyEti(org_eti.relation, failures=10**6)
         matcher = FuzzyMatcher(org_reference, org_weights, paper_config, flaky)
         with BatchMatcher.from_matcher(matcher, jobs=2, fail_fast=False) as engine:
             batch = [

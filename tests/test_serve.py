@@ -53,7 +53,7 @@ from repro.serve.protocol import (
     encode_line,
     shed_response,
 )
-from repro.serve.server import IdempotencyCache, MatchServer, ServeConfig
+from repro.serve.server import MatchServer, ServeConfig
 
 from tests.conftest import ORG_INPUTS
 
@@ -1108,19 +1108,6 @@ class TestConnectionGate:
             ConnectionGate(max_connections=0, max_per_peer=1)
         with pytest.raises(ValueError):
             ConnectionGate(max_connections=1, max_per_peer=0)
-
-
-class TestIdempotencyCache:
-    def test_lru_eviction(self):
-        cache = IdempotencyCache(capacity=2)
-        cache.put("a", {"n": 1})
-        cache.put("b", {"n": 2})
-        assert cache.get("a") == {"n": 1}  # refreshes "a"
-        cache.put("c", {"n": 3})  # evicts "b", the least recent
-        assert cache.get("b") is None
-        assert cache.get("a") == {"n": 1}
-        assert cache.get("c") == {"n": 3}
-        assert len(cache) == 2
 
 
 class TestRetryPolicy:
