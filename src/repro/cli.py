@@ -37,7 +37,7 @@ import sys
 import time
 from typing import Iterator, Sequence, TextIO, cast
 
-from repro.core.batch import BatchMatcher
+from repro.core.batch import BatchReport
 from repro.core.config import MatchConfig, SignatureScheme
 from repro.core.matcher import FuzzyMatcher
 from repro.core.resilience import ResiliencePolicy
@@ -69,8 +69,8 @@ def _from_arguments() -> Iterator[None]:
     """Exit with a usage error when an object built from CLI arguments
     rejects them.
 
-    ``MatchConfig``, ``ResiliencePolicy``, ``BatchMatcher``, ``ServeConfig``
-    and ``FuzzyDeduplicator`` validate their own fields; their
+    ``MatchConfig``, ``ResiliencePolicy``, ``ServeConfig`` and
+    ``FuzzyDeduplicator`` validate their own fields; their
     ``ValueError`` becomes ``repro: error: ...`` and exit status 2, the
     same as argparse's own rejections, instead of a traceback.
     """
@@ -137,7 +137,9 @@ def _read_reference_csv(
 
 
 def _build_matcher(
-    reference_path: str, config: MatchConfig
+    reference_path: str,
+    config: MatchConfig,
+    resilience: ResiliencePolicy | None = None,
 ) -> tuple[FuzzyMatcher, BuildStats]:
     columns, rows = _read_reference_csv(reference_path)
     db = Database.in_memory()
@@ -145,11 +147,16 @@ def _build_matcher(
     reference.load(rows)
     weights = build_frequency_cache(reference.scan_values(), reference.num_columns)
     eti, build_stats = build_eti(db, reference, config)
-    return FuzzyMatcher(reference, weights, config, eti), build_stats
+    matcher = FuzzyMatcher(reference, weights, config, eti, resilience=resilience)
+    return matcher, build_stats
 
 
 def _matcher_from_db(
-    db_path: str, reference_path: str | None, config: MatchConfig, wal: bool
+    db_path: str,
+    reference_path: str | None,
+    config: MatchConfig,
+    wal: bool,
+    resilience: ResiliencePolicy | None = None,
 ) -> tuple[FuzzyMatcher, BuildStats | None, Database]:
     """A matcher over a persisted warehouse (§6.2.2.1 ETI reuse).
 
@@ -170,7 +177,8 @@ def _matcher_from_db(
             reference.scan_values(), reference.num_columns
         )
         eti = EtiIndex(db.relation("eti"))
-        return FuzzyMatcher(reference, weights, config, eti), None, db
+        matcher = FuzzyMatcher(reference, weights, config, eti, resilience=resilience)
+        return matcher, None, db
     if reference_path is None:
         raise SystemExit(
             f"{db_path}: no persisted warehouse found and no --reference "
@@ -183,7 +191,8 @@ def _matcher_from_db(
     weights = build_frequency_cache(reference.scan_values(), reference.num_columns)
     eti, build_stats = build_eti(db, reference, config)
     save_database(db, db_path)
-    return FuzzyMatcher(reference, weights, config, eti), build_stats, db
+    matcher = FuzzyMatcher(reference, weights, config, eti, resilience=resilience)
+    return matcher, build_stats, db
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -253,10 +262,10 @@ def cmd_match(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.db:
         matcher, build_stats, _db = _matcher_from_db(
-            args.db, args.reference, config, wal=args.wal
+            args.db, args.reference, config, wal=args.wal, resilience=resilience
         )
     else:
-        matcher, build_stats = _build_matcher(args.reference, config)
+        matcher, build_stats = _build_matcher(args.reference, config, resilience)
     build_seconds = time.perf_counter() - started
     if build_stats is None:
         print(
@@ -276,19 +285,14 @@ def cmd_match(args: argparse.Namespace) -> int:
             f"reference has {matcher.reference.num_columns}"
         )
 
-    with _from_arguments():
-        engine = BatchMatcher.from_matcher(
-            matcher,
-            jobs=args.jobs,
-            resilience=resilience,
-            fail_fast=args.fail_fast,
-        )
     started = time.perf_counter()
-    with engine:
-        results = engine.match_many(
-            [values for _, values in inputs], strategy=args.strategy
-        )
+    results = matcher.match_many(
+        [values for _, values in inputs],
+        strategy=args.strategy,
+        fail_fast=args.fail_fast,
+    )
     elapsed = time.perf_counter() - started
+    report = BatchReport.from_results(results, elapsed, matcher.caches.counters())
 
     writer = csv.writer(args.out)
     out_header = (["target_tid"] if has_target else []) + list(input_columns)
@@ -316,11 +320,10 @@ def cmd_match(args: argparse.Namespace) -> int:
         writer.writerow(row)
         if has_target:
             predictions.append((best.tid if best else None, target))
-    report = engine.last_report
     print(
         f"matched {len(inputs)} tuples in {elapsed:.2f}s "
         f"({1000 * elapsed / max(len(inputs), 1):.1f} ms/tuple, "
-        f"{report.queries_per_second:.1f} q/s, jobs={args.jobs}, "
+        f"{report.queries_per_second:.1f} q/s, "
         f"{report.deduplicated_queries} deduplicated)",
         file=sys.stderr,
     )
@@ -477,9 +480,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
             stuck_after_s=args.stuck_after_s,
         )
 
-    def engine_factory() -> tuple[BatchMatcher, Database | None]:
+    def engine_factory() -> tuple[FuzzyMatcher, Database | None]:
         matcher, build_stats, db = _matcher_from_db(
-            args.db, args.reference, config, wal=args.wal
+            args.db, args.reference, config, wal=args.wal, resilience=ResiliencePolicy()
         )
         if build_stats is None:
             print(f"loaded persisted warehouse {args.db}", file=sys.stderr)
@@ -488,13 +491,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 f"built warehouse {args.db}: {build_stats.eti_rows} ETI rows",
                 file=sys.stderr,
             )
-        engine = BatchMatcher.from_matcher(
-            matcher,
-            jobs=args.workers,
-            resilience=ResiliencePolicy(),
-            fail_fast=False,
-        )
-        return engine, db
+        return matcher, db
 
     on_bound = None
     if args.port_file:
@@ -737,12 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
     mat.add_argument("--signature-size", type=int, default=2)
     mat.add_argument("--scheme", choices=("Q", "Q+T"), default="Q+T")
     mat.add_argument("--strategy", choices=("naive", "basic", "osc"), default="osc")
-    mat.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="batch-matching worker threads (1 = sequential)",
-    )
     mat.add_argument(
         "--deadline-ms",
         type=float,

@@ -12,7 +12,7 @@
   the degraded-mode contract for faulty storage.
 """
 
-from repro.core.batch import BatchMatcher, BatchReport
+from repro.core.batch import BatchReport
 from repro.core.cache import LRUCache, MatcherCaches
 from repro.core.config import MatchConfig, SignatureScheme
 from repro.core.fms import fms, transformation_cost
@@ -37,7 +37,6 @@ from repro.core.weights import (
 )
 
 __all__ = [
-    "BatchMatcher",
     "BatchReport",
     "BoundedTokenFrequencyCache",
     "build_frequency_cache",

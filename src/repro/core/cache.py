@@ -23,8 +23,8 @@ not in layers.
 The reference cache is keyed on content fixed for one matcher's reference
 relation.  Do **not** share one :class:`MatcherCaches` between matchers
 over different relations; give each its own bundle (the default).  One
-matcher, and so one bundle, serves every thread of a batch engine or
-server: each query counts its own hits and misses.
+matcher, and so one bundle, serves every worker thread of a server:
+each query counts its own hits and misses.
 """
 
 from __future__ import annotations

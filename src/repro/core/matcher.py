@@ -179,26 +179,6 @@ def replicate_result(result: MatchResult) -> MatchResult:
     )
 
 
-def group_duplicates(
-    batch: Sequence[Sequence[str | None]],
-) -> tuple[dict[tuple, list[int]], list[tuple | None]]:
-    """Group a batch's identical tuples so each is matched once.
-
-    Returns each distinct tuple's batch positions, and each position's
-    group key (``None`` for unhashable values: matched standalone).
-    """
-    groups: dict[tuple, list[int]] = {}
-    keys: list[tuple | None] = []
-    for index, values in enumerate(batch):
-        try:
-            key = tuple(values)
-            groups.setdefault(key, []).append(index)
-        except TypeError:
-            key = None
-        keys.append(key)
-    return groups, keys
-
-
 def failed_result(exc: DatabaseError, strategy: str = "") -> MatchResult:
     """A per-item error marker for fault-isolated batch execution."""
     return MatchResult(
@@ -495,26 +475,31 @@ class FuzzyMatcher:
     ) -> list[MatchResult]:
         """Match a batch of input tuples; results in input order.
 
-        The batch engine behind the ETL-style usage of Figure 1: identical
-        input tuples are matched once and their results replicated
-        (``stats.deduplicated`` marks the copies).  Results are returned
-        in input order and are identical to calling :meth:`match` per
-        tuple.
+        The one batch engine, behind the ETL-style usage of Figure 1:
+        identical input tuples are matched once and their results
+        replicated (``stats.deduplicated`` marks the copies), and the
+        cross-query cache carries reference tuples across batches.
+        Results are returned in input order and are identical to calling
+        :meth:`match` per tuple.
+        :meth:`BatchReport.from_results <repro.core.batch.BatchReport.from_results>`
+        accounts a run.
 
         With ``fail_fast=False`` a :class:`DatabaseError` on one tuple is
         isolated into that tuple's result (``result.error`` set, no
         matches) instead of killing the whole batch; programming errors
         (bad arity, unknown strategy) always raise.
         """
-        batch = list(batch)
-        _, keys = group_duplicates(batch)
-
-        results: list[MatchResult | None] = [None] * len(batch)
+        results: list[MatchResult] = []
         computed: dict[tuple, MatchResult] = {}
-        for index, values in enumerate(batch):
-            key = keys[index]
-            if key is not None and key in computed:
-                results[index] = replicate_result(computed[key])
+        for values in batch:
+            key: tuple | None
+            try:
+                key = tuple(values)
+                first = computed.get(key)
+            except TypeError:  # unhashable values: matched standalone
+                key, first = None, None
+            if first is not None:
+                results.append(replicate_result(first))
                 continue
             try:
                 result = self.match(
@@ -529,7 +514,7 @@ class FuzzyMatcher:
                 result = failed_result(exc, strategy or "")
             if key is not None:
                 computed[key] = result
-            results[index] = result
+            results.append(result)
         return results
 
     def _sync_reference_cache(self) -> None:

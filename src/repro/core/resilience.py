@@ -16,9 +16,9 @@ precisely to bound per-query work.  This module makes that bound
   index-free ``naive`` scan (the fallback chain ``osc → basic → naive``)
   until a half-open trial succeeds.
 - :class:`ResiliencePolicy` bundles per-query limits, the breaker and the
-  fallback switch; one policy is shared by every worker of a
-  :class:`~repro.core.batch.BatchMatcher` so the breaker sees the whole
-  fleet's failures.
+  fallback switch; a matcher holds one policy, shared by every server
+  worker running that matcher, so the breaker sees the whole fleet's
+  failures.
 
 The invariant the chaos suite enforces: under any injected fault
 schedule, each query's outcome is exactly one of {bit-identical to the
@@ -184,8 +184,8 @@ class CircuitBreaker:
       recloses on its own once the outage passes, without a restart and
       without depending on a steady stream of denials.
 
-    Thread-safe: one breaker is shared across a batch engine's workers
-    (or a server's worker pool).  ``clock`` is injectable for tests.
+    Thread-safe: one breaker is shared across a server's worker pool.
+    ``clock`` is injectable for tests.
     """
 
     def __init__(
@@ -278,7 +278,7 @@ class ResiliencePolicy:
     them into a :class:`Deadline` when the query starts.  ``fallback``
     enables the ``osc → basic → naive`` strategy chain on
     :class:`~repro.db.errors.DatabaseError`; ``breaker`` gates the ETI
-    path.  Share one policy instance across the workers of a batch engine.
+    path.  Share one policy instance across the workers of a server.
     """
 
     deadline_ms: float | None = None

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 from repro.data import pools
@@ -28,9 +29,13 @@ from repro.data import pools
 CUSTOMER_COLUMNS = ("name", "city", "state", "zipcode")
 
 
-def _zipf_weights(n: int, exponent: float) -> list[float]:
-    """Unnormalized Zipf weights 1/rank^exponent for n ranks."""
-    return [1.0 / (rank**exponent) for rank in range(1, n + 1)]
+def _zipf_cum_weights(n: int, exponent: float) -> list[float]:
+    """Cumulative unnormalized Zipf weights 1/rank^exponent for n ranks.
+
+    Accumulated once per pool: ``random.choices(cum_weights=...)`` draws
+    the same stream as ``weights=...`` without re-summing on every call.
+    """
+    return list(accumulate(1.0 / (rank**exponent) for rank in range(1, n + 1)))
 
 
 @dataclass(frozen=True)
@@ -79,18 +84,18 @@ class CustomerGenerator:
             self._surname_pool = pools.SURNAMES
             self._word_pool = pools.BUSINESS_WORDS
         self._rng = random.Random(seed)
-        self._given_weights = _zipf_weights(len(self._given_pool), zipf_exponent)
-        self._surname_weights = _zipf_weights(len(self._surname_pool), zipf_exponent)
-        self._word_weights = _zipf_weights(len(self._word_pool), zipf_exponent)
-        self._suffix_weights = _zipf_weights(
+        self._given_cum = _zipf_cum_weights(len(self._given_pool), zipf_exponent)
+        self._surname_cum = _zipf_cum_weights(len(self._surname_pool), zipf_exponent)
+        self._word_cum = _zipf_cum_weights(len(self._word_pool), zipf_exponent)
+        self._suffix_cum = _zipf_cum_weights(
             len(pools.BUSINESS_SUFFIXES), zipf_exponent + 0.4
         )
-        self._city_weights = _zipf_weights(len(pools.CITIES), zipf_exponent)
+        self._city_cum = _zipf_cum_weights(len(pools.CITIES), zipf_exponent)
 
     def _person_name(self) -> str:
         rng = self._rng
-        given = rng.choices(self._given_pool, weights=self._given_weights)[0]
-        surname = rng.choices(self._surname_pool, weights=self._surname_weights)[0]
+        given = rng.choices(self._given_pool, cum_weights=self._given_cum)[0]
+        surname = rng.choices(self._surname_pool, cum_weights=self._surname_cum)[0]
         if rng.random() < 0.3:
             middle = rng.choice(pools.MIDDLE_INITIALS)
             return f"{given} {middle} {surname}"
@@ -99,14 +104,14 @@ class CustomerGenerator:
     def _business_name(self) -> str:
         rng = self._rng
         words = rng.choices(
-            self._word_pool, weights=self._word_weights, k=rng.choice((1, 1, 2))
+            self._word_pool, cum_weights=self._word_cum, k=rng.choice((1, 1, 2))
         )
-        suffix = rng.choices(pools.BUSINESS_SUFFIXES, weights=self._suffix_weights)[0]
+        suffix = rng.choices(pools.BUSINESS_SUFFIXES, cum_weights=self._suffix_cum)[0]
         return " ".join(dict.fromkeys(words)) + " " + suffix
 
     def _location(self) -> tuple[str, str, str]:
         rng = self._rng
-        index = rng.choices(range(len(pools.CITIES)), weights=self._city_weights)[0]
+        index = rng.choices(range(len(pools.CITIES)), cum_weights=self._city_cum)[0]
         city, state = pools.CITIES[index]
         # Zips cluster per city: a city has a 3-digit prefix shared by all
         # its customers and a 2-digit local part, like real ZIP allocation.

@@ -70,16 +70,15 @@ class WireTarget:
             )
         self.case_deadline_s = case_deadline_s
         self._server = None
-        self._engine = None
         self._db = None
         self._address: tuple[str, int] | None = None
 
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> None:
-        """Build the tiny engine and start the server on an OS port."""
-        from repro.core.batch import BatchMatcher
+        """Build the tiny matcher and start the server on an OS port."""
         from repro.core.config import MatchConfig, SignatureScheme
+        from repro.core.matcher import FuzzyMatcher
         from repro.core.reference import ReferenceTable
         from repro.core.weights import build_frequency_cache
         from repro.db.database import Database
@@ -94,9 +93,8 @@ class WireTarget:
         )
         config = MatchConfig(q=3, signature_size=2, scheme=SignatureScheme.QGRAMS)
         eti, _ = build_eti(db, reference, config)
-        engine = BatchMatcher(reference, weights, config, eti, jobs=2)
         server = MatchServer(
-            engine=engine,
+            engine=FuzzyMatcher(reference, weights, config, eti),
             config=ServeConfig(
                 workers=2,
                 queue_capacity=16,
@@ -110,17 +108,13 @@ class WireTarget:
         )
         self._address = server.start()
         self._server = server
-        self._engine = engine
         self._db = db
 
     def close(self) -> None:
-        """Shut the server down and release the engine and database."""
+        """Shut the server down and release the database."""
         if self._server is not None:
             self._server.shutdown(drain_budget_s=1.0)
             self._server = None
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
         if self._db is not None:
             self._db.close()
             self._db = None

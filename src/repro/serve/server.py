@@ -16,10 +16,12 @@ Architecture (one process, thread-per-role):
 - **Workers** — pull admitted items, shed anything whose deadline
   expired while queued, ask the
   :class:`~repro.serve.lifecycle.DegradationLadder` what stage to run
-  at, and execute through the batch engine's one matcher
-  (:meth:`~repro.core.batch.BatchMatcher.worker_matcher`, shared by every
-  worker, so the fleet warms one reference cache) under the request's own
-  deadline — queue wait is not free, it comes out of compute.
+  at, and execute through the server's one
+  :class:`~repro.core.matcher.FuzzyMatcher` (shared by every worker, so
+  the fleet warms one reference cache) under the request's own deadline —
+  queue wait is not free, it comes out of compute.  Workers exist for
+  connection concurrency, not CPU parallelism: matching is CPU-bound
+  under the GIL.
 - **Watchdog** — periodically feeds queue-wait p95 to the ladder
   (degrade), sheds queued bulk work past the shed threshold, and
   reports workers that went busy-silent (stuck) through readiness.
@@ -39,7 +41,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.analysis.debuglock import make_lock
-from repro.core.batch import BatchMatcher
 from repro.core.cache import LRUCache
 from repro.core.matcher import FuzzyMatcher
 from repro.core.resilience import Deadline
@@ -89,9 +90,9 @@ from repro.serve.protocol import (
     shed_response,
 )
 
-#: ``engine_factory`` return type: the batch engine plus (optionally)
-#: the database handle to checkpoint on drain.
-EngineFactory = Callable[[], "tuple[BatchMatcher, Database | None]"]
+#: ``engine_factory`` return type: the matcher plus (optionally) the
+#: database handle to checkpoint on drain.
+EngineFactory = Callable[[], "tuple[FuzzyMatcher, Database | None]"]
 
 #: Worker queue-poll timeout (drain/stop latency granularity).
 IDLE_POLL_S = 0.1
@@ -111,7 +112,8 @@ class ServeConfig:
     port: int = 0
     """0 = let the OS pick; the bound port is in ``server.address``."""
     workers: int = 4
-    """Engine worker threads (all running the engine's one matcher)."""
+    """Worker threads, all running the one matcher: they serve concurrent
+    connections; matching is CPU-bound, so they add no CPU parallelism."""
     queue_capacity: int = 64
     """Admission queue bound; arrivals past it are shed, not queued."""
     default_deadline_ms: float | None = 250.0
@@ -284,9 +286,9 @@ class ServeStats:
 
 
 class MatchServer:
-    """Online fuzzy-match server over one batch engine.
+    """Online fuzzy-match server over one :class:`FuzzyMatcher`.
 
-    Construct with either a ready ``engine`` (and optionally the
+    Construct with either a ready ``engine`` matcher (and optionally the
     ``database`` to checkpoint on drain) or an ``engine_factory`` whose
     load time is surfaced as the ``loading`` readiness state.  ``start``
     binds, begins accepting (ping works immediately), resolves the
@@ -300,7 +302,7 @@ class MatchServer:
 
     def __init__(
         self,
-        engine: BatchMatcher | None = None,
+        engine: FuzzyMatcher | None = None,
         database: Database | None = None,
         config: ServeConfig | None = None,
         *,
@@ -410,8 +412,6 @@ class MatchServer:
             self._engine, self._database = self._engine_factory()
         engine = self._engine
         self._default_strategy = "osc" if engine.config.use_osc else "basic"
-        # Touch lazily-built shared structures while still single-threaded.
-        engine.warm_shared_state()
 
         for index in range(self.config.workers):
             worker = threading.Thread(
@@ -604,7 +604,7 @@ class MatchServer:
         snapshots = [self.registry.snapshot()]
         engine = self._engine
         if engine is not None:
-            snapshots.append(engine.metrics_snapshot())
+            snapshots.append(engine.caches.registry.snapshot())
         snapshots.append(default_registry().snapshot())
         return merge_snapshots(snapshots)
 
@@ -613,7 +613,7 @@ class MatchServer:
         self.registry.set_enabled(enabled)
         engine = self._engine
         if engine is not None:
-            engine.set_metrics_enabled(enabled)
+            engine.caches.registry.set_enabled(enabled)
         default_registry().set_enabled(enabled)
 
     def _collect_gauges(self, registry: MetricsRegistry) -> None:
@@ -908,9 +908,8 @@ class MatchServer:
     # ------------------------------------------------------------------
 
     def _worker_loop(self, name: str) -> None:
-        engine = self._engine
-        assert engine is not None  # start() resolved it before spawning us
-        matcher = engine.worker_matcher()
+        matcher = self._engine
+        assert matcher is not None  # start() resolved it before spawning us
         self.health.beat(name, busy=False)
         try:
             while not self._workers_stop.is_set():

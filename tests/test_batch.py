@@ -1,25 +1,36 @@
-"""The batch/parallel query engine: determinism, dedup, and the CLI path.
+"""The batch engine: determinism, dedup, accounting, and shared threads.
 
-The headline guarantee: :class:`BatchMatcher` with any ``jobs`` count
-returns results in input order that are bit-identical to the sequential
-per-tuple path — parallel execution is an implementation detail, never a
-semantic one.
+The headline guarantee: :meth:`FuzzyMatcher.match_many` returns results
+in input order that are bit-identical to the sequential per-tuple path,
+and so does one matcher driven from several threads at once — which is
+what every :class:`~repro.serve.server.MatchServer` worker does.
 """
 
-import csv
 import json
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core import batch as batch_module
 from repro.core.batch import BatchMatcher, BatchReport
 from repro.core.cache import MatcherCaches
-from repro.core.matcher import FuzzyMatcher
+from repro.core.config import MatchConfig, SignatureScheme
+from repro.core.matcher import FuzzyMatcher, failed_result
+from repro.core.resilience import ResiliencePolicy
+from repro.core.weights import (
+    BoundedTokenFrequencyCache,
+    HashedTokenFrequencyCache,
+    build_frequency_cache,
+)
+from repro.db.database import Database
+from repro.db.errors import PageCorruptionError, TransientIOError
+from repro.eti.builder import build_eti
+from repro.eti.weights import EtiWeightProvider
 
 from tests.conftest import ORG_INPUTS
-from tests.test_cache import build_error_injected_world, result_view
+from tests.test_cache import build_error_injected_world, result_view, threaded_match_many
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +40,12 @@ def world():
     )
     yield reference, weights, config, eti, batch
     db.close()
+
+
+def run_report(matcher, batch, **kwargs):
+    """``matcher.match_many(batch)`` and the :class:`BatchReport` for it."""
+    results = matcher.match_many(batch, **kwargs)
+    return results, BatchReport.from_results(results, 1.0, matcher.caches.counters())
 
 
 class TestMatchManyDedup:
@@ -58,9 +75,11 @@ class TestMatchManyDedup:
 
 
 class TestBatchMatcherParallel:
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    """One :class:`FuzzyMatcher` shared by threads, as server workers share it."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.parametrize("strategy", ["basic", "osc"])
-    def test_bit_identical_to_sequential(self, world, jobs, strategy):
+    def test_bit_identical_to_sequential(self, world, threads, strategy):
         reference, weights, config, eti, batch = world
         sequential = FuzzyMatcher(
             reference, weights, config, eti, caches=MatcherCaches.disabled()
@@ -68,8 +87,8 @@ class TestBatchMatcherParallel:
         expected = result_view(
             [sequential.match(values, k=2, strategy=strategy) for values in batch]
         )
-        with BatchMatcher(reference, weights, config, eti, jobs=jobs) as engine:
-            results = engine.match_many(batch, k=2, strategy=strategy)
+        matcher = FuzzyMatcher(reference, weights, config, eti)
+        results = threaded_match_many(matcher, batch, threads, k=2, strategy=strategy)
         assert result_view(results) == expected
 
     def test_parallel_naive_strategy(self, world):
@@ -78,26 +97,24 @@ class TestBatchMatcherParallel:
         expected = result_view(
             [matcher.match(values, strategy="naive") for values in batch[:8]]
         )
-        with BatchMatcher(reference, weights, config, eti, jobs=2) as engine:
-            results = engine.match_many(batch[:8], strategy="naive")
+        shared = FuzzyMatcher(reference, weights, config, eti)
+        results = threaded_match_many(shared, batch[:8], 2, strategy="naive")
         assert result_view(results) == expected
 
     def test_report_accounting(self, world):
         reference, weights, config, eti, batch = world
-        with BatchMatcher(reference, weights, config, eti, jobs=2) as engine:
-            engine.match_many(batch)
-            report = engine.last_report
+        _, report = run_report(FuzzyMatcher(reference, weights, config, eti), batch)
         assert isinstance(report, BatchReport)
         assert report.total_queries == len(batch)
         assert report.unique_queries == len(set(batch))
         assert report.deduplicated_queries == len(batch) - len(set(batch))
-        assert report.queries_per_second > 0
+        assert report.queries_per_second == len(batch)
         assert set(report.cache_counters) == {"reference_tokens"}
         assert report.cache_counters["reference_tokens"]["hits"] > 0
 
     def test_per_query_stats_do_not_race(self, world):
         """Each query counts into its own stats, so per-query stats match
-        the sequential run although every worker shares one matcher."""
+        the sequential run although every thread shares one matcher."""
         reference, weights, config, eti, batch = world
         sequential = FuzzyMatcher(
             reference, weights, config, eti, caches=MatcherCaches.disabled()
@@ -107,8 +124,8 @@ class TestBatchMatcherParallel:
             (stats.candidates_fetched, stats.eti_lookups, stats.fms_evaluations)
             for stats in (sequential.match(values).stats for values in distinct)
         ]
-        with BatchMatcher(reference, weights, config, eti, jobs=4) as engine:
-            results = engine.match_many(distinct)
+        matcher = FuzzyMatcher(reference, weights, config, eti)
+        results = threaded_match_many(matcher, distinct, 4)
         got = [
             (r.stats.candidates_fetched, r.stats.eti_lookups, r.stats.fms_evaluations)
             for r in results
@@ -120,104 +137,94 @@ class TestBatchMatcherParallel:
         the batch's sums are what the shared cache's counters moved by."""
         reference, weights, config, eti, batch = world
         distinct = list(dict.fromkeys(batch))[:12]
-        with BatchMatcher(reference, weights, config, eti, jobs=4) as engine:
+        matcher = FuzzyMatcher(reference, weights, config, eti)
 
-            def cache_counters():
-                counters = engine.metrics_snapshot().counters
-                return [
-                    counters[(f"repro_cache_{kind}_total", (("cache", "reference_tokens"),))]
-                    for kind in ("hits", "misses")
-                ]
+        def cache_counters():
+            counters = matcher.caches.registry.snapshot().counters
+            return [
+                counters[(f"repro_cache_{kind}_total", (("cache", "reference_tokens"),))]
+                for kind in ("hits", "misses")
+            ]
 
-            before = cache_counters()
-            results = engine.match_many(distinct, strategy="naive")
-            after = cache_counters()
+        before = cache_counters()
+        results = threaded_match_many(matcher, distinct, 4, strategy="naive")
+        after = cache_counters()
         hits = [r.stats.reference_cache_hits for r in results]
         misses = [r.stats.reference_cache_misses for r in results]
         assert [h + m for h, m in zip(hits, misses)] == [len(reference)] * len(distinct)
         assert [sum(hits), sum(misses)] == [a - b for a, b in zip(after, before)]
 
-    def test_one_matcher_for_every_thread(self, world, monkeypatch):
-        reference, weights, config, eti, batch = world
-        built = []
-
-        class Counted(FuzzyMatcher):
-            def __init__(self, *args, **kwargs):
-                built.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(batch_module, "FuzzyMatcher", Counted)
-        with BatchMatcher(reference, weights, config, eti, jobs=4) as engine:
-            engine.match_many(batch)
-            seen = []
-            threads = [
-                threading.Thread(target=lambda: seen.append(engine.worker_matcher()))
-                for _ in range(4)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        assert len(built) == 1
-        assert len(seen) == 4 and all(matcher is built[0] for matcher in seen)
-
-    def test_invalid_jobs_rejected(self, world):
-        reference, weights, config, eti, _ = world
-        with pytest.raises(ValueError, match="jobs"):
-            BatchMatcher(reference, weights, config, eti, jobs=0)
-
     def test_from_matcher(self, world):
+        """The perf ledger's call still yields a matcher over the same
+        components, under the policy it passes and with its own caches."""
         reference, weights, config, eti, batch = world
         matcher = FuzzyMatcher(reference, weights, config, eti)
-        with BatchMatcher.from_matcher(matcher, jobs=2) as engine:
-            results = engine.match_many(batch[:5])
-        assert result_view(results) == result_view(
+        policy = ResiliencePolicy()
+        worker = BatchMatcher.from_matcher(
+            matcher, jobs=2, resilience=policy, fail_fast=False, executor="thread"
+        ).worker_matcher()
+        assert worker.resilience is policy
+        assert worker.caches is not matcher.caches
+        assert result_view(worker.match_many(batch[:5])) == result_view(
             [matcher.match(values) for values in batch[:5]]
         )
 
 
-class TestProcessExecutor:
-    """``from_matcher``'s ``executor`` accepts ``"thread"`` and nothing else."""
+class TestLazyColumnAverages:
+    """An unseen token's weight is its column's average IDF, built on the
+    provider's first unseen lookup.  Racing first lookups each build the
+    same list locally and store it whole, so no thread reads a partial
+    one: the providers need no single-threaded warm-up."""
 
-    def test_thread_executor_accepted(self, world):
-        reference, weights, config, eti, batch = world
-        matcher = FuzzyMatcher(reference, weights, config, eti)
-        with BatchMatcher.from_matcher(matcher, jobs=2, executor="thread") as engine:
-            results = engine.match_many(batch[:4])
-        assert result_view(results) == result_view(
-            [matcher.match(values) for values in batch[:4]]
+    @pytest.mark.parametrize("kind", ["token", "hashed", "bounded", "eti"])
+    def test_racing_first_lookups_agree(self, world, kind):
+        reference = world[0]
+        columns = reference.num_columns
+        db = Database.in_memory()
+        eti, _ = build_eti(
+            db, reference, MatchConfig(q=3, scheme=SignatureScheme.QGRAMS_PLUS_TOKEN)
         )
 
-    def test_process_with_resilience_rejected(self, world):
-        from repro.core.resilience import ResiliencePolicy
+        def fresh():
+            if kind == "eti":
+                return EtiWeightProvider(eti, len(reference), columns)
+            cache = None
+            if kind == "hashed":
+                cache = HashedTokenFrequencyCache(len(reference), columns)
+            elif kind == "bounded":
+                cache = BoundedTokenFrequencyCache(len(reference), columns, 64)
+            return build_frequency_cache(reference.scan_values(), columns, cache)
 
-        reference, weights, config, eti, _ = world
-        matcher = FuzzyMatcher(reference, weights, config, eti)
-        for resilience in (None, ResiliencePolicy()):
-            with pytest.raises(ValueError, match="executor"):
-                BatchMatcher.from_matcher(
-                    matcher, jobs=2, executor="process", resilience=resilience
-                )
+        unseen = "qqxqqzz"
+        single = fresh()
+        expected = [single.weight(unseen, column) for column in range(columns)]
+        provider = fresh()
+        start = threading.Barrier(8, timeout=30)
 
-    def test_invalid_executor_rejected(self, world):
-        reference, weights, config, eti, _ = world
-        matcher = FuzzyMatcher(reference, weights, config, eti)
-        with pytest.raises(ValueError, match="executor"):
-            BatchMatcher.from_matcher(matcher, executor="greenlet")
+        def first_lookups(offset):
+            start.wait()
+            order = [(offset + step) % columns for step in range(columns)]
+            return order, [provider.weight(unseen, column) for column in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-build as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                outcomes = list(pool.map(first_lookups, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+            db.close()
+        for order, values in outcomes:
+            assert values == [expected[column] for column in order]
 
 
 class TestBatchReportJson:
     def test_degraded_reasons_survive_to_json(self, world):
         """A budget-starved batch reports per-item degradation reasons."""
-        from repro.core.resilience import ResiliencePolicy
-
         reference, weights, config, eti, batch = world
         policy = ResiliencePolicy(max_page_fetches=0)
-        with BatchMatcher(
-            reference, weights, config, eti, jobs=2, resilience=policy
-        ) as engine:
-            engine.match_many(batch[:6], strategy="basic")
-            report = engine.last_report
+        matcher = FuzzyMatcher(reference, weights, config, eti, resilience=policy)
+        _, report = run_report(matcher, batch[:6], strategy="basic", fail_fast=False)
         assert report.degraded_queries > 0
         payload = json.loads(report.to_json())
         assert payload["degraded_reasons"] == {
@@ -226,18 +233,53 @@ class TestBatchReportJson:
         assert payload["failed_types"] == {}
         assert payload["deduplicated_queries"] == report.deduplicated_queries
         assert payload["queries_per_second"] == report.queries_per_second
+        assert "jobs" not in payload
 
     def test_failed_types_counted(self):
-        report = BatchReport(
-            total_queries=3,
-            unique_queries=3,
-            failed_queries=2,
-            failed_types={"TransientIOError": 1, "PageCorruptionError": 1},
-        )
+        results = [
+            failed_result(TransientIOError("flaky read")),
+            failed_result(PageCorruptionError("bad page")),
+            failed_result(TransientIOError("again")),
+        ]
+        report = BatchReport.from_results(results, 0.5, {})
         payload = json.loads(report.to_json(indent=2))
         assert payload["failed_types"] == {
             "PageCorruptionError": 1,
-            "TransientIOError": 1,
+            "TransientIOError": 2,
+        }
+        assert payload["failed_queries"] == 3
+        assert payload["queries_per_second"] == 6.0
+
+    def test_from_results_over_a_mixed_batch(self, world):
+        """Deduplicated, degraded and failed results, each counted once
+        where it belongs: a replica is not unique, a degraded replica is
+        still degraded, and a failure is unique but not degraded."""
+        reference, weights, config, eti, batch = world
+        starved = FuzzyMatcher(
+            reference, weights, config, eti,
+            resilience=ResiliencePolicy(max_page_fetches=0),
+        )
+        healthy = FuzzyMatcher(reference, weights, config, eti)
+        degraded = starved.match_many([batch[0], batch[0]], strategy="basic")
+        fine = healthy.match_many([batch[1], batch[1], batch[2]])
+        failed = failed_result(TransientIOError("flaky read"))
+        results = degraded + fine + [failed]
+        assert [r.stats.deduplicated for r in results] == [
+            False, True, False, True, False, False,
+        ]
+        assert [r.stats.degraded for r in results[:2]] == [True, True]
+        report = BatchReport.from_results(results, 2.0, {"reference_tokens": {}})
+        assert report.as_dict() == {
+            "total_queries": 6,
+            "unique_queries": 4,
+            "deduplicated_queries": 2,
+            "elapsed_seconds": 2.0,
+            "queries_per_second": 3.0,
+            "degraded_queries": 2,
+            "failed_queries": 1,
+            "degraded_reasons": {"page_fetches": 2},
+            "failed_types": {"TransientIOError": 1},
+            "cache_counters": {"reference_tokens": {}},
         }
 
 
@@ -258,19 +300,6 @@ class TestCliJobs:
             ]
         )
         return reference, dirty
-
-    def test_jobs_flag_matches_sequential_output(self, csv_pair, tmp_path):
-        reference, dirty = csv_pair
-        seq_out = tmp_path / "seq.csv"
-        par_out = tmp_path / "par.csv"
-        base = ["match", "--reference", str(reference), "--input", str(dirty)]
-        assert cli_main(base + ["--out", str(seq_out)]) == 0
-        assert cli_main(base + ["--jobs", "4", "--out", str(par_out)]) == 0
-        with open(seq_out, newline="") as handle:
-            sequential_rows = list(csv.reader(handle))
-        with open(par_out, newline="") as handle:
-            parallel_rows = list(csv.reader(handle))
-        assert sequential_rows == parallel_rows
 
     def test_report_json_flag_writes_breakdowns(self, csv_pair, tmp_path):
         reference, dirty = csv_pair
@@ -294,3 +323,12 @@ class TestCliJobs:
         assert payload["degraded_reasons"].get("page_fetches") == payload[
             "degraded_queries"
         ]
+        assert "jobs" not in payload
+
+    def test_jobs_flag_is_a_usage_error(self, csv_pair, tmp_path, capsys):
+        reference, dirty = csv_pair
+        argv = ["match", "--reference", str(reference), "--input", str(dirty)]
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv + ["--jobs", "4", "--out", str(tmp_path / "out.csv")])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err

@@ -10,10 +10,10 @@ strategy, including after reference and weight mutations.
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core.batch import BatchMatcher
 from repro.core.cache import BoundedMemo, LRUCache, MatcherCaches
 from repro.core.config import MatchConfig, SignatureScheme
 from repro.core.matcher import FuzzyMatcher, MatchStats
@@ -182,6 +182,27 @@ def result_view(results):
     ]
 
 
+def threaded_match_many(matcher, batch, threads, **kwargs):
+    """``matcher.match_many`` over ``batch`` from ``threads`` threads at
+    once, all sharing ``matcher`` as the server's workers do.
+
+    Thread ``i`` matches every ``threads``-th item from ``i``; the results
+    come back in input order.
+    """
+    batch = list(batch)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        chunks = list(
+            pool.map(
+                lambda i: matcher.match_many(batch[i::threads], **kwargs),
+                range(threads),
+            )
+        )
+    results = [None] * len(batch)
+    for i, chunk in enumerate(chunks):
+        results[i::threads] = chunk
+    return results
+
+
 @pytest.fixture(scope="module")
 def error_world():
     db, reference, weights, config, eti, batch = build_error_injected_world()
@@ -260,14 +281,14 @@ class TestCachedUncachedParity:
 
 
 class TestBatchInvalidationRace:
-    """Version-based invalidation against a warm :class:`BatchMatcher`.
+    """Version-based invalidation against one warm, shared matcher.
 
-    The batch engine keeps its one matcher (and its cache) alive across
-    batches and worker threads; mutating the weight provider or the
-    reference relation bumps a version the cache layer watches.  The
-    contract: after a mutation, no worker may serve a stale cached entry —
-    batch results must be bit-identical to a freshly built uncached
-    matcher's.
+    One :class:`FuzzyMatcher` (and its cache) stays alive across batches
+    and serves several threads at once, as it does for the server's
+    workers; mutating the weight provider or the reference relation bumps
+    a version the cache layer watches.  The contract: after a mutation,
+    no thread may serve a stale cached entry — batch results must be
+    bit-identical to a freshly built uncached matcher's.
     """
 
     def make_world(self):
@@ -284,63 +305,56 @@ class TestBatchInvalidationRace:
     def test_weight_mutation_between_batches(self):
         db, reference, weights, config, eti, batch = self.make_world()
         try:
-            with BatchMatcher(reference, weights, config, eti, jobs=2) as engine:
-                engine.match_many(batch, k=2)  # warm every worker's memo
-                weights.add_tuple(
-                    ("zyzzyva consolidated", "outpost", "zz", "99999")
-                )
-                got = result_view(engine.match_many(batch, k=2))
-                assert got == self.fresh_expected(
-                    reference, weights, config, eti, batch
-                )
+            matcher = FuzzyMatcher(reference, weights, config, eti)
+            threaded_match_many(matcher, batch, 2, k=2)  # warm the memo
+            weights.add_tuple(("zyzzyva consolidated", "outpost", "zz", "99999"))
+            got = result_view(threaded_match_many(matcher, batch, 2, k=2))
+            assert got == self.fresh_expected(reference, weights, config, eti, batch)
         finally:
             db.close()
 
     def test_reference_mutation_between_batches(self):
         db, reference, weights, config, eti, batch = self.make_world()
         try:
-            with BatchMatcher(reference, weights, config, eti, jobs=2) as engine:
-                engine.match_many(batch, k=2)  # warm reference-token caches
-                tid, values = next(iter(reference.scan()))
-                reference.delete(tid)
-                reference.insert(tid, ("renamed entity",) + tuple(values[1:]))
-                got = result_view(engine.match_many(batch, k=2))
-                assert got == self.fresh_expected(
-                    reference, weights, config, eti, batch
-                )
+            matcher = FuzzyMatcher(reference, weights, config, eti)
+            threaded_match_many(matcher, batch, 2, k=2)  # warm the reference cache
+            tid, values = next(iter(reference.scan()))
+            reference.delete(tid)
+            reference.insert(tid, ("renamed entity",) + tuple(values[1:]))
+            got = result_view(threaded_match_many(matcher, batch, 2, k=2))
+            assert got == self.fresh_expected(reference, weights, config, eti, batch)
         finally:
             db.close()
 
     def test_weight_mutation_mid_batch_settles_exact(self):
-        """A version bump racing in-flight workers never wedges the caches.
+        """A version bump racing four in-flight readers never wedges the
+        cache.
 
         The mid-flight batch itself may mix pre- and post-mutation weights
         (queries already running finish with what they started with); the
-        guarantee under test is that the workers' memos notice the version
-        bump, so the next quiesced batch is exact.
+        guarantee under test is that the shared matcher notices the
+        version bump, so the next quiesced batch is exact.
         """
         db, reference, weights, config, eti, batch = self.make_world()
         try:
             big_batch = batch * 4
-            with BatchMatcher(reference, weights, config, eti, jobs=4) as engine:
-                engine.match_many(batch, k=2)  # warm the workers
+            matcher = FuzzyMatcher(reference, weights, config, eti)
+            threaded_match_many(matcher, batch, 4, k=2)  # warm the cache
 
-                def mutate():
-                    time.sleep(0.005)  # land mid-batch
-                    weights.add_tuple(
-                        ("interleaved mutation inc", "midflight", "mm", "12121")
-                    )
-
-                mutator = threading.Thread(target=mutate)
-                mutator.start()
-                racy = engine.match_many(big_batch, k=2)
-                mutator.join()
-                assert len(racy) == len(big_batch)
-
-                got = result_view(engine.match_many(batch, k=2))
-                assert got == self.fresh_expected(
-                    reference, weights, config, eti, batch
+            def mutate():
+                time.sleep(0.005)  # land mid-batch
+                weights.add_tuple(
+                    ("interleaved mutation inc", "midflight", "mm", "12121")
                 )
+
+            mutator = threading.Thread(target=mutate)
+            mutator.start()
+            racy = threaded_match_many(matcher, big_batch, 4, k=2)
+            mutator.join()
+            assert len(racy) == len(big_batch)
+
+            got = result_view(threaded_match_many(matcher, batch, 4, k=2))
+            assert got == self.fresh_expected(reference, weights, config, eti, batch)
         finally:
             db.close()
 
@@ -354,28 +368,27 @@ class TestBatchInvalidationRace:
         """
         db, reference, weights, config, eti, _ = self.make_world()
         try:
-            with BatchMatcher(reference, weights, config, eti, jobs=2) as engine:
-                matcher = engine.worker_matcher()
-                target, old = next(iter(reference.scan()))
-                fetch = reference.fetch
-                interleaved = []
+            matcher = FuzzyMatcher(reference, weights, config, eti)
+            target, old = next(iter(reference.scan()))
+            fetch = reference.fetch
+            interleaved = []
 
-                def fetch_then_interleave(tid):
-                    row = fetch(tid)
-                    if tid == target and not interleaved:
-                        interleaved.append(tid)
-                        reference.delete(target)
-                        reference.insert(target, ("renamed entity",) + tuple(old[1:]))
-                        matcher.match(old, k=2)  # the other worker
-                    return row
+            def fetch_then_interleave(tid):
+                row = fetch(tid)
+                if tid == target and not interleaved:
+                    interleaved.append(tid)
+                    reference.delete(target)
+                    reference.insert(target, ("renamed entity",) + tuple(old[1:]))
+                    matcher.match(old, k=2)  # the other worker
+                return row
 
-                reference.fetch = fetch_then_interleave
-                try:
-                    matcher.match(old, k=2)
-                finally:
-                    del reference.fetch
-                assert interleaved == [target]
-                got = result_view([matcher.match(old, k=2)])
-                assert got == self.fresh_expected(reference, weights, config, eti, [old])
+            reference.fetch = fetch_then_interleave
+            try:
+                matcher.match(old, k=2)
+            finally:
+                del reference.fetch
+            assert interleaved == [target]
+            got = result_view([matcher.match(old, k=2)])
+            assert got == self.fresh_expected(reference, weights, config, eti, [old])
         finally:
             db.close()

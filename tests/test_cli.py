@@ -205,7 +205,6 @@ class TestMatch:
             ("--min-similarity", "2", "min_similarity must be in [0, 1)"),
             ("--deadline-ms", "-5", "deadline_ms must be positive"),
             ("--max-page-fetches", "-1", "max_page_fetches must be >= 0"),
-            ("--jobs", "0", "jobs must be >= 1"),
         ],
     )
     def test_invalid_numeric_flag_is_a_usage_error(

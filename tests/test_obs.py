@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.batch import BatchMatcher
+from repro.core.matcher import FuzzyMatcher
 from repro.obs.exposition import render_prometheus, snapshot_as_dict
 from repro.obs.registry import (
     DEFAULT_LATENCY_EDGES,
@@ -516,11 +516,7 @@ def observed_server(engine, **config_kwargs):
 
 @pytest.fixture()
 def org_engine(org_reference, org_weights, paper_config, org_eti):
-    engine = BatchMatcher(
-        org_reference, org_weights, paper_config, org_eti, jobs=2
-    )
-    yield engine
-    engine.close()
+    return FuzzyMatcher(org_reference, org_weights, paper_config, org_eti)
 
 
 def span_names(node):

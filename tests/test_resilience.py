@@ -9,7 +9,7 @@ Three levels under test, bottom-up:
   :class:`CircuitBreaker` state machine, and the ``osc → basic → naive``
   fallback chain in :class:`FuzzyMatcher`;
 - batch: per-item fault isolation (``fail_fast=False``) in
-  :class:`BatchMatcher`.
+  :meth:`FuzzyMatcher.match_many`, counted by :class:`BatchReport`.
 
 The randomized end-to-end invariant lives in ``test_chaos.py``; these are
 the deterministic unit and integration contracts.
@@ -19,7 +19,7 @@ import math
 
 import pytest
 
-from repro.core.batch import BatchMatcher
+from repro.core.batch import BatchReport
 from repro.core.matcher import FuzzyMatcher
 from repro.core.resilience import (
     DEGRADED_DEADLINE,
@@ -45,6 +45,8 @@ from repro.db.pager import (
     page_checksum,
 )
 from repro.eti.index import EtiIndex
+
+from tests.test_cache import threaded_match_many
 
 FAST_RETRY = RetryPolicy(max_attempts=4, base_delay=0.0, max_delay=0.0)
 
@@ -608,23 +610,23 @@ class TestBatchIsolation:
     ):
         flaky = FlakyEti(org_eti.relation, failures=10**6)
         matcher = FuzzyMatcher(org_reference, org_weights, paper_config, flaky)
-        engine = BatchMatcher.from_matcher(matcher, fail_fast=False)
         batch = [("Beoing Company", "Seattle", "WA", "98004")] * 3
-        results = engine.match_many(batch, strategy="osc")
+        results = matcher.match_many(batch, strategy="osc", fail_fast=False)
         assert all(r.failed for r in results)
         assert all(r.error_type == "TransientIOError" for r in results)
-        assert engine.last_report.failed_queries == 3
+        report = BatchReport.from_results(results, 0.0, matcher.caches.counters())
+        assert report.failed_queries == 3
 
     def test_fail_fast_true_raises(
         self, org_reference, org_weights, paper_config, org_eti
     ):
         flaky = FlakyEti(org_eti.relation, failures=10**6)
         matcher = FuzzyMatcher(org_reference, org_weights, paper_config, flaky)
-        engine = BatchMatcher.from_matcher(matcher, fail_fast=True)
         with pytest.raises(TransientIOError):
-            engine.match_many(
+            matcher.match_many(
                 [("Beoing Company", "Seattle", "WA", "98004")] * 2,
                 strategy="osc",
+                fail_fast=True,
             )
 
     def test_mixed_batch_good_items_survive(
@@ -632,31 +634,35 @@ class TestBatchIsolation:
     ):
         # Fail exactly the first query's ETI path; later queries succeed.
         flaky = FlakyEti(org_eti.relation, failures=1)
-        matcher = FuzzyMatcher(org_reference, org_weights, paper_config, flaky)
-        engine = BatchMatcher.from_matcher(
-            matcher, resilience=ResiliencePolicy(fallback=False), fail_fast=False
+        matcher = FuzzyMatcher(
+            org_reference, org_weights, paper_config, flaky,
+            resilience=ResiliencePolicy(fallback=False),
         )
         batch = [
             ("Beoing Company", "Seattle", "WA", "98004"),
             ("Bon Corporation", "Seattle", "WA", "98014"),
         ]
-        results = engine.match_many(batch, strategy="osc")
+        results = matcher.match_many(batch, strategy="osc", fail_fast=False)
         assert results[0].failed
         assert not results[1].failed and results[1].best.tid == 2
-        assert engine.last_report.failed_queries == 1
+        report = BatchReport.from_results(results, 0.0, matcher.caches.counters())
+        assert report.failed_queries == 1
 
     def test_parallel_isolation(
         self, org_reference, org_weights, paper_config, org_eti
     ):
+        """Threads sharing one matcher, as server workers do: each one's
+        storage failures stay in its own items' results."""
         flaky = FlakyEti(org_eti.relation, failures=10**6)
         matcher = FuzzyMatcher(org_reference, org_weights, paper_config, flaky)
-        with BatchMatcher.from_matcher(matcher, jobs=2, fail_fast=False) as engine:
-            batch = [
-                ("Beoing Company", "Seattle", "WA", "98004"),
-                ("Bon Corporation", "Seattle", "WA", "98014"),
-                ("Companions", "Seattle", "WA", "98024"),
-            ]
-            results = engine.match_many(batch, strategy="basic")
+        batch = [
+            ("Beoing Company", "Seattle", "WA", "98004"),
+            ("Bon Corporation", "Seattle", "WA", "98014"),
+            ("Companions", "Seattle", "WA", "98024"),
+        ]
+        results = threaded_match_many(
+            matcher, batch, 2, strategy="basic", fail_fast=False
+        )
         assert len(results) == 3
         assert all(r.failed for r in results)
 

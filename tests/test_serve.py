@@ -19,7 +19,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.batch import BatchMatcher
 from repro.core.matcher import FuzzyMatcher
 from repro.core.resilience import Deadline, RetryPolicy
 from repro.serve.admission import AdmissionQueue, ConnectionGate, WorkItem
@@ -383,9 +382,7 @@ class TestDegradationLadder:
 
 @pytest.fixture()
 def org_engine(org_reference, org_weights, paper_config, org_eti):
-    engine = BatchMatcher(org_reference, org_weights, paper_config, org_eti, jobs=2)
-    yield engine
-    engine.close()
+    return FuzzyMatcher(org_reference, org_weights, paper_config, org_eti)
 
 
 @pytest.fixture()
@@ -695,9 +692,7 @@ class TestServerEndToEnd:
         self, org_reference, org_weights, paper_config, org_eti
     ):
         release = threading.Event()
-        engine = BatchMatcher(
-            org_reference, org_weights, paper_config, org_eti, jobs=2
-        )
+        engine = FuzzyMatcher(org_reference, org_weights, paper_config, org_eti)
 
         def factory():
             release.wait(10)
@@ -723,7 +718,6 @@ class TestServerEndToEnd:
         finally:
             release.set()
             server.shutdown(drain_budget_s=1.0)
-            engine.close()
 
     def test_offers_after_close_shed_as_draining(self, org_engine):
         with running_server(org_engine) as server:

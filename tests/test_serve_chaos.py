@@ -29,7 +29,6 @@ import time
 import pytest
 
 import repro
-from repro.core.batch import BatchMatcher
 from repro.core.matcher import FuzzyMatcher
 from repro.db.fsck import check_database
 from repro.serve.client import ServeClient
@@ -90,7 +89,7 @@ def test_overload_trichotomy_under_10x_load(overload_world, seed):
     # ~25ms of artificial service time per request caps capacity at
     # ~80 req/s; 16 closed-loop clients with zero think time offer far
     # more than 10x that.
-    engine = BatchMatcher(reference, weights, config, eti, jobs=2)
+    engine = FuzzyMatcher(reference, weights, config, eti)
     server = MatchServer(
         engine=engine,
         config=serve_config,
@@ -134,7 +133,6 @@ def test_overload_trichotomy_under_10x_load(overload_world, seed):
             assert not thread.is_alive(), "client thread hung"
     finally:
         server.shutdown(drain_budget_s=5.0)
-        engine.close()
 
     assert len(responses) == 16 * 12
     outcomes = {"completed": 0, "degraded": 0, "shed": 0}
