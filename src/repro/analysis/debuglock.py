@@ -5,7 +5,7 @@ The static side of the concurrency contract lives in
 When the environment variable :data:`ENV_FLAG` (``REPRO_DEBUG_LOCKS``)
 is set to a non-empty value other than ``0``, the lock factories
 :func:`make_lock`/:func:`make_rlock` — used by every lock owner in the
-concurrency layer (``LRUCache``, ``FuzzyMatcher``, ``BufferPool``,
+concurrency layer (``LRUCache``, ``ReferenceTable``, ``BufferPool``,
 ``CircuitBreaker``) — hand out :class:`DebugLock` objects instead of
 plain ``threading`` locks.  A :class:`DebugLock`:
 

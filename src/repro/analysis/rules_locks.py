@@ -1,7 +1,7 @@
 """Lock-discipline rule: guarded attributes stay under their lock.
 
 The concurrency layer (PR 1–2) follows one convention: a class that owns
-a ``self._lock`` (or ``self._reference_lock``, …) mutates its shared state
+a ``self._lock`` (or ``self._store_lock``, …) mutates its shared state
 only inside ``with self.<lock>:`` blocks.  This rule makes the
 convention checkable:
 

@@ -292,7 +292,7 @@ def cmd_match(args: argparse.Namespace) -> int:
         fail_fast=args.fail_fast,
     )
     elapsed = time.perf_counter() - started
-    report = BatchReport.from_results(results, elapsed, matcher.caches.counters())
+    report = BatchReport.from_results(results, elapsed)
 
     writer = csv.writer(args.out)
     out_header = (["target_tid"] if has_target else []) + list(input_columns)

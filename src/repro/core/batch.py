@@ -2,8 +2,8 @@
 
 The batch engine is :meth:`FuzzyMatcher.match_many
 <repro.core.matcher.FuzzyMatcher.match_many>`: identical tuples in one
-batch are matched once, and the matcher's cross-query cache pays each
-reference tuple's fetch and tokenization once across batches (the
+batch are matched once, and every candidate is read from the reference
+relation's resident store, tokenized once when the store was built (the
 PASS-JOIN / ApproxJoin preprocessing idea).  Verification is CPU-bound,
 so a thread pool over the same matcher would buy nothing; threads that
 share one matcher exist only for connection concurrency
@@ -38,7 +38,6 @@ class BatchReport:
     total_queries: int = 0
     unique_queries: int = 0
     elapsed_seconds: float = 0.0
-    cache_counters: dict[str, dict[str, int | float]] = field(default_factory=dict)
     degraded_queries: int = 0
     failed_queries: int = 0
     degraded_reasons: dict[str, int] = field(default_factory=dict)
@@ -49,7 +48,6 @@ class BatchReport:
         cls,
         results: Sequence[MatchResult],
         elapsed_seconds: float,
-        cache_counters: dict[str, dict[str, int | float]],
     ) -> BatchReport:
         """The report for ``results``, one per batch item in input order.
 
@@ -64,7 +62,6 @@ class BatchReport:
             total_queries=len(results),
             unique_queries=sum(1 for r in results if not r.stats.deduplicated),
             elapsed_seconds=elapsed_seconds,
-            cache_counters=cache_counters,
             degraded_queries=sum(degraded.values()),
             failed_queries=sum(failed.values()),
             degraded_reasons=dict(degraded),
@@ -93,7 +90,6 @@ class BatchReport:
             "failed_queries": self.failed_queries,
             "degraded_reasons": dict(sorted(self.degraded_reasons.items())),
             "failed_types": dict(sorted(self.failed_types.items())),
-            "cache_counters": self.cache_counters,
         }
 
     def to_json(self, indent: int | None = None) -> str:

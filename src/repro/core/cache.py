@@ -1,12 +1,14 @@
-"""The matcher's one cross-query cache, and the memo idiom for the rest.
+"""Memo idioms, the one LRU cache, and the matcher's registry bundle.
 
-A query derives three kinds of value that repeat across queries, and each
-is remembered exactly once, where its cost is:
+A query derives values that repeat across queries, and each is
+remembered exactly once, where its cost is:
 
-- tokenized reference tuples (``tid -> (TupleTokens, values)``) save a
-  B+-tree fetch, a row decode and a tokenization per candidate — the one
-  memo that measurably pays, so it is the one real cache:
-  :class:`MatcherCaches` holds it as a bounded, counted :class:`LRUCache`;
+- reference tuples are resident: :class:`repro.core.reference.ReferenceTable`
+  keeps every live tuple as interned column values (built by one scan on
+  first use and kept current by its own writes), so verification needs no
+  cross-query cache of fetched rows, no invalidation and no lock;
+- verification work is memoized per query, by interned column value, in
+  the query's :class:`repro.core.fms.PreparedInput`, and dropped with it;
 - min-hash signatures are memoized by :class:`repro.core.minhash.MinHasher`
   itself (one hasher serves every thread of an engine);
 - token weights need no memo in front of the §4.4.1 frequency caches —
@@ -20,27 +22,22 @@ plain ``dict.get``, emptied when full.  PASS-JOIN and ApproxJoin get their
 throughput by amortizing per-string preprocessing once, where it is paid,
 not in layers.
 
-The reference cache is keyed on content fixed for one matcher's reference
-relation.  Do **not** share one :class:`MatcherCaches` between matchers
-over different relations; give each its own bundle (the default).  One
-matcher, and so one bundle, serves every worker thread of a server:
-each query counts its own hits and misses.
+:class:`LRUCache` is the bounded, counted cache for the one place that
+needs eviction order: the serve layer's idempotency replay cache.
+:class:`MatcherCaches` is what is left of the matcher's cache bundle: the
+metrics registry one :class:`~repro.core.matcher.FuzzyMatcher` publishes
+to.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Hashable, Iterable
+from typing import Any, Hashable
 
 from repro.analysis.debuglock import make_lock
 from repro.obs.registry import MetricsRegistry
 
 _MISSING = object()
-
-# Sized for the paper's evaluation scale (a couple of million reference
-# tuples, batches of thousands of dirty inputs) while staying bounded:
-# entries are tokenized tuples, a few tens of MB at the cap.
-DEFAULT_REFERENCE_CAPACITY = 65_536
 
 #: Entries a :class:`BoundedMemo` holds before it is emptied.  The hot
 #: token vocabulary is far smaller, so in practice a memo never cycles; the
@@ -79,8 +76,7 @@ class LRUCache:
     or on the disabled path, where exact counts under races do not matter.
 
     ``capacity=0`` disables the cache: every lookup misses and nothing is
-    stored, which is how the "seed" (uncached) behaviour is reproduced for
-    parity tests and benchmarks.
+    stored.
 
     Thread safety: all map mutations happen under one lock.  Values are
     computed outside it, so two threads missing on the same key may both
@@ -149,13 +145,6 @@ class LRUCache:
                 self._data.popitem(last=False)
                 self.evictions.inc()
 
-    def discard(self, keys: Iterable[Hashable]) -> None:
-        """Drop the entries for ``keys`` that are present (counters are retained)."""
-        with self._lock:
-            pop = self._data.pop
-            for key in keys:
-                pop(key, None)
-
     def clear(self) -> None:
         """Drop every entry (counters are retained)."""
         with self._lock:
@@ -163,51 +152,12 @@ class LRUCache:
 
 
 class MatcherCaches:
-    """The cross-query cache one :class:`FuzzyMatcher` uses, and its registry.
-
-    ``reference_tokens`` maps ``tid -> (TupleTokens, values)`` for fetched
-    reference tuples, shared by candidate verification and the naive scan.
+    """The metrics registry one :class:`FuzzyMatcher` publishes to.
 
     Every bundle owns (or is handed) one
-    :class:`~repro.obs.registry.MetricsRegistry`; the cache writes its
-    counters there, labelled by cache name, and the matcher publishes its
-    per-query metrics to the same registry.
+    :class:`~repro.obs.registry.MetricsRegistry`; the matcher publishes
+    its per-query metrics there, so one snapshot carries its telemetry.
     """
 
-    def __init__(
-        self,
-        reference_capacity: int = DEFAULT_REFERENCE_CAPACITY,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.reference_tokens = LRUCache(
-            reference_capacity, "reference_tokens", self.registry
-        )
-
-    @classmethod
-    def disabled(cls) -> "MatcherCaches":
-        """A bundle with the cache off — the seed (uncached) behaviour."""
-        return cls(0)
-
-    @property
-    def enabled(self) -> bool:
-        return self.reference_tokens.enabled
-
-    def counters(self) -> dict[str, dict[str, int | float]]:
-        """Hit/miss/eviction counters, hit rate and entry count, by cache name."""
-        cache = self.reference_tokens
-        hits, misses = cache.hits.value(), cache.misses.value()
-        lookups = hits + misses
-        return {
-            cache.name: {
-                "hits": hits,
-                "misses": misses,
-                "evictions": cache.evictions.value(),
-                "hit_rate": hits / lookups if lookups else 0.0,
-                "entries": len(cache),
-            }
-        }
-
-    def clear(self) -> None:
-        """Drop every cached entry."""
-        self.reference_tokens.clear()

@@ -12,11 +12,27 @@ appeared in.  Two details from the paper are implemented exactly:
 - *Adjustment term*: per token whose signature contributes at least one
   lookup, ``w(t)·(1 − 1/q)`` is added to an adjustment that corrects for
   approximating edit distance by q-gram overlap (Figure 3, step 7).
+
+The OSC fetching test asks for the ``top(K + 1)`` tids after every
+lookup.  Rather than re-selecting them from every scored tid each time,
+the table keeps the selection current as scores change.  That is sound
+because **scores only grow**: a credited weight is an IDF weight (≥ 0 in
+the frequency caches, which clamp it) times a positive column weight
+(:class:`~repro.core.config.MatchConfig` admits no other), so a tid's
+sort key ``(−score, tid)`` only ever decreases.  A tid in the selection
+therefore never falls out of it except when displaced by an outsider
+whose key drops below the selection's worst, and one comparison per
+credited tid keeps the selection equal to ``heapq.nsmallest`` over all
+scores.  A negative weight (an unclamped provider whose token counts
+outgrew its ``|R|``) would break that, so it drops the selection and the
+next :meth:`ScoreTable.top` selects afresh.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -26,10 +42,8 @@ class ScoreTableStats:
     """Counters the paper reports in Figures 8–9.
 
     ``top_cache_hits`` counts :meth:`ScoreTable.top` calls answered from
-    the memoized selection instead of re-running the heap select — the
-    OSC fetching test calls ``top(K+1)`` after *every* ETI lookup, but
-    many lookups are misses or stop q-grams that leave the table
-    untouched, so the previous selection is still the answer.
+    the selection the table keeps current, without a re-select over every
+    scored tid — every call but the first for a given count.
     """
 
     tids_processed: int = 0
@@ -46,10 +60,12 @@ class ScoreTable:
         self.threshold = threshold
         self.scores: dict[int, float] = {}
         self.stats = ScoreTableStats()
-        # Memoized result of the last top() call, keyed by its count.
-        # Valid until the next mutation; add_tid_list invalidates it only
-        # when it actually changes a score.
-        self._top_cache: tuple[int, list[tuple[int, float]]] | None = None
+        # The kept top-`_count` selection as ascending (-score, tid) keys,
+        # once top() asked for one; _floor is its worst score when full
+        # (-inf while it is not), the cheap test every credited tid meets.
+        self._count = 0
+        self._selection: list[tuple[float, int]] | None = None
+        self._floor = -math.inf
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -69,21 +85,50 @@ class ScoreTable:
         """
         scores = self.scores
         admit_new = remaining_weight >= self.threshold
-        mutated = False
+        if weight < 0.0:
+            self._selection = None  # scores may fall: select afresh
+        # Only a score that reaches the selection's worst can change it.
+        floor = math.inf if self._selection is None else self._floor
+        processed = admitted = rejected = 0
         for tid in tids:
-            self.stats.tids_processed += 1
+            processed += 1
             current = scores.get(tid)
             if current is not None:
-                scores[tid] = current + weight
-                mutated = True
+                score = current + weight
             elif admit_new:
-                scores[tid] = weight
-                self.stats.tids_admitted += 1
-                mutated = True
+                score = weight
+                admitted += 1
             else:
-                self.stats.tids_rejected += 1
-        if mutated:
-            self._top_cache = None
+                rejected += 1
+                continue
+            scores[tid] = score
+            if score >= floor:
+                self._offer(tid, score)
+                floor = self._floor
+        stats = self.stats
+        stats.tids_processed += processed
+        stats.tids_admitted += admitted
+        stats.tids_rejected += rejected
+
+    def _offer(self, tid: int, score: float) -> None:
+        """Keep the selection the ``_count`` smallest ``(−score, tid)`` keys
+        after ``tid``'s score rose to ``score``."""
+        selection = self._selection
+        assert selection is not None
+        key = (-score, tid)
+        full = len(selection) >= self._count
+        if full and (not selection or key >= selection[-1]):
+            return  # a tie on score that loses on tid, or count 0
+        for index, (_, kept) in enumerate(selection):
+            if kept == tid:
+                del selection[index]
+                break
+        else:
+            if full:
+                selection.pop()
+        bisect.insort(selection, key)
+        if len(selection) >= self._count:
+            self._floor = -selection[-1][0]
 
     def score(self, tid: int) -> float:
         """Current accumulated score of ``tid`` (0.0 if untracked)."""
@@ -93,22 +138,25 @@ class ScoreTable:
         """The ``count`` highest-scoring tids, best first.
 
         Ties break on tid for determinism (the paper breaks ties
-        arbitrarily; fixing an order makes runs reproducible).  The
-        selection is memoized until the next score mutation: every
-        tid-list that scores only already-seen-nothing (a lookup miss or
-        stop q-gram) leaves the previous answer valid, and the OSC loop
-        asks with the same ``count`` each time.  Callers get a fresh list
-        (the memo is copied), so mutating the result is safe.
+        arbitrarily; fixing an order makes runs reproducible).  The first
+        call for a ``count`` selects from every scored tid; from then on
+        :meth:`add_tid_list` keeps that selection current, and later calls
+        read it (``stats.top_cache_hits``).  Callers get a fresh list, so
+        mutating the result is safe.
         """
-        cached = self._top_cache
-        if cached is not None and cached[0] == count:
+        selection = self._selection
+        if selection is not None and self._count == count:
             self.stats.top_cache_hits += 1
-            return list(cached[1])
-        selected = heapq.nsmallest(
-            count, self.scores.items(), key=lambda kv: (-kv[1], kv[0])
-        )
-        self._top_cache = (count, selected)
-        return list(selected)
+        else:
+            selection = heapq.nsmallest(
+                count, ((-score, tid) for tid, score in self.scores.items())
+            )
+            self._count = count
+            self._selection = selection
+            self._floor = (
+                -selection[-1][0] if count > 0 and len(selection) >= count else -math.inf
+            )
+        return [(tid, -negative) for negative, tid in selection]
 
     def candidates(self, score_floor: float) -> list[tuple[int, float]]:
         """All tids with score ≥ ``score_floor``, best first (step 11)."""

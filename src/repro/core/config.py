@@ -40,6 +40,20 @@ class TranspositionCost(enum.Enum):
     CONSTANT = "const"
 
 
+def check_query_overrides(k: int, min_similarity: float) -> None:
+    """Raise :class:`ValueError` unless ``k ≥ 1`` and ``0 ≤ min_similarity < 1``.
+
+    The rules :class:`MatchConfig` enforces for its own ``k`` and
+    ``min_similarity``, shared by every per-query override: the matcher
+    and the serve wire protocol check theirs here too.  NaN fails the
+    range test.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if not 0.0 <= min_similarity < 1.0:
+        raise ValueError("min_similarity must be in [0, 1)")
+
+
 @dataclass(frozen=True)
 class MatchConfig:
     """Parameters of the similarity function and the match algorithms.
@@ -102,10 +116,7 @@ class MatchConfig:
             raise ValueError("signature_size must be non-negative")
         if self.signature_size == 0 and self.scheme is SignatureScheme.QGRAMS:
             raise ValueError("Q_0 is not a valid scheme: no coordinates at all")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if not 0.0 <= self.min_similarity < 1.0:
-            raise ValueError("min_similarity must be in [0, 1)")
+        check_query_overrides(self.k, self.min_similarity)
         if not 0.0 <= self.token_insertion_factor <= 1.0:
             raise ValueError("token_insertion_factor must be in [0, 1]")
         if self.stop_qgram_threshold < 1:

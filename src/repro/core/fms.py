@@ -20,25 +20,65 @@ and every index-based guarantee carries over.
 fms is deliberately asymmetric: ``u`` is always the dirty input, ``v`` the
 clean reference.
 
-Two verification fast paths live here, cheapest first (see
-``docs/INTERNALS.md``):
+Verification is memoized per query, because the candidates of one query
+share most of their column values (at 12 000 tuples an OSC miss verifies
+≈ 1 540 candidates carrying ≈ 1 065 distinct names but only 53 cities and
+28 states).  The reference side arrives as a row of interned
+:class:`~repro.core.reference.ColumnValue` objects, and the query's
+:class:`PreparedInput` keeps, per column, keyed by that object:
 
-- *A cost lower bound before the DP*: with a budget, :func:`fms_budgeted`
-  first sums, over every input token missing from the candidate's column,
-  its weight times its distance to the nearest reference token of that
-  column (capped at 1, a deletion), plus the cheapest insertions the
-  column's extra reference tokens force.  Distances are the exact
-  memoized ones where known, otherwise the length-gap lower bound, so the
-  sum never exceeds ``tc``; a sum above the budget prunes the candidate
-  without running the DP.  The input side comes pre-weighed once per
-  query (:class:`PreparedInput`), so the bound costs dict probes, not
-  weight lookups.
+- ``bounds``: the best known lower bound on the column's transformation
+  cost — first the pre-DP bound term below, replaced by the exact cost
+  once a DP computes it;
+- ``costs``: the exact column cost, once a DP computed it within budget
+  (a DP result at or under its budget is exact);
+- ``reference_weights`` (keyed by token): each reference token's
+  column-weighted weight, read from the weight provider once per query.
+
+Each input token's distance dict keeps, per reference token, the exact
+memoized distance or, where none is known yet, the length-gap lower bound;
+every exact distance the DP computes is written through into it.  Every
+fms call goes through :func:`fms_budgeted`; raw values and
+:class:`TupleTokens` are turned into a (non-interned) row first.
+
+Two verification fast paths, cheapest first (see ``docs/INTERNALS.md``):
+
+- *A cost lower bound before the DP*: with a budget, the per-column
+  bounds are summed, column by column, until the sum clears the budget.
+  A column's bound term sums, over every input token missing from the
+  candidate's column, its weight times its distance to the nearest
+  reference token of that column (capped at 1, a deletion), plus the
+  cheapest insertions the column's extra reference tokens force.
+  Distances are the exact memoized ones where known, otherwise the
+  length-gap lower bound, so the sum never exceeds ``tc``; a sum above
+  the budget prunes the candidate without running the DP.  A candidate
+  the bound prunes costs one memo probe per column.
 - *Cost budgets*: the matcher's top-K loop knows that a candidate whose
   transformation cost exceeds ``(1 − kth_best) · w(u)`` can never enter
   the result, and passes that as a budget.  The DP abandons the candidate
   as soon as the running row minimum plus an admissible lower bound on the
   remaining tokens' cost exceeds the budget, returning a certified lower
   bound instead of the exact cost.
+
+**Why the memos change no answer and no counter.**  The exact column
+cost is a deterministic function of the input column and the reference
+value, so reusing it returns the float the DP would return, and the
+columns are still summed in column order.  A memoized exact cost ``e``
+reused under a budget ``r`` prunes exactly when the DP would: a DP result
+at or under ``r`` is exact, so the DP returns ``e`` when ``e ≤ r`` and a
+value above ``r`` otherwise.  The bound is now summed per column rather
+than token by token across columns, and its terms may be frozen at first
+sight (a later candidate may meet a looser term than a token-by-token
+recomputation would give) or tightened to the exact cost.  None of this
+changes the ``pruned`` flag: every term is a lower bound on its column's
+cost, the float sum of at most a few dozen non-negative terms is within
+a relative ``1e-15``-scale error of the real sum, and a bound prunes only
+above ``budget · (1 + 1e-9) + 1e-12``, so a bound prune implies that the
+DP's float cost exceeds the budget too.  Which of the two mechanisms
+prunes a candidate may change (``COUNTERS.bound_prunes`` and
+``dp_cells`` move); the flag, and so ``fms_evaluations``,
+``verify_budget_prunes`` and ``candidates_fetched``, do not.  A pruned
+candidate's similarity is only an upper bound, which callers discard.
 
 Every DP cell that needs a replacement takes the exact, memoized token
 distance (:func:`repro.core.strings.cached_edit_distance`); it is skipped
@@ -54,11 +94,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, cast
 
 from repro.core.config import MatchConfig, TranspositionCost
+from repro.core.reference import ColumnValue, Row
 from repro.core.strings import cached_edit_distance, exact_distance_memo
-from repro.core.tokens import TupleTokens
+from repro.core.tokens import TupleTokens, tokenize
 from repro.core.weights import WeightFunction
 from repro.obs.registry import MetricsRegistry, default_registry
 
@@ -130,21 +171,23 @@ class FmsCounters:
 COUNTERS = FmsCounters()
 
 #: One weighed input token: ``(token, column-weighted weight, len(token),
-#: {reference token: exact normalized edit distance})``.  The dict is a
-#: per-query memo of *exact* distances only: a length-only bound stored
-#: there would shadow a tighter one the DP proves later.
+#: {reference token: distance})``.  The dict is a per-query memo holding,
+#: per reference token, the exact normalized edit distance or, until the
+#: DP computes that, the length-gap lower bound.
 InputToken = tuple[str, float, int, dict[str, float]]
 
 
 @dataclass(frozen=True)
 class PreparedInput:
-    """An input tuple weighed once, for every fms call a query makes.
+    """An input tuple weighed once, plus the query's verification memos.
 
     ``sets[i]`` holds one :data:`InputToken` per token of ``tok(u[i])``
     in sorted order (the order ``w(u)`` is summed in); ``sequences[i]``
     holds the same row objects in column ``i``'s token order, duplicates
-    included, for the DP.  ``weight`` is ``w(u)``.  Only valid with the
-    weights and config it was prepared under.
+    included, for the DP.  ``weight`` is ``w(u)``.  ``bounds``, ``costs``
+    and ``reference_weights`` are the per-column memos the module
+    docstring describes.  Valid only with the ``weights`` and ``config``
+    it was prepared under; one query (one thread) at a time.
     """
 
     tokens: TupleTokens
@@ -152,6 +195,11 @@ class PreparedInput:
     sets: tuple[tuple[InputToken, ...], ...]
     sequences: tuple[tuple[InputToken, ...], ...]
     weight: float
+    weights: WeightFunction
+    config: MatchConfig
+    bounds: tuple[dict[ColumnValue, float], ...]
+    costs: tuple[dict[ColumnValue, float], ...]
+    reference_weights: tuple[dict[str, float], ...]
 
 
 def prepare_input(
@@ -170,7 +218,21 @@ def prepare_input(
             total += weight
         sets.append(tuple(rows.values()))
         sequences.append(tuple(rows[token] for token in u.sequences[column]))
-    return PreparedInput(u, column_weights, tuple(sets), tuple(sequences), total)
+    bounds: list[dict[ColumnValue, float]] = [{} for _ in u.sequences]
+    costs: list[dict[ColumnValue, float]] = [{} for _ in u.sequences]
+    reference_weights: list[dict[str, float]] = [{} for _ in u.sequences]
+    return PreparedInput(
+        u,
+        column_weights,
+        tuple(sets),
+        tuple(sequences),
+        total,
+        weights,
+        config,
+        tuple(bounds),
+        tuple(costs),
+        tuple(reference_weights),
+    )
 
 
 def _transposition_cost(w1: float, w2: float, config: MatchConfig) -> float:
@@ -184,21 +246,12 @@ def _transposition_cost(w1: float, w2: float, config: MatchConfig) -> float:
     return config.transposition_constant
 
 
-def _replace_cost(
-    prev_diag: float, alternative: float, token_u: str, token_v: str, weight_u: float
-) -> float:
-    """Cell value ``min(alternative, prev_diag + ed(t_u, t_v) · w_u)``.
-
-    The edit distance is computed (memoized) only when the replacement
-    could still beat ``alternative``, the best of delete/insert.
-    """
-    if alternative <= prev_diag:
-        # Even a free replacement cannot beat the alternative.
-        return alternative
-    if weight_u <= 0.0:
-        return prev_diag
-    replace = prev_diag + cached_edit_distance(token_u, token_v) * weight_u
-    return replace if replace < alternative else alternative
+def _distance(token_u: str, token_v: str, distances_u: dict[str, float]) -> float:
+    """The exact memoized ``ed(token_u, token_v)``, written through into
+    the input token's own distance dict."""
+    distance = cached_edit_distance(token_u, token_v)
+    distances_u[token_v] = distance
+    return distance
 
 
 def transformation_cost(
@@ -223,18 +276,33 @@ def transformation_cost(
     certified lower bound greater than the budget is returned instead of
     the exact cost.  Results at or under the budget are always exact.
     """
+    rows: Sequence[InputToken]
     if input_tokens and not isinstance(input_tokens[0], str):
-        input_weights = [row[1] for row in input_tokens]
-        input_tokens = [row[0] for row in input_tokens]
+        rows = cast("Sequence[InputToken]", input_tokens)
     else:
-        input_weights = [
-            weights.weight(t, column) * column_weight for t in input_tokens
+        rows = [
+            (t, weights.weight(t, column) * column_weight, len(t), {})
+            for t in cast("Sequence[str]", input_tokens)
         ]
-    m = len(input_tokens)
-    n = len(reference_tokens)
     reference_weights = [
         weights.weight(t, column) * column_weight for t in reference_tokens
     ]
+    return _column_cost(rows, reference_tokens, reference_weights, config, budget)
+
+
+def _column_cost(
+    rows: Sequence[InputToken],
+    reference_tokens: Sequence[str],
+    reference_weights: Sequence[float],
+    config: MatchConfig,
+    budget: float | None,
+) -> float:
+    """The DP behind :func:`transformation_cost`, over weighed tokens."""
+    input_tokens = [row[0] for row in rows]
+    input_weights = [row[1] for row in rows]
+    memos = [row[3] for row in rows]
+    m = len(input_tokens)
+    n = len(reference_tokens)
     c_ins = config.token_insertion_factor
     transpositions = config.allow_transpositions
 
@@ -247,15 +315,23 @@ def transformation_cost(
         current = [previous[0] + input_weights[i - 1]]
         token_u = input_tokens[i - 1]
         weight_u = input_weights[i - 1]
+        memo_u = memos[i - 1]
         row_min = current[0]
         for j in range(1, n + 1):
             token_v = reference_tokens[j - 1]
             delete = previous[j] + weight_u
             insert = current[j - 1] + c_ins * reference_weights[j - 1]
-            alternative = delete if delete < insert else insert
-            best = _replace_cost(
-                previous[j - 1], alternative, token_u, token_v, weight_u
-            )
+            best = delete if delete < insert else insert
+            prev_diag = previous[j - 1]
+            # Replacement, unless even a free one cannot beat the best of
+            # delete/insert; the distance is computed only when it can.
+            if best > prev_diag:
+                if weight_u <= 0.0:
+                    best = prev_diag
+                else:
+                    replace = prev_diag + _distance(token_u, token_v, memo_u) * weight_u
+                    if replace < best:
+                        best = replace
             if transpositions and older is not None and i >= 2 and j >= 2:
                 # Transpose (u[i-2], u[i-1]) then replace each against its
                 # crossed counterpart — a transposition followed by token
@@ -265,8 +341,8 @@ def transformation_cost(
                 swap = (
                     older[j - 2]
                     + _transposition_cost(input_weights[i - 2], weight_u, config)
-                    + cached_edit_distance(token_u, reference_tokens[j - 2]) * weight_u
-                    + cached_edit_distance(input_tokens[i - 2], token_v)
+                    + _distance(token_u, reference_tokens[j - 2], memo_u) * weight_u
+                    + _distance(input_tokens[i - 2], token_v, memos[i - 2])
                     * input_weights[i - 2]
                 )
                 if swap < best:
@@ -293,9 +369,144 @@ def transformation_cost(
     return previous[n]
 
 
+def _reference_weights(u: PreparedInput, column: int, tokens: Sequence[str]) -> list[float]:
+    """Column-weighted weights of reference ``tokens``, read once per query."""
+    memo = u.reference_weights[column]
+    found = []
+    for token in tokens:
+        weight = memo.get(token)
+        if weight is None:
+            weight = u.weights.weight(token, column) * u.column_weights[column]
+            memo[token] = weight
+        found.append(weight)
+    return found
+
+
+def _bound_term(u: PreparedInput, column: int, value: ColumnValue) -> float:
+    """The pre-DP lower bound on one column's cost, memoized per value.
+
+    Every input token ``t`` of weight ``w > 0`` missing from the value
+    costs at least ``w · min(1, min over its tokens s of d(t, s))`` — it
+    is deleted (``w``), replaced (``w · ed``) or transposed and replaced
+    (``w · ed`` plus ``g ≥ 0``) — and when the value has ``n > m`` tokens
+    at least ``n − m`` of them are inserted, costing at least ``c_ins``
+    times the ``n − m`` smallest reference weights.  ``d`` is the input
+    token's memoized distance: exact where known (this query's DPs, else
+    the global memo), otherwise the length gap ``max(|len t − len s|, 1)``
+    over the longer length, which never exceeds ``ed``.
+    """
+    tokens = value.tokens
+    u_rows = u.sequences[column]
+    term = 0.0
+    if u.tokens.sequences[column] != tokens:
+        exact = exact_distance_memo
+        for token, weight, length, distances in u_rows:
+            if weight <= 0.0 or token in tokens:
+                continue
+            nearest = 1.0
+            for other in tokens:
+                distance = distances.get(other)
+                if distance is None:
+                    key = (token, other) if token <= other else (other, token)
+                    distance = exact.get(key)
+                    if distance is None:
+                        other_length = len(other)
+                        if length > other_length:
+                            distance = (length - other_length) / length
+                        else:
+                            distance = ((other_length - length) or 1) / other_length
+                    distances[other] = distance
+                if distance < nearest:
+                    nearest = distance
+            term += weight * nearest
+        surplus = len(tokens) - len(u_rows)
+        if surplus > 0:
+            inserted = sorted(_reference_weights(u, column, tokens))
+            term += u.config.token_insertion_factor * sum(inserted[:surplus])
+    u.bounds[column][value] = term
+    return term
+
+
+def _row_bound(u: PreparedInput, row: Row, limit: float) -> float:
+    """A lower bound on ``tc(u, row)``, summed only until it exceeds ``limit``."""
+    total = 0.0
+    for column, (bounds, value) in enumerate(zip(u.bounds, row)):
+        term = bounds.get(value)
+        if term is None:
+            term = _bound_term(u, column, value)
+        total += term
+        if total > limit:
+            return total
+    return total
+
+
+def _row_cost(u: PreparedInput, row: Row, budget: float | None) -> float:
+    """``tc(u, row)``: the per-column costs summed in column order.
+
+    Each column's exact cost comes from the query's memo or from its DP,
+    run under the budget the earlier columns left; an exact result is
+    memoized.  Returns a certified lower bound above ``budget`` as soon
+    as the running total proves the row cannot come in under it.
+    """
+    total = 0.0
+    for column, value in enumerate(row):
+        costs = u.costs[column]
+        cost = costs.get(value)
+        if cost is None:
+            tokens = value.tokens
+            if u.tokens.sequences[column] == tokens:
+                # Identical token sequences transform for free; skipping the
+                # DP here is the hot-path win (candidates usually agree on
+                # most columns).
+                cost = costs[value] = 0.0
+            else:
+                remaining = None if budget is None else budget - total
+                cost = _column_cost(
+                    u.sequences[column],
+                    tokens,
+                    _reference_weights(u, column, tokens),
+                    u.config,
+                    remaining,
+                )
+                if remaining is None or cost <= remaining:
+                    # At or under its budget the DP's result is exact.
+                    costs[value] = u.bounds[column][value] = cost
+        total += cost
+        if budget is not None and total > budget:
+            # Either this column's DP abandoned (returning a lower bound
+            # above its remaining budget) or the exact running total
+            # crossed the line; both certify total cost > budget.
+            return total
+    return total
+
+
+def _as_row(v: TupleTokens | Sequence[str | None] | Sequence[ColumnValue]) -> Row:
+    """``v`` as a row of (non-interned) column values."""
+    if isinstance(v, TupleTokens):
+        return tuple(ColumnValue(None, tokens) for tokens in v.sequences)
+    if v and isinstance(v[0], ColumnValue):
+        return tuple(cast("Sequence[ColumnValue]", v))
+    return tuple(
+        ColumnValue(raw, tuple(tokenize(raw)))
+        for raw in cast("Sequence[str | None]", v)
+    )
+
+
+def _prepared(
+    u: PreparedInput | TupleTokens | Sequence[str | None],
+    weights: WeightFunction,
+    config: MatchConfig | None,
+) -> PreparedInput:
+    if isinstance(u, PreparedInput):
+        return u
+    if not isinstance(u, TupleTokens):
+        u = TupleTokens.from_values(u)
+    return prepare_input(u, weights, config if config is not None else MatchConfig())
+
+
 def tuple_transformation_cost(
     u: TupleTokens | PreparedInput,
-    v: TupleTokens,
+    v: TupleTokens | Sequence[ColumnValue],
     weights: WeightFunction,
     config: MatchConfig,
     budget: float | None = None,
@@ -308,109 +519,45 @@ def tuple_transformation_cost(
     the tuple cannot come in under it.  Results at or under the budget are
     always exact.
     """
-    if not isinstance(u, PreparedInput):
-        u = prepare_input(u, weights, config)
-    if u.tokens.num_columns != v.num_columns:
+    prepared = _prepared(u, weights, config)
+    row = _as_row(v)
+    if len(row) != len(prepared.sequences):
         raise ValueError("tuples must have the same number of columns")
-    total = 0.0
-    for col, u_rows in enumerate(u.sequences):
-        v_tokens = v.sequences[col]
-        if u.tokens.sequences[col] == v_tokens:
-            # Identical token sequences transform for free; skipping the
-            # DP here is the hot-path win (candidates usually agree on
-            # most columns).
-            continue
-        remaining = None if budget is None else budget - total
-        total += transformation_cost(
-            u_rows,
-            v_tokens,
-            col,
-            weights,
-            config,
-            column_weight=u.column_weights[col],
-            budget=remaining,
-        )
-        if budget is not None and total > budget:
-            # Either this column's DP abandoned (returning a lower bound
-            # above its remaining budget) or the exact running total
-            # crossed the line; both certify total cost > budget.
-            return total
-    return total
+    return _row_cost(prepared, row, budget)
 
 
 def cost_lower_bound(
     u: PreparedInput,
-    v: TupleTokens,
+    v: TupleTokens | Sequence[ColumnValue],
     weights: WeightFunction,
     config: MatchConfig,
     limit: float = math.inf,
 ) -> float:
-    """A lower bound on ``tc(u, v)``, summed only until it exceeds ``limit``.
+    """A lower bound on ``tc(u, v)``, summed column by column only until
+    it exceeds ``limit``.
 
-    Per column whose token sequences differ: every input token ``t`` of
-    weight ``w > 0`` missing from ``v``'s column costs at least
-    ``w · min(1, min over the column's reference tokens of d(t, ·))`` —
-    it is deleted (``w``), replaced (``w · ed``) or transposed and
-    replaced (``w · ed`` plus ``g ≥ 0``) — and when the reference column
-    has ``n > m`` tokens at least ``n − m`` of them are inserted, costing
-    at least ``c_ins`` times the ``n − m`` smallest reference weights.
-    ``d`` is the exact memoized distance when known, else the length gap
-    ``max(|len t − len s|, 1)`` over the longer length; it never exceeds
-    ``ed``, so the sum never exceeds ``tc``.  Exact distances found in the
-    global memo are copied into the input token's own dict, which later
-    candidates probe first.
+    Per column, the best bound the query knows: the exact cost once a DP
+    computed it, else the pre-DP bound term (see :func:`_bound_term`),
+    which never exceeds the column's ``tc``.  ``weights`` and ``config``
+    must be the ones ``u`` was prepared under.
     """
-    exact = exact_distance_memo
-    total = 0.0
-    for col, u_rows in enumerate(u.sequences):
-        v_tokens = v.sequences[col]
-        if u.tokens.sequences[col] == v_tokens:
-            continue
-        v_set = v.sets[col]
-        for token, weight, length, distances in u_rows:
-            if weight <= 0.0 or token in v_set:
-                continue
-            nearest = 1.0
-            for other in v_set:
-                distance = distances.get(other)
-                if distance is None:
-                    key = (token, other) if token <= other else (other, token)
-                    distance = exact.get(key)
-                    if distance is None:
-                        other_length = len(other)
-                        if length > other_length:
-                            distance = (length - other_length) / length
-                        else:
-                            distance = ((other_length - length) or 1) / other_length
-                    else:
-                        distances[other] = distance
-                if distance < nearest:
-                    nearest = distance
-            total += weight * nearest
-            if total > limit:
-                return total
-        surplus = len(v_tokens) - len(u_rows)
-        if surplus > 0:
-            column_weight = u.column_weights[col]
-            inserted = sorted(weights.weight(t, col) * column_weight for t in v_tokens)
-            total += config.token_insertion_factor * sum(inserted[:surplus])
-            if total > limit:
-                return total
-    return total
+    return _row_bound(u, _as_row(v), limit)
 
 
 def fms(
     u: PreparedInput | TupleTokens | Sequence[str | None],
-    v: TupleTokens | Sequence[str | None],
+    v: TupleTokens | Sequence[str | None] | Sequence[ColumnValue],
     weights: WeightFunction,
     config: MatchConfig | None = None,
 ) -> float:
     """Fuzzy match similarity between input ``u`` and reference ``v``.
 
     Accepts raw attribute-value sequences, pre-tokenized
-    :class:`TupleTokens`, or (for ``u``) a :class:`PreparedInput`: a
-    query verifying many candidates against one input weighs it once
-    (:func:`prepare_input`), ``w(u)`` included.  Returns a similarity in
+    :class:`TupleTokens`, a row of
+    :class:`~repro.core.reference.ColumnValue` objects (for ``v``), or a
+    :class:`PreparedInput` (for ``u``): a query verifying many candidates
+    against one input weighs it once (:func:`prepare_input`), ``w(u)``
+    included, and shares its memos across them.  Returns a similarity in
     [0, 1].  An input with no tokens at all matches an empty reference
     perfectly and anything else not at all (``w(u) = 0`` leaves nothing
     to normalize by).
@@ -421,7 +568,7 @@ def fms(
 
 def fms_budgeted(
     u: PreparedInput | TupleTokens | Sequence[str | None],
-    v: TupleTokens | Sequence[str | None],
+    v: TupleTokens | Sequence[str | None] | Sequence[ColumnValue],
     weights: WeightFunction,
     config: MatchConfig | None = None,
     cost_budget: float | None = None,
@@ -436,34 +583,34 @@ def fms_budgeted(
     ``1 − cost_budget / w(u)`` — enough for a top-K loop to discard the
     candidate, and nothing else.
 
-    Under a budget the DP runs only when :func:`cost_lower_bound` leaves
-    it a chance: a bound clearing the budget (with a relative 1e-9 margin
-    for the different float summation order) proves the DP would report
-    ``pruned=True`` too, so pruning without it changes no answer.
+    Under a budget the DP runs only when the cost lower bound leaves it a
+    chance: a bound clearing the budget (with a relative 1e-9 margin for
+    the different float summation order) proves the DP would report
+    ``pruned=True`` too, so pruning without it changes no answer.  With a
+    :class:`PreparedInput`, ``weights`` and ``config`` are the ones it was
+    prepared under.
     """
-    if config is None:
-        config = MatchConfig()
-    if not isinstance(u, PreparedInput):
-        if not isinstance(u, TupleTokens):
-            u = TupleTokens.from_values(u)
-        u = prepare_input(u, weights, config)
-    if not isinstance(v, TupleTokens):
-        v = TupleTokens.from_values(v)
-    if u.tokens.num_columns != v.num_columns:
+    u = _prepared(u, weights, config)
+    if type(v) is tuple and v and type(v[0]) is ColumnValue:
+        row = cast(Row, v)  # a resident row: the hot path takes it as is
+    else:
+        row = _as_row(v)
+    if len(row) != len(u.sequences):
         raise ValueError("tuples must have the same number of columns")
     total_weight = u.weight
     if total_weight <= 0.0:
-        return (1.0 if v.token_count() == 0 else 0.0, False)
+        empty = not any(value.tokens for value in row)
+        return (1.0 if empty else 0.0, False)
     if cost_budget is not None:
         if cost_budget >= total_weight:
             # fms floors at 0 once cost reaches w(u): nothing left to prune.
             cost_budget = None
         else:
             limit = cost_budget * (1.0 + 1e-9) + 1e-12
-            bound = cost_lower_bound(u, v, weights, config, limit)
+            bound = _row_bound(u, row, limit)
             if bound > limit:
                 COUNTERS.add_bound_prune()
                 return (1.0 - min(bound / total_weight, 1.0), True)
-    cost = tuple_transformation_cost(u, v, weights, config, budget=cost_budget)
+    cost = _row_cost(u, row, cost_budget)
     pruned = cost_budget is not None and cost > cost_budget
     return (1.0 - min(cost / total_weight, 1.0), pruned)

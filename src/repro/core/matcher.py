@@ -28,10 +28,9 @@ import time
 from typing import TYPE_CHECKING, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 
-from repro.analysis.debuglock import make_lock
 from repro.core.cache import MatcherCaches
 from repro.core.candidates import ScoreTable
-from repro.core.config import MatchConfig
+from repro.core.config import MatchConfig, check_query_overrides
 from repro.core.fms import PreparedInput, fms, fms_budgeted, prepare_input
 from repro.core.minhash import MinHasher
 from repro.core.osc import (
@@ -40,11 +39,11 @@ from repro.core.osc import (
     stopping_bound,
     stopping_test,
 )
-from repro.core.reference import ReferenceTable
+from repro.core.reference import Interner, ReferenceTable, Row
 from repro.core.resilience import Deadline, ResiliencePolicy, fallback_chain
 from repro.core.tokens import TupleTokens
 from repro.core.weights import WeightFunction
-from repro.db.errors import DatabaseError, RecordNotFoundError
+from repro.db.errors import DatabaseError
 from repro.eti.index import EtiIndex
 from repro.eti.signature import signature_entries
 from repro.obs.tracing import trace_span
@@ -68,10 +67,12 @@ class MatchStats:
 
     ``candidates_fetched`` counts *logical* candidate fetches (one per
     distinct tid verified by the query), matching the paper's Figure 8
-    metric regardless of caching; ``reference_cache_hits``/``_misses``
-    count the query's own reference-cache lookups (a hit is a tuple the
-    cross-query cache served instead of a B+-tree fetch), so they are
-    exact however many threads share the matcher.
+    metric; ``reference_cache_hits`` counts the query's own reads of
+    candidate rows from the reference relation's resident store, and
+    ``reference_cache_misses`` the tids it named that the store lacks
+    (dangling index entries), so both are exact however many threads
+    share the matcher.  The naive scan reads the relation itself and
+    counts neither.
     """
 
     strategy: str = ""
@@ -208,11 +209,10 @@ class FuzzyMatcher:
         omitted, a hasher with the config's (q, H, seed) is created, which
         matches an ETI built from the same config.
     caches:
-        Cross-query caches (:class:`~repro.core.cache.MatcherCaches`).
-        Defaults to a fresh enabled bundle; pass
-        ``MatcherCaches.disabled()`` for the uncached (seed) behaviour.
-        Caching never changes results — only how often a reference
-        tuple is fetched and tokenized again.
+        The :class:`~repro.core.cache.MatcherCaches` bundle holding the
+        metrics registry the matcher publishes to; a fresh one by default.
+        Candidate rows come from the reference relation's resident store
+        (:meth:`ReferenceTable.row`), shared by every matcher over it.
     resilience:
         Optional :class:`~repro.core.resilience.ResiliencePolicy`.  When
         set, queries run under its limits (degrading instead of stalling),
@@ -244,13 +244,8 @@ class FuzzyMatcher:
         )
         self.caches = caches if caches is not None else MatcherCaches()
         self.resilience = resilience
-        # The reference version the cache has caught up to.  Syncing and
-        # the guarded put (see _reference_tokens) both hold this lock.
-        self._reference_lock = make_lock("FuzzyMatcher._reference_lock")
-        self._reference_version = reference.version
-        # Per-query metrics live in the cache bundle's registry, so one
-        # snapshot carries a matcher's full telemetry (cache counters
-        # included).
+        # Per-query metrics live in the bundle's registry, so one snapshot
+        # carries a matcher's full telemetry.
         registry = self.caches.registry
         self._obs_registry = registry
         self._obs_match_seconds = {
@@ -311,6 +306,7 @@ class FuzzyMatcher:
             )
         k = k if k is not None else self.config.k
         c = min_similarity if min_similarity is not None else self.config.min_similarity
+        check_query_overrides(k, c)
         if strategy is None:
             strategy = "osc" if self.config.use_osc else "basic"
         if strategy not in ("naive", "basic", "osc"):
@@ -330,7 +326,6 @@ class FuzzyMatcher:
             )
 
         started = time.perf_counter()
-        self._sync_reference_cache()
         db_before = self._db_counters()
 
         requested = strategy
@@ -354,7 +349,7 @@ class FuzzyMatcher:
         with matcher_ctx:
             for index, attempt in enumerate(attempts):
                 indexed = attempt != "naive"
-                # A failed attempt's work is discarded; its cache lookups
+                # A failed attempt's work is discarded; its store reads
                 # happened all the same, so they carry over.
                 stats = MatchStats(
                     reference_cache_hits=stats.reference_cache_hits,
@@ -477,8 +472,7 @@ class FuzzyMatcher:
 
         The one batch engine, behind the ETL-style usage of Figure 1:
         identical input tuples are matched once and their results
-        replicated (``stats.deduplicated`` marks the copies), and the
-        cross-query cache carries reference tuples across batches.
+        replicated (``stats.deduplicated`` marks the copies).
         Results are returned in input order and are identical to calling
         :meth:`match` per tuple.
         :meth:`BatchReport.from_results <repro.core.batch.BatchReport.from_results>`
@@ -517,61 +511,6 @@ class FuzzyMatcher:
             results.append(result)
         return results
 
-    def _sync_reference_cache(self) -> None:
-        """Catch the reference cache up with the relation, once per query.
-
-        When the reference relation's mutation version moved, the tids it
-        changed since are dropped, or the whole cache when its change log
-        no longer reaches back that far.
-        """
-        with self._reference_lock:
-            version = self.reference.version
-            if version != self._reference_version:
-                changed = self.reference.changed_since(self._reference_version)
-                if changed is None:
-                    self.caches.reference_tokens.clear()
-                else:
-                    self.caches.reference_tokens.discard(changed)
-                self._reference_version = version
-
-    def _reference_tokens(
-        self,
-        tid: int,
-        stats: MatchStats,
-        scanned: tuple[tuple, int] | None = None,
-    ) -> tuple[TupleTokens, tuple]:
-        """``(TupleTokens, values)`` of reference tuple ``tid``, cached.
-
-        Counts one hit or miss into ``stats``.  A miss fetches the tuple
-        via the tid index unless the caller already holds it: the naive
-        scan passes ``scanned=(values, version)``, values it read at or
-        after the relation's mutation version ``version``.  Raises
-        :class:`RecordNotFoundError` for dangling tids; misses are never
-        cached.
-
-        A miss is stored only while the relation is still at the version
-        read before the tuple was: a tuple read before a mutation another
-        thread has logged (and maybe already synced away) is never put
-        back.
-        """
-        cache = self.caches.reference_tokens
-        entry = cache.get(tid)
-        if entry is not None:
-            stats.reference_cache_hits += 1
-            return entry
-        stats.reference_cache_misses += 1
-        if scanned is None:
-            version = self.reference.version
-            row = self.reference.fetch(tid)
-        else:
-            row, version = scanned
-        entry = (TupleTokens.from_values(row), tuple(row))
-        if cache.enabled:
-            with self._reference_lock:
-                if self.reference.version == version:
-                    cache.put(tid, entry)
-        return entry
-
     # ------------------------------------------------------------------
     # Naive scan
     # ------------------------------------------------------------------
@@ -584,34 +523,37 @@ class FuzzyMatcher:
         stats: MatchStats,
         deadline: Deadline | None = None,
     ) -> MatchResult:
+        """The independent oracle: exact fms against every tuple of a scan.
+
+        It reads and tokenizes the relation itself, never the resident
+        store; a private per-query :class:`Interner` lets the query's
+        column memos serve every scanned tuple sharing a value.
+        """
         result = MatchResult(stats=stats)
         prepared = prepare_input(
             TupleTokens.from_values(values), self.weights, self.config
         )
+        interner = Interner(self.reference.num_columns)
 
         # Bounded top-K selection: a size-K min-heap on (similarity, -tid)
         # whose root is the weakest kept match — O(N log K) instead of
         # sorting the whole admitted set.  tid is unique, so the heap
         # never compares row values.
         kept: list[tuple[float, int, tuple]] = []
-        version = self.reference.version  # read before any row is
         scan_ctx = trace_span("matcher.naive_scan")
         with scan_ctx:
-            for tid, reference_values in self.reference.scan():
+            for tid, row in self.reference.scan():
                 if deadline is not None and stats.fms_evaluations % 32 == 0:
                     reason = deadline.exhausted()
                     if reason is not None:
                         stats.degraded = True
                         stats.degraded_reason = reason
                         break
-                reference_tokens, row = self._reference_tokens(
-                    tid, stats, scanned=(reference_values, version)
-                )
                 similarity = fms(
-                    prepared, reference_tokens, self.weights, self.config
+                    prepared, interner.row(row), self.weights, self.config
                 )
                 stats.fms_evaluations += 1
-                if similarity < c or k <= 0:
+                if similarity < c:
                     continue
                 entry = (similarity, -tid, row)
                 if len(kept) < k:
@@ -649,7 +591,7 @@ class FuzzyMatcher:
         query = self._stage_signature(values, c, use_osc)
         if query is None:
             return result  # all token weights are zero: nothing can match
-        fms_cache: dict[int, tuple[float, tuple, bool]] = {}
+        fms_cache: dict[int, tuple[float, Row, bool]] = {}
         probe = self._stage_probe(query, k, c, use_osc, deadline, fms_cache, stats)
         if probe.matches is not None:
             result.matches = probe.matches
@@ -713,7 +655,7 @@ class FuzzyMatcher:
         c: float,
         use_osc: bool,
         deadline: Deadline | None,
-        fms_cache: dict[int, tuple[float, tuple, bool]],
+        fms_cache: dict[int, tuple[float, Row, bool]],
         stats: MatchStats,
     ) -> ProbeOutcome:
         """Stage 2: look every entry up in the ETI, accumulating tid scores.
@@ -766,7 +708,7 @@ class FuzzyMatcher:
                 if stopping_test(similarities, decision.outside_score_cap, query.weight):
                     stats.osc_succeeded = True
                     matches = [
-                        Match(tid, similarity, fms_cache[tid][1])
+                        _match(tid, similarity, fms_cache[tid][1])
                         for tid, similarity in zip(decision.top_tids, similarities)
                         if similarity >= c
                     ]
@@ -801,7 +743,7 @@ class FuzzyMatcher:
         k: int,
         c: float,
         deadline: Deadline | None,
-        fms_cache: dict[int, tuple[float, tuple, bool]],
+        fms_cache: dict[int, tuple[float, Row, bool]],
         stats: MatchStats,
     ) -> list[Match]:
         """Stage 3: fetch ``candidates`` (best score first) and rank by fms.
@@ -856,29 +798,29 @@ class FuzzyMatcher:
                     stopped=stopped,
                 )
         return [
-            Match(tid, similarity, fms_cache[tid][1]) for similarity, tid in verified
+            _match(tid, similarity, fms_cache[tid][1]) for similarity, tid in verified
         ]
 
     def _score_candidate(
         self,
         tid: int,
         query: QuerySignature,
-        fms_cache: dict[int, tuple[float, tuple, bool]],
+        fms_cache: dict[int, tuple[float, Row, bool]],
         stats: MatchStats,
         cost_budget: float | None = None,
-    ) -> tuple[float, tuple, bool]:
-        """Fetch ``tid`` (once per query) and compute its fms (once).
+    ) -> tuple[float, Row, bool]:
+        """Read ``tid``'s row (once per query) and compute its fms (once).
 
-        Returns ``(similarity, reference_values, pruned)``.  With
-        ``pruned=False`` the similarity is exact; with ``pruned=True`` the
-        budgeted DP (:func:`repro.core.fms.fms_budgeted`) proved the
+        Returns ``(similarity, row, pruned)``.  With ``pruned=False`` the
+        similarity is exact; with ``pruned=True`` the budgeted
+        verification (:func:`repro.core.fms.fms_budgeted`) proved the
         candidate cannot come in under ``cost_budget`` and the similarity
         is only an upper bound — callers must discard it, never rank it.
 
-        The fetch+tokenize goes through the cross-query reference-token
-        cache, so a candidate verified by an earlier query costs neither a
-        B+-tree fetch nor re-tokenization; ``candidates_fetched`` still
-        counts it (the Figure 8 metric is logical fetches per query).
+        The row comes from the reference relation's resident store, so a
+        candidate costs neither a B+-tree fetch nor a tokenization;
+        ``candidates_fetched`` still counts it (the Figure 8 metric is
+        logical fetches per query).
 
         A tid the ETI names but the reference relation no longer holds
         (possible when index maintenance lags deletes) verifies to
@@ -894,22 +836,25 @@ class FuzzyMatcher:
             # caller (OSC stopping test) recomputes without a budget.
             if not cached[2] or cost_budget is not None:
                 return cached
-        try:
-            reference_tokens, reference_values = self._reference_tokens(tid, stats)
-        except RecordNotFoundError:
+        row = self.reference.row(tid)
+        if row is None:
+            stats.reference_cache_misses += 1
             fms_cache[tid] = (-1.0, (), False)
             return fms_cache[tid]
+        stats.reference_cache_hits += 1
         if cached is None:
             stats.candidates_fetched += 1
         similarity, pruned = fms_budgeted(
-            query.prepared,
-            reference_tokens,
-            self.weights,
-            self.config,
-            cost_budget=cost_budget,
+            query.prepared, row, self.weights, self.config, cost_budget=cost_budget
         )
         stats.fms_evaluations += 1
         if pruned:
             stats.verify_budget_prunes += 1
-        fms_cache[tid] = (similarity, reference_values, pruned)
+        fms_cache[tid] = (similarity, row, pruned)
         return fms_cache[tid]
+
+
+def _match(tid: int, similarity: float, row: Row) -> Match:
+    """The :class:`Match` of a verified candidate, its values rebuilt from
+    the resident row."""
+    return Match(tid, similarity, tuple(value.raw for value in row))

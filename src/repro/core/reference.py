@@ -7,69 +7,100 @@ indexed on the Tid attribute" for efficient candidate fetches).  The
 paper's Figure 8 metric, reference tuples fetched per input tuple, is
 counted per query (``MatchStats.candidates_fetched``).
 
-Every insert and delete bumps a mutation version and logs the tid it
-changed; a cache keyed by tid asks :meth:`ReferenceTable.changed_since`
-which tids to drop instead of emptying itself.
+Verification reads candidates from a *resident store*, not the B+-tree:
+every live tuple held in memory as a tuple of interned
+:class:`ColumnValue` objects, one per distinct ``(column, raw value)``.
+A value shared by many tuples (a city, a state, a zip) is one object, so
+the per-query verification memos of :mod:`repro.core.fms`, keyed by it,
+pay its work once per query whatever the number of candidates carrying
+it (the PASS-JOIN / ApproxJoin idea: preprocess each string once).
+
+- The store is built by one relation scan on the first :meth:`row` call,
+  never on :meth:`ReferenceTable.attach` or :meth:`load`: a warehouse
+  that is built or reopened but never queried pays no scan.
+- :meth:`insert` and :meth:`delete` change the relation, then the store
+  under the store lock, which the lazy build holds from its scan through
+  publishing the store: whichever of the two goes first, the store ends
+  up equal to the relation.  :meth:`load` drops the store, to be rebuilt
+  on the next read.  Readers take no lock: a row is an immutable tuple
+  published by one dict assignment, so a reader sees a tuple's old row
+  or its new one, never a mix, and never a row the relation never held.
+  Writers must still be serialized by their caller (one
+  :class:`~repro.eti.maintenance.EtiMaintainer` at a time): the relation's
+  B+-tree is not safe for concurrent writers.
+- Interned values outlive the tuples that carried them until the next
+  :meth:`load`: a deleted tuple's values stay in the interning tables.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from repro.analysis.debuglock import make_lock
+from repro.core.tokens import tokenize
 from repro.db.database import Database
 from repro.db.errors import RecordNotFoundError
 from repro.db.types import Column, ColumnType
 
 TID_INDEX = "tid_idx"
 
-#: Single-tuple mutations a reference relation remembers by tid.  A cache
-#: that falls further behind than this is cleared instead.
-CHANGE_LOG_SIZE = 4096
 
+class ColumnValue:
+    """One distinct raw value of one column: the string and its tokens.
 
-class _ChangeLog:
-    """The mutation version plus the tids of the latest mutations.
-
-    One entry per single-tuple insert or delete, each bumping the version
-    by one, so the ``i``-th newest tid is the change that made version
-    ``version - i``.  A bulk load bumps the version past what the log
-    remembers.
+    Hashed and compared by identity, so a memo keyed by it costs one
+    pointer hash.  ``raw`` is the attribute value as stored (``None`` for
+    NULL); ``tokens`` is its ordered token sequence, duplicates kept, as
+    the transformation-cost DP reads it.
     """
 
-    __slots__ = ("version", "_tids", "_lock")
+    __slots__ = ("raw", "tokens")
 
-    def __init__(self) -> None:
-        self.version = 0
-        self._tids: deque[int] = deque(maxlen=CHANGE_LOG_SIZE)
-        self._lock = make_lock("ReferenceTable._changes")
+    def __init__(self, raw: str | None, tokens: tuple[str, ...]) -> None:
+        self.raw = raw
+        self.tokens = tokens
 
-    def record(self, tid: int) -> None:
-        """Log one single-tuple mutation of ``tid``."""
-        with self._lock:
-            self._tids.append(tid)
-            self.version += 1
+    def __repr__(self) -> str:
+        return f"ColumnValue({self.raw!r})"
 
-    def forget(self, mutations: int) -> None:
-        """Count ``mutations`` the log does not itemise (a bulk load)."""
-        if mutations:
-            with self._lock:
-                self._tids.clear()
-                self.version += mutations
 
-    def since(self, version: int) -> list[int] | None:
-        """Tids changed after ``version``; None when the log lost some."""
-        with self._lock:
-            behind = self.version - version
-            if not 0 <= behind <= len(self._tids):
-                return None
-            return list(islice(reversed(self._tids), behind))
+#: One resident reference tuple: an interned value per attribute column.
+Row = tuple[ColumnValue, ...]
+
+
+class Interner:
+    """Hands out one :class:`ColumnValue` per distinct ``(column, raw value)``.
+
+    Token strings are shared too: a token that occurs in many values is one
+    string object.  Not thread-safe on its own; the store only interns
+    under its lock, and the naive scan uses a private interner per query.
+    """
+
+    def __init__(self, num_columns: int) -> None:
+        self._values: list[dict[str | None, ColumnValue]] = [
+            {} for _ in range(num_columns)
+        ]
+        self._tokens: dict[str, str] = {}
+
+    def row(self, values: Sequence[str | None]) -> Row:
+        """The interned row of attribute ``values``."""
+        return tuple(
+            self.value(column, raw) for column, raw in enumerate(values)
+        )
+
+    def value(self, column: int, raw: str | None) -> ColumnValue:
+        """The interned value ``raw`` of ``column``, tokenized on first sight."""
+        known = self._values[column]
+        found = known.get(raw)
+        if found is None:
+            shared = self._tokens.setdefault
+            found = ColumnValue(raw, tuple(shared(t, t) for t in tokenize(raw)))
+            known[raw] = found
+        return found
 
 
 class ReferenceTable:
-    """A clean reference relation with tid-indexed access."""
+    """A clean reference relation with tid-indexed access and a resident store."""
 
     def __init__(
         self,
@@ -85,7 +116,11 @@ class ReferenceTable:
         columns.extend(Column(c, ColumnType.STR, nullable=True) for c in column_names)
         self.relation = db.create_relation(name, columns)
         self.relation.create_index(TID_INDEX, ["tid"], unique=True)
-        self._changes = _ChangeLog()
+        # The resident store (tid -> Row) and its interner: None until the
+        # first row() call builds both.
+        self._store: dict[int, Row] | None = None
+        self._interner: Interner | None = None
+        self._store_lock = make_lock("ReferenceTable._store_lock")
 
     @classmethod
     def attach(cls, db: Database, name: str, column_names: Sequence[str]) -> "ReferenceTable":
@@ -107,22 +142,10 @@ class ReferenceTable:
         table.name = name
         table.column_names = tuple(column_names)
         table.relation = relation
-        table._changes = _ChangeLog()
+        table._store = None
+        table._interner = None
+        table._store_lock = make_lock("ReferenceTable._store_lock")
         return table
-
-    @property
-    def version(self) -> int:
-        """Bumped on every insert/delete; cache layers watch this."""
-        return self._changes.version
-
-    def changed_since(self, version: int) -> list[int] | None:
-        """Tids inserted or deleted since ``version``, newest first.
-
-        None when the change log no longer reaches back that far (more
-        than :data:`CHANGE_LOG_SIZE` mutations, or a bulk :meth:`load`
-        since): a cache that far behind must be emptied.
-        """
-        return self._changes.since(version)
 
     @property
     def num_columns(self) -> int:
@@ -142,7 +165,9 @@ class ReferenceTable:
     def insert(self, tid: int, values: Sequence[str | None]) -> None:
         """Insert one reference tuple."""
         self.relation.insert(self._row(tid, values))
-        self._changes.record(tid)
+        with self._store_lock:
+            if self._store is not None and self._interner is not None:
+                self._store[tid] = self._interner.row(values)
 
     def load(self, rows: Iterable[tuple[int, Sequence[str | None]]]) -> int:
         """Bulk load ``(tid, values)`` pairs; returns the count.
@@ -150,14 +175,16 @@ class ReferenceTable:
         Rows stream into the heap and the tid index is built from their
         sorted keys in one pass (:meth:`Relation.insert_many`); a duplicate
         tid still raises ``DuplicateKeyError`` before its row is written.
+        The resident store is dropped, to be rebuilt by the next read.
         """
-        stored_before = len(self.relation)
         try:
             return self.relation.insert_many(
                 self._row(tid, values) for tid, values in rows
             )
         finally:
-            self._changes.forget(len(self.relation) - stored_before)
+            with self._store_lock:
+                self._store = None
+                self._interner = None
 
     def fetch(self, tid: int) -> tuple[str | None, ...]:
         """Fetch the attribute values of tuple ``tid`` via the tid index."""
@@ -169,8 +196,33 @@ class ReferenceTable:
         rid = self.relation.find_rid(TID_INDEX, tid)
         values = self.relation.fetch(rid)[1:]
         self.relation.delete(rid)
-        self._changes.record(tid)
+        with self._store_lock:
+            if self._store is not None:
+                self._store.pop(tid, None)
         return values
+
+    def row(self, tid: int) -> Row | None:  # reprolint: disable=lock-discipline
+        """The resident row of tuple ``tid``; None when the relation lacks it.
+
+        Lock-free: the store is read through one reference, and each row
+        in it is an immutable tuple replaced whole by the writers.  The
+        first call builds the store (see :meth:`_build_store`).
+        """
+        store = self._store
+        if store is None:
+            store = self._build_store()
+        return store.get(tid)
+
+    def _build_store(self) -> dict[int, Row]:
+        """Scan the relation once into the resident store, under the lock."""
+        with self._store_lock:
+            store = self._store
+            if store is None:
+                interner = Interner(self.num_columns)
+                store = {tid: interner.row(values) for tid, values in self.scan()}
+                self._interner = interner
+                self._store = store
+            return store
 
     def __contains__(self, tid: int) -> bool:
         try:

@@ -53,6 +53,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.core.config import check_query_overrides
 from repro.core.matcher import MatchResult
 
 #: Protocol verbs.
@@ -452,8 +453,8 @@ def decode_request(line: str | bytes) -> Request:
         if cell is not None and not isinstance(cell, str):
             raise ProtocolError("'values' entries must be strings or null")
     k = payload.get("k")
-    if k is not None and (not isinstance(k, int) or isinstance(k, bool) or k < 1):
-        raise ProtocolError("k must be a positive integer")
+    if k is not None and (not isinstance(k, int) or isinstance(k, bool)):
+        raise ProtocolError("k must be an integer")
     min_similarity = payload.get("min_similarity")
     if min_similarity is not None:
         if not isinstance(min_similarity, (int, float)) or isinstance(
@@ -461,6 +462,12 @@ def decode_request(line: str | bytes) -> Request:
         ):
             raise ProtocolError("min_similarity must be a number")
         min_similarity = float(min_similarity)
+    try:
+        check_query_overrides(
+            1 if k is None else k, 0.0 if min_similarity is None else min_similarity
+        )
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
     strategy = payload.get("strategy")
     if strategy is not None and strategy not in ("naive", "basic", "osc"):
         raise ProtocolError(

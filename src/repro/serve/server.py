@@ -17,8 +17,8 @@ Architecture (one process, thread-per-role):
   expired while queued, ask the
   :class:`~repro.serve.lifecycle.DegradationLadder` what stage to run
   at, and execute through the server's one
-  :class:`~repro.core.matcher.FuzzyMatcher` (shared by every worker, so
-  the fleet warms one reference cache) under the request's own deadline —
+  :class:`~repro.core.matcher.FuzzyMatcher` (shared by every worker,
+  reading one resident reference store) under the request's own deadline —
   queue wait is not free, it comes out of compute.  Workers exist for
   connection concurrency, not CPU parallelism: matching is CPU-bound
   under the GIL.

@@ -15,7 +15,6 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.batch import BatchMatcher, BatchReport
-from repro.core.cache import MatcherCaches
 from repro.core.config import MatchConfig, SignatureScheme
 from repro.core.matcher import FuzzyMatcher, failed_result
 from repro.core.resilience import ResiliencePolicy
@@ -45,7 +44,7 @@ def world():
 def run_report(matcher, batch, **kwargs):
     """``matcher.match_many(batch)`` and the :class:`BatchReport` for it."""
     results = matcher.match_many(batch, **kwargs)
-    return results, BatchReport.from_results(results, 1.0, matcher.caches.counters())
+    return results, BatchReport.from_results(results, 1.0)
 
 
 class TestMatchManyDedup:
@@ -81,9 +80,7 @@ class TestBatchMatcherParallel:
     @pytest.mark.parametrize("strategy", ["basic", "osc"])
     def test_bit_identical_to_sequential(self, world, threads, strategy):
         reference, weights, config, eti, batch = world
-        sequential = FuzzyMatcher(
-            reference, weights, config, eti, caches=MatcherCaches.disabled()
-        )
+        sequential = FuzzyMatcher(reference, weights, config, eti)
         expected = result_view(
             [sequential.match(values, k=2, strategy=strategy) for values in batch]
         )
@@ -109,16 +106,13 @@ class TestBatchMatcherParallel:
         assert report.unique_queries == len(set(batch))
         assert report.deduplicated_queries == len(batch) - len(set(batch))
         assert report.queries_per_second == len(batch)
-        assert set(report.cache_counters) == {"reference_tokens"}
-        assert report.cache_counters["reference_tokens"]["hits"] > 0
+        assert "cache_counters" not in report.as_dict()
 
     def test_per_query_stats_do_not_race(self, world):
         """Each query counts into its own stats, so per-query stats match
         the sequential run although every thread shares one matcher."""
         reference, weights, config, eti, batch = world
-        sequential = FuzzyMatcher(
-            reference, weights, config, eti, caches=MatcherCaches.disabled()
-        )
+        sequential = FuzzyMatcher(reference, weights, config, eti)
         distinct = list(dict.fromkeys(batch))
         expected = [
             (stats.candidates_fetched, stats.eti_lookups, stats.fms_evaluations)
@@ -133,26 +127,30 @@ class TestBatchMatcherParallel:
         assert got == expected
 
     def test_cache_counts_are_exact_under_threads(self, world):
-        """Naive scans touch every tuple once: one hit or miss apiece, and
-        the batch's sums are what the shared cache's counters moved by."""
+        """Each query counts its own resident-store reads: the counts under
+        four threads are the sequential run's, a read per verified
+        candidate and no misses; naive scans read the relation, not the
+        store, and count none."""
         reference, weights, config, eti, batch = world
         distinct = list(dict.fromkeys(batch))[:12]
-        matcher = FuzzyMatcher(reference, weights, config, eti)
 
-        def cache_counters():
-            counters = matcher.caches.registry.snapshot().counters
+        def counts(results):
             return [
-                counters[(f"repro_cache_{kind}_total", (("cache", "reference_tokens"),))]
-                for kind in ("hits", "misses")
+                (
+                    r.stats.reference_cache_hits,
+                    r.stats.reference_cache_misses,
+                    r.stats.candidates_fetched,
+                )
+                for r in results
             ]
 
-        before = cache_counters()
-        results = threaded_match_many(matcher, distinct, 4, strategy="naive")
-        after = cache_counters()
-        hits = [r.stats.reference_cache_hits for r in results]
-        misses = [r.stats.reference_cache_misses for r in results]
-        assert [h + m for h, m in zip(hits, misses)] == [len(reference)] * len(distinct)
-        assert [sum(hits), sum(misses)] == [a - b for a, b in zip(after, before)]
+        sequential = FuzzyMatcher(reference, weights, config, eti)
+        expected = counts([sequential.match(values) for values in distinct])
+        matcher = FuzzyMatcher(reference, weights, config, eti)
+        assert counts(threaded_match_many(matcher, distinct, 4)) == expected
+        assert all(hits >= fetched > 0 and not misses for hits, misses, fetched in expected)
+        naive = threaded_match_many(matcher, distinct[:4], 2, strategy="naive")
+        assert {(h, m) for h, m, _ in counts(naive)} == {(0, 0)}
 
     def test_from_matcher(self, world):
         """The perf ledger's call still yields a matcher over the same
@@ -234,6 +232,7 @@ class TestBatchReportJson:
         assert payload["deduplicated_queries"] == report.deduplicated_queries
         assert payload["queries_per_second"] == report.queries_per_second
         assert "jobs" not in payload
+        assert "cache_counters" not in payload
 
     def test_failed_types_counted(self):
         results = [
@@ -241,7 +240,7 @@ class TestBatchReportJson:
             failed_result(PageCorruptionError("bad page")),
             failed_result(TransientIOError("again")),
         ]
-        report = BatchReport.from_results(results, 0.5, {})
+        report = BatchReport.from_results(results, 0.5)
         payload = json.loads(report.to_json(indent=2))
         assert payload["failed_types"] == {
             "PageCorruptionError": 1,
@@ -268,7 +267,7 @@ class TestBatchReportJson:
             False, True, False, True, False, False,
         ]
         assert [r.stats.degraded for r in results[:2]] == [True, True]
-        report = BatchReport.from_results(results, 2.0, {"reference_tokens": {}})
+        report = BatchReport.from_results(results, 2.0)
         assert report.as_dict() == {
             "total_queries": 6,
             "unique_queries": 4,
@@ -279,7 +278,6 @@ class TestBatchReportJson:
             "failed_queries": 1,
             "degraded_reasons": {"page_fetches": 2},
             "failed_types": {"TransientIOError": 1},
-            "cache_counters": {"reference_tokens": {}},
         }
 
 
@@ -324,6 +322,7 @@ class TestCliJobs:
             "degraded_queries"
         ]
         assert "jobs" not in payload
+        assert "cache_counters" not in payload
 
     def test_jobs_flag_is_a_usage_error(self, csv_pair, tmp_path, capsys):
         reference, dirty = csv_pair

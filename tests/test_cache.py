@@ -1,11 +1,14 @@
-"""The cross-query cache and the per-token memos: mechanics, bounds, parity.
+"""The LRU cache, the per-token memos, and warm/cold parity.
 
-The contract under test is twofold: the cache must behave like a cache
-(bounded, LRU eviction, accurate hit/miss/eviction accounting) and every
-per-token memo must stay under its cap, and both must be *invisible* in
-results — a cached matcher returns bit-identical ``Match`` lists to an
-uncached one on the synthetic error-injected dataset, across every
-strategy, including after reference and weight mutations.
+The contract under test is twofold: the LRU cache must behave like a
+cache (bounded, LRU eviction, accurate hit/miss/eviction accounting) and
+every per-token memo must stay under its cap, and the state a matcher
+keeps across queries — the reference relation's resident store and the
+edit-distance memo — must be *invisible* in results: a warm matcher
+returns bit-identical ``Match`` lists to a cold one (a fresh view of the
+same relation, whose store its first query builds) on the synthetic
+error-injected dataset, across every strategy, including after reference
+and weight mutations.
 """
 
 import threading
@@ -23,9 +26,9 @@ from repro.core.weights import build_frequency_cache
 from repro.data.datasets import DatasetSpec, make_dataset
 from repro.data.generator import CUSTOMER_COLUMNS, generate_customers
 from repro.db.database import Database
-from repro.db.errors import RecordNotFoundError
 from repro.eti.builder import build_eti
 from repro.eti.weights import EtiWeightProvider
+from repro.obs.registry import MetricsRegistry
 
 
 class TestLRUCache:
@@ -87,25 +90,10 @@ class TestLRUCache:
 
 
 class TestMatcherCaches:
-    def test_disabled_bundle(self):
-        caches = MatcherCaches.disabled()
-        assert not caches.enabled
-        assert not caches.reference_tokens.enabled
-
-    def test_counters_shape(self):
-        caches = MatcherCaches()
-        assert caches.reference_tokens.get(1) is None
-        caches.reference_tokens.put(1, "row")
-        assert caches.reference_tokens.get(1) == "row"
-        assert caches.counters() == {
-            "reference_tokens": {
-                "hits": 1,
-                "misses": 1,
-                "evictions": 0,
-                "hit_rate": 0.5,
-                "entries": 1,
-            }
-        }
+    def test_the_bundle_is_its_registry(self):
+        registry = MetricsRegistry()
+        assert MatcherCaches(registry).registry is registry
+        assert vars(MatcherCaches()).keys() == {"registry"}
 
 
 class TestBoundedMemos:
@@ -141,10 +129,7 @@ class TestBoundedMemos:
         provider = EtiWeightProvider(
             eti, len(org_reference), org_reference.num_columns
         )
-        matcher = FuzzyMatcher(
-            org_reference, provider, config, eti,
-            caches=MatcherCaches(reference_capacity=self.CAP),
-        )
+        matcher = FuzzyMatcher(org_reference, provider, config, eti)
         matcher.hasher._memo.capacity = self.CAP
         provider._memo.capacity = self.CAP
         for i in range(2 * self.CAP):
@@ -156,7 +141,7 @@ class TestBoundedMemos:
             for name, value in vars(holder).items()
             if hasattr(value, "__len__")
         ]
-        assert {name for _, name, _ in sized} >= {"_memo", "reference_tokens"}
+        assert {name for _, name, _ in sized} >= {"_memo"}
         assert [entry for entry in sized if entry[2] > self.CAP] == []
 
 
@@ -173,6 +158,13 @@ def build_error_injected_world(num_reference=300, num_inputs=60, repeats=3):
     dataset = make_dataset(rows, DatasetSpec.preset("D2"), num_inputs, seed=12)
     batch = [dirty.values for dirty in dataset.inputs] * repeats
     return db, reference, weights, config, eti, batch
+
+
+def cold_matcher(db, reference, weights, config, eti):
+    """A matcher over a fresh view of ``reference``'s relation in ``db``:
+    its own resident store, built by its first indexed query."""
+    view = ReferenceTable.attach(db, reference.name, reference.column_names)
+    return FuzzyMatcher(view, weights, config, eti)
 
 
 def result_view(results):
@@ -206,89 +198,93 @@ def threaded_match_many(matcher, batch, threads, **kwargs):
 @pytest.fixture(scope="module")
 def error_world():
     db, reference, weights, config, eti, batch = build_error_injected_world()
-    yield reference, weights, config, eti, batch
+    yield reference, weights, config, eti, batch, db
     db.close()
 
 
 class TestCachedUncachedParity:
+    """A warm matcher (store built, memos filled) equals a cold one."""
+
     @pytest.mark.parametrize("strategy", ["naive", "basic", "osc"])
     def test_identical_matches(self, error_world, strategy):
-        reference, weights, config, eti, batch = error_world
+        reference, weights, config, eti, batch, db = error_world
         subset = batch if strategy != "naive" else batch[:30]
-        uncached = FuzzyMatcher(
-            reference, weights, config, eti, caches=MatcherCaches.disabled()
-        )
-        cached = FuzzyMatcher(reference, weights, config, eti)
+        cold = cold_matcher(db, reference, weights, config, eti)
+        warm = FuzzyMatcher(reference, weights, config, eti)
         expected = result_view(
-            [uncached.match(values, k=3, strategy=strategy) for values in subset]
+            [cold.match(values, k=3, strategy=strategy) for values in subset]
         )
         # Twice through the same matcher: the second pass runs hot.
         for _ in range(2):
             got = result_view(
-                [cached.match(values, k=3, strategy=strategy) for values in subset]
+                [warm.match(values, k=3, strategy=strategy) for values in subset]
             )
             assert got == expected
 
     def test_match_many_equals_per_tuple_match(self, error_world):
-        reference, weights, config, eti, batch = error_world
+        reference, weights, config, eti, batch, _ = error_world
         matcher = FuzzyMatcher(reference, weights, config, eti)
         bulk = matcher.match_many(batch)
         singles = [matcher.match(values) for values in batch]
         assert result_view(bulk) == result_view(singles)
 
     def test_stats_report_cache_hits_on_repeat(self, error_world):
-        reference, weights, config, eti, batch = error_world
+        """Every candidate row is read from the resident store."""
+        reference, weights, config, eti, batch, _ = error_world
         matcher = FuzzyMatcher(reference, weights, config, eti)
         matcher.match(batch[0])
         repeat = matcher.match(batch[0])
-        assert repeat.stats.reference_cache_hits > 0
+        assert repeat.stats.reference_cache_hits >= repeat.stats.candidates_fetched > 0
         assert repeat.stats.reference_cache_misses == 0
 
     def test_candidates_fetched_unchanged_by_caching(self, error_world):
-        """The Figure 8 metric counts logical fetches, cached or not."""
-        reference, weights, config, eti, batch = error_world
-        uncached = FuzzyMatcher(
-            reference, weights, config, eti, caches=MatcherCaches.disabled()
-        )
-        cached = FuzzyMatcher(reference, weights, config, eti)
+        """The Figure 8 metric counts logical fetches, warm or cold."""
+        reference, weights, config, eti, batch, db = error_world
+        warm = FuzzyMatcher(reference, weights, config, eti)
         for values in batch[:20]:
-            a = uncached.match(values).stats.candidates_fetched
-            cached.match(values)
-            b = cached.match(values).stats.candidates_fetched  # hot run
+            cold = cold_matcher(db, reference, weights, config, eti)
+            a = cold.match(values).stats.candidates_fetched
+            warm.match(values)
+            b = warm.match(values).stats.candidates_fetched  # hot run
             assert a == b
 
     def test_dangling_tid_caches_nothing(self, error_world):
-        """A tid the relation does not hold raises, counts a miss, stores nothing."""
-        reference, weights, config, eti, _ = error_world
+        """A tid the relation does not hold verifies to −1, counts a miss
+        and no fetch, and the store does not gain it."""
+        reference, weights, config, eti, batch, _ = error_world
         matcher = FuzzyMatcher(reference, weights, config, eti)
-        stats = MatchStats()
-        with pytest.raises(RecordNotFoundError):
-            matcher._reference_tokens(10**9, stats)
+        query = matcher._stage_signature(batch[0], 0.0, use_osc=False)
+        stats, scored = MatchStats(), {}
+        assert matcher._score_candidate(10**9, query, scored, stats) == (-1.0, (), False)
         assert (stats.reference_cache_hits, stats.reference_cache_misses) == (0, 1)
-        assert 10**9 not in matcher.caches.reference_tokens
+        assert stats.candidates_fetched == 0
+        assert reference.row(10**9) is None
 
     def test_reference_mutation_invalidates_tokens(self, error_world):
-        reference, weights, config, eti, batch = error_world
+        reference, weights, config, eti, batch, _ = error_world
         matcher = FuzzyMatcher(reference, weights, config, eti)
-        matcher.match(batch[0])  # warm the reference-token cache
+        matcher.match(batch[0])  # build the resident store
         tid, values = next(iter(reference.scan()))
         removed = reference.delete(tid)
         try:
-            result = matcher.match(removed, strategy="naive", k=1)
-            assert all(match.tid != tid for match in result.matches)
+            for strategy in ("naive", "basic"):
+                result = matcher.match(removed, strategy=strategy, k=1)
+                assert all(match.tid != tid for match in result.matches)
         finally:
             reference.insert(tid, removed)
 
 
 class TestBatchInvalidationRace:
-    """Version-based invalidation against one warm, shared matcher.
+    """Mutations against one warm, shared matcher.
 
-    One :class:`FuzzyMatcher` (and its cache) stays alive across batches
-    and serves several threads at once, as it does for the server's
-    workers; mutating the weight provider or the reference relation bumps
-    a version the cache layer watches.  The contract: after a mutation,
-    no thread may serve a stale cached entry — batch results must be
-    bit-identical to a freshly built uncached matcher's.
+    One :class:`FuzzyMatcher` stays alive across batches and serves
+    several threads at once, as it does for the server's workers.
+    Mutating the weight provider changes what every later query weighs;
+    mutating the reference relation changes its resident store in the
+    same call.  The contract: after a mutation, no thread may answer from
+    stale state — batch results must be bit-identical to a cold matcher's.
+    (A reader racing the writer is
+    ``tests/test_reference.py::TestResidentStore::test_a_reader_racing_a_writer_sees_only_held_rows``.)
     """
 
     def make_world(self):
@@ -296,10 +292,8 @@ class TestBatchInvalidationRace:
             num_reference=150, num_inputs=20, repeats=2
         )
 
-    def fresh_expected(self, reference, weights, config, eti, batch):
-        matcher = FuzzyMatcher(
-            reference, weights, config, eti, caches=MatcherCaches.disabled()
-        )
+    def fresh_expected(self, db, reference, weights, config, eti, batch):
+        matcher = cold_matcher(db, reference, weights, config, eti)
         return result_view([matcher.match(v, k=2) for v in batch])
 
     def test_weight_mutation_between_batches(self):
@@ -309,7 +303,7 @@ class TestBatchInvalidationRace:
             threaded_match_many(matcher, batch, 2, k=2)  # warm the memo
             weights.add_tuple(("zyzzyva consolidated", "outpost", "zz", "99999"))
             got = result_view(threaded_match_many(matcher, batch, 2, k=2))
-            assert got == self.fresh_expected(reference, weights, config, eti, batch)
+            assert got == self.fresh_expected(db, reference, weights, config, eti, batch)
         finally:
             db.close()
 
@@ -317,29 +311,28 @@ class TestBatchInvalidationRace:
         db, reference, weights, config, eti, batch = self.make_world()
         try:
             matcher = FuzzyMatcher(reference, weights, config, eti)
-            threaded_match_many(matcher, batch, 2, k=2)  # warm the reference cache
+            threaded_match_many(matcher, batch, 2, k=2)  # build the resident store
             tid, values = next(iter(reference.scan()))
             reference.delete(tid)
             reference.insert(tid, ("renamed entity",) + tuple(values[1:]))
             got = result_view(threaded_match_many(matcher, batch, 2, k=2))
-            assert got == self.fresh_expected(reference, weights, config, eti, batch)
+            assert got == self.fresh_expected(db, reference, weights, config, eti, batch)
         finally:
             db.close()
 
     def test_weight_mutation_mid_batch_settles_exact(self):
-        """A version bump racing four in-flight readers never wedges the
-        cache.
+        """A weight mutation racing four in-flight readers leaves nothing
+        stale behind.
 
         The mid-flight batch itself may mix pre- and post-mutation weights
         (queries already running finish with what they started with); the
-        guarantee under test is that the shared matcher notices the
-        version bump, so the next quiesced batch is exact.
+        guarantee under test is that the next quiesced batch is exact.
         """
         db, reference, weights, config, eti, batch = self.make_world()
         try:
             big_batch = batch * 4
             matcher = FuzzyMatcher(reference, weights, config, eti)
-            threaded_match_many(matcher, batch, 4, k=2)  # warm the cache
+            threaded_match_many(matcher, batch, 4, k=2)  # warm the matcher
 
             def mutate():
                 time.sleep(0.005)  # land mid-batch
@@ -354,41 +347,6 @@ class TestBatchInvalidationRace:
             assert len(racy) == len(big_batch)
 
             got = result_view(threaded_match_many(matcher, batch, 4, k=2))
-            assert got == self.fresh_expected(reference, weights, config, eti, batch)
-        finally:
-            db.close()
-
-    def test_a_tuple_read_before_another_workers_mutation_is_not_cached(self):
-        """The shared cache's one hazard, replayed deterministically.
-
-        Query A misses on tid X and reads X's old row; before A stores it,
-        "another worker" updates X and runs a query of its own on the
-        same matcher, which syncs the cache past the update.  A must then
-        not put the old row back: nothing would ever discard it again.
-        """
-        db, reference, weights, config, eti, _ = self.make_world()
-        try:
-            matcher = FuzzyMatcher(reference, weights, config, eti)
-            target, old = next(iter(reference.scan()))
-            fetch = reference.fetch
-            interleaved = []
-
-            def fetch_then_interleave(tid):
-                row = fetch(tid)
-                if tid == target and not interleaved:
-                    interleaved.append(tid)
-                    reference.delete(target)
-                    reference.insert(target, ("renamed entity",) + tuple(old[1:]))
-                    matcher.match(old, k=2)  # the other worker
-                return row
-
-            reference.fetch = fetch_then_interleave
-            try:
-                matcher.match(old, k=2)
-            finally:
-                del reference.fetch
-            assert interleaved == [target]
-            got = result_view([matcher.match(old, k=2)])
-            assert got == self.fresh_expected(reference, weights, config, eti, [old])
+            assert got == self.fresh_expected(db, reference, weights, config, eti, batch)
         finally:
             db.close()

@@ -1,5 +1,10 @@
 """Score table: accumulation, admission optimization, top-k."""
 
+import heapq
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.candidates import ScoreTable
 
 
@@ -100,11 +105,14 @@ class TestTopCache:
         assert table.stats.top_cache_hits == 1
 
     def test_mutation_invalidates(self):
+        """A score change invalidates the previous answer: the kept
+        selection is updated in place, so the next call reads the new
+        ranking without a re-select."""
         table = self.make_table()
         assert table.top(2) == [(1, 3.0), (2, 2.0)]
         table.add_tid_list([3], weight=4.0, remaining_weight=5.0)
         assert table.top(2) == [(3, 5.0), (1, 3.0)]
-        assert table.stats.top_cache_hits == 0
+        assert table.stats.top_cache_hits == 1
 
     def test_rejected_only_list_keeps_cache_valid(self):
         # Every tid below the admission bound: nothing changed, so the
@@ -130,3 +138,31 @@ class TestTopCache:
         first = table.top(2)
         first.append((99, 0.0))
         assert table.top(2) == [(1, 3.0), (2, 2.0)]
+
+
+@st.composite
+def tid_list_streams(draw):
+    """Tid-list lookups with repeated tids, tied, zero and (rarely valid)
+    negative weights, and admission bounds on both sides of the threshold."""
+    threshold = draw(st.sampled_from((0.0, 1.0, 2.5)))
+    weight = st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.5, -0.5))
+    lookup = st.tuples(
+        st.lists(st.integers(0, 12), max_size=8, unique=True),
+        weight,
+        st.sampled_from((0.0, 1.0, 3.0, 9.0)),
+    )
+    return threshold, draw(st.lists(lookup, max_size=25))
+
+
+class TestKeptSelection:
+    @given(tid_list_streams(), st.integers(0, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_top_after_every_lookup_equals_a_full_select(self, stream, count):
+        threshold, lookups = stream
+        table = ScoreTable(threshold)
+        for tids, weight, remaining in lookups:
+            table.add_tid_list(tids, weight, remaining)
+            expected = heapq.nsmallest(
+                count, table.scores.items(), key=lambda kv: (-kv[1], kv[0])
+            )
+            assert table.top(count) == expected

@@ -22,7 +22,6 @@ import time
 
 import pytest
 
-from repro.core.cache import MatcherCaches
 from repro.core.config import MatchConfig
 from repro.core.matcher import FuzzyMatcher
 from repro.core.reference import ReferenceTable
@@ -58,8 +57,10 @@ def build_faulted_world(
     """A reference + ETI over fault-injectable storage (built clean).
 
     The pool is deliberately small so queries keep going back to physical
-    storage, where the injector lives; caches are disabled on matchers for
-    the same reason.
+    storage, where the injector lives.  Candidate rows come from the
+    reference relation's resident store, built by the first indexed
+    query's scan, so faults reach queries through the ETI probe, the
+    naive fallback's scan, and that first build.
     """
     injector = FaultInjector(InMemoryStorage(), seed=0)
     pool = BufferPool(injector, capacity=pool_capacity, retry_policy=FAST_RETRY)
@@ -77,13 +78,12 @@ def build_faulted_world(
     return db, injector, pool, reference, weights, config, eti, batch
 
 
-def uncached_matcher(reference, weights, config, eti, policy=None):
+def plain_matcher(reference, weights, config, eti, policy=None):
     return FuzzyMatcher(
         reference,
         weights,
         config,
         eti,
-        caches=MatcherCaches.disabled(),
         resilience=policy,
     )
 
@@ -98,7 +98,7 @@ def chaos_world():
 class TestChaosSweep:
     def test_every_outcome_is_accounted_for(self, chaos_world):
         (db, injector, pool, reference, weights, config, eti, batch) = chaos_world
-        clean = uncached_matcher(reference, weights, config, eti)
+        clean = plain_matcher(reference, weights, config, eti)
         expected = [
             [(m.tid, m.similarity, m.values) for m in clean.match(v, k=2).matches]
             for v in batch
@@ -111,7 +111,7 @@ class TestChaosSweep:
             injector.stats.reset()
             injector.arm(seed=seed, config=SWEEP_FAULTS)
             try:
-                matcher = uncached_matcher(
+                matcher = plain_matcher(
                     reference, weights, config, eti, ResiliencePolicy()
                 )
                 results = matcher.match_many(batch, k=2, fail_fast=False)
@@ -153,7 +153,7 @@ class TestChaosSweep:
             injector.stats.reset()
             injector.arm(seed=seed, config=SWEEP_FAULTS)
             try:
-                matcher = uncached_matcher(
+                matcher = plain_matcher(
                     reference, weights, config, eti, ResiliencePolicy()
                 )
                 results = matcher.match_many(batch[:10], k=2, fail_fast=False)
@@ -177,13 +177,13 @@ class TestChaosSweep:
         match-only phase, so the stored relations stay intact.)
         """
         (db, injector, pool, reference, weights, config, eti, batch) = chaos_world
-        clean = uncached_matcher(reference, weights, config, eti)
+        clean = plain_matcher(reference, weights, config, eti)
         expected = [
             [(m.tid, m.similarity) for m in clean.match(v, k=2).matches]
             for v in batch[:10]
         ]
         injector.arm(seed=3, config=SWEEP_FAULTS)
-        matcher = uncached_matcher(
+        matcher = plain_matcher(
             reference, weights, config, eti, ResiliencePolicy()
         )
         matcher.match_many(batch[:10], k=2, fail_fast=False)
@@ -207,13 +207,20 @@ class TestDeadline:
         ``reads * latency / 2`` — two deadlines — while one read stays
         small next to the deadline, which is what the 2x bound assumes
         (the overshoot is one index entry plus one candidate verification,
-        a handful of reads).
+        a handful of reads).  Candidates are verified from the reference
+        relation's resident store, so the reads are the ETI probe's: an
+        eight-coordinate signature gives the slowest query enough of them.
         """
         (db, injector, pool, reference, weights, config, eti, batch) = (
-            build_faulted_world(num_reference=800, num_inputs=6, pool_capacity=1)
+            build_faulted_world(
+                num_reference=800,
+                num_inputs=25,
+                pool_capacity=1,
+                config=MatchConfig(q=3, signature_size=8),
+            )
         )
         try:
-            unbudgeted = uncached_matcher(reference, weights, config, eti)
+            unbudgeted = plain_matcher(reference, weights, config, eti)
 
             def physical_reads(values):
                 pool.drop_cache()
@@ -229,7 +236,7 @@ class TestDeadline:
             slow = FaultConfig(latency_rate=1.0, latency_seconds=latency)
 
             policy = ResiliencePolicy(deadline_ms=deadline * 1000.0)
-            matcher = uncached_matcher(reference, weights, config, eti, policy)
+            matcher = plain_matcher(reference, weights, config, eti, policy)
             injector.arm(seed=1, config=slow)
             try:
                 pool.drop_cache()
@@ -261,7 +268,7 @@ class TestDeadline:
         )
         try:
             policy = ResiliencePolicy(max_page_fetches=1)
-            matcher = uncached_matcher(reference, weights, config, eti, policy)
+            matcher = plain_matcher(reference, weights, config, eti, policy)
             pool.drop_cache()
             before = pool.stats.physical_reads
             result = matcher.match(batch[0], k=1, strategy="osc")

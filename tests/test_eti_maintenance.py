@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.core.reference as reference_module
 from repro.core.config import MatchConfig, SignatureScheme
 from repro.core.matcher import FuzzyMatcher
 from repro.core.minhash import MinHasher
@@ -25,6 +24,7 @@ from repro.eti.maintenance import EtiMaintainer
 from repro.eti.signature import signature_entries
 
 from tests.conftest import ORG_ROWS
+from tests.test_reference import resident
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -387,15 +387,13 @@ class TestPageWall:
 class TestWritesBesideReads:
     """Long-lived matchers answer like a cold one across write bursts.
 
-    The matchers' reference-token caches drop only the tids each burst
-    changed, or everything when a burst outruns the change log, which
-    the test shrinks so one burst does.  One matcher reads between writes
-    (a change log one entry behind); the other reads only after each
-    burst.
+    Every matcher reads candidates from the reference relation's resident
+    store, which the maintainer's writes keep current.  One matcher reads
+    between writes; the other reads only after each burst.  After every
+    burst the store equals the relation row for row.
     """
 
-    LOG = 16
-    BURSTS = (3, 9, 2 * LOG + 5, 1, 6)
+    BURSTS = (3, 9, 37, 1, 6)
 
     @staticmethod
     def answers(matcher, values, strategy):
@@ -404,8 +402,7 @@ class TestWritesBesideReads:
             for m in matcher.match(values, k=3, strategy=strategy).matches
         ]
 
-    def test_long_lived_matchers_equal_a_cold_one(self, monkeypatch):
-        monkeypatch.setattr(reference_module, "CHANGE_LOG_SIZE", self.LOG)
+    def test_long_lived_matchers_equal_a_cold_one(self):
         config = MatchConfig(q=3, signature_size=2)
         rows = [(c.tid, c.values) for c in generate_customers(300, seed=11, unique=True)]
         fresh = iter(
@@ -424,7 +421,6 @@ class TestWritesBesideReads:
         live = dict(rows)
         next_tid = max(live) + 1
         rng = random.Random(5)
-        kept_entries = 0
         for size in self.BURSTS:
             touched = rng.sample(sorted(live), size)
             queries = [live[tid] for tid in touched]
@@ -456,9 +452,7 @@ class TestWritesBesideReads:
                     expected = self.answers(cold, values, strategy)
                     for matcher in long_lived:
                         assert self.answers(matcher, values, strategy) == expected
-            if size < self.LOG:
-                kept_entries += len(long_lived[0].caches.reference_tokens)
-        assert kept_entries > 0
+            assert resident(reference) == dict(reference.scan()) == live
         assert dict(reference.scan()) == live
         db.close()
 

@@ -16,6 +16,7 @@ from repro.core.fms import (
     tuple_transformation_cost,
 )
 from repro.core.kernels import classic_distance
+from repro.core.reference import Interner
 from repro.core.strings import cached_edit_distance, clear_edit_distance_caches
 from repro.core.tokens import TupleTokens
 
@@ -380,9 +381,12 @@ class TestCostLowerBound:
         assert tuple_transformation_cost(u, v, UNIT, CONFIG3) == pytest.approx(1.0)
 
     def test_stops_summing_past_the_limit(self):
-        u = prepare_input(TupleTokens.from_values(("a b c d",)), UNIT, CONFIG3)
-        v = TupleTokens.from_values((None,))
+        # Summed column by column: the first column's term (2.0) clears
+        # the limit, so the second column's is never added.
+        u = prepare_input(TupleTokens.from_values(("a b", "c d")), UNIT, CONFIG3)
+        v = TupleTokens.from_values((None, None))
         assert cost_lower_bound(u, v, UNIT, CONFIG3, limit=1.5) == 2.0
+        assert cost_lower_bound(u, v, UNIT, CONFIG3) == 4.0
 
     def test_prune_before_the_dp_is_counted(self):
         u = TupleTokens.from_values(("qqqq rrrr", "seattle"))
@@ -424,6 +428,50 @@ class TestCostLowerBound:
             assert tuple_transformation_cost(prepared, v, weights, config, budget) > budget
             if budget < prepared.weight:
                 assert fms_budgeted(prepared, v, weights, config, cost_budget=budget)[1]
+
+
+@st.composite
+def query_cases(draw):
+    """One input and a stream of candidates drawn from a small pool of
+    values per column, so candidates share interned column values as a
+    query's candidates do; transpositions and column weights included."""
+    u, _, config, weights, memos = draw(bound_cases())
+    columns = u.num_columns
+    pools = [draw(st.lists(_VALUES, min_size=1, max_size=3)) for _ in range(columns)]
+    candidates = draw(
+        st.lists(
+            st.tuples(*(st.sampled_from(pool) for pool in pools)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    fractions = draw(st.lists(st.sampled_from((None, 0.0, 0.3, 0.9, 1.0, 1.2)), min_size=len(candidates), max_size=len(candidates)))
+    return u, candidates, fractions, config, weights, memos
+
+
+class TestPerQueryMemos:
+    @given(query_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_memoized_verification_equals_a_fresh_one(self, case):
+        """Over one query's candidates, the memoized bound stays ≤ the
+        exact cost, and fms_budgeted gives the fresh call's pruned flag
+        and, when not pruned, its similarity."""
+        u, candidates, fractions, config, weights, memos = case
+        interner = Interner(u.num_columns)
+        query = prepare_input(u, weights, config)  # one memo for every candidate
+        for values, fraction in zip(candidates, fractions):
+            v = TupleTokens.from_values(values)
+            set_memos(u, v, memos)
+            exact = tuple_transformation_cost(u, v, weights, config)
+            budget = None if fraction is None else exact * fraction
+            row = interner.row(values)
+            fresh = fms_budgeted(u, v, weights, config, cost_budget=budget)
+            memoized = fms_budgeted(query, row, weights, config, cost_budget=budget)
+            assert memoized[1] == fresh[1], (values, budget)
+            if not fresh[1]:
+                assert memoized[0] == fresh[0], (values, budget)
+            assert within_margin(cost_lower_bound(query, row, weights, config), exact)
+            assert tuple_transformation_cost(query, row, weights, config) == exact
 
 
 @st.composite

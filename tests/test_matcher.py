@@ -95,6 +95,31 @@ class TestQueryOptions:
         with pytest.raises(ValueError, match="columns"):
             org_matcher.match(("a", "b"))
 
+    @pytest.mark.parametrize("strategy", ["naive", "basic", "osc"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"k": 0},
+            {"k": -1},
+            {"min_similarity": float("nan")},
+            {"min_similarity": float("inf")},
+            {"min_similarity": 1.0},
+            {"min_similarity": -0.1},
+        ],
+        ids=["k0", "k-1", "c-nan", "c-inf", "c1", "c-neg"],
+    )
+    def test_per_call_overrides_follow_the_config_rules(
+        self, org_matcher, strategy, overrides
+    ):
+        """``k`` and ``min_similarity`` passed per call are held to
+        :class:`MatchConfig`'s rules on every strategy."""
+        with pytest.raises(ValueError, match="must be"):
+            org_matcher.match(
+                ("Beoing Company", "Seattle", "WA", "98004"),
+                strategy=strategy,
+                **overrides,
+            )
+
     def test_indexed_strategy_requires_eti(self, org_reference, org_weights, paper_config):
         matcher = FuzzyMatcher(org_reference, org_weights, paper_config)
         with pytest.raises(ValueError, match="requires a built ETI"):

@@ -608,7 +608,7 @@ class TestStatsWireOp:
             documented |= full
             if "†" in kind:
                 on_first_event |= full
-        assert "repro_cache_misses_total" in documented
+        assert "repro_fms_bound_prunes_total" in documented
         assert "repro_serve_shed_total" in on_first_event
 
         with observed_server(org_engine) as server:

@@ -614,7 +614,7 @@ class TestBatchIsolation:
         results = matcher.match_many(batch, strategy="osc", fail_fast=False)
         assert all(r.failed for r in results)
         assert all(r.error_type == "TransientIOError" for r in results)
-        report = BatchReport.from_results(results, 0.0, matcher.caches.counters())
+        report = BatchReport.from_results(results, 0.0)
         assert report.failed_queries == 3
 
     def test_fail_fast_true_raises(
@@ -645,7 +645,7 @@ class TestBatchIsolation:
         results = matcher.match_many(batch, strategy="osc", fail_fast=False)
         assert results[0].failed
         assert not results[1].failed and results[1].best.tid == 2
-        report = BatchReport.from_results(results, 0.0, matcher.caches.counters())
+        report = BatchReport.from_results(results, 0.0)
         assert report.failed_queries == 1
 
     def test_parallel_isolation(

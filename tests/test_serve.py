@@ -138,6 +138,27 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             decode_request(line)
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            '"min_similarity":NaN',
+            '"min_similarity":Infinity',
+            '"min_similarity":-Infinity',
+            '"min_similarity":1.0',
+            '"min_similarity":-0.5',
+            '"k":-3',
+        ],
+    )
+    def test_overrides_follow_the_config_rules(self, override):
+        """The JSON parser accepts NaN and Infinity; the protocol holds
+        ``k`` and ``min_similarity`` to :class:`MatchConfig`'s rules."""
+        with pytest.raises(ProtocolError, match="must be"):
+            decode_request('{"op":"match","values":["a"],%s}' % override)
+
+    def test_overrides_at_the_edge_of_the_range_are_accepted(self):
+        request = decode_request('{"op":"match","values":["a"],"k":1,"min_similarity":0.999}')
+        assert (request.k, request.min_similarity) == (1, 0.999)
+
     def test_encode_line_is_one_line(self):
         raw = encode_line({"ok": True, "id": "x"})
         assert raw.endswith(b"\n")
