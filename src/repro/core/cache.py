@@ -43,7 +43,10 @@ _MISSING = object()
 #: token vocabulary is far smaller, so in practice a memo never cycles; the
 #: cap only keeps a long-lived process (one hasher serves every worker of
 #: ``repro serve``) from growing with every distinct dirty token it has seen.
-MEMO_CAPACITY = 200_000
+#: It is the most a CPython dict holds in a 2^18-slot table (two thirds of
+#: the slots); one entry more grows the table to 2^20 slots, which at 12 000
+#: reference tuples put ≈ 10 MiB on the edit-distance memo's peak RSS.
+MEMO_CAPACITY = 174_762
 
 
 class BoundedMemo(dict):

@@ -34,6 +34,7 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 
@@ -159,9 +160,16 @@ class ScoreTable:
         return [(tid, -negative) for negative, tid in selection]
 
     def candidates(self, score_floor: float) -> list[tuple[int, float]]:
-        """All tids with score ≥ ``score_floor``, best first (step 11)."""
+        """All tids with score ≥ ``score_floor``, best first (step 11).
+
+        Ties break on tid.  Two C-level sorts give the ``(−score, tid)``
+        order without a Python key call per tid: by tid, then a stable
+        sort on score, descending (``reverse=True`` keeps equal scores in
+        their tid order).
+        """
         items = [
             (tid, score) for tid, score in self.scores.items() if score >= score_floor
         ]
-        items.sort(key=lambda kv: (-kv[1], kv[0]))
+        items.sort()
+        items.sort(key=itemgetter(1), reverse=True)
         return items

@@ -38,8 +38,11 @@ share most of their column values (at 12 000 tuples an OSC miss verifies
 Each input token's distance dict keeps, per reference token, the exact
 memoized distance or, where none is known yet, the length-gap lower bound;
 every exact distance the DP computes is written through into it.  Every
-fms call goes through :func:`fms_budgeted`; raw values and
-:class:`TupleTokens` are turned into a (non-interned) row first.
+:func:`fms` call goes through :func:`fms_budgeted`; raw values and
+:class:`TupleTokens` are turned into a (non-interned) row first.  The
+matcher's verify stage runs the same two steps, :func:`_row_bound` then
+:func:`_row_cost` under one budget, in its own loop, so a candidate the
+bound prunes costs a store read and a few memo probes and nothing else.
 
 Two verification fast paths, cheapest first (see ``docs/INTERNALS.md``):
 
@@ -78,7 +81,9 @@ DP's float cost exceeds the budget too.  Which of the two mechanisms
 prunes a candidate may change (``COUNTERS.bound_prunes`` and
 ``dp_cells`` move); the flag, and so ``fms_evaluations``,
 ``verify_budget_prunes`` and ``candidates_fetched``, do not.  A pruned
-candidate's similarity is only an upper bound, which callers discard.
+candidate's similarity is only an upper bound, which callers discard:
+the matcher's per-query ``fms_cache`` holds exact ``(similarity, row)``
+results only, and a pruned candidate is never written to it.
 
 Every DP cell that needs a replacement takes the exact, memoized token
 distance (:func:`repro.core.strings.cached_edit_distance`); it is skipped
@@ -152,9 +157,9 @@ class FmsCounters:
         """Count one budget-driven early stop."""
         self._budget_abandons.inc()
 
-    def add_bound_prune(self) -> None:
-        """Count one candidate pruned before its DP."""
-        self._bound_prunes.inc()
+    def add_bound_prunes(self, count: int = 1) -> None:
+        """Count ``count`` candidates pruned before their DP."""
+        self._bound_prunes.inc(count)
 
     def snapshot(self) -> tuple[int, int, int]:
         """Counter values at this instant, for before/after deltas."""
@@ -609,7 +614,7 @@ def fms_budgeted(
             limit = cost_budget * (1.0 + 1e-9) + 1e-12
             bound = _row_bound(u, row, limit)
             if bound > limit:
-                COUNTERS.add_bound_prune()
+                COUNTERS.add_bound_prunes()
                 return (1.0 - min(bound / total_weight, 1.0), True)
     cost = _row_cost(u, row, cost_budget)
     pruned = cost_budget is not None and cost > cost_budget

@@ -31,14 +31,11 @@ from dataclasses import dataclass, field, replace
 from repro.core.cache import MatcherCaches
 from repro.core.candidates import ScoreTable
 from repro.core.config import MatchConfig, check_query_overrides
-from repro.core.fms import PreparedInput, fms, fms_budgeted, prepare_input
+from repro.core.fms import COUNTERS as FMS_COUNTERS
+from repro.core.fms import PreparedInput, fms, prepare_input
+from repro.core.fms import _row_bound, _row_cost  # the verify loop's two steps
 from repro.core.minhash import MinHasher
-from repro.core.osc import (
-    fetching_test,
-    similarity_upper_bound,
-    stopping_bound,
-    stopping_test,
-)
+from repro.core.osc import fetching_test, stopping_bound, stopping_test
 from repro.core.reference import Interner, ReferenceTable, Row
 from repro.core.resilience import Deadline, ResiliencePolicy, fallback_chain
 from repro.core.tokens import TupleTokens
@@ -83,9 +80,10 @@ class MatchStats:
     fms_evaluations: int = 0
     verify_budget_prunes: int = 0
     """Candidates whose budgeted verification proved they cannot displace
-    the current K-th best and stopped the transformation DP early
-    (:func:`repro.core.fms.fms_budgeted`); pruned candidates never enter
-    the result, so answers are unchanged."""
+    the current K-th best: the cost lower bound cleared the budget, or
+    the transformation DP stopped early or finished over it (the two
+    steps of :func:`repro.core.fms.fms_budgeted`); pruned candidates never
+    enter the result, so answers are unchanged."""
     osc_fetch_attempts: int = 0
     osc_succeeded: bool = False
     elapsed_seconds: float = 0.0
@@ -591,7 +589,7 @@ class FuzzyMatcher:
         query = self._stage_signature(values, c, use_osc)
         if query is None:
             return result  # all token weights are zero: nothing can match
-        fms_cache: dict[int, tuple[float, Row, bool]] = {}
+        fms_cache: dict[int, tuple[float, Row]] = {}
         probe = self._stage_probe(query, k, c, use_osc, deadline, fms_cache, stats)
         if probe.matches is not None:
             result.matches = probe.matches
@@ -655,7 +653,7 @@ class FuzzyMatcher:
         c: float,
         use_osc: bool,
         deadline: Deadline | None,
-        fms_cache: dict[int, tuple[float, Row, bool]],
+        fms_cache: dict[int, tuple[float, Row]],
         stats: MatchStats,
     ) -> ProbeOutcome:
         """Stage 2: look every entry up in the ETI, accumulating tid scores.
@@ -701,7 +699,7 @@ class FuzzyMatcher:
                 stats.osc_fetch_attempts += 1
                 similarities = [
                     # Exact fms: the stopping test cannot use a pruned bound.
-                    self._score_candidate(tid, query, fms_cache, stats, cost_budget=None)[0]
+                    self._score_candidate(tid, query, fms_cache, stats)[0]
                     for tid in decision.top_tids
                 ]
                 last_test = (decision.outside_score_cap, min(similarities, default=0.0))
@@ -743,7 +741,7 @@ class FuzzyMatcher:
         k: int,
         c: float,
         deadline: Deadline | None,
-        fms_cache: dict[int, tuple[float, Row, bool]],
+        fms_cache: dict[int, tuple[float, Row]],
         stats: MatchStats,
     ) -> list[Match]:
         """Stage 3: fetch ``candidates`` (best score first) and rank by fms.
@@ -751,10 +749,33 @@ class FuzzyMatcher:
         Stops once the next candidate's score-space upper bound cannot
         reach ``c`` or displace the K-th verified match, or when the
         deadline runs out (flagging the stats degraded).
+
+        One loop does :func:`~repro.core.fms.fms_budgeted`'s work for
+        every candidate, with its answers and counters.  Once K matches
+        are verified, a candidate can only displace the K-th if its
+        transformation cost stays under ``(1 − kth) · w(u)``; that budget
+        and the bound's prune limit change only when the K-th does.  A
+        candidate's row comes from the resident store, bound once per
+        query, and meets the cost lower bound over the query's column
+        memos; only a survivor runs the column DP, under the same budget.
+        A pruned candidate is counted in locals, folded into ``stats``
+        once, and never cached: ``fms_cache`` holds exact results only.
+        ``query.weight`` is positive (the signature stage returns no query
+        otherwise).
         """
-        config = self.config
+        prepared = query.prepared
+        weight = prepared.weight
+        rows = self.reference.resident_rows()
+        # osc.similarity_upper_bound, inlined: min(two_q · score / w(u) + offset, 1).
+        two_q = 2.0 / self.config.q
+        offset = 1.0 - 1.0 / self.config.q
         verified: list[tuple[float, int]] = []
-        fetched_before = stats.candidates_fetched
+        kth: float | None = None  # verified[k - 1]'s similarity, once K are verified
+        budget: float | None = None  # (1 − kth) · w(u), while it is below w(u)
+        limit = 0.0  # the bound prunes above this, once there is a budget
+        # Every new, resident candidate is one store read, one logical fetch
+        # and one fms evaluation.
+        fetched = prunes = bound_prunes = misses = 0
         stopped = "candidates_exhausted"
         with trace_span("matcher.verify", candidates=len(candidates)) as span:
             for position, (tid, score) in enumerate(candidates):
@@ -765,35 +786,61 @@ class FuzzyMatcher:
                         stats.degraded_reason = reason
                         stopped = "budget"
                         break
-                upper_bound = similarity_upper_bound(score, query.weight, config.q)
+                upper_bound = two_q * (score / weight) + offset
+                if upper_bound > 1.0:
+                    upper_bound = 1.0
                 if upper_bound < c:
                     stopped = "bound_below_threshold"
                     break
-                if len(verified) >= k and upper_bound <= verified[k - 1][0]:
+                if kth is not None and upper_bound <= kth:
                     stopped = "cannot_displace_kth"
                     break
-                cost_budget = None
-                if len(verified) >= k:
-                    # A candidate can only displace the K-th verified match
-                    # if its transformation cost stays under (1 − kth) ·
-                    # w(u); later candidates see ever-tighter budgets as the
-                    # top-K improves, so the DP abandons most losers mid-row.
-                    cost_budget = (1.0 - verified[k - 1][0]) * query.weight
-                similarity, _, pruned = self._score_candidate(
-                    tid, query, fms_cache, stats, cost_budget=cost_budget
-                )
-                if pruned:
-                    # Certified unable to displace the current top-K; the
-                    # similarity is an upper bound, never a result.
-                    continue
+                cached = fms_cache.get(tid)
+                if cached is not None:
+                    similarity = cached[0]  # an OSC fetch verified it exactly (or dangling)
+                else:
+                    row = rows.get(tid)
+                    if row is None:
+                        # A dangling index entry: −1, which no threshold admits.
+                        misses += 1
+                        fms_cache[tid] = (-1.0, ())
+                        continue
+                    fetched += 1
+                    if budget is not None and _row_bound(prepared, row, limit) > limit:
+                        prunes += 1
+                        bound_prunes += 1
+                        continue
+                    cost = _row_cost(prepared, row, budget=budget)
+                    if budget is not None and cost > budget:
+                        prunes += 1  # the DP abandoned, or finished over budget
+                        continue
+                    similarity = 1.0 - min(cost / weight, 1.0)
+                    fms_cache[tid] = (similarity, row)
                 if similarity >= c:
                     verified.append((similarity, tid))
                     verified.sort(key=lambda item: (-item[0], item[1]))
                     del verified[k:]
+                    if len(verified) >= k and verified[k - 1][0] != kth:
+                        kth = verified[k - 1][0]
+                        budget = (1.0 - kth) * weight
+                        if budget >= weight:
+                            # fms floors at 0 once cost reaches w(u): no budget.
+                            budget = None
+                        else:
+                            # The bound's float sum may differ from the DP's
+                            # by rounding; it prunes only past this margin.
+                            limit = budget * (1.0 + 1e-9) + 1e-12
+            stats.candidates_fetched += fetched
+            stats.reference_cache_hits += fetched
+            stats.fms_evaluations += fetched
+            stats.verify_budget_prunes += prunes
+            stats.reference_cache_misses += misses
+            if bound_prunes:
+                FMS_COUNTERS.add_bound_prunes(bound_prunes)
             if span is not None:
                 span.annotate(
                     verified=len(verified),
-                    fetched=stats.candidates_fetched - fetched_before,
+                    fetched=fetched,
                     budget_prunes=stats.verify_budget_prunes,
                     stopped=stopped,
                 )
@@ -805,22 +852,15 @@ class FuzzyMatcher:
         self,
         tid: int,
         query: QuerySignature,
-        fms_cache: dict[int, tuple[float, Row, bool]],
+        fms_cache: dict[int, tuple[float, Row]],
         stats: MatchStats,
-        cost_budget: float | None = None,
-    ) -> tuple[float, Row, bool]:
-        """Read ``tid``'s row (once per query) and compute its fms (once).
+    ) -> tuple[float, Row]:
+        """Read ``tid``'s row (once per query) and compute its exact fms (once).
 
-        Returns ``(similarity, row, pruned)``.  With ``pruned=False`` the
-        similarity is exact; with ``pruned=True`` the budgeted
-        verification (:func:`repro.core.fms.fms_budgeted`) proved the
-        candidate cannot come in under ``cost_budget`` and the similarity
-        is only an upper bound — callers must discard it, never rank it.
-
-        The row comes from the reference relation's resident store, so a
-        candidate costs neither a B+-tree fetch nor a tokenization;
-        ``candidates_fetched`` still counts it (the Figure 8 metric is
-        logical fetches per query).
+        Returns ``(similarity, row)``.  The row comes from the reference
+        relation's resident store, so a candidate costs neither a B+-tree
+        fetch nor a tokenization; ``candidates_fetched`` still counts it
+        (the Figure 8 metric is logical fetches per query).
 
         A tid the ETI names but the reference relation no longer holds
         (possible when index maintenance lags deletes) verifies to
@@ -829,28 +869,16 @@ class FuzzyMatcher:
         """
         cached = fms_cache.get(tid)
         if cached is not None:
-            # An exact entry answers every caller.  A pruned entry only
-            # answers budgeted callers: within one query the K-th best
-            # similarity never decreases, so budgets only tighten and
-            # "over budget before" implies "over budget now".  An exact
-            # caller (OSC stopping test) recomputes without a budget.
-            if not cached[2] or cost_budget is not None:
-                return cached
+            return cached
         row = self.reference.row(tid)
         if row is None:
             stats.reference_cache_misses += 1
-            fms_cache[tid] = (-1.0, (), False)
+            fms_cache[tid] = (-1.0, ())
             return fms_cache[tid]
         stats.reference_cache_hits += 1
-        if cached is None:
-            stats.candidates_fetched += 1
-        similarity, pruned = fms_budgeted(
-            query.prepared, row, self.weights, self.config, cost_budget=cost_budget
-        )
+        stats.candidates_fetched += 1
         stats.fms_evaluations += 1
-        if pruned:
-            stats.verify_budget_prunes += 1
-        fms_cache[tid] = (similarity, row, pruned)
+        fms_cache[tid] = (fms(query.prepared, row, self.weights, self.config), row)
         return fms_cache[tid]
 
 

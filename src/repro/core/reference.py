@@ -15,9 +15,11 @@ the per-query verification memos of :mod:`repro.core.fms`, keyed by it,
 pay its work once per query whatever the number of candidates carrying
 it (the PASS-JOIN / ApproxJoin idea: preprocess each string once).
 
-- The store is built by one relation scan on the first :meth:`row` call,
-  never on :meth:`ReferenceTable.attach` or :meth:`load`: a warehouse
-  that is built or reopened but never queried pays no scan.
+- The store is built by one relation scan on the first read
+  (:meth:`resident_rows`, :meth:`row`), never on
+  :meth:`ReferenceTable.attach` or :meth:`load`: a warehouse that is
+  built or reopened but never queried pays no scan.  A server reads it
+  once before it reports ready, so no request pays the scan.
 - :meth:`insert` and :meth:`delete` change the relation, then the store
   under the store lock, which the lazy build holds from its scan through
   publishing the store: whichever of the two goes first, the store ends
@@ -34,7 +36,7 @@ it (the PASS-JOIN / ApproxJoin idea: preprocess each string once).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.analysis.debuglock import make_lock
 from repro.core.tokens import tokenize
@@ -117,7 +119,7 @@ class ReferenceTable:
         self.relation = db.create_relation(name, columns)
         self.relation.create_index(TID_INDEX, ["tid"], unique=True)
         # The resident store (tid -> Row) and its interner: None until the
-        # first row() call builds both.
+        # first read builds both.
         self._store: dict[int, Row] | None = None
         self._interner: Interner | None = None
         self._store_lock = make_lock("ReferenceTable._store_lock")
@@ -201,17 +203,25 @@ class ReferenceTable:
                 self._store.pop(tid, None)
         return values
 
-    def row(self, tid: int) -> Row | None:  # reprolint: disable=lock-discipline
-        """The resident row of tuple ``tid``; None when the relation lacks it.
+    def resident_rows(self) -> Mapping[int, Row]:  # reprolint: disable=lock-discipline
+        """The resident store: ``tid → Row`` for every live tuple.
 
-        Lock-free: the store is read through one reference, and each row
-        in it is an immutable tuple replaced whole by the writers.  The
-        first call builds the store (see :meth:`_build_store`).
+        The first call builds it (see :meth:`_build_store`).  Lock-free:
+        the store is read through one reference, and each row in it is an
+        immutable tuple replaced whole by the writers.  A query binds the
+        mapping once and reads the store it started with: :meth:`insert`
+        and :meth:`delete` edit that mapping in place, so they stay
+        visible to it, while a bulk :meth:`load` publishes a new store
+        that only later callers see.
         """
         store = self._store
         if store is None:
             store = self._build_store()
-        return store.get(tid)
+        return store
+
+    def row(self, tid: int) -> Row | None:
+        """The resident row of tuple ``tid``; None when the relation lacks it."""
+        return self.resident_rows().get(tid)
 
     def _build_store(self) -> dict[int, Row]:
         """Scan the relation once into the resident store, under the lock."""

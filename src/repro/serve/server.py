@@ -381,7 +381,8 @@ class MatchServer:
     def start(self) -> tuple[str, int]:
         """Bind, accept, load, serve.  Returns the bound address.
 
-        Blocks until the engine is resolved and workers are running; the
+        Blocks until the engine is resolved, its reference relation's
+        resident store is built, and workers are running; the
         acceptor runs from the moment the socket is bound, so ``ping``
         (and honest ``loading`` sheds) work during a slow load.
         """
@@ -412,6 +413,9 @@ class MatchServer:
             self._engine, self._database = self._engine_factory()
         engine = self._engine
         self._default_strategy = "osc" if engine.config.use_osc else "basic"
+        # The resident reference store is built by its first read, a scan
+        # no request deadline can interrupt: pay it while still loading.
+        engine.reference.resident_rows()
 
         for index in range(self.config.workers):
             worker = threading.Thread(

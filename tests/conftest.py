@@ -5,6 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import MatchConfig, SignatureScheme
+from repro.core.fms import fms_budgeted
+from repro.core.matcher import Match
+from repro.core.osc import similarity_upper_bound
 from repro.core.reference import ReferenceTable
 from repro.core.weights import build_frequency_cache
 from repro.db.database import Database
@@ -49,6 +52,61 @@ class SpentAfter:
     def exhausted(self):
         self.polls -= 1
         return self.reason if self.polls < 0 else None
+
+
+def oracle_verify(
+    matcher, query, candidates, k, c, deadline, fms_cache, stats, budgeted=True
+):
+    """A stand-in for ``FuzzyMatcher._stage_verify``: one
+    :func:`~repro.core.fms.fms_budgeted` call per candidate, under the
+    cost budget the running K-th verified similarity sets (none at all
+    with ``budgeted=False``, which verifies every candidate exactly).
+
+    Bind it with ``functools.partial(oracle_verify, matcher)``.
+    """
+    verified = []
+    for position, (tid, score) in enumerate(candidates):
+        if deadline is not None and position > 0:
+            reason = deadline.exhausted()
+            if reason is not None:
+                stats.degraded = True
+                stats.degraded_reason = reason
+                break
+        upper_bound = similarity_upper_bound(score, query.weight, matcher.config.q)
+        if upper_bound < c:
+            break
+        if len(verified) >= k and upper_bound <= verified[k - 1][0]:
+            break
+        cached = fms_cache.get(tid)
+        if cached is not None:
+            similarity = cached[0]
+        else:
+            row = matcher.reference.row(tid)
+            if row is None:
+                stats.reference_cache_misses += 1
+                fms_cache[tid] = (-1.0, ())
+                continue
+            stats.reference_cache_hits += 1
+            stats.candidates_fetched += 1
+            budget = None
+            if budgeted and len(verified) >= k:
+                budget = (1.0 - verified[k - 1][0]) * query.weight
+            similarity, pruned = fms_budgeted(
+                query.prepared, row, matcher.weights, matcher.config, budget
+            )
+            stats.fms_evaluations += 1
+            if pruned:
+                stats.verify_budget_prunes += 1
+                continue
+            fms_cache[tid] = (similarity, row)
+        if similarity >= c:
+            verified.append((similarity, tid))
+            verified.sort(key=lambda item: (-item[0], item[1]))
+            del verified[k:]
+    return [
+        Match(tid, similarity, tuple(value.raw for value in fms_cache[tid][1]))
+        for similarity, tid in verified
+    ]
 
 
 @pytest.fixture()

@@ -11,13 +11,14 @@ error-injected dataset, across every strategy, including after reference
 and weight mutations.
 """
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core.cache import BoundedMemo, LRUCache, MatcherCaches
+from repro.core.cache import MEMO_CAPACITY, BoundedMemo, LRUCache, MatcherCaches
 from repro.core.config import MatchConfig, SignatureScheme
 from repro.core.matcher import FuzzyMatcher, MatchStats
 from repro.core.minhash import MinHasher
@@ -108,6 +109,16 @@ class TestBoundedMemos:
         assert dict(memo) == {"a": "A", "b": "B", "c": "C"}
         memo.store("d", "D")
         assert dict(memo) == {"d": "D"}
+
+    def test_a_full_memo_has_not_grown_its_table(self):
+        """At ``MEMO_CAPACITY`` entries the dict's table is still the one it
+        had below the cap: one entry more would grow it."""
+        memo = BoundedMemo()
+        for i in range(MEMO_CAPACITY):
+            memo.store(i, 0.0)
+        full = sys.getsizeof(memo)
+        memo[-1] = 0.0  # one past the cap, bypassing store()
+        assert sys.getsizeof(memo) > full
 
     def test_hasher_memo_is_bounded_and_rollover_keeps_signatures(self):
         hasher = MinHasher(q=3, num_hashes=2)
@@ -255,7 +266,7 @@ class TestCachedUncachedParity:
         matcher = FuzzyMatcher(reference, weights, config, eti)
         query = matcher._stage_signature(batch[0], 0.0, use_osc=False)
         stats, scored = MatchStats(), {}
-        assert matcher._score_candidate(10**9, query, scored, stats) == (-1.0, (), False)
+        assert matcher._score_candidate(10**9, query, scored, stats) == (-1.0, ())
         assert (stats.reference_cache_hits, stats.reference_cache_misses) == (0, 1)
         assert stats.candidates_fetched == 0
         assert reference.row(10**9) is None

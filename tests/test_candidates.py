@@ -166,3 +166,16 @@ class TestKeptSelection:
                 count, table.scores.items(), key=lambda kv: (-kv[1], kv[0])
             )
             assert table.top(count) == expected
+
+    @given(tid_list_streams(), st.sampled_from((-5.0, 0.0, 1.0, 2.5)))
+    @settings(max_examples=300, deadline=None)
+    def test_candidates_equal_the_score_then_tid_key_order(self, stream, floor):
+        threshold, lookups = stream
+        table = ScoreTable(threshold)
+        for tids, weight, remaining in lookups:
+            table.add_tid_list(tids, weight, remaining)
+        expected = sorted(
+            ((tid, score) for tid, score in table.scores.items() if score >= floor),
+            key=lambda kv: (-kv[1], kv[0]),
+        )
+        assert table.candidates(floor) == expected

@@ -8,11 +8,11 @@ classic reference DP, and a matcher-level A/B proves candidates
 abandoned by the verification cost budget never belonged in the top-K.
 """
 
+import functools
 import random
 
 import pytest
 
-from repro.core import matcher as matcher_module
 from repro.core.config import MatchConfig
 from repro.core.fms import fms, fms_budgeted, prepare_input, transformation_cost
 from repro.core.kernels import (
@@ -30,6 +30,8 @@ from repro.data.datasets import DatasetSpec, make_dataset
 from repro.data.generator import CUSTOMER_COLUMNS, generate_customers
 from repro.db.database import Database
 from repro.eti.builder import build_eti
+
+from tests.conftest import oracle_verify
 
 ALPHABETS = (
     "abcdefghijklmnopqrstuvwxyz",
@@ -183,14 +185,15 @@ class TestBudgetedDp:
 class TestBudgetedVerificationTopK:
     @pytest.mark.parametrize("strategy", ["basic", "osc"])
     @pytest.mark.parametrize("k", [1, 3])
-    def test_top_k_bit_identical_and_prunes_fire(self, k, strategy, monkeypatch):
+    def test_top_k_bit_identical_and_prunes_fire(self, k, strategy):
         """Budget-abandoned candidates never appear in the returned top-K.
 
         The proof is the strongest available: the budgeted matcher must
         return *exactly* the exhaustive matcher's top-K (tids and
         similarities), while demonstrably pruning candidates along the
-        way.  The exhaustive side is the same matcher with the cost
-        budget dropped before it reaches fms.  (OSC's stopping-test
+        way.  The exhaustive side is the same matcher whose verify stage
+        is the per-candidate oracle loop with no cost budget, so every
+        candidate it reaches gets exact fms.  (OSC's stopping-test
         verifications are always exact; the prunes it reports come from
         the shared finish loop it falls back to when the stopping test
         never passes.)
@@ -199,18 +202,15 @@ class TestBudgetedVerificationTopK:
             num_reference=150, num_inputs=50, seed=33,
             config=MatchConfig(q=4, signature_size=2, k=k, use_osc=True),
         )
-        budgeted_fms = matcher_module.fms_budgeted
-
-        def exhaustive_fms(*args, cost_budget=None, **kwargs):
-            return budgeted_fms(*args, **kwargs)
-
         try:
             matcher = FuzzyMatcher(reference, weights, config, eti)
+            exhaustive = FuzzyMatcher(reference, weights, config, eti)
+            exhaustive._stage_verify = functools.partial(
+                oracle_verify, exhaustive, budgeted=False
+            )
             prunes = 0
             for dirty in queries:
-                with monkeypatch.context() as patch:
-                    patch.setattr(matcher_module, "fms_budgeted", exhaustive_fms)
-                    expected = matcher.match(dirty, k=k, strategy=strategy)
+                expected = exhaustive.match(dirty, k=k, strategy=strategy)
                 got = matcher.match(dirty, k=k, strategy=strategy)
                 assert [(m.tid, m.similarity) for m in got.matches] == [
                     (m.tid, m.similarity) for m in expected.matches

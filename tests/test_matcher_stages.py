@@ -1,14 +1,25 @@
 """The three query stages, each called directly (signature → probe → verify)."""
 
+import dataclasses
+import functools
+
 import pytest
 
-from repro.core.fms import prepare_input
+from repro.core.config import MatchConfig, TranspositionCost
+from repro.core.fms import COUNTERS, prepare_input
 from repro.core.matcher import FuzzyMatcher, MatchStats, QuerySignature
+from repro.core.reference import ReferenceTable
+from repro.core.strings import clear_edit_distance_caches
 from repro.core.tokens import TupleTokens
+from repro.core.weights import build_frequency_cache
+from repro.data.datasets import DatasetSpec, make_dataset
+from repro.data.generator import CUSTOMER_COLUMNS, generate_customers
+from repro.db.database import Database
+from repro.eti.builder import build_eti
 from repro.eti.index import EtiEntry
 from repro.obs.tracing import Tracer
 
-from tests.conftest import SpentAfter, ZeroWeights
+from tests.conftest import SpentAfter, ZeroWeights, oracle_verify
 
 I1 = ("Beoing Company", "Seattle", "WA", "98004")
 
@@ -210,7 +221,7 @@ class TestVerifyStage:
         candidates = [(99, query.weight), (1, query.weight)]
         matches = matcher._stage_verify(query, candidates, 2, 0.0, None, fms_cache, stats)
         assert [m.tid for m in matches] == [1]
-        assert fms_cache[99] == (-1.0, (), False)
+        assert fms_cache[99] == (-1.0, ())
         assert stats.candidates_fetched == 1  # the dangling tid fetched nothing
 
     def test_spent_budget_returns_best_so_far_flagged(self, matcher):
@@ -225,3 +236,81 @@ class TestVerifyStage:
         assert [m.tid for m in matches] == [1, 2]
         assert stats.degraded and stats.degraded_reason == "deadline"
         assert root.children[0].annotations["stopped"] == "budget"
+
+
+@pytest.fixture(scope="module")
+def world_2k():
+    customers = generate_customers(2000, seed=2003, unique=True)
+    rows = [(c.tid, c.values) for c in customers]
+    db = Database.in_memory()
+    reference = ReferenceTable(db, "reference", list(CUSTOMER_COLUMNS))
+    reference.load(rows)
+    weights = build_frequency_cache(reference.scan_values(), reference.num_columns)
+    eti, _ = build_eti(db, reference, MatchConfig())
+    dataset = make_dataset(rows, DatasetSpec.preset("D2"), 30, seed=17)
+    inputs = [d.values for d in dataset.inputs]
+    yield reference, weights, eti, inputs
+    db.close()
+
+
+SWAPS_WEIGHTED = MatchConfig(
+    allow_transpositions=True,
+    transposition_cost=TranspositionCost.MINIMUM,
+    column_weights=(2.0, 1.0, 0.5, 1.5),
+)
+CONFIGS, CONFIG_IDS = [MatchConfig(), SWAPS_WEIGHTED], ["plain", "swaps_weighted"]
+
+
+class TestVerifyOracle:
+    """The one-loop verify stage equals the per-candidate oracle: answers,
+    every ``MatchStats`` field, and the fms DP / bound-prune counters."""
+
+    def run(self, matcher, values, **kwargs):
+        clear_edit_distance_caches()  # both sides start from the same memo
+        before = COUNTERS.snapshot()
+        result = matcher.match(values, **kwargs)
+        after = COUNTERS.snapshot()
+        stats = dataclasses.asdict(result.stats)
+        del stats["elapsed_seconds"]
+        work = tuple(now - then for now, then in zip(after, before))
+        return result.matches, stats, work
+
+    def pair(self, world_2k, config):
+        reference, weights, eti, _ = world_2k
+        matcher = FuzzyMatcher(reference, weights, config, eti)
+        oracle = FuzzyMatcher(reference, weights, config, eti)
+        oracle._stage_verify = functools.partial(oracle_verify, oracle)
+        return matcher, oracle
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("c", [0.0, 0.6])
+    @pytest.mark.parametrize("strategy", ["basic", "osc"])
+    def test_equals_the_per_candidate_loop(self, world_2k, config, k, c, strategy):
+        matcher, oracle = self.pair(world_2k, config)
+        pruned = 0
+        for values in world_2k[3]:
+            kwargs = dict(k=k, min_similarity=c, strategy=strategy)
+            expected = self.run(oracle, values, **kwargs)
+            assert self.run(matcher, values, **kwargs) == expected
+            pruned += expected[1]["verify_budget_prunes"]
+        if c == 0.0:
+            assert pruned > 0  # the budgets were exercised
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    @pytest.mark.parametrize("extra_polls", [0, 1, 5, 40])
+    def test_equals_it_when_the_deadline_runs_out(self, world_2k, config, extra_polls):
+        """``basic`` polls once per lookup, then once per candidate after
+        the first: the deadline runs out at the start of verify or in it."""
+        matcher, oracle = self.pair(world_2k, config)
+        degraded = 0
+        for values in world_2k[3]:
+            lookups = len(matcher._stage_signature(values, 0.0, use_osc=False).entries)
+            sides = [
+                self.run(side, values, k=3, strategy="basic",
+                         deadline=SpentAfter(lookups + extra_polls))
+                for side in (oracle, matcher)
+            ]
+            assert sides[1] == sides[0]
+            degraded += sides[0][1]["degraded"]
+        assert degraded > 0

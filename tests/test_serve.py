@@ -517,6 +517,24 @@ class TestServerEndToEnd:
                     ]
                     assert response["stage"] == "osc"
 
+    def test_store_is_built_before_serving(self, org_engine, monkeypatch):
+        """start() builds the resident store, so no request pays its scan."""
+        reference = org_engine.reference
+        assert reference._store is None
+        with running_server(org_engine) as server:
+            assert reference._store is not None
+            scans = []
+            real_scan = reference.scan
+            monkeypatch.setattr(
+                reference, "scan", lambda: scans.append(1) or real_scan()
+            )
+            host, port = server.address
+            with ServeClient(host, port) as client:
+                response = client.match(["Beoing Company", "Seattle", "WA", "98004"])
+        assert response["outcome"] == "completed"
+        assert response["matches"][0]["tid"] == 1
+        assert scans == []
+
     def test_ping_stats_and_protocol_errors(self, org_engine):
         with running_server(org_engine) as server:
             host, port = server.address
