@@ -46,6 +46,7 @@ from repro.core.weights import build_frequency_cache
 from repro.data.datasets import DATASET_PRESETS, DatasetSpec, make_dataset
 from repro.data.generator import CUSTOMER_COLUMNS, generate_customers
 from repro.db.database import Database
+from repro.db.errors import DatabaseError
 from repro.db.fsck import check_database
 from repro.db.snapshot import load_database, save_database
 from repro.eti.builder import BuildStats, build_eti
@@ -169,7 +170,10 @@ def _matcher_from_db(
     checkpoint it on drain.
     """
     if os.path.exists(db_path + ".meta.json"):
-        db = load_database(db_path, wal=wal)
+        try:
+            db = load_database(db_path, wal=wal)
+        except DatabaseError as exc:  # e.g. an older snapshot version
+            raise SystemExit(f"{db_path}: {exc}") from None
         relation = db.relation("reference")
         columns = [c.name for c in relation.schema.columns][1:]
         reference = ReferenceTable.attach(db, "reference", columns)
@@ -419,7 +423,10 @@ def cmd_fsck(args: argparse.Namespace) -> int:
 
 def cmd_recover(args: argparse.Namespace) -> int:
     """``repro recover``: replay a warehouse's log and checkpoint it."""
-    db = load_database(args.db)
+    try:
+        db = load_database(args.db)
+    except DatabaseError as exc:  # e.g. an older snapshot version
+        raise SystemExit(f"{args.db}: {exc}") from None
     wal = db.wal
     assert wal is not None  # load_database(wal=True) always attaches one
     recovery = wal.recovery

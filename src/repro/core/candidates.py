@@ -35,7 +35,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable
+from typing import Sequence
 
 
 @dataclass
@@ -73,7 +73,7 @@ class ScoreTable:
 
     def add_tid_list(
         self,
-        tids: Iterable[int],
+        tids: Sequence[int],
         weight: float,
         remaining_weight: float,
     ) -> None:
@@ -82,34 +82,32 @@ class ScoreTable:
         ``remaining_weight`` is the total weight of all signature q-grams
         not yet looked up (including this one): the best score a brand-new
         tid could still reach.  New tids are admitted only while that bound
-        meets the threshold.
+        meets the threshold.  The counters come from lengths, not per-tid
+        increments: every tid is processed, the table's growth is what was
+        admitted, and a tid the bar turned away was filtered out in C.
         """
         scores = self.scores
-        admit_new = remaining_weight >= self.threshold
+        before = len(scores)
+        if remaining_weight >= self.threshold:
+            credited = tids
+        else:
+            credited = list(filter(scores.__contains__, tids))
         if weight < 0.0:
             self._selection = None  # scores may fall: select afresh
         # Only a score that reaches the selection's worst can change it.
         floor = math.inf if self._selection is None else self._floor
-        processed = admitted = rejected = 0
-        for tid in tids:
-            processed += 1
-            current = scores.get(tid)
-            if current is not None:
-                score = current + weight
-            elif admit_new:
-                score = weight
-                admitted += 1
-            else:
-                rejected += 1
-                continue
+        get = scores.get
+        for tid in credited:
+            current = get(tid)
+            score = weight if current is None else current + weight
             scores[tid] = score
             if score >= floor:
                 self._offer(tid, score)
                 floor = self._floor
         stats = self.stats
-        stats.tids_processed += processed
-        stats.tids_admitted += admitted
-        stats.tids_rejected += rejected
+        stats.tids_processed += len(tids)
+        stats.tids_admitted += len(scores) - before
+        stats.tids_rejected += len(tids) - len(credited)
 
     def _offer(self, tid: int, score: float) -> None:
         """Keep the selection the ``_count`` smallest ``(−score, tid)`` keys

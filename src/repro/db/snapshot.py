@@ -7,7 +7,7 @@ does not change."  Page data already lives in the
 piece — the catalog metadata (schemas, heap page lists, index definitions)
 — so a built reference relation + ETI can be reopened without rebuilding.
 
-Durability protocol (v3 snapshots):
+Durability protocol (v4 snapshots):
 
 - :func:`save_database` is a *checkpoint*: committed WAL page images are
   applied to the page file (fsync'd), the metadata is written atomically
@@ -21,8 +21,10 @@ Durability protocol (v3 snapshots):
   against the metadata, except pages whose newest image lives in the log
   (their record CRCs already vouched for them).
 
-The metadata file is JSON, next to the page file by default.  Version-2
-snapshots (no generation) and version-1 (no checksums) still load.
+The metadata file is JSON, next to the page file by default.  Version 4
+is the first whose pages hold delta-coded tid-lists
+(:mod:`repro.db.types`); a warehouse of an older version is refused with
+a :class:`~repro.db.errors.DatabaseError` that says to rebuild it.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ from repro.db.errors import DatabaseError, PageCorruptionError, WalError
 from repro.db.pager import BufferPool, FileStorage, StorageBackend, page_checksum
 from repro.db.wal import WalFile, WalFileLike, WalStorage, scan_wal
 
-_FORMAT_VERSION = 3
-# Version 1 snapshots (no page checksums) and version 2 (no generation)
-# still load; they just carry less to verify.
-_SUPPORTED_VERSIONS = (1, 2, 3)
+_FORMAT_VERSION = 4
+_SUPPORTED_VERSIONS = (4,)
+# Versions whose pages hold the varint tid-lists version 4 replaced.
+_REBUILD_VERSIONS = (1, 2, 3)
 
 
 def _meta_path(page_path: str) -> str:
@@ -223,9 +225,16 @@ def load_database(
             f"snapshot metadata at {meta_file} must be a JSON object, "
             f"got {type(meta).__name__}"
         )
-    if meta.get("version") not in _SUPPORTED_VERSIONS:
-        raise DatabaseError(f"unsupported snapshot version {meta.get('version')!r}")
-    generation_raw = meta.get("generation", 0)
+    version = meta.get("version")
+    if version in _REBUILD_VERSIONS:
+        raise DatabaseError(
+            f"snapshot version {version} at {meta_file} stores tid-lists in a "
+            f"format this release cannot read (it writes version {_FORMAT_VERSION}); "
+            "rebuild the warehouse from its reference relation"
+        )
+    if version not in _SUPPORTED_VERSIONS:
+        raise DatabaseError(f"unsupported snapshot version {version!r}")
+    generation_raw = meta.get("generation")
     if not isinstance(generation_raw, int) or isinstance(generation_raw, bool):
         raise DatabaseError(
             f"snapshot generation must be an integer, got {generation_raw!r}"
@@ -273,7 +282,7 @@ def load_database(
         effective = wal_storage
 
     checksums = meta.get("page_checksums")
-    if checksums is not None and (
+    if (
         not isinstance(checksums, list)
         or any(
             entry is not None
@@ -286,43 +295,42 @@ def load_database(
             "snapshot page_checksums must be a list of integers or nulls"
         )
     ledger: dict[int, int] = {}
-    if checksums is not None:
-        if len(checksums) > effective.num_pages:
+    if len(checksums) > effective.num_pages:
+        effective.close()
+        raise DatabaseError(
+            f"snapshot metadata lists {len(checksums)} pages but "
+            f"{page_path} holds {effective.num_pages}"
+        )
+    wal_pages = (
+        frozenset(wal_storage.committed_pages()) if wal_storage is not None else frozenset()
+    )
+    for page_no in range(effective.num_pages):
+        actual = page_checksum(effective.read(page_no))
+        if page_no in wal_pages:
+            # The newest image lives in the log; its record CRC was
+            # verified during the recovery scan.  Ledger the actual.
+            ledger[page_no] = actual
+            continue
+        if page_no >= len(checksums):
+            # Pages past the snapshot's count are legitimate only as
+            # log-resident allocations (handled above).
             effective.close()
             raise DatabaseError(
                 f"snapshot metadata lists {len(checksums)} pages but "
                 f"{page_path} holds {effective.num_pages}"
             )
-        wal_pages = (
-            frozenset(wal_storage.committed_pages()) if wal_storage is not None else frozenset()
-        )
-        for page_no in range(effective.num_pages):
-            actual = page_checksum(effective.read(page_no))
-            if page_no in wal_pages:
-                # The newest image lives in the log; its record CRC was
-                # verified during the recovery scan.  Ledger the actual.
-                ledger[page_no] = actual
-                continue
-            if page_no >= len(checksums):
-                # Pages past the snapshot's count are legitimate only as
-                # log-resident allocations (handled above).
-                effective.close()
-                raise DatabaseError(
-                    f"snapshot metadata lists {len(checksums)} pages but "
-                    f"{page_path} holds {effective.num_pages}"
-                )
-            expected = checksums[page_no]
-            if expected is None:
-                ledger[page_no] = actual
-                continue
-            if actual != expected:
-                effective.close()
-                raise PageCorruptionError(
-                    f"snapshot page {page_no} of {page_path} is corrupt "
-                    f"(expected CRC {expected:#010x}, got {actual:#010x})",
-                    page_no=page_no,
-                )
-            ledger[page_no] = expected
+        expected = checksums[page_no]
+        if expected is None:
+            ledger[page_no] = actual
+            continue
+        if actual != expected:
+            effective.close()
+            raise PageCorruptionError(
+                f"snapshot page {page_no} of {page_path} is corrupt "
+                f"(expected CRC {expected:#010x}, got {actual:#010x})",
+                page_no=page_no,
+            )
+        ledger[page_no] = expected
 
     if "relations" not in meta:
         effective.close()

@@ -23,7 +23,7 @@ class EtiEntry:
     coordinate: int
     column: int
     frequency: int
-    tid_list: tuple[int, ...] | None
+    tid_list: list[int] | None
 
     @property
     def is_stop_qgram(self) -> bool:
@@ -45,14 +45,7 @@ class EtiIndex:
             row = self.relation.index_get(ETI_INDEX, (qgram, coordinate, column))
         except RecordNotFoundError:
             return None
-        tid_list = row[4]
-        return EtiEntry(
-            qgram=row[0],
-            coordinate=row[1],
-            column=row[2],
-            frequency=row[3],
-            tid_list=None if tid_list is None else tuple(tid_list),
-        )
+        return EtiEntry(*row)  # the ETI's columns, in EtiEntry's field order
 
     def stats(self) -> dict[str, int]:
         """Index-level statistics for reporting."""

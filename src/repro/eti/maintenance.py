@@ -19,11 +19,14 @@ Each mutation reads and edits its rows in memory before it writes any of
 them, so a tid-list that would outgrow a page raises the builder's typed
 :class:`~repro.eti.builder.TidListTooLargeError` with nothing written.
 An edit is spliced into the encoded row (:meth:`repro.db.types.Schema.splice`):
-one tid varint goes in or out, the frequency is re-encoded, and the rest of
-the record is copied as bytes, never decoded.  Row creation, a row that
-empties, a list crossing the stop threshold, and any edit the splice
-declines decode the row, edit it and encode it instead.  Rows are then
-rewritten in place (:meth:`repro.db.relation.Relation.update_record`, or
+the frequency is re-encoded and the key columns are copied as bytes; a
+fresh tid past the list's last is appended as one delta behind the
+copied list, and any other tid goes in or out of the decoded list,
+which is encoded again, with no Python loop over its tids.
+Row creation, a row that empties, a list crossing the stop threshold,
+and any edit the splice declines decode the row, edit it and encode it
+instead.  Rows are then rewritten in place
+(:meth:`repro.db.relation.Relation.update_record`, or
 :meth:`~repro.db.relation.Relation.update` for a decoded row).
 
 Each tuple names every ``(q-gram, coordinate, column)`` key once, in an
@@ -69,11 +72,6 @@ from repro.eti.signature import signature_entries
 if TYPE_CHECKING:
     from repro.core.weights import TokenFrequencyCache
     from repro.db.database import Database
-
-# Bytes an ETI row can take besides its q-gram's UTF-8 and its tids: the
-# q-gram's length prefix, coordinate, column and frequency (tagged 64-bit
-# varints) and the list's length.
-_ROW_BYTES_BESIDE_TIDS = 5 + 3 * 11 + 5
 
 # An ETI row's editable part, ``(frequency, tid_list)``; NULL list = stop q-gram.
 _RowState = tuple[int, list[int] | None]
@@ -311,34 +309,17 @@ class EtiMaintainer:
     def _check_fits(self, edits: _Edits) -> None:
         """Raise the typed page-wall error for the first row too large to store.
 
-        A spliced row is measured as it is.  Of the decoded rows, only one
-        that might not fit is encoded: each tid takes at most the varint
-        bytes of the list's last (largest) tid, and the rest of the row at
-        most :data:`_ROW_BYTES_BESIDE_TIDS` plus its q-gram.
+        A spliced row is measured as it is, a decoded one once encoded.
         """
         encode = self.eti.relation.schema.encode
         for key, (_, state) in edits.items():
-            if isinstance(state, bytes):
-                if len(state) > MAX_RECORD_SIZE:
-                    frequency = self._frequency(state)
-                    raise TidListTooLargeError(
-                        key, frequency, len(state),
-                        largest_buildable_threshold=frequency - 1,
-                    )
-                continue
             if state is None:
                 continue
-            frequency, tid_list = state
-            if tid_list is None:
-                continue
-            largest = max(1, (tid_list[-1].bit_length() + 6) // 7)
-            bound = len(tid_list) * largest + 4 * len(key[0]) + _ROW_BYTES_BESIDE_TIDS
-            if bound <= MAX_RECORD_SIZE:
-                continue
-            encoded_bytes = len(encode((*key, frequency, tid_list)))
-            if encoded_bytes > MAX_RECORD_SIZE:
+            record = state if isinstance(state, bytes) else encode((*key, *state))
+            if len(record) > MAX_RECORD_SIZE:
+                frequency = self._frequency(record)
                 raise TidListTooLargeError(
-                    key, frequency, encoded_bytes,
+                    key, frequency, len(record),
                     largest_buildable_threshold=frequency - 1,
                 )
 

@@ -179,3 +179,30 @@ class TestKeptSelection:
             key=lambda kv: (-kv[1], kv[0]),
         )
         assert table.candidates(floor) == expected
+
+    @given(tid_list_streams(), st.integers(0, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_scores_and_counters_equal_a_per_tid_loop(self, stream, count):
+        # The table counts from lengths; a plain per-tid loop is the oracle.
+        threshold, lookups = stream
+        table = ScoreTable(threshold)
+        scores, processed, admitted, rejected = {}, 0, 0, 0
+        for tids, weight, remaining in lookups:
+            table.add_tid_list(tids, weight, remaining)
+            table.top(count)
+            for tid in tids:
+                processed += 1
+                if tid in scores:
+                    scores[tid] += weight
+                elif remaining >= threshold:
+                    scores[tid] = weight
+                    admitted += 1
+                else:
+                    rejected += 1
+        assert [(t, repr(s)) for t, s in table.scores.items()] == [
+            (t, repr(s)) for t, s in scores.items()
+        ]
+        stats = table.stats
+        assert (stats.tids_processed, stats.tids_admitted, stats.tids_rejected) == (
+            processed, admitted, rejected,
+        )

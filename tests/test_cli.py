@@ -1,6 +1,7 @@
 """The command-line interface: generate → corrupt → match round trips."""
 
 import csv
+import json
 import re
 
 import pytest
@@ -320,6 +321,20 @@ class TestPersistedWarehouse:
         second = self._match(tmp_path, reference_csv, dirty_csv, db_path)
         assert "reused persisted ETI" in capsys.readouterr().err
         assert first.read_text() == second.read_text()
+
+    def test_an_older_snapshot_version_is_a_clean_error(
+        self, tmp_path, reference_csv, dirty_csv
+    ):
+        db_path = tmp_path / "old.pages"
+        self._match(tmp_path, reference_csv, dirty_csv, db_path)
+        meta_path = tmp_path / "old.pages.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["version"] = 3
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(SystemExit, match="version 3 .*rebuild"):
+            self._match(tmp_path, reference_csv, dirty_csv, db_path)
+        with pytest.raises(SystemExit, match="version 3 .*rebuild"):
+            run_cli(["recover", str(db_path)])
 
     def test_no_wal_leaves_no_log(self, tmp_path, reference_csv, dirty_csv):
         db_path = tmp_path / "nolog.pages"

@@ -17,8 +17,10 @@ The template is sized so the workload takes all three ETI row-update
 paths of :meth:`repro.db.heap.HeapFile.update`: a row grown in place, a
 row shrunk in place, and a row relocated because its full page could not
 absorb the growth.  Tid-list edits spliced into encoded rows
-(:meth:`repro.db.types.Schema.splice`) are among the crash points, adds
-and removes both.
+(:meth:`repro.db.types.Schema.splice`) are among the crash points, and
+the sweep asserts that it takes every splice path: a tail add appended
+in place, a tail add that widens the list's deltas, an inner add, a
+head add and a remove.
 
 Scale the sweep with ``REPRO_CRASH_SEEDS`` (default 2 tear seeds; CI
 runs 12).  The sweep itself carries the ``crash`` marker.
@@ -42,7 +44,7 @@ from repro.db.fsck import check_database
 from repro.db.page import PAGE_SIZE, Page
 from repro.db.pager import InMemoryStorage
 from repro.db.snapshot import load_database, save_database
-from repro.db.types import Schema
+from repro.db.types import Schema, _decode_varint
 from repro.db.wal import WalFile, WalStorage
 from repro.eti.builder import build_eti
 from repro.eti.index import EtiIndex
@@ -54,9 +56,9 @@ CONFIG = MatchConfig(q=3, signature_size=2)
 
 SEEDS = range(int(os.environ.get("REPRO_CRASH_SEEDS", "2")))
 
-# Filler tuples stored beside the Table 1 rows in the template.  Their
-# tids encode to 8 varint bytes, so their shared tokens' tid-lists fill
-# the ETI's first heap pages to within a few bytes of full.
+# Filler tuples stored beside the Table 1 rows in the template.  Each
+# filler's own rows start with its 8-byte varint tid, so they fill the
+# ETI's first heap pages and rows there that grow must be relocated.
 BIG_TID = 10**15
 FILLER = tuple(
     (BIG_TID + i, (f"Filler{i:02d} Works", "Spokane", "WA", f"99{i:03d}"))
@@ -68,14 +70,15 @@ BASE_ROWS = ORG_ROWS + FILLER
 # in its own WAL transaction, so every crash must land the database on a
 # prefix of this sequence; all eight prefix states are pairwise distinct.
 # Tid 13's tokens "bonus" and "bon" share the signature entry ("bon", 1):
-# the tuple must count once in that row's frequency.  The last op repeats
-# a filler tuple under another 8-byte tid: its rows live on the full
-# pages, so some must be relocated.
+# the tuple must count once in that row's frequency.  Tid 12 joins the
+# fillers' "Spokane" rows ahead of every tid they hold (a head add).  The
+# last op repeats a filler tuple under another 8-byte tid: its rows live
+# on the full pages, so some must be relocated.
 OPS = (
     ("insert", 10, ("Boing Corp", "Kent", "WA", "98032")),
     ("insert", 11, ("Cascade Couriers", "Renton", "WA", "98055")),
     ("delete", 2, None),
-    ("insert", 12, ("Bon Voyage Company", "Tacoma", "WA", "98402")),
+    ("insert", 12, ("Bon Voyage Company", "Spokane", "WA", "98402")),
     ("insert", 13, ("Bonus Bon Shop", "Tacoma", "WA", "98402")),
     ("delete", 10, None),
     ("insert", BIG_TID + 999, FILLER[0][1]),
@@ -97,6 +100,32 @@ def eti_as_dict(eti):
         )
         for row in eti.relation.scan()
     }
+
+
+def delta_width_code(schema, record):
+    """The delta-width code in the header of ``record``'s trailing int list."""
+    header, _ = _decode_varint(record, schema.prefix_size(record, len(schema) - 1))
+    return header & 3
+
+
+def splice_outcome(schema, data, spliced, value, add):
+    """Which of :meth:`Schema.splice`'s edits turned ``data`` into ``spliced``.
+
+    A tail add whose delta fits the list's width is appended to the
+    copied list; one that outgrows it re-encodes the list wider, as do
+    head and inner adds and removes at whatever width the list needs.
+    """
+    if not add:
+        return "remove"
+    before, after = schema.decode(data)[-1], schema.decode(spliced)[-1]
+    at = after.index(value)
+    if at == 0:
+        return "head add"
+    if at < len(before):
+        return "inner add"
+    if delta_width_code(schema, spliced) > delta_width_code(schema, data):
+        return "tail add, widened"
+    return "tail add"
 
 
 def expected_state(k):
@@ -254,7 +283,7 @@ class TestCrashSweep:
         def counting_splice(schema, data, value, add, ints=None):
             spliced = splice(schema, data, value, add, ints)
             if spliced is not None:
-                paths["spliced add" if add else "spliced remove"] += 1
+                paths[splice_outcome(schema, data, spliced, value, add)] += 1
             return spliced
 
         monkeypatch.setattr(Page, "update", counting_update)
@@ -275,9 +304,9 @@ class TestCrashSweep:
         assert len(OPS) in recovered_prefixes
         for path in (
             "grown in place", "shrunk in place", "relocated",
-            "spliced add", "spliced remove",
+            "tail add", "inner add", "head add", "remove", "tail add, widened",
         ):
-            assert paths[path] >= 1, (path, dict(paths))
+            assert paths[path] >= 1, (path, sorted(paths.items()))
 
     def test_crash_during_checkpoint_loses_nothing(
         self, template_dir, total_ops, tmp_path

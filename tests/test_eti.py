@@ -259,7 +259,7 @@ class TestEtiBuild:
         eti, _ = build_eti(org_db, org_reference, config)
         record = eti.lookup("boeing", TOKEN_COORDINATE, 0)
         assert record is not None
-        assert record.tid_list == (1,)
+        assert record.tid_list == [1]
 
     def test_tid_entries_accounting(self, org_db, org_reference, paper_config):
         eti, stats = build_eti(org_db, org_reference, paper_config)
@@ -279,7 +279,7 @@ class TestEtiBuild:
         eti, _ = build_eti(org_db, reference, config, eti_name="eti_sharing")
         record = eti.lookup("abcd", 1, 0)
         assert record is not None
-        assert record.tid_list == (1,)
+        assert record.tid_list == [1]
         assert record.frequency == 1
 
     def test_external_sort_path(self, org_db, org_reference, paper_config):
@@ -436,7 +436,7 @@ class TestBuildEquivalence:
             ]
         )
         eti, _ = build_equals_oracle(db, reference, MatchConfig(), limit)
-        assert eti.lookup("anna", 1, 0).tid_list == (1, 2, 3)
+        assert eti.lookup("anna", 1, 0).tid_list == [1, 2, 3]
         db.close()
 
     @pytest.mark.parametrize("threshold", [50, 8])
@@ -510,15 +510,18 @@ class TestSameBytesAcrossProcesses:
 class TestPageWall:
     """A tid-list that cannot fit one page fails typed, early and clean."""
 
+    # Tids 200 apart: every delta of a tid-list takes two bytes.
+    TIDS = range(1000, 1000 + 4200 * 200, 200)
+
     def shared_token_reference(self, db):
         # Every tuple holds 'alpha'; the first 4 150 also hold 'beta'.
-        # Tids from 1 000 up take two bytes each, so both tid-lists
-        # (8 400 and 8 300 bytes) exceed an 8 KiB page; 'alpha' sorts
-        # first and is the one the write trips on.
+        # At two bytes a tid, both tid-lists (≈ 8 400 and 8 300 bytes)
+        # exceed an 8 KiB page; 'alpha' sorts first and is the one the
+        # write trips on.
         reference = ReferenceTable(db, "reference", ["name"])
         reference.load(
-            (tid, (f"alpha {'beta ' if tid < 5150 else ''}u{tid}",))
-            for tid in range(1000, 5200)
+            (tid, (f"alpha {'beta ' if i < 4150 else ''}u{tid}",))
+            for i, tid in enumerate(self.TIDS)
         )
         return reference
 
@@ -542,7 +545,7 @@ class TestPageWall:
         assert error.frequency == 4200
         assert error.encoded_bytes > MAX_RECORD_SIZE
         assert error.encoded_bytes == len(
-            Schema(eti_columns()).encode(("alpha", 0, 0, 4200, list(range(1000, 5200))))
+            Schema(eti_columns()).encode(("alpha", 0, 0, 4200, list(self.TIDS)))
         )
         # 'beta' (4 150 tids, found further down the stream) is too large
         # as well, so 4 199 would not have built either.
@@ -561,7 +564,7 @@ class TestPageWall:
         assert stats.stop_qgrams == 2
         assert eti.lookup("alpha", 0, 0).tid_list is None
         assert eti.lookup("beta", 0, 0).frequency == 4150
-        assert eti.lookup("u1077", 0, 0).tid_list == (1077,)
+        assert eti.lookup("u1200", 0, 0).tid_list == [1200]
         db.close()
 
 

@@ -345,21 +345,23 @@ class TestIncrementalWeights:
 class TestPageWall:
     """A tid-list outgrowing its page fails typed, before any write."""
 
-    # 8-byte varint tids: ~1 000 tuples sharing a token fill one ETI row.
+    # Tids 2**32 apart take 8-byte deltas: ~1 000 tuples sharing a token
+    # fill one ETI row.
     BIG = 10**15
+    STEP = 2**32
 
     def test_insert_past_the_page_wall_is_typed_and_writes_nothing(self):
         config = MatchConfig(q=3, signature_size=2)
         db = Database.in_memory()
         reference = ReferenceTable(db, "shared", ["state"])
-        reference.load((self.BIG + i, ("wa",)) for i in range(1_000))
+        reference.load((self.BIG + i * self.STEP, ("wa",)) for i in range(1_000))
         eti, _ = build_eti(db, reference, config)
         weights = build_frequency_cache(reference.scan_values(), 1)
         maintainer = EtiMaintainer(reference, eti, config, weights=weights, database=db)
 
-        tid = self.BIG + 1_000
+        tid = self.BIG + 1_000 * self.STEP
         with pytest.raises(TidListTooLargeError) as raised:
-            for tid in range(tid, tid + 50):
+            for tid in range(tid, tid + 50 * self.STEP, self.STEP):
                 maintainer.insert_tuple(tid, ("wa",))
         error = raised.value
         assert error.key[0] in {entry.gram for entry in signature_entries(
@@ -371,7 +373,7 @@ class TestPageWall:
         stored = len(reference)
         before = eti_as_dict(eti)
         assert tid not in reference
-        assert stored == tid - self.BIG
+        assert stored == (tid - self.BIG) // self.STEP
         # Nothing the failed insert touched was written or counted.
         assert len(reference.relation.heap) == stored
         assert eti_as_dict(eti) == before
@@ -524,7 +526,7 @@ class TestSharedSignatureEntries:
         base = self.BASE + [(4, ("anna x4", "spokane", "or", "97004"))]
         maintainer = self.maintained(config, base)
         maintainer.insert_tuple(*self.NEW)
-        assert maintainer.eti.lookup("anna", 1, 0).tid_list == (3, 4)
+        assert maintainer.eti.lookup("anna", 1, 0).tid_list == [3, 4]
         assert eti_as_dict(maintainer.eti) == rebuilt(base + [self.NEW], config)
 
 

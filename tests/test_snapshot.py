@@ -1,5 +1,7 @@
 """Database snapshot persistence: save, reopen, and reuse a built ETI."""
 
+import json
+
 import pytest
 
 from repro.core.config import MatchConfig
@@ -64,6 +66,42 @@ class TestSnapshotBasics:
         with pytest.raises(DatabaseError, match="no snapshot metadata"):
             load_database(path)
 
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_a_version_before_delta_coded_tid_lists_is_refused(self, tmp_path, version):
+        # Versions 1-3 store varint tid-lists, which version 4 cannot read.
+        path = str(tmp_path / "db.pages")
+        db = Database.on_disk(path)
+        db.create_relation("t", [Column("k", ColumnType.INT)]).insert((1,))
+        meta_path = save_database(db)
+        db.close()
+        with open(meta_path) as handle:
+            meta = json.load(handle)
+        assert meta["version"] == 4
+        meta["version"] = version
+        if version < 3:
+            del meta["generation"]
+        if version < 2:
+            del meta["page_checksums"]
+        with open(meta_path, "w") as handle:
+            json.dump(meta, handle)
+        with pytest.raises(DatabaseError, match=f"version {version} .*rebuild"):
+            load_database(path)
+
+    @pytest.mark.parametrize("missing", ["generation", "page_checksums"])
+    def test_version_4_metadata_must_be_complete(self, tmp_path, missing):
+        path = str(tmp_path / "db.pages")
+        db = Database.on_disk(path)
+        db.create_relation("t", [Column("k", ColumnType.INT)]).insert((1,))
+        meta_path = save_database(db)
+        db.close()
+        with open(meta_path) as handle:
+            meta = json.load(handle)
+        del meta[missing]
+        with open(meta_path, "w") as handle:
+            json.dump(meta, handle)
+        with pytest.raises(DatabaseError, match=missing):
+            load_database(path)
+
     def test_writes_after_reopen(self, tmp_path):
         path = str(tmp_path / "db.pages")
         db = Database.on_disk(path)
@@ -102,7 +140,7 @@ class TestAtomicMetaWrite:
         real_dump = json_module.dump
 
         def dying_dump(obj, handle, **kwargs):
-            handle.write('{"version": 3, "torn": ')
+            handle.write('{"version": 4, "torn": ')
             raise OSError("simulated crash during metadata write")
 
         monkeypatch.setattr("repro.db.snapshot.json.dump", dying_dump)
