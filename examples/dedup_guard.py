@@ -12,11 +12,9 @@ Run:  python examples/dedup_guard.py
 
 import random
 
-from repro import Database, FuzzyMatcher, MatchConfig, ReferenceTable
-from repro.core.weights import build_frequency_cache
+from repro import FuzzyMatcher, MatchConfig
 from repro.data.errors import ErrorModel
 from repro.data.generator import CUSTOMER_COLUMNS, CustomerGenerator, generate_customers
-from repro.eti.builder import build_eti
 
 REFERENCE_SIZE = 3_000
 DUPLICATE_THRESHOLD = 0.80
@@ -25,15 +23,10 @@ STREAM_SIZE = 200
 rng = random.Random(99)
 
 # Existing warehouse contents.
-db = Database.in_memory()
-reference = ReferenceTable(db, "customer", list(CUSTOMER_COLUMNS))
 existing = generate_customers(REFERENCE_SIZE, seed=5)
-reference.load((c.tid, c.values) for c in existing)
-
-config = MatchConfig()
-weights = build_frequency_cache(reference.scan_values(), reference.num_columns)
-eti, _ = build_eti(db, reference, config)
-matcher = FuzzyMatcher(reference, weights, config, eti)
+matcher = FuzzyMatcher.build(
+    CUSTOMER_COLUMNS, [(c.tid, c.values) for c in existing], MatchConfig()
+)
 
 # A registration stream: half re-entries of existing customers (with data
 # entry errors), half genuinely new customers.

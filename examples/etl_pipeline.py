@@ -14,11 +14,9 @@ Run:  python examples/etl_pipeline.py
 
 import time
 
-from repro import Database, FuzzyMatcher, MatchConfig, ReferenceTable
-from repro.core.weights import build_frequency_cache
+from repro import FuzzyMatcher, MatchConfig
 from repro.data.datasets import DatasetSpec, make_dataset
 from repro.data.generator import CUSTOMER_COLUMNS, generate_customers
-from repro.eti.builder import build_eti
 
 REFERENCE_SIZE = 5_000
 INCOMING_BATCH = 300
@@ -27,22 +25,18 @@ LOAD_THRESHOLD = 0.70  # fms needed to auto-correct and load
 # --- Set up the warehouse --------------------------------------------------
 
 print(f"Generating Customer reference relation ({REFERENCE_SIZE} tuples)...")
-db = Database.in_memory()
-reference = ReferenceTable(db, "customer", list(CUSTOMER_COLUMNS))
 customers = generate_customers(REFERENCE_SIZE, seed=20030609)
-reference.load((c.tid, c.values) for c in customers)
-
 config = MatchConfig()  # paper defaults: q=4, Q+T_2 signatures, OSC on
-weights = build_frequency_cache(reference.scan_values(), reference.num_columns)
 
 started = time.perf_counter()
-eti, build_stats = build_eti(db, reference, config)
-print(
-    f"ETI built in {time.perf_counter() - started:.2f}s "
-    f"({build_stats.eti_rows} rows, {build_stats.stop_qgrams} stop q-grams)\n"
+matcher = FuzzyMatcher.build(
+    CUSTOMER_COLUMNS, [(c.tid, c.values) for c in customers], config
 )
-
-matcher = FuzzyMatcher(reference, weights, config, eti)
+build_stats = matcher.build_stats
+print(
+    f"warehouse built in {time.perf_counter() - started:.2f}s "
+    f"({build_stats.eti_rows} ETI rows, {build_stats.stop_qgrams} stop q-grams)\n"
+)
 
 # --- Simulate an incoming batch from a distributor -------------------------
 

@@ -8,12 +8,10 @@ fetching/stopping tests) on the Tables 1–2 data.
 Run:  python examples/paper_walkthrough.py
 """
 
-from repro import Database, FuzzyMatcher, MatchConfig, MinHasher, ReferenceTable
+from repro import FuzzyMatcher, MatchConfig
 from repro.core.fms import fms, transformation_cost
 from repro.core.fms_apx import fms_apx
 from repro.core.strings import edit_distance, qgram_set, tuple_edit_similarity
-from repro.core.weights import build_frequency_cache
-from repro.eti.builder import build_eti
 from repro.obs.tracing import Tracer, render_span
 
 config = MatchConfig(q=3, signature_size=2)
@@ -34,19 +32,21 @@ print(f"ed('beoing', 'boeing')       = {edit_distance('beoing', 'boeing'):.3f}"
 # --- Table 1 / Table 2 -------------------------------------------------------
 
 banner("Tables 1–2: the organization reference relation and dirty inputs")
-db = Database.in_memory()
-reference = ReferenceTable(db, "orgs", ["org_name", "city", "state", "zipcode"])
-reference.load(
+# One build loads the relation, weighs its tokens (the IDF frequency cache
+# of §4.4.1) and builds the ETI of §4.2, shown below.
+matcher = FuzzyMatcher.build(
+    ["org_name", "city", "state", "zipcode"],
     [
         (1, ("Boeing Company", "Seattle", "WA", "98004")),
         (2, ("Bon Corporation", "Seattle", "WA", "98014")),
         (3, ("Companions", "Seattle", "WA", "98024")),
-    ]
+    ],
+    config,
 )
-for tid, values in reference.scan():
+for tid, values in matcher.reference.scan():
     print(f"  R{tid}: {values}")
 
-weights = build_frequency_cache(reference.scan_values(), reference.num_columns)
+weights = matcher.weights
 
 # --- §1's motivating failure of edit distance --------------------------------
 
@@ -84,7 +84,7 @@ print(f"  fms(I3', R1) with unit weights = "
 
 banner("§4.1: q-gram sets and min-hash signatures")
 print(f"  QG3('boeing') = {sorted(qgram_set('boeing', 3))}  (paper: boe, oei, ein, ing)")
-hasher = MinHasher(q=3, num_hashes=2, seed=config.seed)
+hasher = matcher.hasher  # q=3, H=2 coordinates, the config's seed
 for token in ("beoing", "company", "seattle", "wa", "98004"):
     print(f"  mh('{token}') = {hasher.signature(token)}")
 i4 = ("Company Beoing", "Seattle", None, "98014")
@@ -95,7 +95,7 @@ print(f"  fmsapx(I4, R1) = {fms_apx(i4, r1, weights, config, hasher):.3f}"
 # --- §4.2 the ETI relation (Table 3's analogue) -------------------------------
 
 banner("§4.2: the Error Tolerant Index relation (cf. Table 3)")
-eti, stats = build_eti(db, reference, config, hasher=hasher)
+eti, stats = matcher.eti, matcher.build_stats
 print(f"  {'QGram':<10} {'Coord':>5} {'Column':>6} {'Freq':>4}  Tid-list")
 for row in list(eti.relation.scan())[:14]:
     qgram, coordinate, column, frequency, tid_list = row
@@ -105,7 +105,6 @@ print(f"  ... ({stats.eti_rows} rows total, built from {stats.pre_eti_rows} pre-
 # --- §4.3 query processing ----------------------------------------------------
 
 banner("§4.3: query processing for I1 = [Beoing Company, Seattle, WA, 98004]")
-matcher = FuzzyMatcher(reference, weights, config, eti, hasher)
 for strategy in ("basic", "osc"):
     result = matcher.match(("Beoing Company", "Seattle", "WA", "98004"), strategy=strategy)
     best = result.best

@@ -11,11 +11,11 @@ q-gram signatures still route candidates) provides.
 Run:  python examples/product_catalog.py
 """
 
-from repro import Database, FuzzyMatcher, MatchConfig, ReferenceTable
-from repro.core.weights import build_frequency_cache
+import random
+
+from repro import FuzzyMatcher, MatchConfig
 from repro.data.errors import ErrorModel
 from repro.data.products import PRODUCT_COLUMNS, generate_products
-from repro.eti.builder import build_eti
 
 CATALOG_SIZE = 4_000
 FEED_SIZE = 250
@@ -24,15 +24,10 @@ ACCEPT_THRESHOLD = 0.65
 # --- The enterprise's Product relation ---------------------------------------
 
 products = generate_products(CATALOG_SIZE, seed=4242)
-db = Database.in_memory()
-catalog = ReferenceTable(db, "product", list(PRODUCT_COLUMNS))
-catalog.load((p.tid, p.values) for p in products)
-
-config = MatchConfig()
-weights = build_frequency_cache(catalog.scan_values(), catalog.num_columns)
-eti, build_stats = build_eti(db, catalog, config)
-matcher = FuzzyMatcher(catalog, weights, config, eti)
-print(f"catalog: {CATALOG_SIZE} products, ETI {build_stats.eti_rows} rows")
+matcher = FuzzyMatcher.build(
+    PRODUCT_COLUMNS, [(p.tid, p.values) for p in products], MatchConfig()
+)
+print(f"catalog: {CATALOG_SIZE} products, ETI {matcher.build_stats.eti_rows} rows")
 
 # --- A distributor feed with data-entry errors --------------------------------
 #
@@ -44,8 +39,6 @@ error_model = ErrorModel(
     name_column=1,
     seed=11,
 )
-import random
-
 rng = random.Random(33)
 feed = []
 for product in rng.sample(products, FEED_SIZE):

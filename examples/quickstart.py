@@ -7,40 +7,28 @@ operation resolving each input to its intended target.
 Run:  python examples/quickstart.py
 """
 
-from repro import (
-    Database,
-    FuzzyMatcher,
-    MatchConfig,
-    ReferenceTable,
-    build_eti,
-    build_frequency_cache,
-)
+from repro import FuzzyMatcher, MatchConfig
 
-# --- 1. Load the clean reference relation (Table 1) ----------------------
+# --- 1. Load the clean reference relation (Table 1) and build the index ---
+#
+# ``FuzzyMatcher.build`` loads the relation, computes the IDF token weights
+# (the token-frequency cache) and builds the Error Tolerant Index (a plain
+# relation with a clustered B+-tree index) that makes retrieval fast.
 
-db = Database.in_memory()
-reference = ReferenceTable(db, "organizations", ["org_name", "city", "state", "zipcode"])
-reference.load(
+config = MatchConfig(q=3, signature_size=2)  # the paper's worked-example setting
+matcher = FuzzyMatcher.build(
+    ["org_name", "city", "state", "zipcode"],
     [
         (1, ("Boeing Company", "Seattle", "WA", "98004")),
         (2, ("Bon Corporation", "Seattle", "WA", "98014")),
         (3, ("Companions", "Seattle", "WA", "98024")),
-    ]
+    ],
+    config,
 )
-
-# --- 2. Build the supporting structures -----------------------------------
-#
-# The token-frequency cache supplies IDF weights; the Error Tolerant Index
-# (a plain relation with a clustered B+-tree index) makes retrieval fast.
-
-config = MatchConfig(q=3, signature_size=2)  # the paper's worked-example setting
-weights = build_frequency_cache(reference.scan_values(), reference.num_columns)
-eti, build_stats = build_eti(db, reference, config)
+build_stats = matcher.build_stats
 print(f"ETI built: {build_stats.eti_rows} rows from {build_stats.pre_eti_rows} pre-ETI rows\n")
 
-# --- 3. Match the dirty inputs (Table 2) ----------------------------------
-
-matcher = FuzzyMatcher(reference, weights, config, eti)
+# --- 2. Match the dirty inputs (Table 2) ----------------------------------
 
 inputs = [
     ("Beoing Company", "Seattle", "WA", "98004"),     # I1: spelling error
@@ -62,7 +50,7 @@ for values in inputs:
         f"{'yes' if stats.osc_succeeded else 'no':>3}"
     )
 
-# --- 4. The K-fuzzy-match extension ---------------------------------------
+# --- 3. The K-fuzzy-match extension ---------------------------------------
 
 print("\nTop-3 matches for 'Beoing Company' with minimum similarity 0.2:")
 result = matcher.match(

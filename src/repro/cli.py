@@ -49,8 +49,6 @@ from repro.db.database import Database
 from repro.db.errors import DatabaseError
 from repro.db.fsck import check_database
 from repro.db.snapshot import load_database, save_database
-from repro.eti.builder import BuildStats, build_eti
-from repro.eti.index import EtiIndex
 from repro.eval.harness import Workbench
 from repro.eval import figures as figure_drivers
 from repro.eval.metrics import accuracy
@@ -137,66 +135,30 @@ def _read_reference_csv(
     return columns, cast(list[tuple[int, tuple[str | None, ...]]], rows)
 
 
-def _build_matcher(
-    reference_path: str,
-    config: MatchConfig,
-    resilience: ResiliencePolicy | None = None,
-) -> tuple[FuzzyMatcher, BuildStats]:
-    columns, rows = _read_reference_csv(reference_path)
-    db = Database.in_memory()
-    reference = ReferenceTable(db, "reference", columns)
-    reference.load(rows)
-    weights = build_frequency_cache(reference.scan_values(), reference.num_columns)
-    eti, build_stats = build_eti(db, reference, config)
-    matcher = FuzzyMatcher(reference, weights, config, eti, resilience=resilience)
-    return matcher, build_stats
-
-
-def _matcher_from_db(
-    db_path: str,
-    reference_path: str | None,
-    config: MatchConfig,
-    wal: bool,
-    resilience: ResiliencePolicy | None = None,
-) -> tuple[FuzzyMatcher, BuildStats | None, Database]:
-    """A matcher over a persisted warehouse (§6.2.2.1 ETI reuse).
-
-    If a snapshot exists at ``db_path``, the persisted reference + ETI
-    serve this batch directly (``BuildStats`` is ``None``); the ETI must
-    have been built with the same ``q``/``signature_size``/``scheme``.
-    Otherwise the warehouse is built from the reference CSV and
-    snapshotted for subsequent runs.  The returned :class:`Database` is
-    the open warehouse handle — long-lived callers (``repro serve``)
-    checkpoint it on drain.
-    """
-    if os.path.exists(db_path + ".meta.json"):
-        try:
-            db = load_database(db_path, wal=wal)
-        except DatabaseError as exc:  # e.g. an older snapshot version
-            raise SystemExit(f"{db_path}: {exc}") from None
-        relation = db.relation("reference")
-        columns = [c.name for c in relation.schema.columns][1:]
-        reference = ReferenceTable.attach(db, "reference", columns)
-        weights = build_frequency_cache(
-            reference.scan_values(), reference.num_columns
-        )
-        eti = EtiIndex(db.relation("eti"))
-        matcher = FuzzyMatcher(reference, weights, config, eti, resilience=resilience)
-        return matcher, None, db
-    if reference_path is None:
-        raise SystemExit(
-            f"{db_path}: no persisted warehouse found and no --reference "
-            "CSV given to build one"
-        )
-    columns, rows = _read_reference_csv(reference_path)
-    db = Database.on_disk(db_path, wal=wal)
-    reference = ReferenceTable(db, "reference", columns)
-    reference.load(rows)
-    weights = build_frequency_cache(reference.scan_values(), reference.num_columns)
-    eti, build_stats = build_eti(db, reference, config)
-    save_database(db, db_path)
-    matcher = FuzzyMatcher(reference, weights, config, eti, resilience=resilience)
-    return matcher, build_stats, db
+def _engine(args: argparse.Namespace, config: MatchConfig) -> FuzzyMatcher:
+    """Open the warehouse saved at ``--db``, or build one from
+    ``--reference`` (saved at ``--db`` when given).  A refused warehouse
+    (an older version, another build config) exits with one line."""
+    started = time.perf_counter()
+    try:
+        if args.db is not None and os.path.exists(args.db + ".meta.json"):
+            matcher = FuzzyMatcher.open(args.db, config, wal=args.wal)
+        elif args.reference is None:
+            raise SystemExit(
+                f"{args.db}: no persisted warehouse found and no --reference "
+                "CSV given to build one"
+            )
+        else:
+            columns, rows = _read_reference_csv(args.reference)
+            matcher = FuzzyMatcher.build(columns, rows, config, path=args.db, wal=args.wal)
+    except DatabaseError as exc:
+        raise SystemExit(f"{args.db}: {exc}" if args.db else str(exc)) from None
+    seconds = time.perf_counter() - started
+    if matcher.build_stats is None:
+        print(f"reused persisted ETI from {args.db} in {seconds:.2f}s", file=sys.stderr)
+    else:
+        print(f"built ETI: {matcher.build_stats.eti_rows} rows in {seconds:.2f}s", file=sys.stderr)
+    return matcher
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -263,24 +225,8 @@ def cmd_match(args: argparse.Namespace) -> int:
             resilience = ResiliencePolicy(
                 deadline_ms=args.deadline_ms, max_page_fetches=args.max_page_fetches
             )
-    started = time.perf_counter()
-    if args.db:
-        matcher, build_stats, _db = _matcher_from_db(
-            args.db, args.reference, config, wal=args.wal, resilience=resilience
-        )
-    else:
-        matcher, build_stats = _build_matcher(args.reference, config, resilience)
-    build_seconds = time.perf_counter() - started
-    if build_stats is None:
-        print(
-            f"reused persisted ETI from {args.db} in {build_seconds:.2f}s",
-            file=sys.stderr,
-        )
-    else:
-        print(
-            f"built ETI: {build_stats.eti_rows} rows in {build_seconds:.2f}s",
-            file=sys.stderr,
-        )
+    matcher = _engine(args, config)
+    matcher.resilience = resilience
 
     input_columns, inputs, has_target = _read_csv(args.input, "target_tid")
     if len(input_columns) != matcher.reference.num_columns:
@@ -390,7 +336,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
             signature_size=args.signature_size,
             scheme=SignatureScheme(args.scheme),
         )
-    matcher, _ = _build_matcher(args.reference, config)
+    columns, rows = _read_reference_csv(args.reference)
+    matcher = FuzzyMatcher.build(columns, rows, config)
     values = tuple(_value(v) for v in args.values)
     if len(values) != matcher.reference.num_columns:
         raise SystemExit(
@@ -487,18 +434,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
             stuck_after_s=args.stuck_after_s,
         )
 
-    def engine_factory() -> tuple[FuzzyMatcher, Database | None]:
-        matcher, build_stats, db = _matcher_from_db(
-            args.db, args.reference, config, wal=args.wal, resilience=ResiliencePolicy()
-        )
-        if build_stats is None:
-            print(f"loaded persisted warehouse {args.db}", file=sys.stderr)
-        else:
-            print(
-                f"built warehouse {args.db}: {build_stats.eti_rows} ETI rows",
-                file=sys.stderr,
-            )
-        return matcher, db
+    def engine_factory() -> FuzzyMatcher:
+        matcher = _engine(args, config)
+        matcher.resilience = ResiliencePolicy()
+        return matcher
 
     on_bound = None
     if args.port_file:

@@ -13,7 +13,7 @@
 """
 
 from repro.core.batch import BatchReport
-from repro.core.cache import LRUCache, MatcherCaches
+from repro.core.cache import LRUCache
 from repro.core.config import MatchConfig, SignatureScheme
 from repro.core.fms import fms, transformation_cost
 from repro.core.fms_apx import fms_apx, fms_t_apx
@@ -43,7 +43,6 @@ __all__ = [
     "CircuitBreaker",
     "Deadline",
     "LRUCache",
-    "MatcherCaches",
     "edit_distance",
     "failed_result",
     "fallback_chain",

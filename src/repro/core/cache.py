@@ -1,4 +1,4 @@
-"""Memo idioms, the one LRU cache, and the matcher's registry bundle.
+"""Memo idioms and the one LRU cache.
 
 A query derives values that repeat across queries, and each is
 remembered exactly once, where its cost is:
@@ -24,9 +24,6 @@ not in layers.
 
 :class:`LRUCache` is the bounded, counted cache for the one place that
 needs eviction order: the serve layer's idempotency replay cache.
-:class:`MatcherCaches` is what is left of the matcher's cache bundle: the
-metrics registry one :class:`~repro.core.matcher.FuzzyMatcher` publishes
-to.
 """
 
 from __future__ import annotations
@@ -153,14 +150,3 @@ class LRUCache:
         with self._lock:
             self._data.clear()
 
-
-class MatcherCaches:
-    """The metrics registry one :class:`FuzzyMatcher` publishes to.
-
-    Every bundle owns (or is handed) one
-    :class:`~repro.obs.registry.MetricsRegistry`; the matcher publishes
-    its per-query metrics there, so one snapshot carries its telemetry.
-    """
-
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()

@@ -28,7 +28,6 @@ import time
 from typing import TYPE_CHECKING, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 
-from repro.core.cache import MatcherCaches
 from repro.core.candidates import ScoreTable
 from repro.core.config import MatchConfig, check_query_overrides
 from repro.core.fms import COUNTERS as FMS_COUNTERS
@@ -39,10 +38,14 @@ from repro.core.osc import fetching_test, stopping_bound, stopping_test
 from repro.core.reference import Interner, ReferenceTable, Row
 from repro.core.resilience import Deadline, ResiliencePolicy, fallback_chain
 from repro.core.tokens import TupleTokens
-from repro.core.weights import WeightFunction
-from repro.db.errors import DatabaseError
+from repro.core.weights import WeightFunction, build_frequency_cache
+from repro.db.database import Database
+from repro.db.errors import DatabaseError, WarehouseConfigError
+from repro.db.snapshot import load_database, save_database
+from repro.eti.builder import BuildStats, build_eti
 from repro.eti.index import EtiIndex
 from repro.eti.signature import signature_entries
+from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import trace_span
 
 if TYPE_CHECKING:
@@ -105,7 +108,8 @@ class MatchStats:
     silently wrong."""
     degraded_reason: str | None = None
     """Why the result is degraded: ``"deadline"``, ``"page_fetches"``,
-    ``"circuit_open"``, or ``"fallback:<ErrorType>"``."""
+    ``"circuit_open"``, ``"fallback:<ErrorType>"``, or ``"stop_qgrams"``
+    (no match, but the probe read a stop q-gram's nulled tid-list)."""
     fallback_from: str | None = None
     """The strategy originally requested, when a fallback answered."""
     wal_tail_pages: int = 0
@@ -160,6 +164,38 @@ class ProbeOutcome:
     lookups: int = 0
     matches: list[Match] | None = None  # the top K, once a stopping test certified them
     budget_reason: str | None = None  # why the lookups stopped early, if the budget ran out
+    nulled: int = 0  # entries read whose tid-list is a stop q-gram's NULL
+
+
+#: The :class:`MatchConfig` fields an ETI depends on, in the order
+#: :meth:`FuzzyMatcher.open` checks them against the warehouse's record.
+BUILD_FIELDS = ("q", "signature_size", "scheme", "seed", "stop_qgram_threshold")
+
+
+def _build_fields(config: MatchConfig) -> dict[str, object]:
+    """``config``'s :data:`BUILD_FIELDS` as a warehouse records them."""
+    return {name: getattr(config, name) for name in BUILD_FIELDS} | {
+        "scheme": config.scheme.value
+    }
+
+
+def _recorded_relation(
+    recorded: dict[str, object] | None, config: MatchConfig
+) -> tuple[str, list[str]]:
+    """The reference relation and columns a warehouse records, once
+    ``config`` agrees with its :data:`BUILD_FIELDS`."""
+    if recorded is None:
+        raise DatabaseError(
+            "warehouse records no build config; rebuild the warehouse from "
+            "its reference relation"
+        )
+    for name, given in _build_fields(config).items():
+        if recorded.get(name) != given:
+            raise WarehouseConfigError(name, recorded.get(name), given)
+    relation, columns = recorded.get("relation"), recorded.get("columns")
+    if isinstance(relation, str) and isinstance(columns, list):
+        return relation, columns
+    raise DatabaseError("warehouse build config names no reference relation")
 
 
 def replicate_result(result: MatchResult) -> MatchResult:
@@ -206,9 +242,9 @@ class FuzzyMatcher:
         The min-hash family.  Must be the one the ETI was built with; when
         omitted, a hasher with the config's (q, H, seed) is created, which
         matches an ETI built from the same config.
-    caches:
-        The :class:`~repro.core.cache.MatcherCaches` bundle holding the
-        metrics registry the matcher publishes to; a fresh one by default.
+    registry:
+        The :class:`~repro.obs.registry.MetricsRegistry` the matcher
+        publishes its per-query metrics to; a fresh one by default.
         Candidate rows come from the reference relation's resident store
         (:meth:`ReferenceTable.row`), shared by every matcher over it.
     resilience:
@@ -219,6 +255,9 @@ class FuzzyMatcher:
         gates the indexed strategies.  ``None`` (the default) keeps the
         exact pre-resilience behaviour: no limits, no fallback, errors
         propagate.
+
+    :meth:`build` and :meth:`open` also set ``database``, the warehouse
+    :meth:`save` checkpoints; :meth:`build` sets the ETI's ``build_stats``.
     """
 
     def __init__(
@@ -228,7 +267,7 @@ class FuzzyMatcher:
         config: MatchConfig | None = None,
         eti: EtiIndex | None = None,
         hasher: MinHasher | None = None,
-        caches: MatcherCaches | None = None,
+        registry: MetricsRegistry | None = None,
         resilience: ResiliencePolicy | None = None,
     ) -> None:
         self.reference = reference
@@ -240,12 +279,12 @@ class FuzzyMatcher:
             if hasher is not None
             else MinHasher(self.config.q, self.config.signature_size, self.config.seed)
         )
-        self.caches = caches if caches is not None else MatcherCaches()
+        # Per-query metrics live in one registry, so one snapshot carries a
+        # matcher's full telemetry.
+        self.registry = registry = registry if registry is not None else MetricsRegistry()
         self.resilience = resilience
-        # Per-query metrics live in the bundle's registry, so one snapshot
-        # carries a matcher's full telemetry.
-        registry = self.caches.registry
-        self._obs_registry = registry
+        self.database: Database | None = None
+        self.build_stats: BuildStats | None = None
         self._obs_match_seconds = {
             strategy: registry.histogram(
                 "repro_match_seconds", {"strategy": strategy}
@@ -266,6 +305,79 @@ class FuzzyMatcher:
             "repro_match_verify_budget_prunes_total", relaxed=True
         )
         self._obs_wal_tail = registry.gauge("repro_wal_tail_pages")
+
+    # ------------------------------------------------------------------
+    # The warehouse: build, open, save
+    # ------------------------------------------------------------------
+
+    @classmethod
+    def build(
+        cls,
+        columns: Sequence[str],
+        rows: Iterable[tuple[int, Sequence[str | None]]],
+        config: MatchConfig,
+        path: str | None = None,
+        wal: bool = False,
+    ) -> FuzzyMatcher:
+        """Load ``(tid, values)`` ``rows`` over ``columns`` as the reference
+        relation, weigh it and build its ETI, signed by the queries' hasher.
+
+        In memory, or created at ``path`` (write-ahead logged when ``wal``)
+        with its :data:`BUILD_FIELDS` recorded and checkpointed for
+        :meth:`open`.
+        """
+        db = Database.in_memory() if path is None else Database.on_disk(path, wal=wal)
+        try:
+            reference = ReferenceTable(db, "reference", columns)
+            reference.load(rows)
+            weights = build_frequency_cache(reference.scan_values(), reference.num_columns)
+            hasher = MinHasher(config.q, config.signature_size, config.seed)
+            eti, build_stats = build_eti(db, reference, config, hasher)
+            db.build_config = _build_fields(config) | {
+                "relation": reference.name, "columns": list(reference.column_names)
+            }
+            if path is not None:
+                save_database(db)
+        except (DatabaseError, ValueError):
+            db.close()
+            raise
+        matcher = cls(reference, weights, config, eti, hasher)
+        matcher.database = db
+        matcher.build_stats = build_stats
+        return matcher
+
+    @classmethod
+    def open(cls, path: str, config: MatchConfig, wal: bool = False) -> FuzzyMatcher:
+        """Reattach the warehouse :meth:`build` saved at ``path``.
+
+        The first of :data:`BUILD_FIELDS` on which ``config`` disagrees
+        with the build raises :class:`~repro.db.errors.WarehouseConfigError`
+        naming it, and a warehouse that records none is refused; the query
+        fields (``k``, ``min_similarity``, ``use_osc``, …) are ``config``'s.
+        """
+        db = load_database(path, wal=wal)
+        try:
+            relation, columns = _recorded_relation(db.build_config, config)
+            reference = ReferenceTable.attach(db, relation, columns)
+            eti = EtiIndex(db.relation("eti"))
+        except DatabaseError:
+            db.close()
+            raise
+        except ValueError as exc:  # the record's columns are not the relation's
+            db.close()
+            raise DatabaseError(
+                f"warehouse build config disagrees with its catalog: {exc}"
+            ) from exc
+        weights = build_frequency_cache(reference.scan_values(), reference.num_columns)
+        matcher = cls(reference, weights, config, eti)
+        matcher.database = db
+        return matcher
+
+    def save(self) -> None:
+        """Checkpoint the warehouse, its build config included."""
+        if self.database is None:
+            raise DatabaseError("no warehouse to save: use build(path=...) or open()")
+        save_database(self.database)
 
     # ------------------------------------------------------------------
     # Public API
@@ -438,7 +550,7 @@ class FuzzyMatcher:
             )
 
     def _publish_query(self, stats: MatchStats) -> None:
-        """Fold one finished query's stats into the bundle registry.
+        """Fold one finished query's stats into the matcher's registry.
 
         The per-strategy latency histogram plus work counters mirror the
         :class:`MatchStats` fields an operator tunes by, so live
@@ -454,7 +566,7 @@ class FuzzyMatcher:
         self._obs_prunes.inc(stats.verify_budget_prunes)
         self._obs_wal_tail.set(float(stats.wal_tail_pages))
         if stats.degraded and stats.degraded_reason is not None:
-            self._obs_registry.counter(
+            self.registry.counter(
                 "repro_match_degraded_total", {"reason": stats.degraded_reason}
             ).inc()
 
@@ -583,7 +695,9 @@ class FuzzyMatcher:
         Thresholding sits between probe and verify: the score table's
         tids at or above the retention floor, best first, are the
         candidates — cut to the top K when the deadline ran out mid-probe,
-        so a degraded answer costs a bounded amount of extra work.
+        so a degraded answer costs a bounded amount of extra work.  An
+        empty answer after the probe read a stop q-gram's nulled tid-list
+        is flagged ``degraded`` (reason ``"stop_qgrams"``), never silent.
         """
         result = MatchResult(stats=stats)
         query = self._stage_signature(values, c, use_osc)
@@ -603,6 +717,10 @@ class FuzzyMatcher:
             result.matches = self._stage_verify(
                 query, candidates, k, c, deadline, fms_cache, stats
             )
+        if not result.matches and probe.nulled and not stats.degraded:
+            # Not "no tuple matches": the nulled lists' tids went unread.
+            stats.degraded = True
+            stats.degraded_reason = "stop_qgrams"
         stats.eti_lookups = probe.lookups
         stats.tids_processed = probe.score_table.stats.tids_processed
         stats.tids_admitted = probe.score_table.stats.tids_admitted
@@ -683,12 +801,13 @@ class FuzzyMatcher:
                         break
                 outcome.lookups += 1
                 eti_entry = self.eti.lookup(gram, coordinate, column)
-                if eti_entry is not None and eti_entry.tid_list:
+                tid_list = eti_entry.tid_list if eti_entry is not None else ()
+                if tid_list:
                     score_table.add_tid_list(
-                        eti_entry.tid_list,
-                        qgram_weight,
-                        query.entry_weight - processed_weight,
+                        tid_list, qgram_weight, query.entry_weight - processed_weight
                     )
+                elif tid_list is None:
+                    outcome.nulled += 1  # a stop q-gram: which tids hold it is unknown
                 processed_weight += qgram_weight
 
                 if not use_osc or not score_table.scores:
@@ -732,6 +851,8 @@ class FuzzyMatcher:
                     )
                 if outcome.budget_reason is not None:
                     span.annotate(budget=outcome.budget_reason)
+                if outcome.nulled:
+                    span.annotate(nulled=outcome.nulled)
         return outcome
 
     def _stage_verify(

@@ -35,6 +35,7 @@ from repro.db.errors import (
     SchemaError,
     TransientIOError,
     WalError,
+    WarehouseConfigError,
 )
 from repro.db.faults import (
     CrashableStorage,
@@ -93,4 +94,5 @@ __all__ = [
     "WalFile",
     "WalStats",
     "WalStorage",
+    "WarehouseConfigError",
 ]

@@ -33,6 +33,8 @@ class Database:
         self.pool = pool if pool is not None else BufferPool(capacity=pool_capacity)
         self._relations: dict[str, Relation] = {}
         self._txn_depth = 0
+        #: ``FuzzyMatcher.build``'s record of the warehouse; every snapshot keeps it.
+        self.build_config: dict[str, object] | None = None
 
     @classmethod
     def on_disk(

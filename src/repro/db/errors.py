@@ -84,3 +84,15 @@ class PageCorruptionError(DatabaseError):
     def __init__(self, message: str, page_no: int | None = None) -> None:
         super().__init__(message)
         self.page_no = page_no
+
+
+class WarehouseConfigError(DatabaseError):
+    """A warehouse was opened with a config it was not built with: its ETI
+    cannot answer queries signed under the ``given`` value of ``field``."""
+
+    def __init__(self, field: str, stored: object, given: object) -> None:
+        super().__init__(
+            f"warehouse built with {field}={stored!r}, not {field}={given!r}; "
+            f"open it with {field}={stored!r} or rebuild it"
+        )
+        self.field = field

@@ -21,7 +21,9 @@ Durability protocol (v4 snapshots):
   against the metadata, except pages whose newest image lives in the log
   (their record CRCs already vouched for them).
 
-The metadata file is JSON, next to the page file by default.  Version 4
+The metadata file is JSON, next to the page file by default.  Its
+``build_config`` (``Database.build_config``) is loaded onto the database
+and written back by every later checkpoint, as the generation is.  Version 4
 is the first whose pages hold delta-coded tid-lists
 (:mod:`repro.db.types`); a warehouse of an older version is refused with
 a :class:`~repro.db.errors.DatabaseError` that says to rebuild it.
@@ -131,6 +133,8 @@ def save_database(db: Database, page_path: str | None = None) -> str:
         "page_checksums": checksums,
         "relations": encode_catalog(db),
     }
+    if db.build_config is not None:
+        meta["build_config"] = db.build_config
     _write_meta_atomic(meta_file, meta)
 
     if wal is not None:
@@ -240,6 +244,9 @@ def load_database(
             f"snapshot generation must be an integer, got {generation_raw!r}"
         )
     generation = generation_raw
+    build_config = meta.get("build_config")
+    if not isinstance(build_config, (dict, type(None))):
+        raise DatabaseError(f"snapshot build_config at {meta_file} is not a JSON object")
 
     if not wal:
         _refuse_live_wal_tail(page_path, generation)
@@ -338,6 +345,7 @@ def load_database(
     pool = BufferPool(effective, capacity=pool_capacity)
     pool.prime_checksums(ledger)
     db = Database(pool)
+    db.build_config = build_config
     relations_meta = meta["relations"]
     if wal_storage is not None and wal_storage.recovered_catalog is not None:
         # Committed transactions landed after the snapshot; their catalog

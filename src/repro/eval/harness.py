@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from repro.core.config import MatchConfig, SignatureScheme
 from repro.core.matcher import FuzzyMatcher
-from repro.core.minhash import MinHasher
 from repro.core.reference import ReferenceTable
 from repro.core.weights import TokenFrequencyCache, build_frequency_cache
 from repro.data.datasets import Dataset, DatasetSpec, make_dataset
@@ -128,11 +127,7 @@ class Workbench:
 
     def matcher_for(self, config: MatchConfig) -> FuzzyMatcher:
         """A matcher wired to the (possibly cached) ETI for ``config``."""
-        handle = self.eti_for(config)
-        hasher = MinHasher(config.q, config.signature_size, config.seed)
-        return FuzzyMatcher(
-            self.reference, self.weights, config, handle.index, hasher
-        )
+        return FuzzyMatcher(self.reference, self.weights, config, self.eti_for(config).index)
 
     def custom_dataset(self, spec: DatasetSpec, count: int | None = None, seed_offset: int = 0) -> Dataset:
         """Build an extra dataset (e.g. Type II) against this reference."""

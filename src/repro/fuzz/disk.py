@@ -2,8 +2,8 @@
 
 Both targets share one pristine fixture, built once per run: an on-disk
 warehouse holding the paper's organization relation with its ETI (so the
-snapshot catalog carries indexes, the richest shape ``apply_catalog``
-accepts), plus a small relation with a committed-but-uncheckpointed WAL
+snapshot carries indexes, the richest catalog shape ``apply_catalog``
+accepts, and a build config), plus a small relation with a committed-but-uncheckpointed WAL
 tail — the state a crash leaves behind and recovery must parse.
 
 Each case copies the pristine page/metadata/log triple into a scratch
@@ -28,36 +28,25 @@ import time
 from types import TracebackType
 
 from repro.fuzz.mutators import mutate
+from repro.fuzz.wire import ORG_COLUMNS, ORG_ROWS
 
 __all__ = ["SnapshotTarget", "WalTarget"]
-
-_ORG_COLUMNS = ("org_name", "city", "state", "zipcode")
-_ORG_ROWS = (
-    (1, ("Boeing Company", "Seattle", "WA", "98004")),
-    (2, ("Bon Corporation", "Seattle", "WA", "98014")),
-    (3, ("Companions", "Seattle", "WA", "98024")),
-)
 
 
 def _build_fixture(root: str) -> dict[str, bytes]:
     """Build the pristine page/metadata/log triple under ``root``."""
     from repro.core.config import MatchConfig, SignatureScheme
-    from repro.core.reference import ReferenceTable
-    from repro.db.database import Database
-    from repro.db.snapshot import load_database, save_database
+    from repro.core.matcher import FuzzyMatcher
+    from repro.db.snapshot import load_database
     from repro.db.types import Column, ColumnType
-    from repro.eti.builder import build_eti
 
     path = os.path.join(root, "fixture.pages")
-    db = Database.on_disk(path)
-    reference = ReferenceTable(db, "orgs", list(_ORG_COLUMNS))
-    reference.load(_ORG_ROWS)
     config = MatchConfig(q=3, signature_size=2, scheme=SignatureScheme.QGRAMS)
-    build_eti(db, reference, config)
-    rel = db.create_relation("t", [Column("k", ColumnType.INT)])
-    rel.insert((1,))
-    save_database(db)
-    db.close()
+    matcher = FuzzyMatcher.build(ORG_COLUMNS, ORG_ROWS, config, path=path, wal=True)
+    assert matcher.database is not None
+    matcher.database.create_relation("t", [Column("k", ColumnType.INT)]).insert((1,))
+    matcher.save()
+    matcher.database.close()
 
     # Leave a committed, uncheckpointed tail in the log — the shape WAL
     # recovery has to parse on every reopen after a crash.

@@ -31,8 +31,9 @@ __all__ = ["StatsTarget", "WireTarget"]
 
 # Table 1 of the paper — small enough that an engine builds in
 # milliseconds, rich enough that match requests exercise the full path.
-_ORG_COLUMNS = ("org_name", "city", "state", "zipcode")
-_ORG_ROWS = (
+# The on-disk targets (repro.fuzz.disk) build their warehouse from it too.
+ORG_COLUMNS = ("org_name", "city", "state", "zipcode")
+ORG_ROWS = (
     (1, ("Boeing Company", "Seattle", "WA", "98004")),
     (2, ("Bon Corporation", "Seattle", "WA", "98014")),
     (3, ("Companions", "Seattle", "WA", "98024")),
@@ -79,22 +80,12 @@ class WireTarget:
         """Build the tiny matcher and start the server on an OS port."""
         from repro.core.config import MatchConfig, SignatureScheme
         from repro.core.matcher import FuzzyMatcher
-        from repro.core.reference import ReferenceTable
-        from repro.core.weights import build_frequency_cache
-        from repro.db.database import Database
-        from repro.eti.builder import build_eti
         from repro.serve.server import MatchServer, ServeConfig
 
-        db = Database.in_memory()
-        reference = ReferenceTable(db, "orgs", list(_ORG_COLUMNS))
-        reference.load(_ORG_ROWS)
-        weights = build_frequency_cache(
-            reference.scan_values(), reference.num_columns
-        )
         config = MatchConfig(q=3, signature_size=2, scheme=SignatureScheme.QGRAMS)
-        eti, _ = build_eti(db, reference, config)
+        engine = FuzzyMatcher.build(ORG_COLUMNS, ORG_ROWS, config)
         server = MatchServer(
-            engine=FuzzyMatcher(reference, weights, config, eti),
+            engine=engine,
             config=ServeConfig(
                 workers=2,
                 queue_capacity=16,
@@ -108,7 +99,7 @@ class WireTarget:
         )
         self._address = server.start()
         self._server = server
-        self._db = db
+        self._db = engine.database
 
     def close(self) -> None:
         """Shut the server down and release the database."""

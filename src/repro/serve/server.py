@@ -44,9 +44,7 @@ from repro.analysis.debuglock import make_lock
 from repro.core.cache import LRUCache
 from repro.core.matcher import FuzzyMatcher
 from repro.core.resilience import Deadline
-from repro.db.database import Database
 from repro.db.errors import DatabaseError
-from repro.db.snapshot import save_database
 from repro.obs.exposition import snapshot_as_dict
 from repro.obs.registry import (
     MetricsRegistry,
@@ -90,9 +88,8 @@ from repro.serve.protocol import (
     shed_response,
 )
 
-#: ``engine_factory`` return type: the matcher plus (optionally) the
-#: database handle to checkpoint on drain.
-EngineFactory = Callable[[], "tuple[FuzzyMatcher, Database | None]"]
+#: ``engine_factory`` type: returns the matcher to serve.
+EngineFactory = Callable[[], FuzzyMatcher]
 
 #: Worker queue-poll timeout (drain/stop latency granularity).
 IDLE_POLL_S = 0.1
@@ -288,11 +285,12 @@ class ServeStats:
 class MatchServer:
     """Online fuzzy-match server over one :class:`FuzzyMatcher`.
 
-    Construct with either a ready ``engine`` matcher (and optionally the
-    ``database`` to checkpoint on drain) or an ``engine_factory`` whose
-    load time is surfaced as the ``loading`` readiness state.  ``start``
-    binds, begins accepting (ping works immediately), resolves the
-    engine, then transitions to ``serving``; ``shutdown`` drains.
+    Construct with either a ready ``engine`` matcher or an
+    ``engine_factory`` whose load time is surfaced as the ``loading``
+    readiness state.  ``start`` binds, begins accepting (ping works
+    immediately), resolves the engine, then transitions to ``serving``;
+    ``shutdown`` drains, checkpointing a write-ahead-logged warehouse
+    (``engine.save()``).
 
     ``on_bound`` fires with ``(host, port)`` right after bind — before
     loading — so supervisors can discover an OS-assigned port.
@@ -303,7 +301,6 @@ class MatchServer:
     def __init__(
         self,
         engine: FuzzyMatcher | None = None,
-        database: Database | None = None,
         config: ServeConfig | None = None,
         *,
         engine_factory: EngineFactory | None = None,
@@ -317,7 +314,6 @@ class MatchServer:
             raise ValueError("pass exactly one of engine= or engine_factory=")
         self.config = config if config is not None else ServeConfig()
         self._engine = engine
-        self._database = database
         self._engine_factory = engine_factory
         self._on_bound = on_bound
         self._before_execute = before_execute
@@ -410,7 +406,7 @@ class MatchServer:
 
         if self._engine is None:
             assert self._engine_factory is not None
-            self._engine, self._database = self._engine_factory()
+            self._engine = self._engine_factory()
         engine = self._engine
         self._default_strategy = "osc" if engine.config.use_osc else "basic"
         # The resident reference store is built by its first read, a scan
@@ -489,11 +485,11 @@ class MatchServer:
 
     def _checkpoint(self) -> None:
         """Checkpoint the WAL on drain so the next open starts clean."""
-        db = self._database
-        if db is None or db.pool.wal is None:
+        engine = self._engine
+        if engine is None or engine.database is None or engine.database.wal is None:
             return
         try:
-            save_database(db)
+            engine.save()
         except DatabaseError as exc:
             # Drain must still complete; surface the failure via ping/stats
             # instead of dying with work already refused.
@@ -608,7 +604,7 @@ class MatchServer:
         snapshots = [self.registry.snapshot()]
         engine = self._engine
         if engine is not None:
-            snapshots.append(engine.caches.registry.snapshot())
+            snapshots.append(engine.registry.snapshot())
         snapshots.append(default_registry().snapshot())
         return merge_snapshots(snapshots)
 
@@ -617,7 +613,7 @@ class MatchServer:
         self.registry.set_enabled(enabled)
         engine = self._engine
         if engine is not None:
-            engine.caches.registry.set_enabled(enabled)
+            engine.registry.set_enabled(enabled)
         default_registry().set_enabled(enabled)
 
     def _collect_gauges(self, registry: MetricsRegistry) -> None:

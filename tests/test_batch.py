@@ -154,7 +154,7 @@ class TestBatchMatcherParallel:
 
     def test_from_matcher(self, world):
         """The perf ledger's call still yields a matcher over the same
-        components, under the policy it passes and with its own caches."""
+        components, under the policy it passes and with its own registry."""
         reference, weights, config, eti, batch = world
         matcher = FuzzyMatcher(reference, weights, config, eti)
         policy = ResiliencePolicy()
@@ -162,7 +162,7 @@ class TestBatchMatcherParallel:
             matcher, jobs=2, resilience=policy, fail_fast=False, executor="thread"
         ).worker_matcher()
         assert worker.resilience is policy
-        assert worker.caches is not matcher.caches
+        assert worker.registry is not matcher.registry
         assert result_view(worker.match_many(batch[:5])) == result_view(
             [matcher.match(values) for values in batch[:5]]
         )

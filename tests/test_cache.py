@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core.cache import MEMO_CAPACITY, BoundedMemo, LRUCache, MatcherCaches
+from repro.core.cache import MEMO_CAPACITY, BoundedMemo, LRUCache
 from repro.core.config import MatchConfig, SignatureScheme
 from repro.core.matcher import FuzzyMatcher, MatchStats
 from repro.core.minhash import MinHasher
@@ -29,7 +29,6 @@ from repro.data.generator import CUSTOMER_COLUMNS, generate_customers
 from repro.db.database import Database
 from repro.eti.builder import build_eti
 from repro.eti.weights import EtiWeightProvider
-from repro.obs.registry import MetricsRegistry
 
 
 class TestLRUCache:
@@ -90,13 +89,6 @@ class TestLRUCache:
             LRUCache(-1)
 
 
-class TestMatcherCaches:
-    def test_the_bundle_is_its_registry(self):
-        registry = MetricsRegistry()
-        assert MatcherCaches(registry).registry is registry
-        assert vars(MatcherCaches()).keys() == {"registry"}
-
-
 class TestBoundedMemos:
     """Every dict keyed by an input token stays under its cap."""
 
@@ -145,7 +137,7 @@ class TestBoundedMemos:
         provider._memo.capacity = self.CAP
         for i in range(2 * self.CAP):
             matcher.match((f"boeing dirty{i:04d}", "seattle", "wa", "98004"))
-        holders = (matcher.hasher, matcher.caches, provider)
+        holders = (matcher.hasher, matcher.registry, provider)
         sized = [
             (type(holder).__name__, name, len(value))
             for holder in holders

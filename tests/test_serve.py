@@ -461,7 +461,7 @@ class TestStartupFailureCleanup:
 
         monkeypatch.setattr(socket, "socket", capturing_socket)
         server = MatchServer(
-            engine_factory=lambda: (None, None),
+            engine_factory=lambda: None,
             config=ServeConfig(port=port),
         )
         try:
@@ -476,7 +476,7 @@ class TestStartupFailureCleanup:
             blocker.close()
 
     def test_dead_socket_closes_connection_and_releases_gate(self):
-        server = MatchServer(engine_factory=lambda: (None, None))
+        server = MatchServer(engine_factory=lambda: None)
 
         class FailingConn:
             def __init__(self):
@@ -735,7 +735,7 @@ class TestServerEndToEnd:
 
         def factory():
             release.wait(10)
-            return engine, None
+            return engine
 
         server = MatchServer(engine_factory=factory, config=ServeConfig(workers=1))
         starter = threading.Thread(target=server.start, daemon=True)
@@ -769,7 +769,7 @@ class TestServerEndToEnd:
         with pytest.raises(ValueError):
             MatchServer()
         with pytest.raises(ValueError):
-            MatchServer(engine=org_engine, engine_factory=lambda: (org_engine, None))
+            MatchServer(engine=org_engine, engine_factory=lambda: org_engine)
         with pytest.raises(ValueError):
             ServeConfig(workers=0)
         with pytest.raises(ValueError):
