@@ -16,9 +16,8 @@ remembered exactly once, where its cost is:
   ``weight`` costs an index lookup
   (:class:`repro.eti.weights.EtiWeightProvider`) memoizes itself.
 
-The per-token memos (and the edit-distance memos of
-:mod:`repro.core.strings`) are :class:`BoundedMemo` dicts: read with a
-plain ``dict.get``, emptied when full.  PASS-JOIN and ApproxJoin get their
+The per-token memos are :class:`BoundedMemo` dicts: read with a plain
+``dict.get``, emptied when full.  PASS-JOIN and ApproxJoin get their
 throughput by amortizing per-string preprocessing once, where it is paid,
 not in layers.
 
@@ -41,17 +40,17 @@ _MISSING = object()
 #: cap only keeps a long-lived process (one hasher serves every worker of
 #: ``repro serve``) from growing with every distinct dirty token it has seen.
 #: It is the most a CPython dict holds in a 2^18-slot table (two thirds of
-#: the slots); one entry more grows the table to 2^20 slots, which at 12 000
-#: reference tuples put ≈ 10 MiB on the edit-distance memo's peak RSS.
+#: the slots); one entry more grows the table to 2^20 slots, ≈ 10 MiB more
+#: peak RSS for a memo that full.
 MEMO_CAPACITY = 174_762
 
 
 class BoundedMemo(dict):
     """A dict memo that is simply emptied when it reaches ``capacity``.
 
-    For values derived from input tokens (signatures, weights, edit
-    distances).  Reads are ordinary dict reads; every write goes through
-    :meth:`store`.  Memo policy never affects values.
+    For values derived from input tokens (signatures, weights).  Reads
+    are ordinary dict reads; every write goes through :meth:`store`.
+    Memo policy never affects values.
     """
 
     def __init__(self, capacity: int = MEMO_CAPACITY) -> None:

@@ -35,9 +35,13 @@ share most of their column values (at 12 000 tuples an OSC miss verifies
 - ``reference_weights`` (keyed by token): each reference token's
   column-weighted weight, read from the weight provider once per query.
 
-Each input token's distance dict keeps, per reference token, the exact
-memoized distance or, where none is known yet, the length-gap lower bound;
-every exact distance the DP computes is written through into it.  Every
+Each input token carries two dicts keyed by reference token: its exact
+distances, which the DP reads before it computes one and writes every
+one it computes into, and its best known lower bounds, which the pre-DP
+bound reads (a character-set bound, replaced by the exact distance once
+the DP computes it).  Nothing outlives the query: no distance is
+remembered across queries, so a query's answers, its ``MatchStats`` and
+its work counters do not depend on the queries served before it.  Every
 :func:`fms` call goes through :func:`fms_budgeted`; raw values and
 :class:`TupleTokens` are turned into a (non-interned) row first.  The
 matcher's verify stage runs the same two steps, :func:`_row_bound` then
@@ -52,10 +56,12 @@ Two verification fast paths, cheapest first (see ``docs/INTERNALS.md``):
   candidate's column, its weight times its distance to the nearest
   reference token of that column (capped at 1, a deletion), plus the
   cheapest insertions the column's extra reference tokens force.
-  Distances are the exact memoized ones where known, otherwise the
-  length-gap lower bound, so the sum never exceeds ``tc``; a sum above
-  the budget prunes the candidate without running the DP.  A candidate
-  the bound prunes costs one memo probe per column.
+  Distances are the exact ones where this query's DP computed them,
+  otherwise the character-set lower bound
+  (:func:`~repro.core.strings.distance_lower_bound_raw` over the longer
+  length), so the sum never exceeds ``tc``; a sum above the budget prunes
+  the candidate without running the DP.  A candidate the bound prunes
+  costs one memo probe per column.
 - *Cost budgets*: the matcher's top-K loop knows that a candidate whose
   transformation cost exceeds ``(1 − kth_best) · w(u)`` can never enter
   the result, and passes that as a budget.  The DP abandons the candidate
@@ -85,10 +91,11 @@ candidate's similarity is only an upper bound, which callers discard:
 the matcher's per-query ``fms_cache`` holds exact ``(similarity, row)``
 results only, and a pruned candidate is never written to it.
 
-Every DP cell that needs a replacement takes the exact, memoized token
-distance (:func:`repro.core.strings.cached_edit_distance`); it is skipped
-only when even a free replacement could not beat the cell's cheaper
-delete/insert alternative.
+Every DP cell that needs a replacement takes the exact token distance,
+from the input token's exact-distance dict or else from
+:func:`repro.core.strings.edit_distance`; it is skipped only when even a
+free replacement could not beat the cell's cheaper delete/insert
+alternative.
 
 Every bound assumes finite, non-negative operation costs, which
 :class:`~repro.core.config.MatchConfig` enforces for the transposition
@@ -99,11 +106,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, cast
+from typing import Mapping, Sequence, cast
 
 from repro.core.config import MatchConfig, TranspositionCost
 from repro.core.reference import ColumnValue, Row
-from repro.core.strings import cached_edit_distance, exact_distance_memo
+from repro.core.strings import char_mask, distance_lower_bound_raw, edit_distance
 from repro.core.tokens import TupleTokens, tokenize
 from repro.core.weights import WeightFunction
 from repro.obs.registry import MetricsRegistry, default_registry
@@ -175,11 +182,17 @@ class FmsCounters:
 #: Module-wide counters shared by every transformation-cost DP run.
 COUNTERS = FmsCounters()
 
-#: One weighed input token: ``(token, column-weighted weight, len(token),
-#: {reference token: distance})``.  The dict is a per-query memo holding,
-#: per reference token, the exact normalized edit distance or, until the
-#: DP computes that, the length-gap lower bound.
-InputToken = tuple[str, float, int, dict[str, float]]
+#: One weighed input token: ``(token, column-weighted weight,
+#: char_mask(token), exact, bounds)``.  ``exact`` and ``bounds`` are
+#: per-query memos keyed by reference token: ``exact`` holds the normalized
+#: edit distances the DP computed, ``bounds`` the best known lower bound on
+#: each (the character-set bound, or the exact distance once known).
+InputToken = tuple[str, float, int, dict[str, float], dict[str, float]]
+
+#: ``reference token → char_mask(token)``: the resident store's table
+#: (:meth:`~repro.core.reference.ReferenceTable.token_masks`); the bound
+#: computes a mask the table lacks.
+TokenMasks = Mapping[str, int]
 
 
 @dataclass(frozen=True)
@@ -219,7 +232,7 @@ def prepare_input(
         rows = {}
         for token in sorted(token_set):
             weight = weights.weight(token, column) * column_weights[column]
-            rows[token] = (token, weight, len(token), {})
+            rows[token] = (token, weight, char_mask(token), {}, {})
             total += weight
         sets.append(tuple(rows.values()))
         sequences.append(tuple(rows[token] for token in u.sequences[column]))
@@ -251,11 +264,14 @@ def _transposition_cost(w1: float, w2: float, config: MatchConfig) -> float:
     return config.transposition_constant
 
 
-def _distance(token_u: str, token_v: str, distances_u: dict[str, float]) -> float:
-    """The exact memoized ``ed(token_u, token_v)``, written through into
-    the input token's own distance dict."""
-    distance = cached_edit_distance(token_u, token_v)
-    distances_u[token_v] = distance
+def _distance(row: InputToken, token_v: str) -> float:
+    """The exact ``ed(t, token_v)`` for input token ``row`` = ``(t, …)``:
+    read from its exact dict, else computed and recorded in both of its
+    dicts."""
+    exact = row[3]
+    distance = exact.get(token_v)
+    if distance is None:
+        distance = exact[token_v] = row[4][token_v] = edit_distance(row[0], token_v)
     return distance
 
 
@@ -286,7 +302,7 @@ def transformation_cost(
         rows = cast("Sequence[InputToken]", input_tokens)
     else:
         rows = [
-            (t, weights.weight(t, column) * column_weight, len(t), {})
+            (t, weights.weight(t, column) * column_weight, char_mask(t), {}, {})
             for t in cast("Sequence[str]", input_tokens)
         ]
     reference_weights = [
@@ -303,10 +319,8 @@ def _column_cost(
     budget: float | None,
 ) -> float:
     """The DP behind :func:`transformation_cost`, over weighed tokens."""
-    input_tokens = [row[0] for row in rows]
     input_weights = [row[1] for row in rows]
-    memos = [row[3] for row in rows]
-    m = len(input_tokens)
+    m = len(rows)
     n = len(reference_tokens)
     c_ins = config.token_insertion_factor
     transpositions = config.allow_transpositions
@@ -318,9 +332,8 @@ def _column_cost(
     older: list[float] | None = None  # row i-2, for transpositions
     for i in range(1, m + 1):
         current = [previous[0] + input_weights[i - 1]]
-        token_u = input_tokens[i - 1]
         weight_u = input_weights[i - 1]
-        memo_u = memos[i - 1]
+        row_u = rows[i - 1]
         row_min = current[0]
         for j in range(1, n + 1):
             token_v = reference_tokens[j - 1]
@@ -334,7 +347,7 @@ def _column_cost(
                 if weight_u <= 0.0:
                     best = prev_diag
                 else:
-                    replace = prev_diag + _distance(token_u, token_v, memo_u) * weight_u
+                    replace = prev_diag + _distance(row_u, token_v) * weight_u
                     if replace < best:
                         best = replace
             if transpositions and older is not None and i >= 2 and j >= 2:
@@ -346,8 +359,8 @@ def _column_cost(
                 swap = (
                     older[j - 2]
                     + _transposition_cost(input_weights[i - 2], weight_u, config)
-                    + _distance(token_u, reference_tokens[j - 2], memo_u) * weight_u
-                    + _distance(input_tokens[i - 2], token_v, memos[i - 2])
+                    + _distance(row_u, reference_tokens[j - 2]) * weight_u
+                    + _distance(rows[i - 2], token_v)
                     * input_weights[i - 2]
                 )
                 if swap < best:
@@ -387,7 +400,9 @@ def _reference_weights(u: PreparedInput, column: int, tokens: Sequence[str]) -> 
     return found
 
 
-def _bound_term(u: PreparedInput, column: int, value: ColumnValue) -> float:
+def _bound_term(
+    u: PreparedInput, column: int, value: ColumnValue, masks: TokenMasks
+) -> float:
     """The pre-DP lower bound on one column's cost, memoized per value.
 
     Every input token ``t`` of weight ``w > 0`` missing from the value
@@ -396,31 +411,31 @@ def _bound_term(u: PreparedInput, column: int, value: ColumnValue) -> float:
     (``w · ed`` plus ``g ≥ 0``) — and when the value has ``n > m`` tokens
     at least ``n − m`` of them are inserted, costing at least ``c_ins``
     times the ``n − m`` smallest reference weights.  ``d`` is the input
-    token's memoized distance: exact where known (this query's DPs, else
-    the global memo), otherwise the length gap ``max(|len t − len s|, 1)``
-    over the longer length, which never exceeds ``ed``.
+    token's best known bound: the exact distance where this query's DP
+    computed it, otherwise the character-set bound
+    :func:`~repro.core.strings.distance_lower_bound_raw` over the longer
+    length, which never exceeds ``ed``.  ``s``'s mask comes from
+    ``masks``, or is computed when the table lacks it.
     """
     tokens = value.tokens
     u_rows = u.sequences[column]
     term = 0.0
     if u.tokens.sequences[column] != tokens:
-        exact = exact_distance_memo
-        for token, weight, length, distances in u_rows:
+        for token, weight, mask, _, bounds in u_rows:
             if weight <= 0.0 or token in tokens:
                 continue
+            length = len(token)
             nearest = 1.0
             for other in tokens:
-                distance = distances.get(other)
+                distance = bounds.get(other)
                 if distance is None:
-                    key = (token, other) if token <= other else (other, token)
-                    distance = exact.get(key)
-                    if distance is None:
-                        other_length = len(other)
-                        if length > other_length:
-                            distance = (length - other_length) / length
-                        else:
-                            distance = ((other_length - length) or 1) / other_length
-                    distances[other] = distance
+                    other_mask = masks.get(other)
+                    if other_mask is None:
+                        other_mask = char_mask(other)
+                    other_length = len(other)
+                    distance = bounds[other] = distance_lower_bound_raw(
+                        token, mask, other, other_mask
+                    ) / (length if length > other_length else other_length)
                 if distance < nearest:
                     nearest = distance
             term += weight * nearest
@@ -432,13 +447,13 @@ def _bound_term(u: PreparedInput, column: int, value: ColumnValue) -> float:
     return term
 
 
-def _row_bound(u: PreparedInput, row: Row, limit: float) -> float:
+def _row_bound(u: PreparedInput, row: Row, limit: float, masks: TokenMasks) -> float:
     """A lower bound on ``tc(u, row)``, summed only until it exceeds ``limit``."""
     total = 0.0
     for column, (bounds, value) in enumerate(zip(u.bounds, row)):
         term = bounds.get(value)
         if term is None:
-            term = _bound_term(u, column, value)
+            term = _bound_term(u, column, value, masks)
         total += term
         if total > limit:
             return total
@@ -546,7 +561,7 @@ def cost_lower_bound(
     which never exceeds the column's ``tc``.  ``weights`` and ``config``
     must be the ones ``u`` was prepared under.
     """
-    return _row_bound(u, _as_row(v), limit)
+    return _row_bound(u, _as_row(v), limit, {})
 
 
 def fms(
@@ -612,7 +627,7 @@ def fms_budgeted(
             cost_budget = None
         else:
             limit = cost_budget * (1.0 + 1e-9) + 1e-12
-            bound = _row_bound(u, row, limit)
+            bound = _row_bound(u, row, limit, {})
             if bound > limit:
                 COUNTERS.add_bound_prunes()
                 return (1.0 - min(bound / total_weight, 1.0), True)

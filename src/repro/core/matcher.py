@@ -749,7 +749,7 @@ class FuzzyMatcher:
             entries = [
                 (weight * entry.weight_fraction, entry.coordinate, entry.gram, column)
                 for column, rows in enumerate(prepared.sets)
-                for token, weight, _, _ in rows
+                for token, weight, _, _, _ in rows
                 for entry in signature_entries(token, self.hasher, config)
             ]
             if use_osc:
@@ -877,8 +877,8 @@ class FuzzyMatcher:
         transformation cost stays under ``(1 − kth) · w(u)``; that budget
         and the bound's prune limit change only when the K-th does.  A
         candidate's row comes from the resident store, bound once per
-        query, and meets the cost lower bound over the query's column
-        memos; only a survivor runs the column DP, under the same budget.
+        query with its token-mask table, and meets the cost lower bound
+        over the query's column memos; only a survivor runs the column DP, under the same budget.
         A pruned candidate is counted in locals, folded into ``stats``
         once, and never cached: ``fms_cache`` holds exact results only.
         ``query.weight`` is positive (the signature stage returns no query
@@ -887,6 +887,7 @@ class FuzzyMatcher:
         prepared = query.prepared
         weight = prepared.weight
         rows = self.reference.resident_rows()
+        masks = self.reference.token_masks()
         # osc.similarity_upper_bound, inlined: min(two_q · score / w(u) + offset, 1).
         two_q = 2.0 / self.config.q
         offset = 1.0 - 1.0 / self.config.q
@@ -927,7 +928,7 @@ class FuzzyMatcher:
                         fms_cache[tid] = (-1.0, ())
                         continue
                     fetched += 1
-                    if budget is not None and _row_bound(prepared, row, limit) > limit:
+                    if budget is not None and _row_bound(prepared, row, limit, masks) > limit:
                         prunes += 1
                         bound_prunes += 1
                         continue

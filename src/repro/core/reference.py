@@ -39,6 +39,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.analysis.debuglock import make_lock
+from repro.core.strings import char_mask
 from repro.core.tokens import tokenize
 from repro.db.database import Database
 from repro.db.errors import RecordNotFoundError
@@ -74,8 +75,10 @@ class Interner:
     """Hands out one :class:`ColumnValue` per distinct ``(column, raw value)``.
 
     Token strings are shared too: a token that occurs in many values is one
-    string object.  Not thread-safe on its own; the store only interns
-    under its lock, and the naive scan uses a private interner per query.
+    string object.  ``masks`` maps every token interned so far to its
+    :func:`~repro.core.strings.char_mask`, computed once per token, for the
+    fms bound.  Not thread-safe on its own; the store only interns under
+    its lock, and the naive scan uses a private interner per query.
     """
 
     def __init__(self, num_columns: int) -> None:
@@ -83,6 +86,7 @@ class Interner:
             {} for _ in range(num_columns)
         ]
         self._tokens: dict[str, str] = {}
+        self.masks: dict[str, int] = {}
 
     def row(self, values: Sequence[str | None]) -> Row:
         """The interned row of attribute ``values``."""
@@ -95,10 +99,16 @@ class Interner:
         known = self._values[column]
         found = known.get(raw)
         if found is None:
-            shared = self._tokens.setdefault
-            found = ColumnValue(raw, tuple(shared(t, t) for t in tokenize(raw)))
+            found = ColumnValue(raw, tuple(self._token(t) for t in tokenize(raw)))
             known[raw] = found
         return found
+
+    def _token(self, token: str) -> str:
+        shared = self._tokens.get(token)
+        if shared is None:
+            shared = self._tokens[token] = token
+            self.masks[token] = char_mask(token)
+        return shared
 
 
 class ReferenceTable:
@@ -218,6 +228,18 @@ class ReferenceTable:
         if store is None:
             store = self._build_store()
         return store
+
+    def token_masks(self) -> Mapping[str, int]:  # reprolint: disable=lock-discipline
+        """``token → char_mask(token)`` for every token the resident store
+        has interned (empty until the store is built).
+
+        Lock-free like :meth:`resident_rows`, and kept current by the same
+        writes.  Bind it after :meth:`resident_rows`: a token it lacks (a
+        bulk :meth:`load` published a new store in between) is the
+        caller's to compute.
+        """
+        interner = self._interner
+        return {} if interner is None else interner.masks
 
     def row(self, tid: int) -> Row | None:
         """The resident row of tuple ``tid``; None when the relation lacks it."""

@@ -15,22 +15,18 @@ Distance computation is delegated to :mod:`repro.core.kernels`: the
 bit-parallel Myers kernel for everything but the tiniest operands, and the
 classic DP (with preallocated rows) as the small-operand fallback.  All
 kernels are exact and parity-tested, so callers never see a different
-number than the reference DP would produce.  The fms DP's token pairs go
-through :func:`cached_edit_distance`, whose one bounded cross-query memo
-holds exact normalized distances only.
+number than the reference DP would produce.  Nothing here is memoized:
+the fms DP keeps the distances one query computes with that query
+(:mod:`repro.core.fms`).
+
+:func:`char_mask` and :func:`distance_lower_bound_raw` give the cheap
+character-set lower bound that settles most token pairs of the fms
+pre-DP bound without computing a distance.
 """
 
 from __future__ import annotations
 
-from repro.core.cache import BoundedMemo
 from repro.core.kernels import MYERS_MIN_PATTERN, classic_distance, myers_distance
-
-# token-pair -> exact normalized distance (keys are canonically ordered).
-# Exposed read-only as ``exact_distance_memo`` so the fms DP's inner loop
-# and its pre-DP cost bound can probe it with a single dict lookup; all
-# writes happen here.
-_ED_CACHE = BoundedMemo()
-exact_distance_memo = _ED_CACHE
 
 
 def edit_distance_raw(s1: str, s2: str) -> int:
@@ -63,28 +59,32 @@ def edit_distance(s1: str, s2: str) -> float:
     return edit_distance_raw(s1, s2) / longest
 
 
-def clear_edit_distance_caches() -> None:
-    """Drop the cross-query edit-distance memo (benchmark bracketing)."""
-    _ED_CACHE.clear()
+def char_mask(s: str) -> int:
+    """The character set of ``s`` folded into 64 bits: bit ``ord(ch) & 63``
+    is set for every character ``ch`` of ``s``."""
+    mask = 0
+    for ch in s:
+        mask |= 1 << (ord(ch) & 63)
+    return mask
 
 
-def cached_edit_distance(s1: str, s2: str) -> float:
-    """Memoized :func:`edit_distance` for the token-pair hot path.
+def distance_lower_bound_raw(s1: str, mask1: int, s2: str, mask2: int) -> int:
+    """A lower bound on :func:`edit_distance_raw` of two *distinct* strings.
 
-    The fms transformation-cost DP compares each input token against each
-    reference token of the candidate set; candidates share tokens heavily
-    (think 'seattle', 'wa'), so memoization pays off.  The argument order is
-    canonicalized because ``edit_distance`` is symmetric.
+    ``mask1`` / ``mask2`` are their :func:`char_mask`.  The bound is
+    ``max(1, |len s1 − len s2|, popcount(mask1 & ~mask2),
+    popcount(mask2 & ~mask1))``: distinct strings differ by at least one
+    edit, the length gap must be inserted or deleted, and a bit set on one
+    side only stands for at least one character the other string lacks,
+    which must be substituted or deleted (or inserted) by an edit of its
+    own.  Two characters sharing a bit only make the bound looser.
     """
-    if s2 < s1:
-        s1, s2 = s2, s1
-    key = (s1, s2)
-    value = _ED_CACHE.get(key)
-    if value is not None:
-        return value
-    value = edit_distance(s1, s2)
-    _ED_CACHE.store(key, value)
-    return value
+    return max(
+        1,
+        abs(len(s1) - len(s2)),
+        (mask1 & ~mask2).bit_count(),
+        (mask2 & ~mask1).bit_count(),
+    )
 
 
 def qgram_set(s: str, q: int) -> frozenset[str]:

@@ -17,7 +17,7 @@ from repro.core.fms import (
 )
 from repro.core.kernels import classic_distance
 from repro.core.reference import Interner
-from repro.core.strings import cached_edit_distance, clear_edit_distance_caches
+from repro.core.strings import char_mask, distance_lower_bound_raw, edit_distance_raw
 from repro.core.tokens import TupleTokens
 
 
@@ -327,7 +327,8 @@ class SeededWeights:
 
 # Short tokens over a tiny alphabet repeat often (duplicates within a
 # column, shared tokens across tuples); é and 日 exercise non-ASCII.
-_VALUES = st.one_of(st.none(), st.just(""), st.text(alphabet="abé日 ", max_size=14))
+# 'á' shares 'a''s character-mask bit (ord & 63), '@' shares '😀''s.
+_VALUES = st.one_of(st.none(), st.just(""), st.text(alphabet="abáé日1@😀 ", max_size=14))
 
 
 @st.composite
@@ -347,18 +348,7 @@ def bound_cases(draw):
         transposition_constant=draw(st.sampled_from((0.0, 0.3, 2.0))),
     )
     weights = SeededWeights(draw(st.integers(0, 7)))
-    memos = draw(st.sampled_from(("cleared", "exact")))
-    return u, v, config, weights, memos
-
-
-def set_memos(u, v, memos):
-    """Empty the edit-distance memo, then optionally pre-warm it."""
-    clear_edit_distance_caches()
-    if memos == "exact":
-        for col in range(u.num_columns):
-            for a in u.sequences[col]:
-                for b in v.sequences[col]:
-                    cached_edit_distance(a, b)
+    return u, v, config, weights
 
 
 def within_margin(bound, cost):
@@ -401,12 +391,11 @@ class TestCostLowerBound:
     @given(bound_cases(), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_bound_never_exceeds_the_exact_cost(self, case, dp_first):
-        u, v, config, weights, memos = case
-        set_memos(u, v, memos)
+        u, v, config, weights = case
         prepared = prepare_input(u, weights, config)
         if dp_first:
-            # The DP fills the memos (and the prepared input's distance
-            # dicts through the bound below) before the bound is taken.
+            # The DP fills the prepared input's exact distances before the
+            # bound is taken, so the bound reads them.
             exact = tuple_transformation_cost(prepared, v, weights, config)
             bound = cost_lower_bound(prepared, v, weights, config)
         else:
@@ -415,13 +404,14 @@ class TestCostLowerBound:
         assert exact == tuple_transformation_cost(u, v, weights, config)
         assert within_margin(bound, exact), (bound, exact)
 
-    @given(bound_cases(), st.floats(0.0, 1.5))
+    @given(bound_cases(), st.floats(0.0, 1.5), st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_a_bound_over_the_budget_means_the_dp_prunes_too(self, case, fraction):
-        u, v, config, weights, memos = case
+    def test_a_bound_over_the_budget_means_the_dp_prunes_too(self, case, fraction, dp_first):
+        u, v, config, weights = case
         exact = tuple_transformation_cost(u, v, weights, config)
-        set_memos(u, v, memos)
         prepared = prepare_input(u, weights, config)
+        if dp_first:
+            assert tuple_transformation_cost(prepared, v, weights, config) == exact
         budget = exact * fraction
         limit = budget * (1.0 + 1e-9) + 1e-12
         if cost_lower_bound(prepared, v, weights, config, limit) > limit:
@@ -430,12 +420,67 @@ class TestCostLowerBound:
                 assert fms_budgeted(prepared, v, weights, config, cost_budget=budget)[1]
 
 
+#: ASCII letters and digits, characters that share a mask bit with them
+#: ('!' and 'a', 'A' and '\x01', '0' and 'p', '@' and '😀'), accented and
+#: CJK characters, and characters outside the BMP.
+_BOUND_CHARS = "abcpzA019!\x01@é日😀𝔸\U0010ffff"
+
+
+@st.composite
+def string_pairs(draw):
+    """Two strings: unrelated, one an anagram of the other, or the second
+    the first with its characters swapped for mask-bit twins."""
+    text = st.text(alphabet=_BOUND_CHARS, max_size=12)
+    a = draw(text)
+    kind = draw(st.sampled_from(("unrelated", "anagram", "twins")))
+    if kind == "unrelated":
+        b = draw(text)
+    elif kind == "anagram":
+        b = "".join(draw(st.permutations(list(a))))
+    else:
+        b = a.translate(str.maketrans("a!A\x010p@😀", "!a\x01Ap0😀@"))
+    return a, b
+
+
+class TestCharacterSetBound:
+    @given(string_pairs())
+    @settings(max_examples=500, deadline=None)
+    def test_raw_bound_is_sound(self, pair):
+        a, b = pair
+        if a == b:
+            return
+        bound = distance_lower_bound_raw(a, char_mask(a), b, char_mask(b))
+        assert 1 <= bound <= edit_distance_raw(a, b), (a, b, bound)
+
+    def test_shared_bits_and_anagrams_only_loosen_it(self):
+        # 'a' and '!' share bit 33: the masks agree, the bound falls to 1.
+        assert char_mask("a") == char_mask("!")
+        assert distance_lower_bound_raw("a", char_mask("a"), "!", char_mask("!")) == 1
+        # Anagrams have equal masks and lengths; ed("abc", "cab") is 2.
+        assert distance_lower_bound_raw("abc", char_mask("abc"), "cab", char_mask("cab")) == 1
+        # Three characters of 'xyz' are missing from 'abc', and vice versa.
+        assert distance_lower_bound_raw("abc", char_mask("abc"), "xyz", char_mask("xyz")) == 3
+
+    @given(bound_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_a_null_column_costs_the_sum_of_its_input_weights(self, case):
+        u, _, config, weights = case
+        prepared = prepare_input(u, weights, config)
+        nulls = TupleTokens.from_values((None,) * u.num_columns)
+        expected = sum(
+            weight for column in prepared.sequences for _, weight, _, _, _ in column
+        )
+        bound = cost_lower_bound(prepared, nulls, weights, config)
+        assert bound == pytest.approx(expected)
+        assert bound == tuple_transformation_cost(prepared, nulls, weights, config)
+
+
 @st.composite
 def query_cases(draw):
     """One input and a stream of candidates drawn from a small pool of
     values per column, so candidates share interned column values as a
     query's candidates do; transpositions and column weights included."""
-    u, _, config, weights, memos = draw(bound_cases())
+    u, _, config, weights = draw(bound_cases())
     columns = u.num_columns
     pools = [draw(st.lists(_VALUES, min_size=1, max_size=3)) for _ in range(columns)]
     candidates = draw(
@@ -446,7 +491,7 @@ def query_cases(draw):
         )
     )
     fractions = draw(st.lists(st.sampled_from((None, 0.0, 0.3, 0.9, 1.0, 1.2)), min_size=len(candidates), max_size=len(candidates)))
-    return u, candidates, fractions, config, weights, memos
+    return u, candidates, fractions, config, weights
 
 
 class TestPerQueryMemos:
@@ -456,12 +501,11 @@ class TestPerQueryMemos:
         """Over one query's candidates, the memoized bound stays ≤ the
         exact cost, and fms_budgeted gives the fresh call's pruned flag
         and, when not pruned, its similarity."""
-        u, candidates, fractions, config, weights, memos = case
+        u, candidates, fractions, config, weights = case
         interner = Interner(u.num_columns)
         query = prepare_input(u, weights, config)  # one memo for every candidate
         for values, fraction in zip(candidates, fractions):
             v = TupleTokens.from_values(values)
-            set_memos(u, v, memos)
             exact = tuple_transformation_cost(u, v, weights, config)
             budget = None if fraction is None else exact * fraction
             row = interner.row(values)
@@ -506,7 +550,5 @@ class TestTransformationCostIsTheTextbookDp:
         )
         weights = SeededWeights(seed)
         expected = textbook_transformation_cost(u, v, 1, weights, config, column_weight)
-        clear_edit_distance_caches()
-        for memo in ("cleared", "warm"):
-            got = transformation_cost(u, v, 1, weights, config, column_weight=column_weight)
-            assert got == expected, (memo, got, expected)
+        got = transformation_cost(u, v, 1, weights, config, column_weight=column_weight)
+        assert got == expected, (got, expected)

@@ -23,7 +23,7 @@ from repro.core.kernels import (
 )
 from repro.core.matcher import FuzzyMatcher
 from repro.core.reference import ReferenceTable
-from repro.core.strings import clear_edit_distance_caches, edit_distance_raw
+from repro.core.strings import edit_distance_raw
 from repro.core.tokens import TupleTokens
 from repro.core.weights import build_frequency_cache
 from repro.data.datasets import DatasetSpec, make_dataset
@@ -227,7 +227,6 @@ class TestKernelCounters:
     def test_snapshot_keeps_seven_slots_with_the_banded_ones_zero(self, budget_world):
         """The perf ledger unpacks seven values; the last three stay 0."""
         _, reference, weights, config, eti, queries = budget_world
-        clear_edit_distance_caches()
         before = COUNTERS.snapshot()
         FuzzyMatcher(reference, weights, config, eti).match(queries[0])
         after = COUNTERS.snapshot()

@@ -7,9 +7,9 @@ import pytest
 
 from repro.core.config import MatchConfig, TranspositionCost
 from repro.core.fms import COUNTERS, prepare_input
+from repro.core.kernels import COUNTERS as KERNEL_COUNTERS
 from repro.core.matcher import FuzzyMatcher, MatchStats, QuerySignature
 from repro.core.reference import ReferenceTable
-from repro.core.strings import clear_edit_distance_caches
 from repro.core.tokens import TupleTokens
 from repro.core.weights import build_frequency_cache
 from repro.data.datasets import DatasetSpec, make_dataset
@@ -266,7 +266,6 @@ class TestVerifyOracle:
     every ``MatchStats`` field, and the fms DP / bound-prune counters."""
 
     def run(self, matcher, values, **kwargs):
-        clear_edit_distance_caches()  # both sides start from the same memo
         before = COUNTERS.snapshot()
         result = matcher.match(values, **kwargs)
         after = COUNTERS.snapshot()
@@ -314,3 +313,29 @@ class TestVerifyOracle:
             assert sides[1] == sides[0]
             degraded += sides[0][1]["degraded"]
         assert degraded > 0
+
+
+class TestOrderIndependence:
+    """No query leaves state behind that changes a later one: every
+    verification memo lives and dies with its query."""
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    @pytest.mark.parametrize("strategy", ["basic", "osc"])
+    def test_forward_and_reverse_passes_agree_per_input(self, world_2k, config, strategy):
+        reference, weights, eti, inputs = world_2k
+        matcher = FuzzyMatcher(reference, weights, config, eti)
+
+        def run(values):
+            before = COUNTERS.snapshot() + KERNEL_COUNTERS.snapshot()
+            result = matcher.match(values, k=3, strategy=strategy)
+            after = COUNTERS.snapshot() + KERNEL_COUNTERS.snapshot()
+            stats = dataclasses.asdict(result.stats)
+            del stats["elapsed_seconds"]
+            work = tuple(now - then for now, then in zip(after, before))
+            return result.matches, stats, work
+
+        forward = [run(values) for values in inputs]
+        reverse = [run(values) for values in reversed(inputs)][::-1]
+        for values, first, second in zip(inputs, forward, reverse):
+            assert second == first, values
+        assert any(work[0] for _, _, work in forward)  # some DP ran

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.strings import (
-    cached_edit_distance,
     edit_distance,
     edit_distance_raw,
     jaccard,
@@ -85,8 +84,8 @@ class TestNormalizedEditDistance:
         assert 0.0 <= edit_distance(a, b) <= 1.0
 
     @given(words, words)
-    def test_cached_matches_uncached(self, a, b):
-        assert cached_edit_distance(a, b) == edit_distance(a, b)
+    def test_symmetric(self, a, b):
+        assert edit_distance(a, b) == edit_distance(b, a)
 
 
 class TestQGramSet:
