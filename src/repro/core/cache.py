@@ -10,7 +10,8 @@ remembered exactly once, where its cost is:
 - verification work is memoized per query, by interned column value, in
   the query's :class:`repro.core.fms.PreparedInput`, and dropped with it;
 - min-hash signatures are memoized by :class:`repro.core.minhash.MinHasher`
-  itself (one hasher serves every thread of an engine);
+  itself (one hasher serves every thread of an engine), for reference
+  tokens only: a query's dirty tokens are hashed without being stored;
 - token weights need no memo in front of the §4.4.1 frequency caches —
   those *are* main-memory hash tables — and the one provider whose
   ``weight`` costs an index lookup

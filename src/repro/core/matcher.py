@@ -746,11 +746,16 @@ class FuzzyMatcher:
                 span.annotate(tokens=tokens.token_count(), input_weight=input_weight)
             if input_weight <= 0.0:
                 return None
+            # Only a reference token's signature is memoized: a dirty
+            # token's would grow the hasher's memo with every query.
+            frequency = self.weights.frequency
             entries = [
                 (weight * entry.weight_fraction, entry.coordinate, entry.gram, column)
                 for column, rows in enumerate(prepared.sets)
                 for token, weight, _, _, _ in rows
-                for entry in signature_entries(token, self.hasher, config)
+                for entry in signature_entries(
+                    token, self.hasher, config, frequency(token, column) > 0
+                )
             ]
             if use_osc:
                 entries.sort(key=lambda e: -e[0])

@@ -50,6 +50,8 @@ class MinHasher:
         # Per-instance memo: token -> signature.  Tokens repeat massively
         # across reference tuples ('seattle', 'wa', ...), so this is the
         # difference between O(tokens) and O(distinct tokens) hashing work.
+        # Queries store only reference tokens (see ``signature``), so the
+        # memo grows with the vocabulary, not with the queries served.
         self._memo = BoundedMemo()
 
     def _hash(self, key: bytes, gram: str) -> int:
@@ -65,12 +67,14 @@ class MinHasher:
         q = self.q
         return tuple(token[i : i + q] for i in range(len(token) - q + 1))
 
-    def signature(self, token: str) -> tuple[str, ...]:
+    def signature(self, token: str, memo: bool = True) -> tuple[str, ...]:
         """The min-hash signature ``mh(token)``.
 
         Returns a tuple of ``num_hashes`` q-grams (coordinate i is the
         argmin under hash function i), or ``(token,)`` for short tokens.
-        An empty token has an empty signature.
+        An empty token has an empty signature.  A signature computed with
+        ``memo=False`` is not remembered (one already memoized is still
+        read): queries pass it for tokens no reference tuple holds.
         """
         if not token:
             return ()
@@ -85,7 +89,8 @@ class MinHasher:
                 min(grams, key=lambda g, k=key: self._hash(k, g))
                 for key in self._keys
             )
-        self._memo.store(token, signature)
+        if memo:
+            self._memo.store(token, signature)
         return signature
 
     def signature_length(self, token: str) -> int:

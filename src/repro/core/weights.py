@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+from functools import reduce
+from operator import add
 from typing import Iterable, Protocol, Sequence
 
 from repro.core.tokens import TupleTokens
@@ -101,11 +103,12 @@ class _BaseFrequencyCache:
 
 
 class TokenFrequencyCache(_BaseFrequencyCache):
-    """Plain main-memory token-frequency cache keyed by (column, token).
+    """Plain main-memory token-frequency cache: one ``token -> freq`` dict
+    per column.
 
     The only variant that also supports *incremental maintenance*
     (:meth:`add_tuple` / :meth:`remove_tuple`): column averages are
-    recomputed lazily from the live frequency map, and ``|R|`` tracks the
+    recomputed lazily from the live frequency maps, and ``|R|`` tracks the
     mutations — down to 0 when the relation empties — so IDF weights stay
     exact as the reference relation changes (pair with
     :class:`repro.eti.maintenance.EtiMaintainer`).
@@ -113,33 +116,29 @@ class TokenFrequencyCache(_BaseFrequencyCache):
 
     def __init__(self, num_tuples: int, num_columns: int) -> None:
         super().__init__(num_tuples, num_columns)
-        self._frequencies: dict[tuple[int, str], int] = {}
+        self._frequencies: list[dict[str, int]] = [{} for _ in range(num_columns)]
 
     def frequency(self, token: str, column: int) -> int:
         """``freq(t, i)``: stored frequency, 0 if unseen."""
-        return self._frequencies.get((column, token), 0)
+        return self._frequencies[column].get(token, 0)
 
     def average_weight(self, column: int) -> float:
-        """Average IDF over the live frequency map (recomputed on change).
+        """Average IDF over the live frequency maps (recomputed on change).
 
-        Each distinct frequency's weight is computed once per refresh; the
-        sums run in the map's order, so the averages are the same floats
-        a per-entry loop gives.
+        Each distinct frequency's weight is computed once per refresh, and
+        each column's weights are folded left to right in its map's order
+        from 0.0 — so the averages are the same floats a per-entry loop
+        gives (``sum`` would not be: it compensates float error).
         """
         if self._column_averages is None:
-            totals = [0.0] * self.num_columns
-            counts = [0] * self.num_columns
-            weights: dict[int, float] = {}
-            for (col, _), freq in self._frequencies.items():
-                weight = weights.get(freq)
-                if weight is None:
-                    weight = weights[freq] = max(self.idf(freq), 0.0)
-                totals[col] += weight
-                counts[col] += 1
+            distinct = set().union(*(column_map.values() for column_map in self._frequencies))
+            weight_of = {freq: max(self.idf(freq), 0.0) for freq in distinct}.__getitem__
             fallback = math.log(self.num_tuples) if self.num_tuples > 1 else 1.0
             self._column_averages = [
-                totals[c] / counts[c] if counts[c] else fallback
-                for c in range(self.num_columns)
+                reduce(add, map(weight_of, column_map.values()), 0.0) / len(column_map)
+                if column_map
+                else fallback
+                for column_map in self._frequencies
             ]
         return self._column_averages[column]
 
@@ -156,8 +155,8 @@ class TokenFrequencyCache(_BaseFrequencyCache):
             )
         self.num_tuples += 1
         for token, column in tokens.all_tokens():
-            key = (column, token)
-            self._frequencies[key] = self._frequencies.get(key, 0) + 1
+            column_map = self._frequencies[column]
+            column_map[token] = column_map.get(token, 0) + 1
         self._column_averages = None
 
     def remove_tuple(self, values: Sequence[str | None]) -> None:
@@ -171,31 +170,31 @@ class TokenFrequencyCache(_BaseFrequencyCache):
             raise ValueError("no reference tuple left to remove")
         self.num_tuples -= 1
         for token, column in tokens.all_tokens():
-            key = (column, token)
-            current = self._frequencies.get(key, 0)
+            column_map = self._frequencies[column]
+            current = column_map.get(token, 0)
             if current <= 1:
-                self._frequencies.pop(key, None)
+                column_map.pop(token, None)
             else:
-                self._frequencies[key] = current - 1
+                column_map[token] = current - 1
         self._column_averages = None
 
     def set_frequency(self, token: str, column: int, frequency: int) -> None:
         """Record one token's frequency (each entry set exactly once)."""
         if frequency < 1:
             raise ValueError("stored frequencies must be positive")
-        key = (column, token)
-        if key in self._frequencies:
-            raise ValueError(f"frequency for {key!r} already set")
-        self._frequencies[key] = frequency
+        column_map = self._frequencies[column]
+        if token in column_map:
+            raise ValueError(f"frequency for {(column, token)!r} already set")
+        column_map[token] = frequency
         self._accumulate(column, frequency)
 
     @property
     def num_entries(self) -> int:
-        return len(self._frequencies)
+        return sum(map(len, self._frequencies))
 
     def distinct_tokens(self, column: int) -> int:
         """Number of distinct tokens stored for ``column``."""
-        return sum(1 for (col, _) in self._frequencies if col == column)
+        return len(self._frequencies[column])
 
 
 class HashedTokenFrequencyCache(_BaseFrequencyCache):

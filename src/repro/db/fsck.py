@@ -8,12 +8,19 @@ Three layers of checks, cheapest first:
    predecessor is an error), and every page passes its CRC32 from the
    snapshot manifest.  Pages whose newest image lives in the committed
    log tail are exempt (their record CRCs vouched for them during the
-   scan) and get a structural slotted-layout check instead.
+   scan).  Every page then gets a structural slotted-layout check
+   (:meth:`~repro.db.page.Page.validate`): on a checksummed page a
+   problem is an error — the program wrote it — and on an exempt page a
+   warning.
 2. **Logical**: the database actually loads — catalog applies, indexes
    rebuild, heaps decode.
 3. **Referential**: every tid in every ETI tid-list resolves to a live
    reference tuple in a tid-indexed relation, and no non-stop row claims
    a frequency below its tid-list length.
+
+The report also lists each relation's heap pages and dead bytes
+(:attr:`~repro.db.page.Page.dead_bytes`), so bloat shows without a
+debugger.
 
 The report's :attr:`FsckReport.exit_code` follows the fsck convention:
 0 clean, 1 recoverable findings only (warnings), 2 corruption (errors).
@@ -36,6 +43,14 @@ from repro.db.wal import HEADER_SIZE, WalFile, scan_wal
 _TID_INDEX = "tid_idx"
 
 
+@dataclass(frozen=True)
+class RelationSpace:
+    """A relation's heap footprint: pages, and deleted records' bytes on them."""
+
+    pages: int
+    dead_bytes: int
+
+
 @dataclass
 class FsckReport:
     """Findings of one :func:`check_database` run."""
@@ -47,6 +62,7 @@ class FsckReport:
     wal_torn_bytes: int = 0
     eti_rows_checked: int = 0
     eti_tids_checked: int = 0
+    relations: dict[str, RelationSpace] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -71,6 +87,10 @@ class FsckReport:
             f"eti rows checked:    {self.eti_rows_checked}",
             f"eti tids checked:    {self.eti_tids_checked}",
         ]
+        out.extend(
+            f"relation {name}: {space.pages} pages, {space.dead_bytes} dead bytes"
+            for name, space in self.relations.items()
+        )
         out.extend(f"WARNING: {w}" for w in self.warnings)
         out.extend(f"ERROR: {e}" for e in self.errors)
         out.append(
@@ -127,7 +147,7 @@ def _check_pages(
     wal_pages: frozenset[int],
     report: FsckReport,
 ) -> None:
-    """Verify page CRCs from the manifest; structurally check log-tail pages."""
+    """Verify page CRCs from the manifest, then every page's layout."""
     storage = FileStorage(page_path)
     try:
         listed = len(checksums) if checksums is not None else 0
@@ -144,20 +164,24 @@ def _check_pages(
                 if checksums is not None and page_no < listed
                 else None
             )
-            if page_no in wal_pages or expected is None:
-                # Newest image lives in the log (or predates checksummed
-                # snapshots); fall back to a structural layout check.
-                for problem in Page(data).validate():
+            # A page whose newest image lives in the log (or that predates
+            # checksummed snapshots) has only the layout check to go on.
+            exempt = page_no in wal_pages or expected is None
+            if not exempt:
+                actual = page_checksum(data)
+                if actual != expected:
+                    report.errors.append(
+                        f"page {page_no} checksum mismatch "
+                        f"(expected {expected:#010x}, got {actual:#010x})"
+                    )
+                    continue
+            for problem in Page(data).validate():
+                if exempt:
                     report.warnings.append(
                         f"page {page_no} structurally suspect: {problem}"
                     )
-                continue
-            actual = page_checksum(data)
-            if actual != expected:
-                report.errors.append(
-                    f"page {page_no} checksum mismatch "
-                    f"(expected {expected:#010x}, got {actual:#010x})"
-                )
+                else:
+                    report.errors.append(f"page {page_no} structurally unsound: {problem}")
     finally:
         storage.close()
 
@@ -199,6 +223,9 @@ def check_database(page_path: str, eti_name: str = "eti") -> FsckReport:
         known_tids: set[int] = set()
         for name in db.relation_names():
             relation = db.relation(name)
+            report.relations[name] = RelationSpace(
+                relation.num_pages, relation.heap.dead_bytes
+            )
             if _TID_INDEX in relation.index_names():
                 known_tids.update(row[0] for row in relation.scan())
         if eti_name in db:

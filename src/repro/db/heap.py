@@ -2,11 +2,14 @@
 
 A heap file owns a contiguous, growable set of pages from one buffer pool.
 Records are addressed by :class:`RecordId` (page number within the file plus
-slot).  Inserts go to the last page with room, falling back to allocating a
-new page — the append-mostly pattern the ETI build relies on.  An update
-rewrites the record in its own slot when the page has room for the new
-size (:meth:`HeapFile.update`), so the record id stays stable; only a
-record its page cannot absorb is relocated (deleted, then inserted).
+slot).  Inserts go to the last page when it has room, falling back to
+allocating a new page — the append-mostly pattern the ETI build relies on.
+An update rewrites the record in its own slot when the page has room for
+the new size (:meth:`HeapFile.update`), so the record id stays stable;
+only a record whose page cannot absorb it is relocated (deleted, then
+inserted).  "Room" counts a page's dead bytes (:attr:`Page.dead_bytes`):
+a page compacts itself before it refuses a write, so a page is left
+behind only when its live bytes really fill it.
 """
 
 from __future__ import annotations
@@ -42,6 +45,12 @@ class HeapFile:
     def num_pages(self) -> int:
         return len(self._page_numbers)
 
+    @property
+    def dead_bytes(self) -> int:
+        """Deleted records' bytes still held on this file's pages."""
+        get_page = self.pool.get_page
+        return sum(get_page(page_no).dead_bytes for page_no in self._page_numbers)
+
     def insert(self, record: bytes) -> RecordId:
         """Store ``record`` and return its id."""
         if len(record) > MAX_RECORD_SIZE:
@@ -71,9 +80,9 @@ class HeapFile:
         """Replace the record at ``rid``; returns where it now lives.
 
         The record is rewritten in place, keeping ``rid``, whenever its
-        page can absorb the size change (:meth:`Page.update`); otherwise
-        it is deleted and inserted like a new record, and the new id is
-        returned.
+        page can absorb the size change, compacting itself if need be
+        (:meth:`Page.update`); otherwise it is deleted and inserted like a
+        new record, and the new id is returned.
         """
         if len(record) > MAX_RECORD_SIZE:
             raise PageFullError(

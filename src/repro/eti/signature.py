@@ -41,9 +41,10 @@ class SignatureEntry:
 
 
 def signature_entries(
-    token: str, hasher: MinHasher, config: MatchConfig
+    token: str, hasher: MinHasher, config: MatchConfig, memo: bool = True
 ) -> tuple[SignatureEntry, ...]:
-    """The signature entries of ``token`` under the configured scheme."""
+    """The signature entries of ``token`` under the configured scheme;
+    ``memo`` is :meth:`MinHasher.signature`'s."""
     if not token:
         return ()
     if config.scheme is SignatureScheme.FULL_QGRAMS:
@@ -57,7 +58,7 @@ def signature_entries(
     qgram_share = 0.5 if use_token else 1.0
     if use_token:
         entries.append(SignatureEntry(TOKEN_COORDINATE, token, 0.5))
-    signature = hasher.signature(token)
+    signature = hasher.signature(token, memo)
     if signature:
         fraction = qgram_share / len(signature)
         entries.extend(

@@ -9,10 +9,10 @@ index lookup per token — no separate main-memory token-frequency cache.
 This trades the cache's memory for a lookup per weight request (which the
 paper flags as the slower option); it exists so deployments with tight
 memory, or those wanting a single persisted artifact, can run without the
-cache.  fms asks for a weight per token pair, so ``weight`` answers repeats
-from a bounded memo; like ``num_tuples`` and the column averages it is
-fixed for the provider's lifetime, so build a new provider after ETI
-maintenance.  Column-average weights for unseen tokens are computed lazily
+cache.  fms asks for a weight per token pair, so ``weight`` and
+``frequency`` answer repeats from a bounded memo; like ``num_tuples`` and
+the column averages it is fixed for the provider's lifetime, so build a
+new provider after ETI maintenance.  Column-average weights for unseen tokens are computed lazily
 from one scan over the ETI's coordinate-0 rows.
 """
 
@@ -53,23 +53,27 @@ class EtiWeightProvider:
         )
 
     def frequency(self, token: str, column: int) -> int:
-        """``freq(t, i)`` via one clustered-index lookup."""
-        entry = self.eti.lookup(token, TOKEN_COORDINATE, column)
-        return entry.frequency if entry is not None else 0
+        """``freq(t, i)`` via one clustered-index lookup (memoized)."""
+        return self._entry(token, column)[0]
 
     def weight(self, token: str, column: int) -> float:
         """``w(t, i)``: IDF if present, column-average otherwise."""
+        return self._entry(token, column)[1]
+
+    def _entry(self, token: str, column: int) -> tuple[int, float]:
         key = (column, token)
-        weight = self._memo.get(key)
-        if weight is None:
-            freq = self.frequency(token, column)
-            weight = (
+        entry = self._memo.get(key)
+        if entry is None:
+            found = self.eti.lookup(token, TOKEN_COORDINATE, column)
+            freq = found.frequency if found is not None else 0
+            entry = (
+                freq,
                 math.log(self.num_tuples / freq)
                 if freq > 0
-                else self._column_average(column)
+                else self._column_average(column),
             )
-            self._memo.store(key, weight)
-        return weight
+            self._memo.store(key, entry)
+        return entry
 
     def _column_average(self, column: int) -> float:
         if self._averages is None:

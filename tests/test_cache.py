@@ -122,6 +122,24 @@ class TestBoundedMemos:
         assert [hasher.signature(token) for token in tokens] == before
         assert len(hasher._memo) <= self.CAP
 
+    def test_queries_memoize_only_reference_tokens(self, org_db, org_reference):
+        config = MatchConfig(q=3, signature_size=2)
+        eti, _ = build_eti(org_db, org_reference, config)
+        weights = build_frequency_cache(
+            org_reference.scan_values(), org_reference.num_columns
+        )
+        matcher = FuzzyMatcher(org_reference, weights, config, eti)
+        for i in range(20):
+            matcher.match((f"boeing dirty{i:04d}", "seattle", "wa", "98004"))
+        memo = matcher.hasher._memo
+        assert "boeing" in memo and "seattle" in memo
+        assert not any(token.startswith("dirty") for token in memo)
+        # "seattle" is a reference city, never a reference name: its
+        # signature was memoized for the column that holds it.
+        assert weights.frequency("seattle", 0) == 0 < weights.frequency("seattle", 1)
+        fresh = MinHasher(config.q, config.signature_size, config.seed)
+        assert all(memo[token] == fresh.signature(token) for token in memo)
+
     def test_matcher_holds_no_per_token_container_above_its_cap(
         self, org_db, org_reference
     ):

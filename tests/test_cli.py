@@ -347,7 +347,11 @@ class TestPersistedWarehouse:
         self._match(tmp_path, reference_csv, dirty_csv, db_path)
         capsys.readouterr()
         assert run_cli(["fsck", str(db_path), "--eti-name", "eti"]) == 0
-        assert "clean" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "clean" in out
+        # A fresh build holds no deleted record's bytes.
+        assert re.search(r"^relation eti: \d+ pages, 0 dead bytes$", out, re.M), out
+        assert re.search(r"^relation reference: \d+ pages, 0 dead bytes$", out, re.M), out
 
     def test_fsck_flags_corruption(self, tmp_path, reference_csv, dirty_csv, capsys):
         db_path = tmp_path / "damaged.pages"

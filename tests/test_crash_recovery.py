@@ -13,9 +13,10 @@ each one asserts the three durability invariants:
 3. fuzzy-match answers over the recovered index are identical to the
    rebuild's.
 
-The template is sized so the workload takes all three ETI row-update
+The template is sized so the workload takes all four ETI row-update
 paths of :meth:`repro.db.heap.HeapFile.update`: a row grown in place, a
-row shrunk in place, and a row relocated because its full page could not
+row shrunk in place, a row grown after its page compacted away a deleted
+record's bytes, and a row relocated because its full page could not
 absorb the growth.  Tid-list edits spliced into encoded rows
 (:meth:`repro.db.types.Schema.splice`) are among the crash points, and
 the sweep asserts that it takes every splice path: a tail add appended
@@ -269,9 +270,12 @@ class TestCrashSweep:
 
         def counting_update(page, slot, record):
             before = len(page.read(slot))
+            dead = page.dead_bytes
             fitted = page_update(page, slot, record)
             if not fitted:
                 paths["relocated"] += 1
+            elif dead and not page.dead_bytes:
+                paths["compacted"] += 1
             elif len(record) > before:
                 paths["grown in place"] += 1
             elif len(record) < before:
@@ -303,7 +307,7 @@ class TestCrashSweep:
         assert 0 in recovered_prefixes
         assert len(OPS) in recovered_prefixes
         for path in (
-            "grown in place", "shrunk in place", "relocated",
+            "grown in place", "shrunk in place", "compacted", "relocated",
             "tail add", "inner add", "head add", "remove", "tail add, widened",
         ):
             assert paths[path] >= 1, (path, sorted(paths.items()))

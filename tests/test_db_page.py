@@ -1,6 +1,11 @@
 """Slotted page behaviour."""
 
+import random
+import struct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db.errors import PageFullError, RecordNotFoundError
 from repro.db.page import MAX_RECORD_SIZE, PAGE_SIZE, Page
@@ -223,3 +228,195 @@ class TestPageSerialization:
         page.insert(b"a")
         restored = Page(bytes(page.data))
         assert not restored.dirty
+
+
+class TestPageCompaction:
+    @staticmethod
+    def _full_page():
+        """Six 1 300-byte records, then one filling the rest of the gap."""
+        page = Page()
+        for i in range(6):
+            page.insert(bytes([65 + i]) * 1300)
+        page.insert(b"z" * page.free_space)
+        assert page.free_space == 0 and page.dead_bytes == 0
+        return page
+
+    def test_a_growth_past_the_gap_compacts_then_grows(self):
+        page = self._full_page()
+        page.delete(2)
+        assert page.dead_bytes == 1300
+        assert page.update(4, b"E" * 2000)
+        assert page.dead_bytes == 0
+        assert dict(page.records()) == {
+            0: b"A" * 1300, 1: b"B" * 1300, 3: b"D" * 1300, 4: b"E" * 2000,
+            5: b"F" * 1300, 6: page.read(6),
+        }
+        assert page.free_space == 1300 - 700 - 4
+        assert page.validate() == []
+
+    def test_an_insert_past_the_gap_compacts(self):
+        page = self._full_page()
+        page.delete(0)
+        page.delete(5)
+        assert page.insert(b"n" * 2000) == 7
+        assert page.dead_bytes == 0
+        assert page.read(7) == b"n" * 2000
+        assert [slot for slot, _ in page.records()] == [1, 2, 3, 4, 6, 7]
+        assert page.validate() == []
+
+    def test_refuses_only_when_live_bytes_fill_the_page(self):
+        page = self._full_page()
+        page.delete(1)
+        before = bytes(page.data)
+        room = page.dead_bytes  # the gap is empty
+        assert not page.update(0, b"A" * (1300 + room + 1))
+        assert not page.can_fit(b"x" * (room - 4 + 1))
+        with pytest.raises(PageFullError):
+            page.insert(b"x" * (room - 4 + 1))
+        assert bytes(page.data) == before
+        assert page.update(0, b"A" * (1300 + room))
+        assert page.free_space == 0 and page.dead_bytes == 0
+        assert page.validate() == []
+
+    def test_a_shrink_or_a_fitting_growth_does_not_compact(self):
+        page = self._full_page()
+        page.delete(3)
+        page.update(0, b"a" * 1000)
+        assert page.dead_bytes == 1300
+        page.update(1, b"b" * 1500)
+        assert page.dead_bytes == 1300
+        assert page.validate() == []
+
+
+# One step of the page property: (operation, slot pick, record size).
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "update", "delete"]),
+        st.integers(0, 1 << 16),
+        st.one_of(st.integers(0, 40), st.integers(500, 2600)),
+    ),
+    min_size=30,
+    max_size=80,
+)
+
+
+def run_steps(steps):
+    """Apply ``steps`` to a fresh page and a dict model, checking each one.
+
+    A write must succeed exactly when the live records, their slots and
+    the new size fit the page, whatever the dead bytes.
+    """
+    page = Page()
+    model: dict[int, bytes] = {}
+    for step, (kind, pick, size) in enumerate(steps):
+        record = random.Random(step).randbytes(size)
+        live = sorted(model)
+        room = PAGE_SIZE - 4 - 4 * page.num_slots - sum(map(len, model.values()))
+        if kind == "insert" or not live:
+            if size + 4 <= room:
+                assert page.insert(record) == page.num_slots - 1
+                model[page.num_slots - 1] = record
+            else:
+                with pytest.raises(PageFullError):
+                    page.insert(record)
+        elif kind == "update":
+            slot = live[pick % len(live)]
+            fits = size - len(model[slot]) <= room
+            assert page.update(slot, record) == fits
+            if fits:
+                model[slot] = record
+        else:
+            slot = live[pick % len(live)]
+            page.delete(slot)
+            del model[slot]
+        assert dict(page.records()) == model
+        assert page.validate() == []
+        _, free_end = struct.unpack_from("<HH", page.data)
+        assert page.dead_bytes == PAGE_SIZE - free_end - sum(map(len, model.values()))
+    return page, model
+
+
+class TestPageProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(steps=_STEPS)
+    def test_writes_against_a_dict_model(self, steps):
+        page, model = run_steps(steps)
+        for slot, record in model.items():
+            assert page.read(slot) == record
+        assert Page(bytes(page.data)).validate() == []
+        again, _ = run_steps(steps)
+        assert bytes(again.data) == bytes(page.data)
+
+
+class TestPageValidate:
+    @staticmethod
+    def _page():
+        """Three 100-byte records at [8092, 8192), [7992, 8092), [7892, 7992)."""
+        page = Page()
+        for fill in b"abc":
+            page.insert(bytes([fill]) * 100)
+        assert page.validate() == []
+        return page
+
+    @staticmethod
+    def _set_slot(page, slot, offset, length):
+        struct.pack_into("<HH", page.data, 4 + 4 * slot, offset, length)
+
+    def test_records_overlapping_each_other(self):
+        page = self._page()
+        self._set_slot(page, 1, 7992, 150)  # runs into slot 0's bytes
+        assert page.validate() == [
+            "slot 1 record [7992, 8142) overlaps slot 0 record [8092, 8192)"
+        ]
+
+    def test_a_record_overlapping_the_slot_directory(self):
+        page = self._page()
+        self._set_slot(page, 2, 8, 100)
+        assert page.validate() == [
+            "slot 2 record [8, 108) overlaps the slot directory [0, 16)"
+        ]
+
+    def test_records_out_of_slot_order(self):
+        page = self._page()
+        self._set_slot(page, 0, 7992, 100)
+        self._set_slot(page, 1, 8092, 100)
+        assert page.validate() == [
+            "slot 1 record [8092, 8192) lies above slot 0 record [7992, 8092)"
+        ]
+
+    def test_deleted_slots_are_skipped(self):
+        page = self._page()
+        page.delete(1)
+        self._set_slot(page, 2, 7992, 100)  # where slot 1's bytes were
+        assert page.validate() == []
+
+
+class TestOffsetShift:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.lists(
+            st.one_of(
+                st.just((0, 0)),  # deleted
+                st.tuples(st.integers(1, PAGE_SIZE), st.integers(0, MAX_RECORD_SIZE)),
+            ),
+            max_size=40,
+        ),
+        delta=st.integers(-PAGE_SIZE, PAGE_SIZE),
+        first=st.integers(0, 40),
+    )
+    def test_equals_the_per_slot_loop(self, entries, delta, first):
+        # Only shifts that keep every live offset inside the page are made.
+        first = min(first, len(entries))
+        moved = [offset for offset, _ in entries[first:] if offset]
+        if moved and not (0 < min(moved) + delta and max(moved) + delta <= PAGE_SIZE):
+            delta = 0
+        page = Page()
+        struct.pack_into("<HH", page.data, 0, len(entries), 4 + 4 * len(entries))
+        for slot, (offset, length) in enumerate(entries):
+            struct.pack_into("<HH", page.data, 4 + 4 * slot, offset, length)
+        expected = bytearray(page.data)
+        for slot, (offset, length) in enumerate(entries[first:], first):
+            if offset:
+                struct.pack_into("<HH", expected, 4 + 4 * slot, offset + delta, length)
+        page._shift_offsets(first, len(entries), delta)
+        assert page.data == expected

@@ -1,6 +1,7 @@
 """Database snapshot persistence: save, reopen, and reuse a built ETI."""
 
 import json
+import struct
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.core.reference import ReferenceTable
 from repro.core.weights import build_frequency_cache
 from repro.db.database import Database
 from repro.db.errors import DatabaseError
+from repro.db.fsck import RelationSpace, check_database
 from repro.db.snapshot import load_database, save_database
 from repro.db.types import Column, ColumnType
 from repro.eti.builder import build_eti
@@ -232,3 +234,43 @@ class TestEtiReuse:
         assert result.best is not None
         assert result.best.tid == 1
         reopened.close()
+
+
+class TestFsckPageLayout:
+    @staticmethod
+    def _warehouse(tmp_path):
+        path = str(tmp_path / "db.pages")
+        db = Database.on_disk(path)
+        rel = db.create_relation(
+            "t", [Column("k", ColumnType.INT), Column("v", ColumnType.STR)]
+        )
+        rids = [rel.insert((i, f"value-{i:04d}" * 4)) for i in range(400)]
+        return path, db, rel, rids
+
+    def test_reports_pages_and_dead_bytes_per_relation(self, tmp_path):
+        path, db, rel, rids = self._warehouse(tmp_path)
+        for rid in rids[:10]:
+            rel.delete(rid)
+        dead = rel.heap.dead_bytes
+        assert dead > 0
+        save_database(db)
+        db.close()
+        report = check_database(path)
+        assert report.exit_code == 0, report.lines()
+        assert report.relations == {"t": RelationSpace(rel.num_pages, dead)}
+        assert f"relation t: {rel.num_pages} pages, {dead} dead bytes" in report.lines()
+
+    def test_a_checksummed_page_with_overlapping_records_is_an_error(self, tmp_path):
+        path, db, rel, rids = self._warehouse(tmp_path)
+        page = db.pool.get_page(rel.heap._resolve(rids[0]))
+        offset, length = struct.unpack_from("<HH", page.data, 4 + 4 * 1)
+        struct.pack_into("<HH", page.data, 4 + 4 * 1, offset, length + 10)
+        page.dirty = True
+        save_database(db)  # the snapshot's checksum vouches for the bad layout
+        db.close()
+        report = check_database(path)
+        assert report.exit_code == 2
+        assert any(
+            "structurally unsound" in error and "overlaps slot 0" in error
+            for error in report.errors
+        ), report.errors

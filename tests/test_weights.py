@@ -166,9 +166,10 @@ def per_entry_averages(cache):
     """Column averages by the textbook loop: one IDF per vocabulary entry."""
     totals = [0.0] * cache.num_columns
     counts = [0] * cache.num_columns
-    for (column, _), freq in cache._frequencies.items():
-        totals[column] += max(cache.idf(freq), 0.0)
-        counts[column] += 1
+    for column, column_map in enumerate(cache._frequencies):
+        for freq in column_map.values():
+            totals[column] += max(cache.idf(freq), 0.0)
+            counts[column] += 1
     fallback = math.log(cache.num_tuples) if cache.num_tuples > 1 else 1.0
     return [
         totals[c] / counts[c] if counts[c] else fallback
